@@ -16,9 +16,10 @@ from .analysis import (BoundReport, DrawThreshold, PairingComparators,
 from .distributions import (SamplingDistribution, aggregate_distribution,
                             distribution, distribution_stats,
                             distribution_to_json, element_weight,
-                            optimal_distribution, uniform_distribution)
+                            group_weights, optimal_distribution,
+                            uniform_distribution)
 from .errors import (ConfigError, NumericError, PartSketchError,
-                     SpectralNormError, ZeroProductError)
+                     ZeroProductError)
 from .experiments import (ExperimentConfig, paper_scale, run_fig1, run_fig2,
                           run_table1)
 from .matrices import (block_product, dense, frobenius_norm, multiply,

@@ -13,24 +13,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SamplingDistribution, element_weight
+from .distributions import SamplingDistribution, group_weights
 from .errors import NumericError, ZeroProductError
 from .matrices import _frozen, frobenius_norm, multiply, spectral_norm
 from .partitions import Partition, validate
 
-NEGATIVE_CLAMP = -1e-12
+EPS = float(np.finfo(np.float64).eps)
 
 
-def _group_weights(a: np.ndarray, b: np.ndarray, partition: Partition) -> np.ndarray:
-    return np.array([element_weight(a, b, g) for g in partition.groups])
+def _scaled_weights(weights: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(weight, weight/probability) over sampled groups; unsampled ones must weigh 0 to stay unbiased."""
+    sampled = probs > 0.0
+    if np.any(weights[~sampled] != 0.0):
+        raise ValueError("group with nonzero block weight has zero sampling probability")
+    return weights[sampled], weights[sampled] / probs[sampled]
 
 
-def _clamp_nonnegative(value: float, context: str) -> float:
-    if value < 0.0:
-        if value < NEGATIVE_CLAMP:
-            raise NumericError(f"{context} evaluated to {value}, beyond cancellation tolerance")
-        return 0.0
-    return value
+def _excess_over_product(total: float, a: np.ndarray, b: np.ndarray, context: str) -> float:
+    """``total - |ab|_F^2`` for a ``total`` >= it in exact arithmetic, or 0 when rounding could explain it.
+
+    |ab|_F^2 is accurate to 2*gamma_n (about n*eps) of its size, at most ``total``;
+    the tolerance doubles that for the weights' rounding.  Larger negatives raise.
+    """
+    difference = total - frobenius_norm(multiply(a, b)) ** 2
+    tol = 2.0 * a.shape[1] * EPS * total
+    if difference < -tol:
+        raise NumericError(f"{context} evaluated to {difference}, beyond cancellation tolerance {tol}")
+    return 0.0 if difference <= tol else difference
 
 
 def expected_frobenius_error_sq(a: np.ndarray, b: np.ndarray, partition: Partition,
@@ -41,21 +50,14 @@ def expected_frobenius_error_sq(a: np.ndarray, b: np.ndarray, partition: Partiti
     group's weight is the Frobenius norm of its block product.  Groups with
     zero weight and zero probability contribute nothing (they are recovered
     exactly by never being sampled); zero probability on a nonzero-weight
-    group is an error.  Tiny negative results from cancellation are clamped
-    to zero.
+    group is an error.  A result within rounding of zero (relative to the
+    first term) is reported as zero.
     """
     if c < 1:
         raise ValueError(f"sample count must be >= 1, got {c}")
-    weights = _group_weights(a, b, partition)
-    total = 0.0
-    for w, p in zip(weights, dist.weights):
-        if p == 0.0:
-            if w != 0.0:
-                raise ValueError("group with nonzero block weight has zero sampling probability")
-            continue
-        total += w * w / p
-    fro_sq = frobenius_norm(multiply(a, b)) ** 2
-    return _clamp_nonnegative((total - fro_sq) / c, "expected squared error")
+    w, ratio = _scaled_weights(group_weights(a, b, partition), dist.weights)
+    total = float(np.sum(w * ratio))
+    return _excess_over_product(total, a, b, "expected squared error") / c
 
 
 def optimal_expected_error(a: np.ndarray, b: np.ndarray, partition: Partition, c: int) -> float:
@@ -67,9 +69,8 @@ def optimal_expected_error(a: np.ndarray, b: np.ndarray, partition: Partition, c
     """
     if c < 1:
         raise ValueError(f"sample count must be >= 1, got {c}")
-    total = float(np.sum(_group_weights(a, b, partition)))
-    fro_sq = frobenius_norm(multiply(a, b)) ** 2
-    return _clamp_nonnegative((total * total - fro_sq) / c, "optimal expected error")
+    total_sq = float(np.sum(group_weights(a, b, partition))) ** 2
+    return _excess_over_product(total_sq, a, b, "optimal expected error") / c
 
 
 # ---------------------------------------------------------------------------
@@ -97,21 +98,13 @@ class BoundReport:
 def bound_report(a: np.ndarray, b: np.ndarray, partition: Partition,
                  dist: SamplingDistribution) -> BoundReport:
     """Collect the scalar summaries the tail bound needs; pure bookkeeping."""
-    weights = _group_weights(a, b, partition)
-    max_scaled = 0.0
-    scaled_sq = 0.0
-    for w, p in zip(weights, dist.weights):
-        if p == 0.0:
-            if w != 0.0:
-                raise ValueError("group with nonzero block weight has zero sampling probability")
-            continue
-        max_scaled = max(max_scaled, w / p)
-        scaled_sq += w * w / p
+    weights = group_weights(a, b, partition)
+    w, ratio = _scaled_weights(weights, dist.weights)
     ab = multiply(a, b)
     return BoundReport(
         weight_sum=float(np.sum(weights)),
-        max_scaled_weight=max_scaled,
-        scaled_weight_sq_sum=scaled_sq,
+        max_scaled_weight=float(np.max(ratio, initial=0.0)),
+        scaled_weight_sq_sum=float(np.sum(w * ratio)),
         product_spectral_norm=spectral_norm(ab),
         product_frobenius_norm=frobenius_norm(ab),
         out_rows=ab.shape[0],

@@ -34,8 +34,6 @@ class _Parser(argparse.ArgumentParser):
 def _load_matrix(path):
     try:
         return read_matrix(path)
-    except OSError:
-        raise
     except ValueError as exc:
         raise OSError(f"{path}: {exc}") from None
 
@@ -43,11 +41,10 @@ def _load_matrix(path):
 def _plan(args, a, b):
     """Partition and distribution from --partition-file or --strategy."""
     if args.partition_file is not None:
-        try:
-            text = Path(args.partition_file).read_text()
-        except OSError:
-            raise
-        partition = partition_from_json(text)
+        partition = partition_from_json(Path(args.partition_file).read_text())
+        if partition.n != a.shape[1]:
+            raise ConfigError(f"{args.partition_file}: partition covers {partition.n} indices "
+                              f"but the inner dimension is {a.shape[1]}")
         return partition, optimal_distribution(a, b, partition)
     if args.strategy == "finest":
         partition = finest(a.shape[1])

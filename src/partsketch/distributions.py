@@ -15,9 +15,10 @@ import numpy as np
 
 from .errors import ZeroProductError
 from .matrices import block_product, frobenius_norm
-from .partitions import Partition, finest, validate
+from .partitions import Partition, validate
 
 SUM_TOL = 1e-12
+_GATHER_WIDTH = 256  # indices per gathered batch in weights and sketches: O((m + rho) * width) temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +62,34 @@ def element_weight(a: np.ndarray, b: np.ndarray, group) -> float:
     return frobenius_norm(block_product(a, b, group))
 
 
+def group_weights(a: np.ndarray, b: np.ndarray, partition: Partition) -> np.ndarray:
+    """Frobenius norm of every group's block product ``a[:, g] @ b[g, :]``, batched by group size.
+
+    Groups of size s use ``|A_g B_g|_F^2 = <A_g^T A_g, B_g B_g^T>`` (s x s
+    temporaries; ``|a_j| |b_j|`` for singletons) unless ``s^2 > m * rho``,
+    where the m x rho block is smaller, so no temporary grows with n^2.
+    """
+    m, rho = a.shape[0], b.shape[1]
+    sizes = np.bincount(partition.labels, minlength=partition.k)
+    members = np.argsort(partition.labels, kind="stable")  # grouped by label, ascending within
+    starts = np.cumsum(sizes) - sizes
+    w_sq = np.empty(partition.k)
+    for s in np.flatnonzero(np.bincount(sizes)):
+        ids = np.flatnonzero(sizes == s)
+        step = max(1, _GATHER_WIDTH // s)
+        for lo in range(0, ids.size, step):
+            batch = ids[lo:lo + step]
+            cols = members[starts[batch, None] + np.arange(s)]
+            ga = a[:, cols].transpose(1, 0, 2)  # (groups, m, s)
+            gb = b[cols]  # (groups, s, rho)
+            if s * s <= m * rho:
+                left, right = ga.transpose(0, 2, 1) @ ga, gb @ gb.transpose(0, 2, 1)
+            else:
+                left = right = ga @ gb
+            w_sq[batch] = np.einsum("kij,kij->k", left, right)
+    return np.sqrt(np.maximum(w_sq, 0.0))
+
+
 def optimal_distribution(a: np.ndarray, b: np.ndarray, partition: Partition) -> SamplingDistribution:
     """Group probabilities proportional to the block-product Frobenius norms.
 
@@ -72,7 +101,7 @@ def optimal_distribution(a: np.ndarray, b: np.ndarray, partition: Partition) -> 
     """
     if a.shape[1] != partition.n:
         raise ValueError(f"partition covers {partition.n} indices but a has {a.shape[1]} columns")
-    w = np.array([element_weight(a, b, g) for g in partition.groups])
+    w = group_weights(a, b, partition)
     total = float(np.sum(w))
     if total == 0.0:
         raise ZeroProductError("every block weight is zero: the product is the zero matrix")
@@ -92,12 +121,13 @@ def aggregate_distribution(p_finest: SamplingDistribution, partition: Partition)
     set as ``partition``.
     """
     n = partition.n
-    if p_finest.support != finest(n):
+    support = p_finest.support
+    if support.n != n or support.k != n or not np.array_equal(support.labels, np.arange(n)):
         raise ValueError("p_finest must be supported on the finest partition of the same ground set")
     violation = validate(partition)
     if violation is not None:
         raise ValueError(violation)
-    w = np.array([float(np.sum(p_finest.weights[list(g)])) for g in partition.groups])
+    w = np.bincount(partition.labels, weights=p_finest.weights, minlength=partition.k)
     return SamplingDistribution(partition, w)
 
 

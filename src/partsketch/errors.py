@@ -13,9 +13,5 @@ class NumericError(PartSketchError):
     """A numeric procedure could not produce a trustworthy result."""
 
 
-class SpectralNormError(NumericError):
-    """Power iteration did not converge within its iteration budget."""
-
-
 class ZeroProductError(NumericError):
     """The exact product is zero, so no sampling distribution is defined."""

@@ -121,9 +121,10 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
     b = a.T
     exact = multiply(a, b)
     exact_f = frobenius_norm(exact)
+    methods = _methods(cfg, a, b)
     rows_out = []
     for c in cfg.c_grid():
-        for label, partition, dist in _methods(cfg, a, b):
+        for label, partition, dist in methods:
             sq_errs = []
             rel_errs = []
             for t in range(cfg.trials):
@@ -157,17 +158,13 @@ def run_fig2(cfg: ExperimentConfig, out_dir) -> list[dict]:
     b = a.T
     exact = multiply(a, b)
     exact_2 = spectral_norm(exact)
-    # Error matrices are noise-shaped, so their top two singular values often
-    # nearly coincide; chasing the default 1e-10 stationarity there costs tens
-    # of thousands of iterations for accuracy the histograms cannot resolve.
-    norm = lambda m: spectral_norm(m, tol=1e-8, max_iters=1_000_000)
     rows_out = []
     for label, partition, dist in _methods(cfg, a, b):
         for c in cfg.fig2_c_values():
             for run in range(cfg.runs):
                 seed = derive_seed(cfg.seed, "fig2", label, c, run)
                 result = sketch(a, b, partition, dist, SketchConfig(c, seed))
-                err = norm(exact - result.estimate) / exact_2
+                err = spectral_norm(exact - result.estimate) / exact_2
                 rows_out.append({"method": label, "c": c, "run": run, "rel_2norm_err": err})
     lines = [FIG2_HEADER]
     for r in rows_out:
@@ -181,9 +178,7 @@ def run_table1(cfg: ExperimentConfig, out_dir) -> dict:
     validate_config(cfg)
     a = experiment_matrix(cfg)
     b = a.T
-    p_o = optimal_distribution(a, b, finest(a.shape[1]))
-    pair_part = pair_partition(p_o.weights, pairing_strategy(cfg))
-    p_pair = aggregate_distribution(p_o, pair_part)
+    (_, _, p_o), (_, _, p_pair) = _methods(cfg, a, b)
     payload = {"finest": distribution_stats(p_o), "pairwise": distribution_stats(p_pair)}
     _write(out_dir, "table1.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return payload

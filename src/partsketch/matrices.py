@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SpectralNormError
 
 
 def dense(values) -> np.ndarray:
@@ -52,42 +51,14 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def spectral_norm(a: np.ndarray, tol: float = 1e-10, max_iters: int = 10000) -> float:
-    """Largest singular value via power iteration on the smaller Gram matrix.
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value: square root of the top eigenvalue of the smaller Gram matrix.
 
-    Deterministic: iteration starts from the normalized all-ones vector and
-    stops once the Rayleigh quotient is stable to relative ``tol``.  Raises
-    :class:`SpectralNormError` instead of returning a partial answer when the
-    budget of ``max_iters`` iterations is exhausted.
+    The eigenvalue comes from LAPACK's symmetric solver (``eigvalsh``), so the
+    result is exact to rounding, with no iteration budget or tolerance.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
-    m, n = a.shape
-    gram = a @ a.T if m <= n else a.T @ a
-    d = gram.shape[0]
-    x = np.full(d, 1.0 / math.sqrt(d))
-    lam_prev: float | None = None
-    for _ in range(max_iters):
-        y = gram @ x
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            return 0.0
-        lam = float(x @ y)
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
-            return math.sqrt(max(lam, 0.0))
-        lam_prev = lam
-        x = y / norm_y
-    raise SpectralNormError(
-        f"power iteration did not stabilize to tol={tol} within {max_iters} iterations"
-    )
-
-
-def _block(a: np.ndarray, b: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    # Unchecked core of block_product, shared with the sketch engine so that
-    # both paths produce bit-identical blocks.
-    return a[:, idx] @ b[idx, :]
+    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 def block_product(a: np.ndarray, b: np.ndarray, group) -> np.ndarray:
@@ -104,7 +75,7 @@ def block_product(a: np.ndarray, b: np.ndarray, group) -> np.ndarray:
         raise ValueError("group must be a nonempty 1-d index list")
     if idx.min() < 0 or idx.max() >= a.shape[1]:
         raise ValueError(f"group index out of range [0, {a.shape[1]})")
-    return _frozen(_block(a, b, idx))
+    return _frozen(a[:, idx] @ b[idx, :])
 
 
 # ---------------------------------------------------------------------------

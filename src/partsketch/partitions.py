@@ -10,8 +10,10 @@ JSON serialization uses 1-based indices; everything in memory is 0-based.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +32,15 @@ class Partition:
     @property
     def k(self) -> int:
         return len(self.groups)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Group index of each index of a valid partition; read-only, built once, not in ==/hash."""
+        members = np.fromiter(itertools.chain.from_iterable(self.groups), dtype=np.intp)
+        labels = np.zeros(self.n, dtype=np.intp)
+        labels[members] = np.repeat(np.arange(self.k), [len(g) for g in self.groups])
+        labels.flags.writeable = False
+        return labels
 
 
 @dataclass(frozen=True)
@@ -108,13 +119,9 @@ def _pair_order(weights: np.ndarray, strategy: PairingStrategy) -> np.ndarray:
     if strategy.kind == "random":
         return generator(strategy.seed).permutation(n)
     # balanced: largest with smallest, second largest with second smallest, ...
-    order = np.empty(n, dtype=np.intp)
-    for j in range(n // 2):
-        order[2 * j] = ascending[n - 1 - j]
-        order[2 * j + 1] = ascending[j]
-    if n % 2:
-        order[n - 1] = ascending[n // 2]
-    return order
+    half = n // 2
+    pairs = np.column_stack([ascending[::-1][:half], ascending[:half]]).ravel()
+    return np.concatenate([pairs, ascending[half:n - half]])
 
 
 def pair_partition(weights, strategy: PairingStrategy) -> Partition:
@@ -130,11 +137,8 @@ def pair_partition(weights, strategy: PairingStrategy) -> Partition:
         raise ValueError("need a 1-d probability vector over at least 2 indices")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("probabilities must be finite and nonnegative")
-    order = _pair_order(w, strategy)
-    groups = [(int(order[2 * j]), int(order[2 * j + 1])) for j in range(w.size // 2)]
-    if w.size % 2:
-        groups.append((int(order[-1]),))
-    return Partition(w.size, tuple(groups))
+    order = _pair_order(w, strategy).tolist()
+    return Partition(w.size, tuple(tuple(order[j:j + 2]) for j in range(0, w.size, 2)))
 
 
 def partition_to_json(partition: Partition) -> str:
@@ -143,9 +147,13 @@ def partition_to_json(partition: Partition) -> str:
 
 
 def partition_from_json(text: str) -> Partition:
+    """Validated partition from JSON arrays of 1-based indices; non-integers and booleans are rejected."""
     groups = json.loads(text)
     if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
         raise ValueError("partition JSON must be an array of arrays")
-    zero_based = [[int(i) - 1 for i in g] for g in groups]
+    bad = [i for g in groups for i in g if type(i) is not int]
+    if bad:
+        raise ValueError(f"partition index {json.dumps(bad[0])} is not an integer")
+    zero_based = [[i - 1 for i in g] for g in groups]
     n = sum(len(g) for g in zero_based)
     return coarsen(zero_based, n)

@@ -2,8 +2,9 @@
 
 A sketch draws c group indices from a sampling distribution over a partition
 of the inner dimension and averages the correspondingly rescaled block
-products.  Draws come from a counter-based stream, so a (matrices, partition,
-distribution, config) tuple fully determines the result bit for bit.
+products, ``A · diag(s) · B`` with ``s_j = count[g(j)] / (c · p[g(j)])``.
+Draws come from a counter-based stream, so a (matrices, partition,
+distribution, config) tuple and the BLAS thread count fix the result bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SamplingDistribution, aggregate_distribution, optimal_distribution
-from .matrices import _block, _frozen
+from .distributions import (_GATHER_WIDTH, SamplingDistribution, aggregate_distribution,
+                            optimal_distribution)
+from .matrices import _frozen
 from .partitions import PairingStrategy, Partition, finest, pair_partition
 from .rng import uniform_stream
 
@@ -60,21 +62,23 @@ def sample_indices(dist: SamplingDistribution, c: int, seed: int) -> np.ndarray:
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
-def _scaled_blocks(a, b, partition, weights, counts, c):
-    """Yield (group index, count/(c*p) * block) for drawn groups in ascending group order."""
-    for g in np.flatnonzero(counts):
-        scale = counts[g] / (c * weights[g])
-        yield g, scale * _block(a, b, np.asarray(partition.groups[g], dtype=np.intp))
+def _scaled_product(a: np.ndarray, b: np.ndarray, idx: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``sum_j a[:, j] * scale[j] * b[j, :]`` over ``idx``, one GEMM per fixed-width chunk, in order."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for lo in range(0, idx.size, _GATHER_WIDTH):
+        j = idx[lo:lo + _GATHER_WIDTH]
+        out += (a[:, j] * scale[lo:lo + _GATHER_WIDTH]) @ b[j, :]
+    return out
 
 
 def sketch(a: np.ndarray, b: np.ndarray, partition: Partition,
            dist: SamplingDistribution, cfg: SketchConfig) -> SketchResult:
     """Estimate ``a @ b`` from c rescaled block products drawn under ``dist``.
 
-    The estimate accumulates each drawn group's scaled block once, in
-    ascending group order (the draw multiset, not the draw order, determines
-    the sum).  Every drawn group has positive probability by construction of
-    the sampler.
+    The estimate is ``a[:, J] · diag(s[J]) · b[J, :]`` over the drawn inner
+    indices J in ascending order, so the draw multiset, not the draw order,
+    determines it.  Every drawn group has positive probability by
+    construction of the sampler.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
@@ -84,18 +88,19 @@ def sketch(a: np.ndarray, b: np.ndarray, partition: Partition,
         raise ValueError("distribution is not supported on the given partition")
     draws = sample_indices(dist, cfg.c, cfg.seed)
     counts = np.bincount(draws, minlength=partition.k).astype(np.int64)
-    estimate = np.zeros((a.shape[0], b.shape[1]))
-    for _, scaled in _scaled_blocks(a, b, partition, dist.weights, counts, cfg.c):
-        estimate += scaled
-    return SketchResult(_frozen(estimate), draws, counts)
+    group_scale = np.divide(counts, cfg.c * dist.weights, out=np.zeros(partition.k), where=counts > 0)
+    scale = group_scale[partition.labels]
+    idx = np.flatnonzero(scale)
+    return SketchResult(_frozen(_scaled_product(a, b, idx, scale[idx])), draws, counts)
 
 
 def element_contribution(a: np.ndarray, b: np.ndarray, partition: Partition,
                          dist: SamplingDistribution, draws: np.ndarray, group_index: int) -> np.ndarray:
     """The part of the estimate attributable to one group, from the same draw log.
 
-    Summing over all group indices in ascending order reproduces the sketch
-    estimate exactly (identical summation order, identical scaled blocks).
+    The sketch's kernel restricted to the group's indices: equal to the estimate
+    bit for bit when only this group is drawn; summed over groups, equal to it
+    within the GEMM rounding bound (the summation order differs).
     """
     if not 0 <= group_index < partition.k:
         raise ValueError(f"group index {group_index} out of range [0, {partition.k})")
@@ -103,9 +108,9 @@ def element_contribution(a: np.ndarray, b: np.ndarray, partition: Partition,
     count = int(np.sum(draws == group_index))
     if count == 0:
         return _frozen(np.zeros((a.shape[0], b.shape[1])))
-    scale = count / (c * dist.weights[group_index])
-    idx = np.asarray(partition.groups[group_index], dtype=np.intp)
-    return _frozen(scale * _block(a, b, idx))
+    idx = np.flatnonzero(partition.labels == group_index)
+    scale = np.full(idx.size, count / (c * dist.weights[group_index]))
+    return _frozen(_scaled_product(a, b, idx, scale))
 
 
 def pairwise_plan(a: np.ndarray, b: np.ndarray,

@@ -1,8 +1,10 @@
-"""Shared generators for randomized test instances."""
+"""Shared generators for randomized test instances, and reference computations."""
 
 import numpy as np
 
-from partsketch import coarsen, dense
+from partsketch import coarsen, dense, sample_indices
+
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 def random_instance(rng, max_rows=5, n=None, max_n=8, max_cols=5, centered=True):
@@ -42,3 +44,37 @@ def all_pairings(indices):
         pair = (first, rest[i])
         for sub in all_pairings(rest[:i] + rest[i + 1:]):
             yield [pair] + sub
+
+
+def loop_sketch(a, b, partition, dist, cfg):
+    """Reference sketch: one scaled block product per drawn group, summed in group order."""
+    draws = sample_indices(dist, cfg.c, cfg.seed)
+    counts = np.bincount(draws, minlength=partition.k)
+    estimate = np.zeros((a.shape[0], b.shape[1]))
+    for g in np.flatnonzero(counts):
+        idx = list(partition.groups[g])
+        estimate += counts[g] / (cfg.c * dist.weights[g]) * (a[:, idx] @ b[idx, :])
+    return estimate
+
+
+def scale_vector(partition, dist, draws):
+    """Per-index scale s_j = count[g(j)] / (c p[g(j)]) of a draw log (0 for undrawn groups)."""
+    counts = np.bincount(draws, minlength=partition.k)
+    s = np.zeros(partition.n)
+    for g in np.flatnonzero(counts):
+        s[list(partition.groups[g])] = counts[g] / (len(draws) * dist.weights[g])
+    return s
+
+
+def gemm_error_bound(a, s, b):
+    """Elementwise bound on the gap between two float evaluations of a @ diag(s) @ b.
+
+    Each evaluation sums K = |{j : s_j != 0}| products a_ij s_j b_jk, and every
+    product carries two roundings (the scaling and the multiplication), so each
+    lies within gamma_{K+1} |A| |s| |B| of the exact value (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.5), and two of them
+    within twice that of each other.
+    """
+    k = int(np.count_nonzero(s)) + 1
+    gamma = k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+    return 2 * gamma * ((np.abs(a) * np.abs(s)) @ np.abs(b))

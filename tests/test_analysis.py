@@ -95,6 +95,39 @@ class TestExpectedError:
         assert value >= 0.0
 
 
+class TestCancellationFloor:
+    # rank-one nonnegative factors with the finest partition: every per-index
+    # block is parallel to the product, so the true expected error is exactly 0
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.floats(-6.0, 6.0))
+    def test_rank_one_error_is_zero_at_every_scale(self, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        m, n, p = int(rng.integers(1, 30)), int(rng.integers(2, 60)), int(rng.integers(1, 30))
+        scale = 10.0 ** log_scale
+        a = dense(scale * np.outer(rng.random(m), rng.random(n)))
+        b = dense(scale * np.outer(rng.random(n), rng.random(p)))
+        part = finest(n)
+        d = optimal_distribution(a, b, part)
+        assert expected_frobenius_error_sq(a, b, part, d, 3) == 0.0
+        assert optimal_expected_error(a, b, part, 3) == 0.0
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.floats(-6.0, 6.0))
+    def test_generic_error_scales_with_fourth_power(self, seed, log_scale):
+        # the floor is relative, so it neither zeroes nor rejects a real error at any scale
+        rng = np.random.default_rng(seed)
+        a, b = random_instance(rng, n=int(rng.integers(3, 9)))
+        part = finest(a.shape[1])
+        d = optimal_distribution(a, b, part)
+        scale = 10.0 ** log_scale
+        sa, sb = dense(scale * a), dense(scale * b)
+        base = expected_frobenius_error_sq(a, b, part, d, 2)
+        assert base > 0.0
+        assert expected_frobenius_error_sq(sa, sb, part, d, 2) == pytest.approx(scale**4 * base, rel=1e-9)
+        assert optimal_expected_error(sa, sb, part, 2) == pytest.approx(
+            scale**4 * optimal_expected_error(a, b, part, 2), rel=1e-9)
+
+
 class TestOptimalExpectedError:
     def test_single_group_zero(self):
         rng = np.random.default_rng(8)

@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from partsketch import dense, multiply, read_csv, write_csv
+from partsketch import dense, multiply, read_csv, write_binary, write_csv
 from partsketch.cli import main
 
 
@@ -107,6 +108,21 @@ class TestExitCodes:
                      "--c", "1", "--out-dir", str(tmp_path / "out")])
         assert code == 3
 
+    def test_partition_of_wrong_size_is_config_error(self, tmp_path, matrices, capsys):
+        (tmp_path / "part.json").write_text("[[1, 2], [3]]")
+        code = main(["sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                     "--c", "3", "--partition-file", str(tmp_path / "part.json"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "covers 3 indices but the inner dimension is 4" in capsys.readouterr().err
+
+    def test_non_integer_partition_entry_is_config_error(self, tmp_path, matrices):
+        (tmp_path / "part.json").write_text("[[1.9], [2], [3], [4]]")
+        code = main(["analyze", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                     "--partition-file", str(tmp_path / "part.json"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+
     def test_bad_flag_is_config_error(self, tmp_path):
         code = main(["sketch", "--strategy", "sorted", "--a", "x", "--b", "y",
                      "--c", "1", "--out-dir", str(tmp_path)])
@@ -150,3 +166,29 @@ class TestExperimentCommand:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads((tmp_path / "out/analysis.json").read_text())
         assert payload["draw_threshold"]["threshold"] == 3
+
+
+class TestDeterminismPerThreadCount:
+    """Same inputs, seed, BLAS build and BLAS thread count give the same bytes."""
+
+    NAMES = ("estimate.csv", "draws.json", "bounds.json", "distribution.json")
+
+    def run_sketch(self, tmp_path, threads, out):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        proc = subprocess.run(
+            [sys.executable, "-m", "partsketch", "sketch", "--a", str(tmp_path / "a.bin"),
+             "--b", str(tmp_path / "b.bin"), "--c", "3000", "--seed", "5",
+             "--out-dir", str(tmp_path / out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return [(tmp_path / out / name).read_bytes() for name in self.NAMES]
+
+    def test_reruns_are_byte_identical_at_one_and_two_threads(self, tmp_path):
+        # the paper shape, large enough for OpenBLAS to split a GEMM across threads
+        a = dense(np.random.default_rng(3).random((100, 2000)))
+        write_binary(a, tmp_path / "a.bin")
+        write_binary(dense(a.T), tmp_path / "b.bin")
+        for threads in (1, 2):
+            first = self.run_sketch(tmp_path, threads, f"t{threads}-first")
+            second = self.run_sketch(tmp_path, threads, f"t{threads}-second")
+            assert first == second, f"outputs differ between reruns at {threads} threads"

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partsketch import (ZeroProductError, aggregate_distribution, coarsen,
                         dense, distribution, distribution_stats,
                         distribution_to_json, element_weight, finest,
-                        multiply, optimal_distribution, uniform_distribution)
+                        group_weights, multiply, optimal_distribution,
+                        uniform_distribution)
+from helpers import random_coarsening, random_instance
 
 
 class TestElementWeight:
@@ -26,6 +30,29 @@ class TestElementWeight:
         b = dense([[5.0, 6.0], [7.0, 8.0]])
         # block [[14,16],[28,32]]: 14^2+16^2+28^2+32^2 = 2260
         assert element_weight(a, b, [1]) == pytest.approx(math.sqrt(2260), rel=1e-15)
+
+
+class TestGroupWeights:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.booleans())
+    def test_matches_block_product_norms(self, seed, centered):
+        # groups up to n = 40 exceed m * rho <= 36, so both the Gram and the
+        # block-product branches run; squared weights agree to the Gram sum's rounding
+        rng = np.random.default_rng(seed)
+        a, b = random_instance(rng, max_rows=6, max_n=40, max_cols=6, centered=centered)
+        n = a.shape[1]
+        part = random_coarsening(rng, n) if rng.random() < 0.7 else finest(n)
+        got = group_weights(a, b, part)
+        col = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=1)
+        for g, w in zip(part.groups, got):
+            expected = element_weight(a, b, g)
+            scale = float(np.sum(col[list(g)])) ** 2
+            assert abs(w * w - expected * expected) <= 4 * (len(g) + 2) * np.finfo(float).eps * scale
+
+    def test_singletons_are_norm_products(self):
+        a = dense([[3.0, 0.0, 1.0], [4.0, 2.0, 0.0]])
+        b = dense([[1.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
+        assert group_weights(a, b, finest(3)).tolist() == [5.0, 0.0, 8.0**0.5]
 
 
 class TestOptimalDistribution:

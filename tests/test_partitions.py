@@ -128,6 +128,21 @@ class TestPairingStrategy:
             PairingStrategy("enhanced", seed=1)
 
 
+class TestLabels:
+    def test_group_of_each_index(self):
+        part = coarsen([[2, 0], [1], [4, 3]], 5)
+        assert part.labels.tolist() == [0, 1, 0, 2, 2]
+        assert finest(4).labels.tolist() == [0, 1, 2, 3]
+
+    def test_read_only_and_outside_equality(self):
+        one = coarsen([[1, 0], [2]], 3)
+        two = coarsen([[1, 0], [2]], 3)
+        _ = one.labels
+        assert one == two and hash(one) == hash(two)
+        with pytest.raises(ValueError):
+            one.labels[0] = 1
+
+
 class TestPartitionJson:
     def test_round_trip(self):
         part = coarsen([[2, 0], [1]], 3)
@@ -142,3 +157,9 @@ class TestPartitionJson:
             partition_from_json("[[1], [1, 2]]")
         with pytest.raises(ValueError):
             partition_from_json("{\"a\": 1}")
+
+    @pytest.mark.parametrize("text", ["[[1.9], [2]]", "[[2.0], [1]]", "[[true], [2]]",
+                                      "[[1], [null]]", "[[\"1\"], [2]]"])
+    def test_rejects_non_integer_entries(self, text):
+        with pytest.raises(ValueError, match="not an integer"):
+            partition_from_json(text)
