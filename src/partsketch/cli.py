@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -136,7 +137,9 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process; each parse fills a fresh namespace."""
     parser = _Parser(prog="partsketch",
                      description="Randomized matrix-product sketching over index partitions")
     sub = parser.add_subparsers(dest="command", required=True)

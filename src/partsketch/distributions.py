@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .matrices import block_product, frobenius_norm
 from .partitions import Partition, validate
 
 SUM_TOL = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 _GATHER_WIDTH = 256  # indices per gathered batch in weights and sketches: O((m + rho) * width) temporaries
 
 
@@ -35,6 +37,14 @@ class SamplingDistribution:
 
     def __post_init__(self):
         self.weights.flags.writeable = False
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative probabilities ending at exactly 1; group g owns ``[cdf[g-1], cdf[g])``. Read-only, built once."""
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        return cdf
 
 
 def distribution(support: Partition, weights, *, normalize: bool = False) -> SamplingDistribution:
@@ -62,12 +72,49 @@ def element_weight(a: np.ndarray, b: np.ndarray, group) -> float:
     return frobenius_norm(block_product(a, b, group))
 
 
+def _squared_norms(a: np.ndarray, b: np.ndarray, members: np.ndarray, starts: np.ndarray,
+                   ids: np.ndarray, s: int, gram: bool) -> np.ndarray:
+    """``|a[:, g] @ b[g, :]|_F^2`` of the size-s groups ``ids``, by the Gram identity or from the blocks.
+
+    A Gram sum ``<A_g^T A_g, B_g B_g^T>`` is within ``gamma_{m+rho+s^2}
+    <|A_g|^T |A_g|, |B_g| |B_g|^T>`` of exact, and by Cauchy-Schwarz that is
+    at most ``gamma_{m+rho+s^2} (sum_{j in g} |a_j| |b_j|)^2``.  A group whose
+    sum does not exceed this bound by ``1/sqrt(eps)`` nearly cancels (only
+    signed entries can) and is taken from its block instead, so every weight
+    keeps at least half its digits.
+    """
+    m, rho = a.shape[0], b.shape[1]
+    # temporaries per group: (m + rho) s gathered, s^2 Gram or m rho block entries
+    step = max(1, _GATHER_WIDTH // (s if gram else max(s, m * rho // (m + rho))))
+    terms = (m + rho + s * s) * _EPS / 2
+    rounding = terms / (1 - terms)
+    out = np.empty(ids.size)
+    for lo in range(0, ids.size, step):
+        batch = ids[lo:lo + step]
+        cols = members[starts[batch, None] + np.arange(s)]
+        ga = a[:, cols].transpose(1, 0, 2)  # (groups, m, s)
+        gb = b[cols]  # (groups, s, rho)
+        if not gram:
+            block = ga @ gb
+            out[lo:lo + step] = np.einsum("kij,kij->k", block, block)
+            continue
+        left, right = ga.transpose(0, 2, 1) @ ga, gb @ gb.transpose(0, 2, 1)
+        w_sq = np.einsum("kij,kij->k", left, right)
+        norm_sum = np.sqrt(np.einsum("kii,kii->ki", left, right)).sum(axis=1)  # sum |a_j| |b_j|
+        cancelled = rounding * norm_sum * norm_sum > np.sqrt(_EPS) * w_sq
+        if cancelled.any():
+            w_sq[cancelled] = _squared_norms(a, b, members, starts, batch[cancelled], s, False)
+        out[lo:lo + step] = w_sq
+    return out
+
+
 def group_weights(a: np.ndarray, b: np.ndarray, partition: Partition) -> np.ndarray:
     """Frobenius norm of every group's block product ``a[:, g] @ b[g, :]``, batched by group size.
 
     Groups of size s use ``|A_g B_g|_F^2 = <A_g^T A_g, B_g B_g^T>`` (s x s
     temporaries; ``|a_j| |b_j|`` for singletons) unless ``s^2 > m * rho``,
     where the m x rho block is smaller, so no temporary grows with n^2.
+    Groups whose Gram sum nearly cancels are taken from their blocks.
     """
     m, rho = a.shape[0], b.shape[1]
     sizes = np.bincount(partition.labels, minlength=partition.k)
@@ -76,17 +123,7 @@ def group_weights(a: np.ndarray, b: np.ndarray, partition: Partition) -> np.ndar
     w_sq = np.empty(partition.k)
     for s in np.flatnonzero(np.bincount(sizes)):
         ids = np.flatnonzero(sizes == s)
-        step = max(1, _GATHER_WIDTH // s)
-        for lo in range(0, ids.size, step):
-            batch = ids[lo:lo + step]
-            cols = members[starts[batch, None] + np.arange(s)]
-            ga = a[:, cols].transpose(1, 0, 2)  # (groups, m, s)
-            gb = b[cols]  # (groups, s, rho)
-            if s * s <= m * rho:
-                left, right = ga.transpose(0, 2, 1) @ ga, gb @ gb.transpose(0, 2, 1)
-            else:
-                left = right = ga @ gb
-            w_sq[batch] = np.einsum("kij,kij->k", left, right)
+        w_sq[ids] = _squared_norms(a, b, members, starts, ids, s, s * s <= m * rho)
     return np.sqrt(np.maximum(w_sq, 0.0))
 
 

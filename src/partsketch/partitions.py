@@ -69,27 +69,50 @@ def random_pairing(seed: int) -> PairingStrategy:
 
 
 def validate(partition: Partition) -> str | None:
-    """Return None if the partition invariants hold, else the first violation."""
+    """Return None if the partition invariants hold, else the first violation.
+
+    The violation reported is the first one a scan would meet that visits the
+    groups in order and each group's indices in order: an empty group, then
+    per index a non-integer, an index out of range or one already seen; after
+    the scan, the lowest index no group covers.
+    """
     n = partition.n
     if n < 1:
         return f"ground-set size must be positive, got {n}"
-    if not 1 <= len(partition.groups) <= n:
-        return f"group count must be in [1, {n}], got {len(partition.groups)}"
-    seen = np.zeros(n, dtype=bool)
-    for gi, group in enumerate(partition.groups):
-        if len(group) == 0:
-            return f"group {gi} is empty"
-        for idx in group:
-            if not isinstance(idx, (int, np.integer)):
-                return f"group {gi} holds a non-integer index {idx!r}"
-            if not 0 <= idx < n:
-                return f"index {idx} out of range [0, {n})"
-            if seen[idx]:
-                return f"index {idx} appears in more than one group"
-            seen[idx] = True
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
-        return f"index {missing} is not covered by any group"
+    groups = partition.groups
+    if not 1 <= len(groups) <= n:
+        return f"group count must be in [1, {n}], got {len(groups)}"
+    flat = list(itertools.chain.from_iterable(groups))
+    try:
+        values = np.array(flat)
+        integral = values.ndim == 1 and values.dtype.kind in "biu"
+    except ValueError:  # ragged entries
+        integral = False
+    stop = len(flat)  # position of the first non-integer
+    if not integral:
+        stop = next((p for p, i in enumerate(flat) if not isinstance(i, (int, np.integer))), stop)
+        values = np.array(flat[:stop], dtype=object)  # exact comparisons for ints beyond int64
+    in_range = (values >= 0) & (values < n)
+    bad = stop if in_range.all() else int(np.argmin(in_range))  # first out-of-range position
+    seen = values[:bad].astype(np.intp)
+    counts = np.bincount(seen, minlength=n)
+    first = bad  # earliest position of any index violation
+    if counts.max() > 1:
+        order = np.argsort(seen, kind="stable")
+        first = int(order[1:][seen[order[1:]] == seen[order[:-1]]].min())
+    if 0 in map(len, groups) or first < len(flat):
+        ends = np.cumsum([len(g) for g in groups])
+        empty = np.flatnonzero(np.diff(ends, prepend=0) == 0)
+        if empty.size and ends[empty[0]] <= first:
+            return f"group {empty[0]} is empty"
+        idx = flat[first]
+        if first == stop:
+            return f"group {int(np.searchsorted(ends, first, side='right'))} holds a non-integer index {idx!r}"
+        if first == bad:
+            return f"index {idx} out of range [0, {n})"
+        return f"index {idx} appears in more than one group"
+    if counts.min() == 0:
+        return f"index {int(np.argmin(counts))} is not covered by any group"
     return None
 
 

@@ -10,7 +10,8 @@ distribution, config) tuple and the BLAS thread count fix the result bit for bit
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,16 +36,25 @@ class SketchConfig:
 
 @dataclass(frozen=True, eq=False)
 class SketchResult:
-    """Estimate plus the draw log that produced it."""
+    """Estimate and per-group draw counts, plus the draw log that produced them."""
 
     estimate: np.ndarray
-    draws: np.ndarray
     counts: np.ndarray
+    _dist: SamplingDistribution = field(repr=False)
+    _cfg: SketchConfig = field(repr=False)
 
     def __post_init__(self):
         self.estimate.flags.writeable = False
-        self.draws.flags.writeable = False
         self.counts.flags.writeable = False
+
+    @cached_property
+    def draws(self) -> np.ndarray:
+        """The c drawn group indices in draw order; read-only, rebuilt from the stream on first read.
+
+        Bit-identical to ``sample_indices(dist, c, seed)``; the estimate needs
+        only ``counts``, so runs that never read the log never build it.
+        """
+        return _frozen(sample_indices(self._dist, self._cfg.c, self._cfg.seed))
 
 
 def sample_indices(dist: SamplingDistribution, c: int, seed: int) -> np.ndarray:
@@ -56,18 +66,43 @@ def sample_indices(dist: SamplingDistribution, c: int, seed: int) -> np.ndarray:
     """
     if c < 1:
         raise ValueError(f"sample count must be >= 1, got {c}")
-    cdf = np.cumsum(dist.weights)
-    cdf /= cdf[-1]
-    u = uniform_stream(seed, c)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    return np.searchsorted(dist.cdf, uniform_stream(seed, c), side="right").astype(np.int64)
+
+
+def _draw_counts(dist: SamplingDistribution, cfg: SketchConfig) -> np.ndarray:
+    """Per-group counts of the draws of ``sample_indices(dist, c, seed)``, bit for bit.
+
+    Draw i lands in group g when ``cdf[g-1] <= u_i < cdf[g]``, so the number
+    of variates below ``cdf[g]`` counts the draws in groups 0..g: one sort of
+    the c variates and one search per group replace c searches of the CDF.
+    """
+    below = np.searchsorted(np.sort(uniform_stream(cfg.seed, cfg.c)), dist.cdf, side="left")
+    return np.diff(below, prepend=0)
+
+
+def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when ``b`` is ``a.T``: the same buffer read with reversed shape and strides."""
+    return (b.shape == a.shape[::-1] and b.strides == a.strides[::-1]
+            and b.ctypes.data == a.ctypes.data)
 
 
 def _scaled_product(a: np.ndarray, b: np.ndarray, idx: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """``sum_j a[:, j] * scale[j] * b[j, :]`` over ``idx``, one GEMM per fixed-width chunk, in order."""
+    """``sum_j a[:, j] * scale[j] * b[j, :]`` over ``idx``, one product per fixed-width chunk, in order.
+
+    When ``b`` is ``a.T`` each chunk is ``x @ x.T`` with ``x = a[:, J] * sqrt(scale[J])``,
+    which NumPy hands to BLAS ``syrk``: half the flops of a GEMM, and an
+    exactly symmetric estimate.  ``scale`` must then be positive.  Any other
+    ``b`` takes a GEMM per chunk.
+    """
+    gram = _is_transpose(a, b)
+    if gram:
+        scale = np.sqrt(scale)
     out = np.zeros((a.shape[0], b.shape[1]))
     for lo in range(0, idx.size, _GATHER_WIDTH):
         j = idx[lo:lo + _GATHER_WIDTH]
-        out += (a[:, j] * scale[lo:lo + _GATHER_WIDTH]) @ b[j, :]
+        x = a[:, j]
+        x *= scale[lo:lo + _GATHER_WIDTH]
+        out += x @ (x.T if gram else b[j, :])
     return out
 
 
@@ -86,12 +121,11 @@ def sketch(a: np.ndarray, b: np.ndarray, partition: Partition,
         raise ValueError(f"partition covers {partition.n} indices but the inner dimension is {a.shape[1]}")
     if dist.support != partition:
         raise ValueError("distribution is not supported on the given partition")
-    draws = sample_indices(dist, cfg.c, cfg.seed)
-    counts = np.bincount(draws, minlength=partition.k).astype(np.int64)
+    counts = _draw_counts(dist, cfg)
     group_scale = np.divide(counts, cfg.c * dist.weights, out=np.zeros(partition.k), where=counts > 0)
     scale = group_scale[partition.labels]
     idx = np.flatnonzero(scale)
-    return SketchResult(_frozen(_scaled_product(a, b, idx, scale[idx])), draws, counts)
+    return SketchResult(_frozen(_scaled_product(a, b, idx, scale[idx])), counts, dist, cfg)
 
 
 def element_contribution(a: np.ndarray, b: np.ndarray, partition: Partition,

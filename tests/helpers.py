@@ -66,6 +66,11 @@ def scale_vector(partition, dist, draws):
     return s
 
 
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): the relative bound of k roundings."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
 def gemm_error_bound(a, s, b):
     """Elementwise bound on the gap between two float evaluations of a @ diag(s) @ b.
 
@@ -75,6 +80,45 @@ def gemm_error_bound(a, s, b):
     Stability of Numerical Algorithms, 2nd ed., section 3.5), and two of them
     within twice that of each other.
     """
-    k = int(np.count_nonzero(s)) + 1
-    gamma = k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
-    return 2 * gamma * ((np.abs(a) * np.abs(s)) @ np.abs(b))
+    k = int(np.count_nonzero(s))
+    return 2 * gamma(k + 1) * ((np.abs(a) * np.abs(s)) @ np.abs(b))
+
+
+def gram_error_bound(a, s):
+    """Elementwise bound on the gap between the Gram kernel's a @ diag(s) @ a.T and a GEMM-path or loop evaluation.
+
+    The Gram kernel forms each product as fl(x_ij x_kj) with x_ij = fl(a_ij r_j)
+    and r_j = fl(sqrt(s_j)): the one rounding of r_j enters twice, so the product
+    is a_ij s_j a_kj (1+d0)^2 (1+d1)(1+d2)(1+d3), five factors where the GEMM
+    path has two.  With the K - 1 additions (adding a chunk to the zero start
+    is exact) the Gram evaluation lies within gamma_{K+4} |A| |s| |A^T| of the
+    exact value, so within (gamma_{K+1} + gamma_{K+4}) |A| |s| |A^T| of an
+    evaluation held to gemm_error_bound's gamma_{K+1}.
+    """
+    k = int(np.count_nonzero(s))
+    return (gamma(k + 1) + gamma(k + 4)) * ((np.abs(a) * np.abs(s)) @ np.abs(a).T)
+
+
+def loop_validate(partition):
+    """Reference partition check: the per-index scan, returning the first violation met."""
+    n = partition.n
+    if n < 1:
+        return f"ground-set size must be positive, got {n}"
+    if not 1 <= len(partition.groups) <= n:
+        return f"group count must be in [1, {n}], got {len(partition.groups)}"
+    seen = np.zeros(n, dtype=bool)
+    for gi, group in enumerate(partition.groups):
+        if len(group) == 0:
+            return f"group {gi} is empty"
+        for idx in group:
+            if not isinstance(idx, (int, np.integer)):
+                return f"group {gi} holds a non-integer index {idx!r}"
+            if not 0 <= idx < n:
+                return f"index {idx} out of range [0, {n})"
+            if seen[idx]:
+                return f"index {idx} appears in more than one group"
+            seen[idx] = True
+    if not seen.all():
+        missing = int(np.flatnonzero(~seen)[0])
+        return f"index {missing} is not covered by any group"
+    return None

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from partsketch import dense, multiply, read_csv, write_binary, write_csv
-from partsketch.cli import main
+from partsketch.cli import build_parser, main
 
 
 @pytest.fixture
@@ -86,6 +86,24 @@ class TestAnalyzeCommand:
         assert code == 0
         payload = json.loads((tmp_path / "out/analysis.json").read_text())
         assert payload["tail_bound"]["value"] > 0
+
+
+    def test_one_parser_carries_nothing_between_calls(self, tmp_path, matrices):
+        # the parser is built once per process: a sketch call's flags must not
+        # reach the analyze call after it
+        ab = ["--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv")]
+        analyze = ["analyze", *ab, "--out-dir"]
+        (tmp_path / "part.json").write_text("[[1, 2], [3, 4]]")
+        assert main([*analyze, str(tmp_path / "before")]) == 0
+        assert main(["sketch", *ab, "--c", "5", "--seed", "3", "--strategy", "simple",
+                     "--partition-file", str(tmp_path / "part.json"),
+                     "--out-dir", str(tmp_path / "sketch")]) == 0
+        assert main([*analyze, str(tmp_path / "after")]) == 0
+        before = (tmp_path / "before/analysis.json").read_bytes()
+        assert (tmp_path / "after/analysis.json").read_bytes() == before
+        assert build_parser() is build_parser()
+        fresh = build_parser.__wrapped__().parse_args([*analyze, "out"])
+        assert vars(build_parser().parse_args([*analyze, "out"])) == vars(fresh)
 
 
 class TestExitCodes:

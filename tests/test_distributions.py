@@ -54,6 +54,20 @@ class TestGroupWeights:
         b = dense([[1.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
         assert group_weights(a, b, finest(3)).tolist() == [5.0, 0.0, 8.0**0.5]
 
+    def test_nearly_cancelling_group(self):
+        # a_1 = -a_0 + 1e-9 noise with b_1 = b_0: the block is d b_0^T with
+        # d = a_0 + a_1 (exact, by Sterbenz), and the Gram identity's sum
+        # cancels to rounding noise, so the weight must come from the block
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            a0 = rng.standard_normal(20)
+            a = dense(np.column_stack([a0, -a0 + 1e-9 * rng.standard_normal(20)]))
+            b0 = rng.standard_normal(int(rng.integers(1, 8)))
+            b = dense(np.vstack([b0, b0]))
+            expected = np.linalg.norm(a[:, 0] + a[:, 1]) * np.linalg.norm(b0)
+            got = group_weights(a, b, coarsen([[0, 1]], 2))[0]
+            assert abs(got - expected) <= 1e-6 * expected
+
 
 class TestOptimalDistribution:
     def test_symmetric_identity(self):

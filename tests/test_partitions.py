@@ -7,6 +7,7 @@ from partsketch import (BALANCED, ENHANCED, SIMPLE, PairingStrategy,
                         Partition, coarsen, finest, pair_partition,
                         partition_from_json, partition_to_json,
                         random_pairing, validate)
+from helpers import loop_validate
 
 
 class TestFinest:
@@ -47,6 +48,37 @@ class TestValidate:
     def test_too_many_groups(self):
         msg = validate(Partition(1, ((0,), (0,))))
         assert "group count" in msg
+
+    @pytest.mark.parametrize("partition, message", [
+        (Partition(3, ((0, 1), (), (2,))), "group 1 is empty"),
+        (Partition(2, ((0,), (1.0,))), "group 1 holds a non-integer index 1.0"),
+        (Partition(2, ((0,), (2,))), "index 2 out of range [0, 2)"),
+        (Partition(2, ((0,), (0, 1))), "index 0 appears in more than one group"),
+        (Partition(3, ((0,), (2,))), "index 1 is not covered by any group"),
+    ])
+    def test_message_of_each_kind(self, partition, message):
+        assert validate(partition) == message
+
+    @pytest.mark.parametrize("partition, message", [
+        (Partition(4, ((0, 5), (), (0,), (1.5,))), "index 5 out of range [0, 4)"),
+        (Partition(4, ((0,), (), (0, 9))), "group 1 is empty"),
+        (Partition(4, ((3, 1, 3), (-1,), (2.5,))), "index 3 appears in more than one group"),
+        (Partition(4, ((1, "x"), (9,))), "group 0 holds a non-integer index 'x'"),
+        (Partition(3, ((0, 2**70), (1,))), f"index {2**70} out of range [0, 3)"),
+    ])
+    def test_reports_the_first_violation_in_scan_order(self, partition, message):
+        assert validate(partition) == message
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.one_of(st.integers(-1, n), st.integers(-1, n), st.sampled_from(
+            [0.5, 1.0, "1", None, 2**64, -2**70, np.int64(1), np.uint64(0)])), max_size=4),
+        min_size=1, max_size=n))))
+    def test_matches_the_per_index_scan(self, case):
+        # booleans are left out: the scan indexes its seen-mask with them
+        n, groups = case
+        partition = Partition(n, tuple(tuple(g) for g in groups))
+        assert validate(partition) == loop_validate(partition)
 
 
 class TestCoarsen:

@@ -2,17 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partsketch import (ENHANCED, SketchConfig, brute_force_expectation,
                         coarsen, dense, distribution, element_contribution,
                         element_weight, finest, frobenius_norm, multiply,
                         optimal_distribution, pairwise_plan, sample_indices,
-                        sketch, sketch_pairwise, spectral_norm)
+                        sketch, sketch_pairwise, spectral_norm,
+                        uniform_stream)
 from partsketch.rng import derive_seed
-from helpers import (gemm_error_bound, loop_sketch, random_coarsening,
-                     random_instance, scale_vector)
+from partsketch.sketching import _is_transpose
+from helpers import (gemm_error_bound, gram_error_bound, loop_sketch,
+                     random_coarsening, random_instance, scale_vector)
 
 
 def small_instance(seed=0):
@@ -54,24 +56,76 @@ class TestSampleIndices:
             sample_indices(d, 0, 1)
 
 
+class TestDrawCounts:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=1, max_size=40)
+           .filter(lambda w: sum(w) > 0),
+           st.integers(1, 5000), st.integers(0, 2**63 - 1))
+    @example([1.0], 1, 0)
+    @example([1.0], 3000, 5)
+    @example([0.0, 0.3, 0.0, 0.7, 0.0], 1, 11)
+    @example([0.0, 0.5, 0.5, 0.0], 5000, 2)
+    def test_one_sort_counts_equal_counted_draws(self, weights, c, seed):
+        # the sketch counts draws by sorting the variates once; the count per
+        # group must equal the bincount of the per-draw binary searches
+        k = len(weights)
+        part = finest(k)
+        d = distribution(part, weights, normalize=True)
+        res = sketch(dense(np.ones((1, k))), dense(np.ones((k, 1))), part, d, SketchConfig(c, seed))
+        assert np.array_equal(res.counts, np.bincount(sample_indices(d, c, seed), minlength=k))
+
+    def test_variate_on_a_group_boundary(self):
+        # u_0 = cdf[0] exactly: the draw and its count both go to group 1
+        seed = next(s for s in range(100) if uniform_stream(s, 1)[0] >= 0.5)
+        u0 = uniform_stream(seed, 1)[0]
+        part = finest(2)
+        d = distribution(part, [u0, 1 - u0])  # 1 - u0 is exact for u0 >= 0.5
+        assert d.cdf[0] == u0
+        res = sketch(dense(np.ones((1, 2))), dense(np.ones((2, 1))), part, d, SketchConfig(5, seed))
+        assert res.draws[0] == 1
+        assert np.array_equal(res.counts, np.bincount(res.draws, minlength=2))
+
+    def test_draws_are_the_sampled_indices_and_read_only(self):
+        a, b = small_instance(5)
+        part = coarsen([[0, 3], [1], [2]], 4)
+        d = optimal_distribution(a, b, part)
+        res = sketch(a, b, part, d, SketchConfig(40, 17))
+        assert res.draws.dtype == np.int64
+        assert res.draws.tobytes() == sample_indices(d, 40, 17).tobytes()
+        assert res.draws is res.draws
+        with pytest.raises(ValueError):
+            res.draws[0] = 0
+        with pytest.raises(AttributeError):
+            res.draws = np.zeros(40, dtype=np.int64)
+
+    def test_cdf_is_cached_read_only_and_ends_at_one(self):
+        d = distribution(finest(4), [0.1, 0.0, 0.6, 0.3])
+        assert d.cdf is d.cdf
+        assert d.cdf[-1] == 1.0 and d.cdf[0] == d.cdf[1]
+        with pytest.raises(ValueError):
+            d.cdf[0] = 0.5
+
+
 class TestSketch:
     def test_single_group_recovers_product_exactly(self):
-        a, b = small_instance()
+        a, b_general = small_instance()
         part = coarsen([[0, 1, 2, 3]], 4)
-        d = optimal_distribution(a, b, part)
-        for c in (1, 3, 10):
-            res = sketch(a, b, part, d, SketchConfig(c, 42))
-            assert np.array_equal(res.estimate, multiply(a, b))
+        for b in (b_general, a.T):  # the GEMM and the Gram kernel
+            d = optimal_distribution(a, b, part)
+            for c in (1, 3, 10):
+                res = sketch(a, b, part, d, SketchConfig(c, 42))
+                assert np.array_equal(res.estimate, multiply(a, b))
 
     def test_single_draw_is_scaled_block(self):
-        a, b = small_instance()
+        a, b_general = small_instance()
         part = finest(4)
-        d = optimal_distribution(a, b, part)
-        res = sketch(a, b, part, d, SketchConfig(1, 8))
-        drawn = int(res.draws[0])
-        expected = element_contribution(a, b, part, d, res.draws, drawn)
-        assert np.array_equal(res.estimate, expected)
-        assert res.counts[drawn] == 1 and res.counts.sum() == 1
+        for b in (b_general, a.T):  # the GEMM and the Gram kernel
+            d = optimal_distribution(a, b, part)
+            res = sketch(a, b, part, d, SketchConfig(1, 8))
+            drawn = int(res.draws[0])
+            expected = element_contribution(a, b, part, d, res.draws, drawn)
+            assert np.array_equal(res.estimate, expected)
+            assert res.counts[drawn] == 1 and res.counts.sum() == 1
 
     def test_enumerated_expectation_is_unbiased(self):
         a, b = small_instance()
@@ -189,20 +243,56 @@ class TestElementContribution:
 
 class TestEngineAgainstLoop:
     @settings(max_examples=80, derandomize=True, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 600), st.booleans())
-    def test_matches_per_group_loop_within_gemm_bound(self, seed, c, coarse):
-        # n up to 700 spans several fixed-width chunks of the engine
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 600), st.booleans(), st.booleans())
+    def test_matches_per_group_loop_within_gemm_bound(self, seed, c, coarse, transposed):
+        # n up to 700 spans several fixed-width chunks of the engine; b = a.T
+        # takes the Gram kernel, held to the bound widened for its sqrt split
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 700))
         a = dense(rng.random((int(rng.integers(1, 6)), n)) - 0.5)
-        b = dense(rng.random((n, int(rng.integers(1, 6)))) - 0.5)
+        b = a.T if transposed else dense(rng.random((n, int(rng.integers(1, 6)))) - 0.5)
         part = random_coarsening(rng, n, max_groups=n // 2 + 1) if coarse else finest(n)
         d = optimal_distribution(a, b, part)
         cfg = SketchConfig(c, seed)
         res = sketch(a, b, part, d, cfg)
         reference = loop_sketch(a, b, part, d, cfg)
-        bound = gemm_error_bound(a, scale_vector(part, d, res.draws), b)
+        s = scale_vector(part, d, res.draws)
+        bound = gram_error_bound(a, s) if transposed else gemm_error_bound(a, s, b)
         assert np.all(np.abs(res.estimate - reference) <= bound)
+
+
+class TestGramKernel:
+    def instance(self):
+        rng = np.random.default_rng(31)
+        a = dense(rng.random((40, 700)) - 0.5)
+        return a, optimal_distribution(a, a.T, finest(700))
+
+    def test_estimate_is_exactly_symmetric(self):
+        a, d = self.instance()
+        for c in (1, 300, 2000):  # one chunk to several
+            est = sketch(a, a.T, finest(700), d, SketchConfig(c, c)).estimate
+            assert np.array_equal(est, est.T)
+
+    def test_path_follows_the_buffer(self):
+        # only a.T itself takes the Gram kernel: not an equal copy, and not the
+        # transpose of another matrix with a's shape and strides
+        a, d = self.instance()
+        part = finest(700)
+        copy = dense(a.T.copy())
+        other = dense(np.random.default_rng(32).random(a.shape) - 0.5)
+        assert _is_transpose(a, a.T)
+        assert not _is_transpose(a, copy) and not _is_transpose(a, other.T)
+        square = dense(np.eye(3))
+        assert not _is_transpose(square, square) and _is_transpose(square.T, square)
+        cfg = SketchConfig(900, 4)
+        gram = sketch(a, a.T, part, d, cfg)
+        gemm = sketch(a, copy, part, d, cfg)
+        assert np.all(np.abs(gram.estimate - gemm.estimate)
+                      <= gram_error_bound(a, scale_vector(part, d, gram.draws)))
+        d_other = optimal_distribution(a, other.T, part)
+        res = sketch(a, other.T, part, d_other, cfg)
+        assert np.all(np.abs(res.estimate - loop_sketch(a, other.T, part, d_other, cfg))
+                      <= gemm_error_bound(a, scale_vector(part, d_other, res.draws), other.T))
 
 
 class TestSketchPairwise:
