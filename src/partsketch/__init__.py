@@ -29,9 +29,9 @@ from .partitions import (BALANCED, ENHANCED, SIMPLE, PairingStrategy,
                          Partition, coarsen, finest, pair_partition,
                          partition_from_json, partition_to_json,
                          random_pairing, validate)
-from .rng import derive_seed, uniform_stream
+from .rng import derive_seed, derive_seeds, uniform_stream
 from .sketching import (SketchConfig, SketchResult, draw_log_json,
                         element_contribution, pairwise_plan, sample_indices,
-                        sketch, sketch_pairwise)
+                        sketch, sketch_pairwise, sketch_trials)
 
 __version__ = "0.1.0"

@@ -13,7 +13,10 @@ Three experiments over a generated (or loaded) matrix A with B = A^T:
 Every output is a pure function of the config; reruns produce identical
 bytes.  Per-trial seeds are derived from (master seed, experiment label,
 method, sample count, trial index), so trials are independent of execution
-order and of matrix generation, which uses its own substream.
+order and of matrix generation, which uses its own substream.  Each
+(method, sample count) cell derives its seeds and draws its trials in one
+batch (``derive_seeds``, ``sketch_trials``), with the same values as one
+``derive_seed`` and one ``sketch`` per trial.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from .errors import ConfigError
 from .matrices import dense, frobenius_norm, multiply, read_matrix, spectral_norm
 from .partitions import (PAIRING_KINDS, PairingStrategy, finest,
                          pair_partition)
-from .rng import derive_seed, generator
-from .sketching import SketchConfig, sketch
+from .rng import derive_seed, derive_seeds, generator
+# ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
+from .sketching import sketch, sketch_trials  # noqa: F401
 
 FIG1_HEADER = "c,method,mean_rel_frob_err,mean_sq_frob_err,stderr,trials"
 FIG2_HEADER = "method,c,run,rel_2norm_err"
@@ -127,9 +131,8 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
         for label, partition, dist in methods:
             sq_errs = []
             rel_errs = []
-            for t in range(cfg.trials):
-                seed = derive_seed(cfg.seed, "fig1", label, c, t)
-                result = sketch(a, b, partition, dist, SketchConfig(c, seed))
+            seeds = derive_seeds(cfg.seed, "fig1", label, c, count=cfg.trials)
+            for result in sketch_trials(a, b, partition, dist, c, seeds):
                 diff = exact - result.estimate
                 sq = float(np.sum(diff * diff))
                 sq_errs.append(sq)
@@ -161,9 +164,8 @@ def run_fig2(cfg: ExperimentConfig, out_dir) -> list[dict]:
     rows_out = []
     for label, partition, dist in _methods(cfg, a, b):
         for c in cfg.fig2_c_values():
-            for run in range(cfg.runs):
-                seed = derive_seed(cfg.seed, "fig2", label, c, run)
-                result = sketch(a, b, partition, dist, SketchConfig(c, seed))
+            seeds = derive_seeds(cfg.seed, "fig2", label, c, count=cfg.runs)
+            for run, result in enumerate(sketch_trials(a, b, partition, dist, c, seeds)):
                 err = spectral_norm(exact - result.estimate) / exact_2
                 rows_out.append({"method": label, "c": c, "run": run, "rel_2norm_err": err})
     lines = [FIG2_HEADER]

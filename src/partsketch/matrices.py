@@ -89,8 +89,18 @@ def write_csv(a: np.ndarray, path) -> None:
 
 
 def read_csv(path) -> np.ndarray:
+    """Comma-separated decimals, one matrix row per line.
+
+    Fields are read by ``float()`` but must be plain ASCII without ``_``:
+    ``float()`` alone would read ``1_0`` as 10 and non-ASCII digits as decimals.
+    """
+    text = Path(path).read_text()
+    if "_" in text or not text.isascii():
+        lineno, field = next((i, f) for i, line in enumerate(text.splitlines(), 1)
+                             for f in line.split(",") if "_" in f or not f.isascii())
+        raise ValueError(f"line {lineno}: {field!r} is not a plain ASCII decimal number")
     rows = []
-    for line in Path(path).read_text().strip().splitlines():
+    for line in text.strip().splitlines():
         rows.append([float(field) for field in line.split(",")])
     return dense(rows)
 

@@ -5,11 +5,14 @@ of the inner dimension and averages the correspondingly rescaled block
 products, ``A · diag(s) · B`` with ``s_j = count[g(j)] / (c · p[g(j)])``.
 Draws come from a counter-based stream, so a (matrices, partition,
 distribution, config) tuple and the BLAS thread count fix the result bit for bit.
+``sketch_trials`` runs many seeds on one plan, drawing them in blocks, with
+the results of one ``sketch`` per seed.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,7 +22,12 @@ from .distributions import (_GATHER_WIDTH, SamplingDistribution, aggregate_distr
                             optimal_distribution)
 from .matrices import _frozen
 from .partitions import PairingStrategy, Partition, finest, pair_partition
-from .rng import uniform_stream
+from .rng import generator, uniform_stream
+
+# Entries per block temporary in sketch_trials (256 KiB of float64): enough to
+# amortise the per-call costs over many small trials, small enough that a
+# block of large trials adds little to peak memory.
+_BLOCK_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -69,15 +77,23 @@ def sample_indices(dist: SamplingDistribution, c: int, seed: int) -> np.ndarray:
     return np.searchsorted(dist.cdf, uniform_stream(seed, c), side="right").astype(np.int64)
 
 
-def _draw_counts(dist: SamplingDistribution, cfg: SketchConfig) -> np.ndarray:
-    """Per-group counts of the draws of ``sample_indices(dist, c, seed)``, bit for bit.
+def _draw_block(dist: SamplingDistribution, c: int, seeds) -> np.ndarray:
+    """Per-group draw counts of a block of trials, one row per seed.
 
-    Draw i lands in group g when ``cdf[g-1] <= u_i < cdf[g]``, so the number
-    of variates below ``cdf[g]`` counts the draws in groups 0..g: one sort of
-    the c variates and one search per group replace c searches of the CDF.
+    Row t is bit for bit ``bincount(sample_indices(dist, c, seeds[t]))``:
+    each seed's c variates fill one row, one call sorts every row, and one
+    search of the CDF finds each variate's group (the search resumes where
+    the previous one stopped while a row's keys ascend).  Offsetting row t's
+    groups by ``t * k`` lets one ``bincount`` count the whole block.
     """
-    below = np.searchsorted(np.sort(uniform_stream(cfg.seed, cfg.c)), dist.cdf, side="left")
-    return np.diff(below, prepend=0)
+    trials, k = len(seeds), dist.weights.size
+    u = np.empty((trials, c))
+    for row, seed in zip(u, seeds):
+        generator(seed).random(out=row)
+    u.sort(axis=1)
+    groups = np.searchsorted(dist.cdf, u, side="right")
+    groups += k * np.arange(trials)[:, None]
+    return np.bincount(groups.ravel(), minlength=trials * k).reshape(trials, k)
 
 
 def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
@@ -113,7 +129,19 @@ def sketch(a: np.ndarray, b: np.ndarray, partition: Partition,
     The estimate is ``a[:, J] · diag(s[J]) · b[J, :]`` over the drawn inner
     indices J in ascending order, so the draw multiset, not the draw order,
     determines it.  Every drawn group has positive probability by
-    construction of the sampler.
+    construction of the sampler.  This is ``sketch_trials`` with one seed.
+    """
+    return next(sketch_trials(a, b, partition, dist, cfg.c, [cfg.seed]))
+
+
+def sketch_trials(a: np.ndarray, b: np.ndarray, partition: Partition,
+                  dist: SamplingDistribution, c: int, seeds) -> Iterator[SketchResult]:
+    """One sketch per seed of the sequence ``seeds``, in order, on one plan.
+
+    Result t is bit for bit ``sketch(a, b, partition, dist, SketchConfig(c, seeds[t]))``.
+    The plan is checked once, on this call.  Trials are drawn a block at a
+    time (``_draw_block``), and each block's ``(trials, n)`` scale matrix is
+    built in one step; every estimate comes from the same kernel.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
@@ -121,11 +149,28 @@ def sketch(a: np.ndarray, b: np.ndarray, partition: Partition,
         raise ValueError(f"partition covers {partition.n} indices but the inner dimension is {a.shape[1]}")
     if dist.support != partition:
         raise ValueError("distribution is not supported on the given partition")
-    counts = _draw_counts(dist, cfg)
-    group_scale = np.divide(counts, cfg.c * dist.weights, out=np.zeros(partition.k), where=counts > 0)
-    scale = group_scale[partition.labels]
-    idx = np.flatnonzero(scale)
-    return SketchResult(_frozen(_scaled_product(a, b, idx, scale[idx])), counts, dist, cfg)
+    if c < 1:
+        raise ValueError(f"sample count must be >= 1, got {c}")
+    return _sketch_blocks(a, b, partition, dist, c, seeds)
+
+
+def _trials_per_block(c: int, n: int) -> int:
+    """Trials per block: the block's (trials, c) variates and (trials, n) scales stay within
+    ``_BLOCK_ENTRIES`` entries, unless one trial alone exceeds it."""
+    return max(1, _BLOCK_ENTRIES // max(c, n))
+
+
+def _sketch_blocks(a, b, partition, dist, c, seeds) -> Iterator[SketchResult]:
+    per_block = _trials_per_block(c, partition.n)
+    c_weights = c * dist.weights
+    for lo in range(0, len(seeds), per_block):
+        block = seeds[lo:lo + per_block]
+        counts = _draw_block(dist, c, block)
+        group_scale = np.divide(counts, c_weights, out=np.zeros(counts.shape), where=counts > 0)
+        for seed, row_counts, scale in zip(block, counts, group_scale[:, partition.labels]):
+            idx = np.flatnonzero(scale)
+            yield SketchResult(_frozen(_scaled_product(a, b, idx, scale[idx])), row_counts,
+                               dist, SketchConfig(c, seed))
 
 
 def element_contribution(a: np.ndarray, b: np.ndarray, partition: Partition,

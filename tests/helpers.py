@@ -1,8 +1,14 @@
 """Shared generators for randomized test instances, and reference computations."""
 
+import math
+import statistics
+
 import numpy as np
 
-from partsketch import coarsen, dense, sample_indices
+from partsketch import (SketchConfig, coarsen, dense, derive_seed, frobenius_norm,
+                        multiply, sample_indices, sketch, spectral_norm)
+from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _methods,
+                                    experiment_matrix)
 
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -122,3 +128,41 @@ def loop_validate(partition):
         missing = int(np.flatnonzero(~seen)[0])
         return f"index {missing} is not covered by any group"
     return None
+
+
+def loop_fig1_csv(cfg):
+    """fig1.csv as run_fig1 writes it, from one derive_seed and one sketch per trial."""
+    a = experiment_matrix(cfg)
+    b = a.T
+    exact = multiply(a, b)
+    exact_f = frobenius_norm(exact)
+    lines = [FIG1_HEADER]
+    for c in cfg.c_grid():
+        for label, partition, dist in _methods(cfg, a, b):
+            sq_errs, rel_errs = [], []
+            for t in range(cfg.trials):
+                seed = derive_seed(cfg.seed, "fig1", label, c, t)
+                diff = exact - sketch(a, b, partition, dist, SketchConfig(c, seed)).estimate
+                sq = float(np.sum(diff * diff))
+                sq_errs.append(sq)
+                rel_errs.append(math.sqrt(sq) / exact_f)
+            stderr = statistics.stdev(sq_errs) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0
+            lines.append(f"{c},{label},{statistics.fmean(rel_errs)!r},"
+                         f"{statistics.fmean(sq_errs)!r},{stderr!r},{cfg.trials}")
+    return "\n".join(lines) + "\n"
+
+
+def loop_fig2_csv(cfg):
+    """fig2.csv as run_fig2 writes it, from one derive_seed and one sketch per run."""
+    a = experiment_matrix(cfg)
+    b = a.T
+    exact = multiply(a, b)
+    exact_2 = spectral_norm(exact)
+    lines = [FIG2_HEADER]
+    for label, partition, dist in _methods(cfg, a, b):
+        for c in cfg.fig2_c_values():
+            for run in range(cfg.runs):
+                seed = derive_seed(cfg.seed, "fig2", label, c, run)
+                err = spectral_norm(exact - sketch(a, b, partition, dist, SketchConfig(c, seed)).estimate)
+                lines.append(f"{label},{c},{run},{err / exact_2!r}")
+    return "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from partsketch import dense, multiply, read_csv, write_binary, write_csv
+from partsketch import dense, multiply, read_csv, sketching, write_binary, write_csv
 from partsketch.cli import build_parser, main
 
 
@@ -150,6 +150,32 @@ class TestExitCodes:
         code = main(["sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
                      "--c", "0", "--out-dir", str(tmp_path / "out")])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["sketch", "experiment"])
+    def test_out_of_memory_is_config_error(self, tmp_path, matrices, monkeypatch, capsys, command):
+        # an oversized --c makes the draw block's allocation fail; stand in for
+        # it without allocating anything
+        def no_memory(dist, c, seeds):
+            raise MemoryError(f"Unable to allocate an array with shape ({len(seeds)}, {c})")
+
+        monkeypatch.setattr(sketching, "_draw_block", no_memory)
+        if command == "sketch":
+            argv = ["sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                    "--c", "100000000000"]
+        else:
+            argv = ["experiment", "fig1", "--rows", "3", "--cols", "4", "--c-min", "2",
+                    "--c-max", "2", "--trials", "2"]
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate") and "Traceback" not in err
+
+    def test_csv_number_syntax_is_io_error(self, tmp_path, capsys):
+        for name, text in (("sep.csv", "1_0,2\n3,4\n"), ("digit.csv", "1,2\n3,\u0661\n")):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            code = main(["sketch", "--a", str(tmp_path / name), "--b", str(tmp_path / name),
+                         "--c", "2", "--out-dir", str(tmp_path / "out")])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(f"i/o error: {tmp_path / name}: line ")
 
     def test_experiment_rejects_finest_strategy(self, tmp_path):
         code = main(["experiment", "fig1", "--strategy", "finest",

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from partsketch import (ConfigError, ExperimentConfig, aggregate_distribution,
 from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER,
                                     experiment_matrix, pairing_strategy,
                                     validate_config)
+from helpers import loop_fig1_csv, loop_fig2_csv
 
 TINY_FIG1 = ExperimentConfig(rows=8, cols=12, c_min=4, c_max=8, c_step=4,
                              trials=30, runs=10, seed=5)
@@ -131,6 +133,27 @@ class TestFig2:
         rows = run_fig2(cfg, tmp_path)
         pairwise = [r["rel_2norm_err"] for r in rows if r["method"] == "pairwise-enhanced"]
         assert pairwise and all(e <= 1e-13 for e in pairwise)
+
+
+class TestBatchedTrials:
+    """Each (method, c) cell derives its seeds and draws its trials in one batch,
+    with the bytes of one derive_seed and one sketch per trial."""
+
+    # c = 6005 gives blocks of 5 trials (2**15 // 6005), so 12 trials span three blocks
+    CFG = ExperimentConfig(rows=4, cols=12, c_min=5, c_max=6005, c_step=6000,
+                           trials=12, runs=12, fig2_c=(5, 6005), seed=17)
+
+    @pytest.mark.parametrize("strategy", ["enhanced", "random"])
+    def test_fig1_matches_per_trial_loop(self, tmp_path, strategy):
+        cfg = replace(self.CFG, strategy=strategy)
+        run_fig1(cfg, tmp_path)
+        assert (tmp_path / "fig1.csv").read_bytes() == loop_fig1_csv(cfg).encode()
+
+    @pytest.mark.parametrize("strategy", ["enhanced", "random"])
+    def test_fig2_matches_per_trial_loop(self, tmp_path, strategy):
+        cfg = replace(self.CFG, strategy=strategy)
+        run_fig2(cfg, tmp_path)
+        assert (tmp_path / "fig2.csv").read_bytes() == loop_fig2_csv(cfg).encode()
 
 
 class TestTable1:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,25 @@ class TestMatrixIO:
         path = tmp_path / "a.csv"
         write_csv(a, path)
         assert np.array_equal(read_csv(path), a)
+
+    @pytest.mark.parametrize("text, bad", [
+        ("1_0,2\n", "1_0"),  # float() reads 10.0
+        ("1,2\n3,\u0661\n", "\u0661"),  # ARABIC-INDIC DIGIT ONE: float() reads 1.0
+        ("1, 2\u00a0\n", " 2\u00a0"),  # a trailing non-ASCII space
+    ])
+    def test_csv_rejects_separators_and_non_ascii(self, tmp_path, text, bad):
+        path = tmp_path / "a.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"line {text.count(chr(10))}: {bad!r} is not")):
+            read_csv(path)
+
+    def test_csv_accepted_forms_parse_as_before(self, tmp_path):
+        # signs, padding, exponents and CRLF line ends parse to float()'s bytes
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"+1, 1.5 \r\n1e5,1E-1\r\n-0.25,7\r\n")
+        expected = np.array([[float("+1"), float(" 1.5 ")], [float("1e5"), float("1E-1")],
+                             [-0.25, 7.0]])
+        assert read_csv(path).tobytes() == expected.tobytes()
 
     def test_binary_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(6)

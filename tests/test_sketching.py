@@ -9,10 +9,11 @@ from partsketch import (ENHANCED, SketchConfig, brute_force_expectation,
                         coarsen, dense, distribution, element_contribution,
                         element_weight, finest, frobenius_norm, multiply,
                         optimal_distribution, pairwise_plan, sample_indices,
-                        sketch, sketch_pairwise, spectral_norm,
-                        uniform_stream)
+                        sketch, sketch_pairwise, sketch_trials,
+                        spectral_norm, uniform_stream)
+from partsketch import sketching
 from partsketch.rng import derive_seed
-from partsketch.sketching import _is_transpose
+from partsketch.sketching import _is_transpose, _trials_per_block
 from helpers import (gemm_error_bound, gram_error_bound, loop_sketch,
                      random_coarsening, random_instance, scale_vector)
 
@@ -66,13 +67,16 @@ class TestDrawCounts:
     @example([0.0, 0.3, 0.0, 0.7, 0.0], 1, 11)
     @example([0.0, 0.5, 0.5, 0.0], 5000, 2)
     def test_one_sort_counts_equal_counted_draws(self, weights, c, seed):
-        # the sketch counts draws by sorting the variates once; the count per
-        # group must equal the bincount of the per-draw binary searches
+        # a block of trials sorts its variates in one call and counts them in
+        # one pass; each trial's count per group must equal the bincount of
+        # its own per-draw binary searches
         k = len(weights)
         part = finest(k)
         d = distribution(part, weights, normalize=True)
-        res = sketch(dense(np.ones((1, k))), dense(np.ones((k, 1))), part, d, SketchConfig(c, seed))
-        assert np.array_equal(res.counts, np.bincount(sample_indices(d, c, seed), minlength=k))
+        seeds = [seed, seed ^ 1, seed // 3]
+        results = sketch_trials(dense(np.ones((1, k))), dense(np.ones((k, 1))), part, d, c, seeds)
+        for s, res in zip(seeds, results, strict=True):
+            assert np.array_equal(res.counts, np.bincount(sample_indices(d, c, s), minlength=k))
 
     def test_variate_on_a_group_boundary(self):
         # u_0 = cdf[0] exactly: the draw and its count both go to group 1
@@ -104,6 +108,85 @@ class TestDrawCounts:
         assert d.cdf[-1] == 1.0 and d.cdf[0] == d.cdf[1]
         with pytest.raises(ValueError):
             d.cdf[0] = 0.5
+
+
+class TestSketchTrials:
+    """A batch of trials equals one lone sketch per seed, bit for bit."""
+
+    @staticmethod
+    def plan(b_kind, zero_groups):
+        rng = np.random.default_rng(41)
+        a = dense(rng.random((5, 40)) - 0.5)
+        b = a.T if b_kind == "a.T" else dense(rng.random((40, 3)) - 0.5)
+        part = random_coarsening(rng, 40, max_groups=25) if zero_groups else finest(40)
+        d = optimal_distribution(a, b, part)
+        if zero_groups:  # every third group is never drawn
+            w = d.weights.copy()
+            w[::3] = 0.0
+            d = distribution(part, w, normalize=True)
+        return a, b, part, d
+
+    @pytest.mark.parametrize("b_kind", ["a.T", "unrelated"])
+    @pytest.mark.parametrize("c, zero_groups", [(1, False), (9, True), (5000, False), (5000, True)])
+    @pytest.mark.parametrize("extra", [None, 0, 1])
+    def test_each_trial_equals_a_lone_sketch(self, b_kind, c, zero_groups, extra):
+        # extra: None runs one trial, 0 exactly one block, 1 one block plus one
+        # trial; c = 5000 is far above k <= 40 and gives blocks of 6 trials
+        a, b, part, d = self.plan(b_kind, zero_groups)
+        per_block = _trials_per_block(c, part.n)
+        seeds = [derive_seed(c, t) for t in range(1 if extra is None else per_block + extra)]
+        results = list(sketch_trials(a, b, part, d, c, seeds))
+        assert len(results) == len(seeds)
+        for seed, res in zip(seeds, results):
+            lone = sketch(a, b, part, d, SketchConfig(c, seed))
+            assert res.estimate.tobytes() == lone.estimate.tobytes()
+            assert res.counts.dtype == lone.counts.dtype == np.int64
+            assert res.counts.tobytes() == lone.counts.tobytes()
+            drawn = sample_indices(d, c, seed)
+            assert res.draws.tobytes() == drawn.tobytes()
+            assert np.array_equal(res.counts, np.bincount(drawn, minlength=part.k))
+            assert not res.estimate.flags.writeable and not res.counts.flags.writeable
+        if zero_groups:
+            assert not any(res.counts[::3].any() for res in results)
+
+    def test_blocks_follow_the_entry_budget(self, monkeypatch):
+        a, b, part, d = self.plan("a.T", False)
+        sizes = []
+        draw_block = sketching._draw_block
+
+        def recording(dist, c, seeds):
+            sizes.append(len(seeds))
+            return draw_block(dist, c, seeds)
+
+        monkeypatch.setattr(sketching, "_draw_block", recording)
+        assert len(list(sketch_trials(a, b, part, d, 5000, list(range(13))))) == 13
+        assert sizes == [6, 6, 1]  # 2**15 // 5000
+        sizes.clear()
+        list(sketch_trials(a, b, part, d, 3, list(range(900))))
+        assert sizes == [819, 81]  # 2**15 // n, n = 40
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(1, 10**12), st.integers(1, 10**7))
+    @example(2**15, 1)
+    @example(1, 2**15 + 1)
+    @example(2**14, 2**14)
+    def test_block_temporaries_stay_within_budget(self, c, n):
+        # the (trials, c) variates and (trials, n) scales hold at most 2**15
+        # entries, unless a single trial alone needs more
+        per_block = _trials_per_block(c, n)
+        assert per_block >= 1
+        assert per_block * max(c, n) <= 2**15 or per_block == 1
+        assert (per_block + 1) * max(c, n) > 2**15
+
+    def test_plan_is_checked_on_the_call(self):
+        a, b, part, d = self.plan("unrelated", False)
+        with pytest.raises(ValueError, match="supported"):
+            sketch_trials(a, b, coarsen([list(range(20)), list(range(20, 40))], 40), d, 3, [1])
+        with pytest.raises(ValueError, match="mismatch"):
+            sketch_trials(a, dense(np.ones((3, 2))), part, d, 3, [1])
+        with pytest.raises(ValueError, match=">= 1"):
+            sketch_trials(a, b, part, d, 0, [1])
+        assert list(sketch_trials(a, b, part, d, 3, [])) == []
 
 
 class TestSketch:
