@@ -16,7 +16,7 @@ import numpy as np
 from .distributions import SamplingDistribution, group_weights
 from .errors import NumericError, ZeroProductError
 from .matrices import _frozen, frobenius_norm, multiply, spectral_norm
-from .partitions import Partition, validate
+from .partitions import Partition
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -247,18 +247,15 @@ def pairing_comparators(a: np.ndarray, b: np.ndarray, pairing: Partition) -> Pai
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    violation = validate(pairing)
-    if violation is not None:
-        raise ValueError(violation)
     if pairing.n != a.shape[1]:
         raise ValueError(f"pairing covers {pairing.n} indices but the inner dimension is {a.shape[1]}")
-    if any(len(g) > 2 for g in pairing.groups):
+    if np.bincount(pairing.labels).max() > 2:
         raise ValueError("pairing groups must have at most two indices")
     w = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=1)
     total = float(np.sum(w))
     if total == 0.0:
         raise ZeroProductError("every column/row weight is zero")
-    pair_sums = np.array([float(np.sum(w[list(g)])) for g in pairing.groups])
+    pair_sums = np.bincount(pairing.labels, weights=w)  # two terms per pair: the same sum in either order
     single_dev = 2.0 * (total - float(np.max(w)))
     paired_dev = 2.0 * (total - float(np.max(pair_sums)))
     single_var = 4.0 / total * float(np.sum(w * (total - w) ** 2))

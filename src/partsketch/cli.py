@@ -111,16 +111,14 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+_EXPERIMENT_FLAGS = ("rows", "cols", "c_min", "c_max", "c_step", "trials", "runs", "strategy")
+
+
 def _experiment_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        rows=args.rows, cols=args.cols,
-        c_min=args.c_min, c_max=args.c_max, c_step=args.c_step,
-        trials=args.trials, runs=args.runs,
-        strategy=args.strategy, matrix_path=args.matrix_file, seed=args.seed,
-    )
-    if args.paper_scale:
-        cfg = paper_scale(cfg)
-    return cfg
+    """The desk (or ``--paper-scale``) config, overridden by every flag given explicitly."""
+    base = paper_scale(ExperimentConfig()) if args.paper_scale else ExperimentConfig()
+    given = {name: getattr(args, name) for name in _EXPERIMENT_FLAGS if getattr(args, name) is not None}
+    return dataclasses.replace(base, matrix_path=args.matrix_file, seed=args.seed, **given)
 
 
 def _cmd_experiment(args) -> int:
@@ -169,17 +167,13 @@ def build_parser() -> _Parser:
     ex = sub.add_parser("experiment", help="run the reproducible experiment harness")
     ex.add_argument("which", choices=("fig1", "fig2", "table1"))
     ex.add_argument("--seed", type=int, default=0)
-    ex.add_argument("--rows", type=int, default=ExperimentConfig.rows)
-    ex.add_argument("--cols", type=int, default=ExperimentConfig.cols)
-    ex.add_argument("--c-min", type=int, default=ExperimentConfig.c_min)
-    ex.add_argument("--c-max", type=int, default=ExperimentConfig.c_max)
-    ex.add_argument("--c-step", type=int, default=ExperimentConfig.c_step)
-    ex.add_argument("--trials", type=int, default=ExperimentConfig.trials)
-    ex.add_argument("--runs", type=int, default=ExperimentConfig.runs)
-    ex.add_argument("--strategy", choices=STRATEGY_CHOICES, default=ExperimentConfig.strategy)
+    for flag in ("--rows", "--cols", "--c-min", "--c-max", "--c-step", "--trials", "--runs"):
+        ex.add_argument(flag, type=int)
+    ex.add_argument("--strategy", choices=STRATEGY_CHOICES,
+                    help=f"pairing strategy (default: {ExperimentConfig.strategy})")
     ex.add_argument("--matrix-file", help="load A instead of generating it")
     ex.add_argument("--paper-scale", action="store_true",
-                    help="100x2000 matrix, c in 1000..3000, 1000 trials, 50000 runs")
+                    help="100x2000 matrix, c in 1000..3000, 1000 trials, 50000 runs; explicit flags win")
     ex.add_argument("--out-dir", required=True)
     ex.set_defaults(func=_cmd_experiment)
     return parser

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ZeroProductError
 from .matrices import block_product, frobenius_norm
-from .partitions import Partition, validate
+from .partitions import Partition
 
 SUM_TOL = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
@@ -49,9 +49,6 @@ class SamplingDistribution:
 
 def distribution(support: Partition, weights, *, normalize: bool = False) -> SamplingDistribution:
     """Validated distribution over ``support``; with ``normalize`` the weights are rescaled to sum to 1."""
-    violation = validate(support)
-    if violation is not None:
-        raise ValueError(violation)
     w = np.array(weights, dtype=np.float64, copy=True)
     if w.shape != (support.k,):
         raise ValueError(f"expected {support.k} weights, got shape {w.shape}")
@@ -161,9 +158,6 @@ def aggregate_distribution(p_finest: SamplingDistribution, partition: Partition)
     support = p_finest.support
     if support.n != n or support.k != n or not np.array_equal(support.labels, np.arange(n)):
         raise ValueError("p_finest must be supported on the finest partition of the same ground set")
-    violation = validate(partition)
-    if violation is not None:
-        raise ValueError(violation)
     w = np.bincount(partition.labels, weights=p_finest.weights, minlength=partition.k)
     return SamplingDistribution(partition, w)
 

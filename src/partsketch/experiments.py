@@ -45,7 +45,11 @@ FIG2_HEADER = "method,c,run,rel_2norm_err"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Desk-scale defaults; ``paper_scale`` switches to the full-size setup."""
+    """Desk-scale defaults; ``paper_scale`` switches to the full-size setup.
+
+    Construction raises :class:`ConfigError` on an invalid setting, so every
+    config that exists can be run.
+    """
 
     rows: int = 50
     cols: int = 500
@@ -59,6 +63,20 @@ class ExperimentConfig:
     seed: int = 0
     fig2_c: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.rows < 1 or self.cols < 1:
+            raise ConfigError(f"matrix dimensions must be positive, got {self.rows}x{self.cols}")
+        if self.c_step < 1 or not self.c_grid():
+            raise ConfigError(f"empty sample-count grid: min={self.c_min} max={self.c_max} step={self.c_step}")
+        if min(self.c_grid()) < 1 or min(self.fig2_c_values()) < 1:
+            raise ConfigError("sample counts must be >= 1")
+        if self.trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.runs < 1:
+            raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if self.strategy not in PAIRING_KINDS:
+            raise ConfigError(f"strategy must be one of {PAIRING_KINDS}, got {self.strategy!r}")
+
     def c_grid(self) -> list[int]:
         return list(range(self.c_min, self.c_max + 1, self.c_step))
 
@@ -71,21 +89,6 @@ def paper_scale(cfg: ExperimentConfig) -> ExperimentConfig:
     """The full-size configuration: 100x2000 matrix, 1000 trials, 50000 runs."""
     return replace(cfg, rows=100, cols=2000, c_min=1000, c_max=3000, c_step=500,
                    trials=1000, runs=50000)
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.rows < 1 or cfg.cols < 1:
-        raise ConfigError(f"matrix dimensions must be positive, got {cfg.rows}x{cfg.cols}")
-    if cfg.c_step < 1 or not cfg.c_grid():
-        raise ConfigError(f"empty sample-count grid: min={cfg.c_min} max={cfg.c_max} step={cfg.c_step}")
-    if min(cfg.c_grid()) < 1 or min(cfg.fig2_c_values()) < 1:
-        raise ConfigError("sample counts must be >= 1")
-    if cfg.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
-    if cfg.runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {cfg.runs}")
-    if cfg.strategy not in PAIRING_KINDS:
-        raise ConfigError(f"strategy must be one of {PAIRING_KINDS}, got {cfg.strategy!r}")
 
 
 def experiment_matrix(cfg: ExperimentConfig) -> np.ndarray:
@@ -120,7 +123,6 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
     sketches, the mean squared absolute error, and the standard error of that
     squared-error mean (sample std / sqrt(trials)).
     """
-    validate_config(cfg)
     a = experiment_matrix(cfg)
     b = a.T
     exact = multiply(a, b)
@@ -156,7 +158,6 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
 
 def run_fig2(cfg: ExperimentConfig, out_dir) -> list[dict]:
     """Raw per-run spectral relative errors; writes fig2.csv and returns its rows."""
-    validate_config(cfg)
     a = experiment_matrix(cfg)
     b = a.T
     exact = multiply(a, b)
@@ -177,7 +178,6 @@ def run_fig2(cfg: ExperimentConfig, out_dir) -> list[dict]:
 
 def run_table1(cfg: ExperimentConfig, out_dir) -> dict:
     """max/mean/min of the per-index and pairwise probabilities; writes table1.json."""
-    validate_config(cfg)
     a = experiment_matrix(cfg)
     b = a.T
     (_, _, p_o), (_, _, p_pair) = _methods(cfg, a, b)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,23 +23,43 @@ PAIRING_KINDS = ("enhanced", "random", "balanced", "simple")
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered groups of 0-based indices partitioning {0..n-1}."""
+    """Ordered groups of 0-based indices partitioning {0..n-1}.
+
+    Construction checks the invariant and raises ``ValueError`` with the
+    message of :func:`validate`, so every ``Partition`` that exists is valid.
+    NumPy integers are stored as Python ints.  ``labels`` holds each index's
+    group (read-only, not part of ``==`` or the hash).
+    """
 
     n: int
     groups: tuple[tuple[int, ...], ...]
+    labels: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        flat = list(itertools.chain.from_iterable(self.groups))
+        if type(self.n) is not int or not all(type(i) is int for i in flat):
+            violation = validate(self.n, self.groups)  # names a bool, float or other non-integer
+            if violation is not None:
+                raise ValueError(violation)
+            object.__setattr__(self, "n", int(self.n))
+            object.__setattr__(self, "groups", tuple(tuple(map(int, g)) for g in self.groups))
+            flat = list(map(int, flat))
+        n, members = self.n, np.array(flat)  # Python ints: int64 unless some lie beyond it, hence out of range
+        sizes = np.fromiter(map(len, self.groups), dtype=np.intp, count=len(self.groups))
+        valid = (1 <= sizes.size <= n and members.size == n and sizes.min() > 0
+                 and members.min() >= 0 and members.max() < n)
+        if valid:
+            labels = np.full(n, -1, dtype=np.intp)
+            labels[members] = np.repeat(np.arange(sizes.size), sizes)
+            valid = labels.min() >= 0  # n entries in range: a repeat leaves some index uncovered
+        if not valid:
+            raise ValueError(validate(n, self.groups))
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
 
     @property
     def k(self) -> int:
         return len(self.groups)
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Group index of each index of a valid partition; read-only, built once, not in ==/hash."""
-        members = np.fromiter(itertools.chain.from_iterable(self.groups), dtype=np.intp)
-        labels = np.zeros(self.n, dtype=np.intp)
-        labels[members] = np.repeat(np.arange(self.k), [len(g) for g in self.groups])
-        labels.flags.writeable = False
-        return labels
 
 
 @dataclass(frozen=True)
@@ -68,51 +87,32 @@ def random_pairing(seed: int) -> PairingStrategy:
     return PairingStrategy("random", seed)
 
 
-def validate(partition: Partition) -> str | None:
-    """Return None if the partition invariants hold, else the first violation.
+def validate(n, groups) -> str | None:
+    """Return None if ``groups`` partition {0..n-1}, else the first violation a per-index scan meets.
 
-    The violation reported is the first one a scan would meet that visits the
-    groups in order and each group's indices in order: an empty group, then
-    per index a non-integer, an index out of range or one already seen; after
-    the scan, the lowest index no group covers.
+    The scan visits the groups in order and each group's indices in order:
+    an empty group, then per index a non-integer (booleans included), an
+    index out of range or one already seen; after the scan, the lowest index
+    no group covers.
     """
-    n = partition.n
-    if n < 1:
-        return f"ground-set size must be positive, got {n}"
-    groups = partition.groups
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        return f"ground-set size must be a positive integer, got {n!r}"
     if not 1 <= len(groups) <= n:
         return f"group count must be in [1, {n}], got {len(groups)}"
-    flat = list(itertools.chain.from_iterable(groups))
-    try:
-        values = np.array(flat)
-        integral = values.ndim == 1 and values.dtype.kind in "biu"
-    except ValueError:  # ragged entries
-        integral = False
-    stop = len(flat)  # position of the first non-integer
-    if not integral:
-        stop = next((p for p, i in enumerate(flat) if not isinstance(i, (int, np.integer))), stop)
-        values = np.array(flat[:stop], dtype=object)  # exact comparisons for ints beyond int64
-    in_range = (values >= 0) & (values < n)
-    bad = stop if in_range.all() else int(np.argmin(in_range))  # first out-of-range position
-    seen = values[:bad].astype(np.intp)
-    counts = np.bincount(seen, minlength=n)
-    first = bad  # earliest position of any index violation
-    if counts.max() > 1:
-        order = np.argsort(seen, kind="stable")
-        first = int(order[1:][seen[order[1:]] == seen[order[:-1]]].min())
-    if 0 in map(len, groups) or first < len(flat):
-        ends = np.cumsum([len(g) for g in groups])
-        empty = np.flatnonzero(np.diff(ends, prepend=0) == 0)
-        if empty.size and ends[empty[0]] <= first:
-            return f"group {empty[0]} is empty"
-        idx = flat[first]
-        if first == stop:
-            return f"group {int(np.searchsorted(ends, first, side='right'))} holds a non-integer index {idx!r}"
-        if first == bad:
-            return f"index {idx} out of range [0, {n})"
-        return f"index {idx} appears in more than one group"
-    if counts.min() == 0:
-        return f"index {int(np.argmin(counts))} is not covered by any group"
+    seen = np.zeros(n, dtype=bool)
+    for gi, group in enumerate(groups):
+        if len(group) == 0:
+            return f"group {gi} is empty"
+        for idx in group:
+            if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+                return f"group {gi} holds a non-integer index {idx!r}"
+            if not 0 <= idx < n:
+                return f"index {idx} out of range [0, {n})"
+            if seen[idx]:
+                return f"index {idx} appears in more than one group"
+            seen[idx] = True
+    if not seen.all():
+        return f"index {int(np.argmin(seen))} is not covered by any group"
     return None
 
 
@@ -124,12 +124,8 @@ def finest(n: int) -> Partition:
 
 
 def coarsen(groups, n: int) -> Partition:
-    """Validated partition from user-supplied groups; raises on any invariant violation."""
-    partition = Partition(int(n), tuple(tuple(int(i) for i in g) for g in groups))
-    violation = validate(partition)
-    if violation is not None:
-        raise ValueError(violation)
-    return partition
+    """Partition from user-supplied groups (any iterables); raises ``ValueError`` on any invariant violation."""
+    return Partition(n, tuple(tuple(g) for g in groups))
 
 
 def _pair_order(weights: np.ndarray, strategy: PairingStrategy) -> np.ndarray:

@@ -105,15 +105,14 @@ def gram_error_bound(a, s):
     return (gamma(k + 1) + gamma(k + 4)) * ((np.abs(a) * np.abs(s)) @ np.abs(a).T)
 
 
-def loop_validate(partition):
+def loop_validate(n, groups):
     """Reference partition check: the per-index scan, returning the first violation met."""
-    n = partition.n
     if n < 1:
         return f"ground-set size must be positive, got {n}"
-    if not 1 <= len(partition.groups) <= n:
-        return f"group count must be in [1, {n}], got {len(partition.groups)}"
+    if not 1 <= len(groups) <= n:
+        return f"group count must be in [1, {n}], got {len(groups)}"
     seen = np.zeros(n, dtype=bool)
-    for gi, group in enumerate(partition.groups):
+    for gi, group in enumerate(groups):
         if len(group) == 0:
             return f"group {gi} is empty"
         for idx in group:

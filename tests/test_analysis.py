@@ -337,6 +337,19 @@ class TestPairingComparators:
             assert comp.paired_deviation_bound <= comp.single_deviation_bound + 1e-12
             assert comp.paired_variance_bound <= comp.single_variance_bound + 1e-12
 
+    def test_pair_sums_match_the_per_group_sums_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            a, b = random_instance(rng, max_n=9, centered=False)
+            n = a.shape[1]
+            pairing = pair_partition(rng.random(n), random_pairing(int(rng.integers(1e6))))
+            w = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=1)
+            total = float(np.sum(w))
+            sums = np.array([float(np.sum(w[list(g)])) for g in pairing.groups])
+            comp = pairing_comparators(a, b, pairing)
+            assert comp.paired_deviation_bound == 2.0 * (total - float(np.max(sums)))
+            assert comp.paired_variance_bound == 4.0 / total * float(np.sum(sums * (total - sums) ** 2))
+
     def test_enhanced_minimizes_paired_deviation_exhaustively(self):
         rng = np.random.default_rng(19)
         for n in (4, 6, 8):

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from partsketch import dense, multiply, read_csv, sketching, write_binary, write_csv
-from partsketch.cli import build_parser, main
+from partsketch import (ExperimentConfig, dense, multiply, read_csv, sketching,
+                        write_binary, write_csv)
+from partsketch.cli import _experiment_config, build_parser, main
 
 
 @pytest.fixture
@@ -197,6 +198,21 @@ class TestExperimentCommand:
         assert main(["experiment", "table1", *self.FLAGS, "--out-dir", str(tmp_path / "t1")]) == 0
         assert (tmp_path / "f2/fig2.csv").exists()
         assert (tmp_path / "t1/table1.json").exists()
+
+    def test_explicit_flags_override_paper_scale(self, tmp_path):
+        args = build_parser().parse_args(["experiment", "fig1", "--paper-scale", "--trials", "3",
+                                          "--rows", "7", "--out-dir", str(tmp_path)])
+        cfg = _experiment_config(args)
+        assert (cfg.rows, cfg.trials) == (7, 3)
+        assert (cfg.cols, cfg.runs, cfg.c_grid()) == (2000, 50000, [1000, 1500, 2000, 2500, 3000])
+        desk = _experiment_config(build_parser().parse_args(["experiment", "fig1", "--out-dir", "x"]))
+        assert desk == ExperimentConfig()
+
+    def test_paper_scale_table1_keeps_explicit_size(self, tmp_path):
+        size = ["--rows", "5", "--cols", "9", "--seed", "4"]
+        assert main(["experiment", "table1", "--paper-scale", *size, "--out-dir", str(tmp_path / "p")]) == 0
+        assert main(["experiment", "table1", *size, "--out-dir", str(tmp_path / "d")]) == 0
+        assert files_equal(tmp_path / "p", tmp_path / "d", ["table1.json"])
 
     def test_module_entry_point(self, tmp_path):
         rng = np.random.default_rng(2)

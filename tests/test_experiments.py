@@ -10,8 +10,7 @@ from partsketch import (ConfigError, ExperimentConfig, aggregate_distribution,
                         pair_partition, paper_scale, run_fig1, run_fig2,
                         run_table1, write_csv)
 from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER,
-                                    experiment_matrix, pairing_strategy,
-                                    validate_config)
+                                    experiment_matrix, pairing_strategy)
 from helpers import loop_fig1_csv, loop_fig2_csv
 
 TINY_FIG1 = ExperimentConfig(rows=8, cols=12, c_min=4, c_max=8, c_step=4,
@@ -47,7 +46,7 @@ class TestConfig:
     ])
     def test_invalid_configs(self, bad):
         with pytest.raises(ConfigError):
-            validate_config(ExperimentConfig(**bad))
+            ExperimentConfig(**bad)
 
     def test_matrix_generation_uses_dedicated_substream(self):
         cfg = ExperimentConfig(rows=3, cols=4, seed=1)

@@ -18,7 +18,7 @@ class TestFinest:
     def test_large(self):
         p = finest(2000)
         assert p.k == 2000
-        assert validate(p) is None
+        assert validate(p.n, p.groups) is None
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -27,47 +27,47 @@ class TestFinest:
 
 class TestValidate:
     def test_ok(self):
-        assert validate(Partition(2, ((0,), (1,)))) is None
+        assert validate(2, ((0,), (1,))) is None
 
     def test_overlap(self):
-        msg = validate(Partition(2, ((0,), (0, 1))))
+        msg = validate(2, ((0,), (0, 1)))
         assert "more than one group" in msg
 
     def test_coverage(self):
-        msg = validate(Partition(2, ((0,),)))
+        msg = validate(2, ((0,),))
         assert "not covered" in msg
 
     def test_empty_group(self):
-        msg = validate(Partition(2, ((0, 1), ())))
+        msg = validate(2, ((0, 1), ()))
         assert "empty" in msg
 
     def test_out_of_range(self):
-        msg = validate(Partition(2, ((0,), (2,))))
+        msg = validate(2, ((0,), (2,)))
         assert "out of range" in msg
 
     def test_too_many_groups(self):
-        msg = validate(Partition(1, ((0,), (0,))))
+        msg = validate(1, ((0,), (0,)))
         assert "group count" in msg
 
     @pytest.mark.parametrize("partition, message", [
-        (Partition(3, ((0, 1), (), (2,))), "group 1 is empty"),
-        (Partition(2, ((0,), (1.0,))), "group 1 holds a non-integer index 1.0"),
-        (Partition(2, ((0,), (2,))), "index 2 out of range [0, 2)"),
-        (Partition(2, ((0,), (0, 1))), "index 0 appears in more than one group"),
-        (Partition(3, ((0,), (2,))), "index 1 is not covered by any group"),
+        ((3, ((0, 1), (), (2,))), "group 1 is empty"),
+        ((2, ((0,), (1.0,))), "group 1 holds a non-integer index 1.0"),
+        ((2, ((0,), (2,))), "index 2 out of range [0, 2)"),
+        ((2, ((0,), (0, 1))), "index 0 appears in more than one group"),
+        ((3, ((0,), (2,))), "index 1 is not covered by any group"),
     ])
     def test_message_of_each_kind(self, partition, message):
-        assert validate(partition) == message
+        assert validate(*partition) == message
 
     @pytest.mark.parametrize("partition, message", [
-        (Partition(4, ((0, 5), (), (0,), (1.5,))), "index 5 out of range [0, 4)"),
-        (Partition(4, ((0,), (), (0, 9))), "group 1 is empty"),
-        (Partition(4, ((3, 1, 3), (-1,), (2.5,))), "index 3 appears in more than one group"),
-        (Partition(4, ((1, "x"), (9,))), "group 0 holds a non-integer index 'x'"),
-        (Partition(3, ((0, 2**70), (1,))), f"index {2**70} out of range [0, 3)"),
+        ((4, ((0, 5), (), (0,), (1.5,))), "index 5 out of range [0, 4)"),
+        ((4, ((0,), (), (0, 9))), "group 1 is empty"),
+        ((4, ((3, 1, 3), (-1,), (2.5,))), "index 3 appears in more than one group"),
+        ((4, ((1, "x"), (9,))), "group 0 holds a non-integer index 'x'"),
+        ((3, ((0, 2**70), (1,))), f"index {2**70} out of range [0, 3)"),
     ])
     def test_reports_the_first_violation_in_scan_order(self, partition, message):
-        assert validate(partition) == message
+        assert validate(*partition) == message
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
@@ -77,8 +77,49 @@ class TestValidate:
     def test_matches_the_per_index_scan(self, case):
         # booleans are left out: the scan indexes its seen-mask with them
         n, groups = case
-        partition = Partition(n, tuple(tuple(g) for g in groups))
-        assert validate(partition) == loop_validate(partition)
+        groups = tuple(tuple(g) for g in groups)
+        violation = loop_validate(n, groups)
+        assert validate(n, groups) == violation
+        if violation is None:
+            assert Partition(n, groups).groups == groups
+        else:
+            with pytest.raises(ValueError) as info:
+                Partition(n, groups)
+            assert str(info.value) == violation
+
+
+class TestPartitionChecksItself:
+    @pytest.mark.parametrize("n, groups, message", [
+        (3, ((0,), (1,)), "index 2 is not covered by any group"),
+        (3, ((0,), (0, 1, 2)), "index 0 appears in more than one group"),
+        (2, ((0, 1), ()), "group 1 is empty"),
+        (2, ((0,), (2,)), "index 2 out of range [0, 2)"),
+        (2, ((True,), (0,)), "group 0 holds a non-integer index True"),
+        (2.0, ((0,), (1,)), "ground-set size must be a positive integer, got 2.0"),
+        (0, ((0,),), "ground-set size must be a positive integer, got 0"),
+    ])
+    def test_invalid_groups_raise_the_scan_message(self, n, groups, message):
+        assert validate(n, groups) == message
+        with pytest.raises(ValueError) as info:
+            Partition(n, groups)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("groups, message", [
+        ([[0], [1.9]], "group 1 holds a non-integer index 1.9"),
+        ([["0"], [1]], "group 0 holds a non-integer index '0'"),
+    ])
+    def test_coarsen_never_truncates(self, groups, message):
+        with pytest.raises(ValueError) as info:
+            coarsen(groups, 2)
+        assert str(info.value) == message
+
+    def test_coarsen_of_numpy_integers_serializes(self):
+        assert partition_to_json(coarsen([[np.int64(1)], [np.int64(0)]], 2)) == "[[2], [1]]"
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        part = Partition(np.int64(2), ((np.uint8(1),), (0,)))
+        assert type(part.n) is int and all(type(i) is int for g in part.groups for i in g)
+        assert part == coarsen([[1], [0]], 2) and part.labels.tolist() == [1, 0]
 
 
 class TestCoarsen:
@@ -111,7 +152,7 @@ class TestPairPartition:
         b = pair_partition(self.p, random_pairing(99))
         c = pair_partition(self.p, random_pairing(100))
         assert a.groups == b.groups
-        assert validate(c) is None
+        assert validate(c.n, c.groups) is None
 
     def test_ties_broken_by_index(self):
         equal = np.full(6, 1 / 6)
@@ -140,7 +181,7 @@ class TestPairPartition:
         p /= p.sum()
         for strategy in (ENHANCED, BALANCED, SIMPLE, random_pairing(seed)):
             part = pair_partition(p, strategy)
-            assert validate(part) is None
+            assert validate(part.n, part.groups) is None
             assert part.k == (n + 1) // 2
             if n % 2 == 0:
                 assert all(len(g) == 2 for g in part.groups)
