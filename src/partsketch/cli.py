@@ -16,11 +16,10 @@ from .analysis import (bernstein_tail_bound, bound_report, min_draw_threshold,
                        uniform_spectral_bound)
 from .distributions import distribution_to_json, optimal_distribution
 from .errors import ConfigError, NumericError
-from .experiments import (ExperimentConfig, paper_scale, run_fig1, run_fig2,
-                          run_table1)
+from .experiments import (ExperimentConfig, pairing_strategy, paper_scale, run_fig1,
+                          run_fig2, run_table1)
 from .matrices import read_matrix, write_csv
-from .partitions import PairingStrategy, finest, partition_from_json
-from .rng import derive_seed
+from .partitions import finest, partition_from_json
 from .sketching import SketchConfig, draw_log_json, pairwise_plan, sketch
 
 STRATEGY_CHOICES = ("enhanced", "random", "balanced", "simple", "finest")
@@ -50,11 +49,7 @@ def _plan(args, a, b):
     if args.strategy == "finest":
         partition = finest(a.shape[1])
         return partition, optimal_distribution(a, b, partition)
-    if args.strategy == "random":
-        strategy = PairingStrategy("random", derive_seed(args.seed, "pairing"))
-    else:
-        strategy = PairingStrategy(args.strategy)
-    return pairwise_plan(a, b, strategy)
+    return pairwise_plan(a, b, pairing_strategy(args.strategy, args.seed))
 
 
 def _out_dir(args) -> Path:
@@ -118,6 +113,8 @@ def _experiment_config(args) -> ExperimentConfig:
     """The desk (or ``--paper-scale``) config, overridden by every flag given explicitly."""
     base = paper_scale(ExperimentConfig()) if args.paper_scale else ExperimentConfig()
     given = {name: getattr(args, name) for name in _EXPERIMENT_FLAGS if getattr(args, name) is not None}
+    if args.matrix_file is not None and given.keys() & {"rows", "cols"}:
+        raise ConfigError("--rows/--cols size a generated matrix; --matrix-file takes its shape from the file")
     return dataclasses.replace(base, matrix_path=args.matrix_file, seed=args.seed, **given)
 
 

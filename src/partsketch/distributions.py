@@ -29,14 +29,24 @@ class SamplingDistribution:
 
     Groups may carry probability 0 (they are never sampled); any group whose
     block product is nonzero must keep strictly positive probability for the
-    sketch to stay unbiased.
+    sketch to stay unbiased.  Construction raises ``ValueError`` unless
+    ``weights`` has one finite, nonnegative entry per group and sums to 1
+    within ``SUM_TOL``, then makes ``weights`` read-only.
     """
 
     support: Partition
     weights: np.ndarray
 
     def __post_init__(self):
-        self.weights.flags.writeable = False
+        w = self.weights
+        if w.shape != (self.support.k,):
+            raise ValueError(f"expected {self.support.k} weights, got shape {w.shape}")
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise ValueError("weights must be finite and nonnegative")
+        total = float(np.sum(w))
+        if abs(total - 1.0) > SUM_TOL:
+            raise ValueError(f"weights sum to {total}, expected 1 within {SUM_TOL}")
+        w.flags.writeable = False
 
     @cached_property
     def cdf(self) -> np.ndarray:
@@ -48,19 +58,13 @@ class SamplingDistribution:
 
 
 def distribution(support: Partition, weights, *, normalize: bool = False) -> SamplingDistribution:
-    """Validated distribution over ``support``; with ``normalize`` the weights are rescaled to sum to 1."""
+    """A distribution over ``support`` from a copy of ``weights``; with ``normalize`` they are first rescaled to sum to 1."""
     w = np.array(weights, dtype=np.float64, copy=True)
-    if w.shape != (support.k,):
-        raise ValueError(f"expected {support.k} weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("weights must be finite and nonnegative")
-    total = float(np.sum(w))
     if normalize:
+        total = float(np.sum(w))
         if total <= 0:
-            raise ValueError("cannot normalize weights summing to zero")
+            raise ValueError(f"cannot normalize weights summing to {total}")
         w /= total
-    elif abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"weights sum to {total}, expected 1 within {SUM_TOL}")
     return SamplingDistribution(support, w)
 
 

@@ -11,12 +11,11 @@ Three experiments over a generated (or loaded) matrix A with B = A^T:
   pairwise aggregation.
 
 Every output is a pure function of the config; reruns produce identical
-bytes.  Per-trial seeds are derived from (master seed, experiment label,
-method, sample count, trial index), so trials are independent of execution
-order and of matrix generation, which uses its own substream.  Each
-(method, sample count) cell derives its seeds and draws its trials in one
-batch (``derive_seeds``, ``sketch_trials``), with the same values as one
-``derive_seed`` and one ``sketch`` per trial.
+bytes.  Trial t of a (method, sample count) cell is keyed by
+``derive_seed(seed, experiment, method, c, t)``, so trials are independent
+of execution order and of matrix generation, which uses its own substream.
+Each cell draws its trials in one batch (``sketch_trials``), with the values
+of one ``sketch`` per trial.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .errors import ConfigError
 from .matrices import dense, frobenius_norm, multiply, read_matrix, spectral_norm
 from .partitions import (PAIRING_KINDS, PairingStrategy, finest,
                          pair_partition)
-from .rng import derive_seed, derive_seeds, generator
+from .rng import derive_seed, generator
 # ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
 from .sketching import sketch, sketch_trials  # noqa: F401
 
@@ -68,7 +67,7 @@ class ExperimentConfig:
             raise ConfigError(f"matrix dimensions must be positive, got {self.rows}x{self.cols}")
         if self.c_step < 1 or not self.c_grid():
             raise ConfigError(f"empty sample-count grid: min={self.c_min} max={self.c_max} step={self.c_step}")
-        if min(self.c_grid()) < 1 or min(self.fig2_c_values()) < 1:
+        if min(self.c_grid()) < 1 or min(self.fig2_c_values(self.cols)) < 1:
             raise ConfigError("sample counts must be >= 1")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
@@ -80,9 +79,9 @@ class ExperimentConfig:
     def c_grid(self) -> list[int]:
         return list(range(self.c_min, self.c_max + 1, self.c_step))
 
-    def fig2_c_values(self) -> tuple[int, ...]:
-        # Default straddles the inner dimension: half of it and 1.5x it.
-        return self.fig2_c if self.fig2_c is not None else (self.cols // 2, 3 * self.cols // 2)
+    def fig2_c_values(self, n: int) -> tuple[int, ...]:
+        """``fig2_c``, or by default half and 1.5x the inner dimension ``n`` of A."""
+        return self.fig2_c if self.fig2_c is not None else (n // 2, 3 * n // 2)
 
 
 def paper_scale(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -99,10 +98,9 @@ def experiment_matrix(cfg: ExperimentConfig) -> np.ndarray:
     return dense(gen.random((cfg.rows, cfg.cols)))
 
 
-def pairing_strategy(cfg: ExperimentConfig) -> PairingStrategy:
-    if cfg.strategy == "random":
-        return PairingStrategy("random", derive_seed(cfg.seed, "pairing"))
-    return PairingStrategy(cfg.strategy)
+def pairing_strategy(kind: str, seed: int) -> PairingStrategy:
+    """The pairing strategy ``kind``; "random" is keyed by the ``"pairing"`` substream of ``seed``."""
+    return PairingStrategy(kind, derive_seed(seed, "pairing") if kind == "random" else None)
 
 
 def _methods(cfg: ExperimentConfig, a: np.ndarray, b: np.ndarray):
@@ -110,7 +108,7 @@ def _methods(cfg: ExperimentConfig, a: np.ndarray, b: np.ndarray):
     n = a.shape[1]
     fin = finest(n)
     p_o = optimal_distribution(a, b, fin)
-    strat = pairing_strategy(cfg)
+    strat = pairing_strategy(cfg.strategy, cfg.seed)
     pair_part = pair_partition(p_o.weights, strat)
     pair_dist = aggregate_distribution(p_o, pair_part)
     return [("finest", fin, p_o), (f"pairwise-{strat.kind}", pair_part, pair_dist)]
@@ -133,7 +131,7 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
         for label, partition, dist in methods:
             sq_errs = []
             rel_errs = []
-            seeds = derive_seeds(cfg.seed, "fig1", label, c, count=cfg.trials)
+            seeds = [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(cfg.trials)]
             for result in sketch_trials(a, b, partition, dist, c, seeds):
                 diff = exact - result.estimate
                 sq = float(np.sum(diff * diff))
@@ -164,8 +162,8 @@ def run_fig2(cfg: ExperimentConfig, out_dir) -> list[dict]:
     exact_2 = spectral_norm(exact)
     rows_out = []
     for label, partition, dist in _methods(cfg, a, b):
-        for c in cfg.fig2_c_values():
-            seeds = derive_seeds(cfg.seed, "fig2", label, c, count=cfg.runs)
+        for c in cfg.fig2_c_values(a.shape[1]):
+            seeds = [derive_seed(cfg.seed, "fig2", label, c, run) for run in range(cfg.runs)]
             for run, result in enumerate(sketch_trials(a, b, partition, dist, c, seeds)):
                 err = spectral_norm(exact - result.estimate) / exact_2
                 rows_out.append({"method": label, "c": c, "run": run, "rel_2norm_err": err})

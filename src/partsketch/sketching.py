@@ -22,7 +22,7 @@ from .distributions import (_GATHER_WIDTH, SamplingDistribution, aggregate_distr
                             optimal_distribution)
 from .matrices import _frozen
 from .partitions import PairingStrategy, Partition, finest, pair_partition
-from .rng import generator, uniform_stream
+from .rng import uniform_rows, uniform_stream
 
 # Entries per block temporary in sketch_trials (256 KiB of float64): enough to
 # amortise the per-call costs over many small trials, small enough that a
@@ -87,9 +87,7 @@ def _draw_block(dist: SamplingDistribution, c: int, seeds) -> np.ndarray:
     groups by ``t * k`` lets one ``bincount`` count the whole block.
     """
     trials, k = len(seeds), dist.weights.size
-    u = np.empty((trials, c))
-    for row, seed in zip(u, seeds):
-        generator(seed).random(out=row)
+    u = uniform_rows(seeds, c)
     u.sort(axis=1)
     groups = np.searchsorted(dist.cdf, u, side="right")
     groups += k * np.arange(trials)[:, None]

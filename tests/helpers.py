@@ -159,7 +159,7 @@ def loop_fig2_csv(cfg):
     exact_2 = spectral_norm(exact)
     lines = [FIG2_HEADER]
     for label, partition, dist in _methods(cfg, a, b):
-        for c in cfg.fig2_c_values():
+        for c in cfg.fig2_c_values(a.shape[1]):
             for run in range(cfg.runs):
                 seed = derive_seed(cfg.seed, "fig2", label, c, run)
                 err = spectral_norm(exact - sketch(a, b, partition, dist, SketchConfig(c, seed)).estimate)

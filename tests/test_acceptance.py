@@ -225,7 +225,7 @@ def test_criterion_11_error_histograms_desk_scale(tmp_path):
     for r in rows:
         means.setdefault((r["method"], r["c"]), []).append(r["rel_2norm_err"])
     means = {key: float(np.mean(vals)) for key, vals in means.items()}
-    c_lo, c_hi = DESK.fig2_c_values()
+    c_lo, c_hi = DESK.fig2_c_values(DESK.cols)
     pair_beats = (means[("pairwise-enhanced", c_lo)] < means[("finest", c_lo)]
                   and means[("pairwise-enhanced", c_hi)] < means[("finest", c_hi)])
     shrinks = (means[("finest", c_hi)] < means[("finest", c_lo)]

@@ -214,6 +214,22 @@ class TestExperimentCommand:
         assert main(["experiment", "table1", *size, "--out-dir", str(tmp_path / "d")]) == 0
         assert files_equal(tmp_path / "p", tmp_path / "d", ["table1.json"])
 
+    def test_fig2_default_counts_follow_the_loaded_matrix(self, tmp_path):
+        write_csv(dense(np.random.default_rng(3).random((5, 12))), tmp_path / "m.csv")
+        assert main(["experiment", "fig2", "--matrix-file", str(tmp_path / "m.csv"), "--runs", "1",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out/fig2.csv").read_text().splitlines()[1:]
+        assert sorted({int(row.split(",")[1]) for row in rows}) == [6, 18]
+
+    @pytest.mark.parametrize("flag", ["--rows", "--cols"])
+    def test_matrix_file_rejects_explicit_size(self, tmp_path, capsys, flag):
+        write_csv(dense(np.ones((2, 3))), tmp_path / "m.csv")
+        code = main(["experiment", "fig1", "--matrix-file", str(tmp_path / "m.csv"), flag, "3",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "--matrix-file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_module_entry_point(self, tmp_path):
         rng = np.random.default_rng(2)
         write_csv(dense(rng.random((2, 3))), tmp_path / "a.csv")

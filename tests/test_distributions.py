@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partsketch import (ZeroProductError, aggregate_distribution, coarsen,
-                        dense, distribution, distribution_stats,
-                        distribution_to_json, element_weight, finest,
-                        group_weights, multiply, optimal_distribution,
-                        uniform_distribution)
+from partsketch import (SamplingDistribution, ZeroProductError,
+                        aggregate_distribution, coarsen, dense, distribution,
+                        distribution_stats, distribution_to_json,
+                        element_weight, finest, group_weights, multiply,
+                        optimal_distribution, uniform_distribution)
 from helpers import random_coarsening, random_instance
 
 
@@ -160,6 +160,18 @@ class TestDistributionConstruction:
     def test_uniform(self):
         d = uniform_distribution(coarsen([[0, 1], [2], [3]], 4))
         assert np.allclose(d.weights, [1 / 3] * 3, atol=1e-15)
+
+    @pytest.mark.parametrize("weights, match", [
+        ([0.5, 0.5, 0.5], "sum"),
+        ([0.5, 0.5], "3 weights"),
+        ([1.5, -0.5, 0.0], "nonnegative"),
+        ([np.nan, 0.5, 0.5], "finite"),
+    ])
+    def test_direct_construction_checks_itself(self, weights, match):
+        # a distribution built without distribution() must not sample one
+        # law (its renormalised CDF) while scaling draws by another
+        with pytest.raises(ValueError, match=match):
+            SamplingDistribution(finest(3), np.array(weights))
 
     def test_weights_are_readonly(self):
         d = distribution(finest(2), [0.5, 0.5])

@@ -25,7 +25,8 @@ class TestConfig:
 
     def test_fig2_defaults_straddle_inner_dimension(self):
         cfg = ExperimentConfig(cols=500)
-        assert cfg.fig2_c_values() == (250, 750)
+        assert cfg.fig2_c_values(500) == (250, 750)
+        assert cfg.fig2_c_values(12) == (6, 18)
 
     def test_paper_scale(self):
         cfg = paper_scale(ExperimentConfig(seed=9))
@@ -33,7 +34,7 @@ class TestConfig:
         assert cfg.c_grid() == [1000, 1500, 2000, 2500, 3000]
         assert cfg.trials == 1000 and cfg.runs == 50000
         assert cfg.seed == 9
-        assert cfg.fig2_c_values() == (1000, 3000)
+        assert cfg.fig2_c_values(cfg.cols) == (1000, 3000)
 
     @pytest.mark.parametrize("bad", [
         dict(c_min=10, c_max=5),
@@ -92,7 +93,7 @@ class TestFig1:
         a = experiment_matrix(cfg)
         b = a.T
         p_o = optimal_distribution(a, b, finest(cfg.cols))
-        pair_part = pair_partition(p_o.weights, pairing_strategy(cfg))
+        pair_part = pair_partition(p_o.weights, pairing_strategy(cfg.strategy, cfg.seed))
         pair_dist = aggregate_distribution(p_o, pair_part)
         for r in rows:
             if r["method"] == "finest":
