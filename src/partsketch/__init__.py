@@ -32,6 +32,6 @@ from .partitions import (BALANCED, ENHANCED, SIMPLE, PairingStrategy,
 from .rng import derive_seed, uniform_rows, uniform_stream
 from .sketching import (SketchConfig, SketchResult, draw_log_json,
                         element_contribution, pairwise_plan, sample_indices,
-                        sketch, sketch_pairwise, sketch_trials)
+                        sketch, sketch_trials)
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SamplingDistribution, group_weights
+from .distributions import SamplingDistribution, _check_plan, group_weights
 from .errors import NumericError, ZeroProductError
 from .matrices import _frozen, frobenius_norm, multiply, spectral_norm
 from .partitions import Partition
@@ -53,6 +53,7 @@ def expected_frobenius_error_sq(a: np.ndarray, b: np.ndarray, partition: Partiti
     group is an error.  A result within rounding of zero (relative to the
     first term) is reported as zero.
     """
+    _check_plan(a, b, partition, dist)
     if c < 1:
         raise ValueError(f"sample count must be >= 1, got {c}")
     w, ratio = _scaled_weights(group_weights(a, b, partition), dist.weights)
@@ -98,6 +99,7 @@ class BoundReport:
 def bound_report(a: np.ndarray, b: np.ndarray, partition: Partition,
                  dist: SamplingDistribution) -> BoundReport:
     """Collect the scalar summaries the tail bound needs; pure bookkeeping."""
+    _check_plan(a, b, partition, dist)
     weights = group_weights(a, b, partition)
     w, ratio = _scaled_weights(weights, dist.weights)
     ab = multiply(a, b)
@@ -121,8 +123,8 @@ def tail_bound_value(variance_bound: float, deviation_bound: float, dims_sum: fl
     value may exceed 1; a vacuous bound is still information, so it is
     returned unclamped.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if c < 1:
         raise ValueError("c must be >= 1")
     denom = 2.0 * variance_bound / epsilon + deviation_bound
@@ -278,6 +280,7 @@ def brute_force_expectation(a: np.ndarray, b: np.ndarray, partition: Partition,
     Independent of the sampling engine: blocks are sliced and summed here
     directly.  Guarded to k^c <= 1e6.
     """
+    _check_plan(a, b, partition, dist)
     k = partition.k
     if k ** c > ENUMERATION_LIMIT:
         raise ValueError(f"k^c = {k}^{c} exceeds the enumeration guard of {ENUMERATION_LIMIT}")

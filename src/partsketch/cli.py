@@ -66,7 +66,7 @@ def _cmd_sketch(args) -> int:
     result = sketch(a, b, partition, dist, cfg)
     out = _out_dir(args)
     write_csv(result.estimate, out / "estimate.csv")
-    (out / "draws.json").write_text(draw_log_json(result, cfg) + "\n")
+    (out / "draws.json").write_text(draw_log_json(dist, cfg, result.counts) + "\n")
     report = bound_report(a, b, partition, dist)
     (out / "bounds.json").write_text(
         json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n")

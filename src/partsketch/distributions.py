@@ -20,7 +20,7 @@ from .partitions import Partition
 
 SUM_TOL = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
-_GATHER_WIDTH = 256  # indices per gathered batch in weights and sketches: O((m + rho) * width) temporaries
+_GATHER_WIDTH = 256  # indices per gathered batch of group weights: O((m + rho) * width) temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +55,16 @@ class SamplingDistribution:
         cdf /= cdf[-1]
         cdf.flags.writeable = False
         return cdf
+
+
+def _check_plan(a: np.ndarray, b: np.ndarray, partition: Partition, dist: SamplingDistribution) -> None:
+    """Raise ``ValueError`` unless ``a @ b`` conforms and ``dist`` is over ``partition`` of its inner dimension."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+    if partition.n != a.shape[1]:
+        raise ValueError(f"partition covers {partition.n} indices but the inner dimension is {a.shape[1]}")
+    if dist.support != partition:
+        raise ValueError("distribution is not supported on the given partition")
 
 
 def distribution(support: Partition, weights, *, normalize: bool = False) -> SamplingDistribution:

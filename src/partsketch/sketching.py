@@ -1,24 +1,25 @@
 """The randomized sketch engine.
 
 A sketch draws c group indices from a sampling distribution over a partition
-of the inner dimension and averages the correspondingly rescaled block
-products, ``A · diag(s) · B`` with ``s_j = count[g(j)] / (c · p[g(j)])``.
-Draws come from a counter-based stream, so a (matrices, partition,
-distribution, config) tuple and the BLAS thread count fix the result bit for bit.
-``sketch_trials`` runs many seeds on one plan, drawing them in blocks, with
-the results of one ``sketch`` per seed.
+of the inner dimension and forms ``A · diag(s) · B`` with
+``s_j = count[g(j)] / (c · p[g(j)])`` as one BLAS product over the drawn
+indices.  Draws come from a counter-based stream, so a (matrices, partition,
+distribution, config) tuple and the BLAS thread count fix the result bit for
+bit.  A result keeps only the estimate and the per-group counts; the draws
+in order are ``sample_indices`` of the same stream.  ``sketch_trials`` runs
+many seeds on one plan, drawing them in blocks, with the results of one
+``sketch`` per seed.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (_GATHER_WIDTH, SamplingDistribution, aggregate_distribution,
+from .distributions import (SamplingDistribution, _check_plan, aggregate_distribution,
                             optimal_distribution)
 from .matrices import _frozen
 from .partitions import PairingStrategy, Partition, finest, pair_partition
@@ -44,25 +45,14 @@ class SketchConfig:
 
 @dataclass(frozen=True, eq=False)
 class SketchResult:
-    """Estimate and per-group draw counts, plus the draw log that produced them."""
+    """Estimate and per-group draw counts of one sketch, both read-only."""
 
     estimate: np.ndarray
     counts: np.ndarray
-    _dist: SamplingDistribution = field(repr=False)
-    _cfg: SketchConfig = field(repr=False)
 
     def __post_init__(self):
         self.estimate.flags.writeable = False
         self.counts.flags.writeable = False
-
-    @cached_property
-    def draws(self) -> np.ndarray:
-        """The c drawn group indices in draw order; read-only, rebuilt from the stream on first read.
-
-        Bit-identical to ``sample_indices(dist, c, seed)``; the estimate needs
-        only ``counts``, so runs that never read the log never build it.
-        """
-        return _frozen(sample_indices(self._dist, self._cfg.c, self._cfg.seed))
 
 
 def sample_indices(dist: SamplingDistribution, c: int, seed: int) -> np.ndarray:
@@ -101,23 +91,17 @@ def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _scaled_product(a: np.ndarray, b: np.ndarray, idx: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """``sum_j a[:, j] * scale[j] * b[j, :]`` over ``idx``, one product per fixed-width chunk, in order.
+    """``a[:, idx] · diag(scale) · b[idx, :]`` as one BLAS product over the gathered panel ``x = a[:, idx]``.
 
-    When ``b`` is ``a.T`` each chunk is ``x @ x.T`` with ``x = a[:, J] * sqrt(scale[J])``,
+    When ``b`` is ``a.T`` it is ``x @ x.T`` with ``x`` scaled by ``sqrt(scale)``,
     which NumPy hands to BLAS ``syrk``: half the flops of a GEMM, and an
     exactly symmetric estimate.  ``scale`` must then be positive.  Any other
-    ``b`` takes a GEMM per chunk.
+    ``b`` takes one GEMM with ``x`` scaled by ``scale``.
     """
+    x = a[:, idx]
     gram = _is_transpose(a, b)
-    if gram:
-        scale = np.sqrt(scale)
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for lo in range(0, idx.size, _GATHER_WIDTH):
-        j = idx[lo:lo + _GATHER_WIDTH]
-        x = a[:, j]
-        x *= scale[lo:lo + _GATHER_WIDTH]
-        out += x @ (x.T if gram else b[j, :])
-    return out
+    x *= np.sqrt(scale) if gram else scale
+    return x @ (x.T if gram else b[idx, :])
 
 
 def sketch(a: np.ndarray, b: np.ndarray, partition: Partition,
@@ -141,12 +125,7 @@ def sketch_trials(a: np.ndarray, b: np.ndarray, partition: Partition,
     time (``_draw_block``), and each block's ``(trials, n)`` scale matrix is
     built in one step; every estimate comes from the same kernel.
     """
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    if partition.n != a.shape[1]:
-        raise ValueError(f"partition covers {partition.n} indices but the inner dimension is {a.shape[1]}")
-    if dist.support != partition:
-        raise ValueError("distribution is not supported on the given partition")
+    _check_plan(a, b, partition, dist)
     if c < 1:
         raise ValueError(f"sample count must be >= 1, got {c}")
     return _sketch_blocks(a, b, partition, dist, c, seeds)
@@ -162,13 +141,11 @@ def _sketch_blocks(a, b, partition, dist, c, seeds) -> Iterator[SketchResult]:
     per_block = _trials_per_block(c, partition.n)
     c_weights = c * dist.weights
     for lo in range(0, len(seeds), per_block):
-        block = seeds[lo:lo + per_block]
-        counts = _draw_block(dist, c, block)
+        counts = _draw_block(dist, c, seeds[lo:lo + per_block])
         group_scale = np.divide(counts, c_weights, out=np.zeros(counts.shape), where=counts > 0)
-        for seed, row_counts, scale in zip(block, counts, group_scale[:, partition.labels]):
+        for row_counts, scale in zip(counts, group_scale[:, partition.labels]):
             idx = np.flatnonzero(scale)
-            yield SketchResult(_frozen(_scaled_product(a, b, idx, scale[idx])), row_counts,
-                               dist, SketchConfig(c, seed))
+            yield SketchResult(_frozen(_scaled_product(a, b, idx, scale[idx])), row_counts)
 
 
 def element_contribution(a: np.ndarray, b: np.ndarray, partition: Partition,
@@ -179,6 +156,7 @@ def element_contribution(a: np.ndarray, b: np.ndarray, partition: Partition,
     bit for bit when only this group is drawn; summed over groups, equal to it
     within the GEMM rounding bound (the summation order differs).
     """
+    _check_plan(a, b, partition, dist)
     if not 0 <= group_index < partition.k:
         raise ValueError(f"group index {group_index} out of range [0, {partition.k})")
     c = len(draws)
@@ -202,23 +180,15 @@ def pairwise_plan(a: np.ndarray, b: np.ndarray,
     return partition, aggregate_distribution(p_finest, partition)
 
 
-def sketch_pairwise(a: np.ndarray, b: np.ndarray, strategy: PairingStrategy,
-                    cfg: SketchConfig) -> SketchResult:
-    """Pairwise-partition sketch: pair indices, aggregate probabilities, sample pairs.
+def draw_log_json(dist: SamplingDistribution, cfg: SketchConfig, counts: np.ndarray) -> str:
+    """JSON draw log {"draws": 1-based group indices, "counts", "seed", "c"}.
 
-    The draw log records pair indices into the strategy's pair partition.
+    The draws, in draw order, are ``sample_indices(dist, cfg.c, cfg.seed)``:
+    the stream whose per-group ``counts`` a sketch with ``cfg`` used.
     """
-    if a.shape[1] < 2:
-        raise ValueError("pairwise sketching needs at least 2 inner indices")
-    partition, dist = pairwise_plan(a, b, strategy)
-    return sketch(a, b, partition, dist, cfg)
-
-
-def draw_log_json(result: SketchResult, cfg: SketchConfig) -> str:
-    """JSON draw log {"draws": 1-based group indices, "counts", "seed", "c"}."""
     payload = {
-        "draws": [int(r) + 1 for r in result.draws],
-        "counts": [int(v) for v in result.counts],
+        "draws": (sample_indices(dist, cfg.c, cfg.seed) + 1).tolist(),
+        "counts": counts.tolist(),
         "seed": int(cfg.seed),
         "c": int(cfg.c),
     }

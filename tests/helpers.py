@@ -96,10 +96,10 @@ def gram_error_bound(a, s):
     The Gram kernel forms each product as fl(x_ij x_kj) with x_ij = fl(a_ij r_j)
     and r_j = fl(sqrt(s_j)): the one rounding of r_j enters twice, so the product
     is a_ij s_j a_kj (1+d0)^2 (1+d1)(1+d2)(1+d3), five factors where the GEMM
-    path has two.  With the K - 1 additions (adding a chunk to the zero start
-    is exact) the Gram evaluation lies within gamma_{K+4} |A| |s| |A^T| of the
-    exact value, so within (gamma_{K+1} + gamma_{K+4}) |A| |s| |A^T| of an
-    evaluation held to gemm_error_bound's gamma_{K+1}.
+    path has two.  With the K - 1 additions of its one product the Gram
+    evaluation lies within gamma_{K+4} |A| |s| |A^T| of the exact value, so
+    within (gamma_{K+1} + gamma_{K+4}) |A| |s| |A^T| of an evaluation held to
+    gemm_error_bound's gamma_{K+1}.
     """
     k = int(np.count_nonzero(s))
     return (gamma(k + 1) + gamma(k + 4)) * ((np.abs(a) * np.abs(s)) @ np.abs(a).T)

@@ -15,6 +15,7 @@ from partsketch import (BALANCED, ENHANCED, SIMPLE, ZeroProductError,
                         optimal_expected_error, pair_partition,
                         pairing_comparators, random_pairing, spectral_norm,
                         tail_bound_value, uniform_spectral_bound)
+from partsketch.sketching import element_contribution
 from helpers import all_pairings, random_coarsening, random_instance
 
 
@@ -219,6 +220,12 @@ class TestBernsteinBound:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
             tail_bound_value(1.0, 1.0, 4, 1, 0.0)
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "1e999", "-inf"])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        # NaN passes an "epsilon <= 0" check, and neither NaN nor inf is valid JSON
+        with pytest.raises(ValueError, match="finite"):
+            tail_bound_value(1.0, 1.0, 4, 1, float(epsilon))
 
 
 class TestBinomialCdf:
@@ -448,3 +455,36 @@ class TestBruteForce:
         d = optimal_distribution(a, b, part)
         with pytest.raises(ValueError, match="guard"):
             brute_force_expectation(a, b, part, d, 8)  # 8^8 > 1e6
+
+
+class TestPlanCheck:
+    """Every consumer of a (partition, distribution) pair checks it against ``a @ b`` and each other."""
+
+    CONSUMERS = {
+        "expected_frobenius_error_sq": lambda a, b, part, d: expected_frobenius_error_sq(a, b, part, d, 5),
+        "bound_report": bound_report,
+        "brute_force_expectation": lambda a, b, part, d: brute_force_expectation(a, b, part, d, 2),
+        "element_contribution": lambda a, b, part, d: element_contribution(a, b, part, d, np.array([0, 1]), 0),
+    }
+
+    @pytest.mark.parametrize("name", CONSUMERS)
+    @pytest.mark.parametrize("groups", [[[0, 1], [2, 3]], [[0], [1], [2], [3]]])
+    def test_distribution_over_another_partition_is_rejected(self, name, groups):
+        # d is over {0,2},{1,3}: the same group count on another split, then a finer partition
+        rng = np.random.default_rng(3)
+        a = dense(rng.random((3, 4)))
+        b = dense(rng.random((4, 2)))
+        d = optimal_distribution(a, b, coarsen([[0, 2], [1, 3]], 4))
+        with pytest.raises(ValueError, match="not supported on the given partition"):
+            self.CONSUMERS[name](a, b, coarsen(groups, 4), d)
+
+    @pytest.mark.parametrize("name", CONSUMERS)
+    def test_partition_of_another_size_is_rejected(self, name):
+        rng = np.random.default_rng(3)
+        a = dense(rng.random((3, 4)))
+        b = dense(rng.random((4, 2)))
+        d = optimal_distribution(a, b, finest(4))
+        with pytest.raises(ValueError, match="partition covers 3 indices"):
+            self.CONSUMERS[name](a, b, finest(3), distribution(finest(3), [0.5, 0.25, 0.25]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            self.CONSUMERS[name](a, dense(np.ones((3, 2))), finest(4), d)

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from partsketch import (ExperimentConfig, dense, multiply, read_csv, sketching,
+from partsketch import (ENHANCED, ExperimentConfig, SketchConfig, dense, multiply,
+                        pairwise_plan, read_csv, sample_indices, sketch, sketching,
                         write_binary, write_csv)
 from partsketch.cli import _experiment_config, build_parser, main
 
@@ -56,6 +57,25 @@ class TestSketchCommand:
         assert len(draws["draws"]) == 5
         assert len(draws["counts"]) == 4  # finest partition of 4 columns
 
+    def test_draw_log_is_the_sampled_stream(self, tmp_path):
+        # 20 enhanced pairs, c = 700 draws: the log must be the stream whose
+        # counts the engine used, in draw order
+        rng = np.random.default_rng(8)
+        write_csv(dense(rng.random((3, 40)) - 0.5), tmp_path / "a.csv")
+        write_csv(dense(rng.random((40, 2)) - 0.5), tmp_path / "b.csv")
+        code = main(["sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                     "--c", "700", "--seed", "6", "--strategy", "enhanced",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        a, b = read_csv(tmp_path / "a.csv"), read_csv(tmp_path / "b.csv")
+        partition, dist = pairwise_plan(a, b, ENHANCED)
+        log = json.loads((tmp_path / "out/draws.json").read_text())
+        draws = np.array(log["draws"]) - 1
+        assert partition.k == 20 and log["c"] == 700 and log["seed"] == 6
+        assert log["draws"] == (sample_indices(dist, 700, 6) + 1).tolist()
+        assert log["counts"] == np.bincount(draws, minlength=20).tolist()
+        assert log["counts"] == sketch(a, b, partition, dist, SketchConfig(700, 6)).counts.tolist()
+
     def test_report_fields_present(self, tmp_path, matrices):
         main(["sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
               "--c", "2", "--out-dir", str(tmp_path / "out")])
@@ -88,6 +108,14 @@ class TestAnalyzeCommand:
         payload = json.loads((tmp_path / "out/analysis.json").read_text())
         assert payload["tail_bound"]["value"] > 0
 
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "1e999"])
+    def test_non_finite_epsilon_is_config_error(self, tmp_path, matrices, capsys, epsilon):
+        code = main(["analyze", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                     "--c", "5", "--epsilon", epsilon, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "epsilon must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "out/analysis.json").exists()
 
     def test_one_parser_carries_nothing_between_calls(self, tmp_path, matrices):
         # the parser is built once per process: a sketch call's flags must not

@@ -9,7 +9,7 @@ from partsketch import (ENHANCED, SketchConfig, brute_force_expectation,
                         coarsen, dense, distribution, element_contribution,
                         element_weight, finest, frobenius_norm, multiply,
                         optimal_distribution, pairwise_plan, sample_indices,
-                        sketch, sketch_pairwise, sketch_trials,
+                        sketch, sketch_trials,
                         spectral_norm, uniform_stream)
 from partsketch import sketching
 from partsketch.rng import derive_seed
@@ -32,6 +32,7 @@ class TestSampleIndices:
 
     def test_seed_determinism(self):
         d = distribution(finest(3), [0.2, 0.3, 0.5])
+        assert sample_indices(d, 50, 3).dtype == np.int64
         assert np.array_equal(sample_indices(d, 50, 3), sample_indices(d, 50, 3))
         assert not np.array_equal(sample_indices(d, 50, 3), sample_indices(d, 50, 4))
 
@@ -86,21 +87,9 @@ class TestDrawCounts:
         d = distribution(part, [u0, 1 - u0])  # 1 - u0 is exact for u0 >= 0.5
         assert d.cdf[0] == u0
         res = sketch(dense(np.ones((1, 2))), dense(np.ones((2, 1))), part, d, SketchConfig(5, seed))
-        assert res.draws[0] == 1
-        assert np.array_equal(res.counts, np.bincount(res.draws, minlength=2))
-
-    def test_draws_are_the_sampled_indices_and_read_only(self):
-        a, b = small_instance(5)
-        part = coarsen([[0, 3], [1], [2]], 4)
-        d = optimal_distribution(a, b, part)
-        res = sketch(a, b, part, d, SketchConfig(40, 17))
-        assert res.draws.dtype == np.int64
-        assert res.draws.tobytes() == sample_indices(d, 40, 17).tobytes()
-        assert res.draws is res.draws
-        with pytest.raises(ValueError):
-            res.draws[0] = 0
-        with pytest.raises(AttributeError):
-            res.draws = np.zeros(40, dtype=np.int64)
+        draws = sample_indices(d, 5, seed)
+        assert draws[0] == 1
+        assert np.array_equal(res.counts, np.bincount(draws, minlength=2))
 
     def test_cdf_is_cached_read_only_and_ends_at_one(self):
         d = distribution(finest(4), [0.1, 0.0, 0.6, 0.3])
@@ -143,7 +132,6 @@ class TestSketchTrials:
             assert res.counts.dtype == lone.counts.dtype == np.int64
             assert res.counts.tobytes() == lone.counts.tobytes()
             drawn = sample_indices(d, c, seed)
-            assert res.draws.tobytes() == drawn.tobytes()
             assert np.array_equal(res.counts, np.bincount(drawn, minlength=part.k))
             assert not res.estimate.flags.writeable and not res.counts.flags.writeable
         if zero_groups:
@@ -205,8 +193,9 @@ class TestSketch:
         for b in (b_general, a.T):  # the GEMM and the Gram kernel
             d = optimal_distribution(a, b, part)
             res = sketch(a, b, part, d, SketchConfig(1, 8))
-            drawn = int(res.draws[0])
-            expected = element_contribution(a, b, part, d, res.draws, drawn)
+            draws = sample_indices(d, 1, 8)
+            drawn = int(draws[0])
+            expected = element_contribution(a, b, part, d, draws, drawn)
             assert np.array_equal(res.estimate, expected)
             assert res.counts[drawn] == 1 and res.counts.sum() == 1
 
@@ -241,7 +230,6 @@ class TestSketch:
         r1 = sketch(a, b, part, d, SketchConfig(9, 123))
         r2 = sketch(a, b, part, d, SketchConfig(9, 123))
         assert r1.estimate.tobytes() == r2.estimate.tobytes()
-        assert np.array_equal(r1.draws, r2.draws)
         assert np.array_equal(r1.counts, r2.counts)
 
     def test_counts_agree_with_draws(self):
@@ -250,7 +238,7 @@ class TestSketch:
         d = optimal_distribution(a, b, part)
         res = sketch(a, b, part, d, SketchConfig(25, 5))
         assert res.counts.sum() == 25
-        assert np.array_equal(res.counts, np.bincount(res.draws, minlength=4))
+        assert np.array_equal(res.counts, np.bincount(sample_indices(d, 25, 5), minlength=4))
 
     def test_validation_errors(self):
         a, b = small_instance()
@@ -278,7 +266,7 @@ class TestElementContribution:
         part = coarsen([[0, 1, 2, 3]], 4)
         d = optimal_distribution(a, b, part)
         res = sketch(a, b, part, d, SketchConfig(4, 3))
-        assert np.array_equal(element_contribution(a, b, part, d, res.draws, 0),
+        assert np.array_equal(element_contribution(a, b, part, d, sample_indices(d, 4, 3), 0),
                               res.estimate)
 
     def test_decomposition_within_gemm_bound(self):
@@ -288,10 +276,11 @@ class TestElementContribution:
         for part in (finest(4), coarsen([[1, 3], [0], [2]], 4)):
             d = optimal_distribution(a, b, part)
             res = sketch(a, b, part, d, SketchConfig(11, 99))
+            draws = sample_indices(d, 11, 99)
             total = np.zeros_like(res.estimate)
             for g in range(part.k):
-                total += element_contribution(a, b, part, d, res.draws, g)
-            bound = gemm_error_bound(a, scale_vector(part, d, res.draws), b)
+                total += element_contribution(a, b, part, d, draws, g)
+            bound = gemm_error_bound(a, scale_vector(part, d, draws), b)
             assert np.all(np.abs(total - res.estimate) <= bound)
 
     def test_enumerated_moments(self):
@@ -328,8 +317,9 @@ class TestEngineAgainstLoop:
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 600), st.booleans(), st.booleans())
     def test_matches_per_group_loop_within_gemm_bound(self, seed, c, coarse, transposed):
-        # n up to 700 spans several fixed-width chunks of the engine; b = a.T
-        # takes the Gram kernel, held to the bound widened for its sqrt split
+        # n up to 700 and c up to 600 draw up to several hundred distinct
+        # indices into the engine's one product; b = a.T takes the Gram
+        # kernel, held to the bound widened for its sqrt split
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 700))
         a = dense(rng.random((int(rng.integers(1, 6)), n)) - 0.5)
@@ -339,7 +329,7 @@ class TestEngineAgainstLoop:
         cfg = SketchConfig(c, seed)
         res = sketch(a, b, part, d, cfg)
         reference = loop_sketch(a, b, part, d, cfg)
-        s = scale_vector(part, d, res.draws)
+        s = scale_vector(part, d, sample_indices(d, c, seed))
         bound = gram_error_bound(a, s) if transposed else gemm_error_bound(a, s, b)
         assert np.all(np.abs(res.estimate - reference) <= bound)
 
@@ -352,7 +342,7 @@ class TestGramKernel:
 
     def test_estimate_is_exactly_symmetric(self):
         a, d = self.instance()
-        for c in (1, 300, 2000):  # one chunk to several
+        for c in (1, 300, 2000):  # one drawn index to most of the 700
             est = sketch(a, a.T, finest(700), d, SketchConfig(c, c)).estimate
             assert np.array_equal(est, est.T)
 
@@ -371,11 +361,12 @@ class TestGramKernel:
         gram = sketch(a, a.T, part, d, cfg)
         gemm = sketch(a, copy, part, d, cfg)
         assert np.all(np.abs(gram.estimate - gemm.estimate)
-                      <= gram_error_bound(a, scale_vector(part, d, gram.draws)))
+                      <= gram_error_bound(a, scale_vector(part, d, sample_indices(d, 900, 4))))
         d_other = optimal_distribution(a, other.T, part)
         res = sketch(a, other.T, part, d_other, cfg)
         assert np.all(np.abs(res.estimate - loop_sketch(a, other.T, part, d_other, cfg))
-                      <= gemm_error_bound(a, scale_vector(part, d_other, res.draws), other.T))
+                      <= gemm_error_bound(a, scale_vector(part, d_other, sample_indices(d_other, 900, 4)),
+                                          other.T))
 
 
 class TestSketchPairwise:
@@ -386,7 +377,7 @@ class TestSketchPairwise:
         a = dense(rng.random((3, 2)))
         b = dense(rng.random((2, 3)))
         for c in (1, 5):
-            res = sketch_pairwise(a, b, ENHANCED, SketchConfig(c, 0))
+            res = sketch(a, b, *pairwise_plan(a, b, ENHANCED), SketchConfig(c, 0))
             assert np.allclose(res.estimate, multiply(a, b), rtol=5e-16, atol=0)
 
     def test_equal_weights_give_uniform_pairs(self):
@@ -405,7 +396,7 @@ class TestSketchPairwise:
         a = dense([[1.0], [2.0]])
         b = dense([[3.0, 4.0]])
         with pytest.raises(ValueError):
-            sketch_pairwise(a, b, ENHANCED, SketchConfig(1, 0))
+            sketch(a, b, *pairwise_plan(a, b, ENHANCED), SketchConfig(1, 0))
 
 
 class TestPathwiseBounds:
