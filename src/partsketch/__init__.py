@@ -31,7 +31,7 @@ from .partitions import (BALANCED, ENHANCED, SIMPLE, PairingStrategy,
                          random_pairing, validate)
 from .rng import derive_seed, uniform_rows, uniform_stream
 from .sketching import (SketchConfig, SketchResult, draw_log_json,
-                        element_contribution, pairwise_plan, sample_indices,
-                        sketch, sketch_trials)
+                        element_contribution, error_form, frobenius_errors,
+                        pairwise_plan, sample_indices, sketch, sketch_trials)
 
 __version__ = "0.1.0"

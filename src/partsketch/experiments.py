@@ -14,15 +14,18 @@ Every output is a pure function of the config; reruns produce identical
 bytes.  Trial t of a (method, sample count) cell is keyed by
 ``derive_seed(seed, experiment, method, c, t)``, so trials are independent
 of execution order and of matrix generation, which uses its own substream.
-Each cell draws its trials in one batch (``sketch_trials``), with the values
-of one ``sketch`` per trial.
+Each cell draws its trials in one batch, with the draws of one ``sketch`` per
+trial.  fig2 takes each trial's estimate from ``sketch_trials``.  fig1 needs
+only each trial's squared Frobenius error, the quadratic form ``uᵀHu`` of
+``frobenius_errors``, so it forms no estimate while building ``H`` once
+costs less than the estimates and ``H`` fits its memory cap
+(``_error_form_pays``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -36,7 +39,7 @@ from .partitions import (PAIRING_KINDS, PairingStrategy, finest,
                          pair_partition)
 from .rng import derive_seed, generator
 # ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
-from .sketching import sketch, sketch_trials  # noqa: F401
+from .sketching import error_form, frobenius_errors, sketch, sketch_trials  # noqa: F401
 
 FIG1_HEADER = "c,method,mean_rel_frob_err,mean_sq_frob_err,stderr,trials"
 FIG2_HEADER = "method,c,run,rel_2norm_err"
@@ -119,39 +122,72 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
 
     Per (c, method): mean relative Frobenius error over ``trials`` seeded
     sketches, the mean squared absolute error, and the standard error of that
-    squared-error mean (sample std / sqrt(trials)).
+    squared-error mean (sample std / sqrt(trials)).  The squared errors come
+    from ``frobenius_errors`` against one ``error_form`` shared by every
+    cell, with no estimate formed, when ``_error_form_pays``; otherwise from
+    the estimates of ``sketch_trials``.
     """
     a = experiment_matrix(cfg)
     b = a.T
     exact = multiply(a, b)
     exact_f = frobenius_norm(exact)
     methods = _methods(cfg, a, b)
+    m, n = a.shape
+    h = error_form(a, b) if _error_form_pays(m, n, cfg.c_grid(), len(methods) * cfg.trials) else None
     rows_out = []
     for c in cfg.c_grid():
         for label, partition, dist in methods:
-            sq_errs = []
-            rel_errs = []
             seeds = [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(cfg.trials)]
-            for result in sketch_trials(a, b, partition, dist, c, seeds):
-                diff = exact - result.estimate
-                sq = float(np.sum(diff * diff))
-                sq_errs.append(sq)
-                rel_errs.append(math.sqrt(sq) / exact_f)
-            stderr = statistics.stdev(sq_errs) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0
-            rows_out.append({
-                "c": c,
-                "method": label,
-                "mean_rel_frob_err": statistics.fmean(rel_errs),
-                "mean_sq_frob_err": statistics.fmean(sq_errs),
-                "stderr": stderr,
-                "trials": cfg.trials,
-            })
+            if h is not None:
+                sq_errs = frobenius_errors(h, partition, dist, c, seeds)
+            else:
+                sq_errs = np.array([np.sum(np.square(exact - result.estimate))
+                                    for result in sketch_trials(a, b, partition, dist, c, seeds)])
+            rows_out.append(_fig1_row(c, label, sq_errs, exact_f))
     lines = [FIG1_HEADER]
     for r in rows_out:
         lines.append(f"{r['c']},{r['method']},{r['mean_rel_frob_err']!r},"
                      f"{r['mean_sq_frob_err']!r},{r['stderr']!r},{r['trials']}")
     _write(out_dir, "fig1.csv", "\n".join(lines) + "\n")
     return rows_out
+
+
+# fig1 holds H only up to this many float64 entries (32 MiB, n <= 2048), so
+# the paper's 100x2000 shape fits; a wider A takes the direct path, whose
+# memory does not grow with n².
+_ERROR_FORM_ENTRIES = 2 ** 22
+
+
+def _error_form_pays(m: int, n: int, c_grid, trials_per_c: int) -> bool:
+    """Whether fig1's errors should come from ``H`` rather than from the estimates.
+
+    ``H`` must fit ``_ERROR_FORM_ENTRIES`` and take fewer multiply-adds than
+    the sketches it replaces.  With ``B = Aᵀ`` (m×n), building ``H`` is one
+    ``syrk`` of m·n²/2 and each trial one GEMM row of n² against it; a direct
+    trial is one ``syrk`` of m²·K/2 over its K <= min(c, n) drawn columns.
+    ``trials_per_c`` counts every method's trials at one c.
+    """
+    if n * n > _ERROR_FORM_ENTRIES:
+        return False
+    form = m * n * n / 2 + trials_per_c * len(c_grid) * n * n
+    direct = trials_per_c * sum(m * m * min(c, n) / 2 for c in c_grid)
+    return form < direct
+
+
+def _fig1_row(c: int, method: str, sq_errs: np.ndarray, exact_f: float) -> dict:
+    """One fig1 row from a cell's squared errors: means as ``statistics.fmean`` sums them
+    (``fsum / T``), and the standard error of the squared-error mean."""
+    trials = len(sq_errs)
+    rel_errs = np.sqrt(sq_errs) / exact_f
+    stderr = float(np.std(sq_errs, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
+    return {
+        "c": c,
+        "method": method,
+        "mean_rel_frob_err": math.fsum(rel_errs) / trials,
+        "mean_sq_frob_err": math.fsum(sq_errs) / trials,
+        "stderr": stderr,
+        "trials": trials,
+    }
 
 
 def run_fig2(cfg: ExperimentConfig, out_dir) -> list[dict]:

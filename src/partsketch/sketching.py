@@ -9,6 +9,11 @@ bit.  A result keeps only the estimate and the per-group counts; the draws
 in order are ``sample_indices`` of the same stream.  ``sketch_trials`` runs
 many seeds on one plan, drawing them in blocks, with the results of one
 ``sketch`` per seed.
+
+``frobenius_errors`` draws the same blocks but forms no estimate: a trial's
+squared error ``|AB - A·diag(s)·B|_F²`` is the quadratic form ``uᵀHu`` with
+``u = 1 - s`` and ``H = (AᵀA) ∘ (BBᵀ)`` (``error_form``), so a block of
+trials costs one GEMM against ``H``.
 """
 
 from __future__ import annotations
@@ -137,15 +142,63 @@ def _trials_per_block(c: int, n: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(c, n))
 
 
-def _sketch_blocks(a, b, partition, dist, c, seeds) -> Iterator[SketchResult]:
+def _scale_blocks(partition: Partition, dist: SamplingDistribution, c: int,
+                  seeds) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(counts, scales)`` per block of seeds: the block's per-group draw counts and
+    its ``(trials, n)`` scale matrix, ``s_j = count[g(j)] / (c · p[g(j)])`` (0 when undrawn)."""
     per_block = _trials_per_block(c, partition.n)
     c_weights = c * dist.weights
     for lo in range(0, len(seeds), per_block):
         counts = _draw_block(dist, c, seeds[lo:lo + per_block])
         group_scale = np.divide(counts, c_weights, out=np.zeros(counts.shape), where=counts > 0)
-        for row_counts, scale in zip(counts, group_scale[:, partition.labels]):
+        yield counts, group_scale[:, partition.labels]
+
+
+def _sketch_blocks(a, b, partition, dist, c, seeds) -> Iterator[SketchResult]:
+    for counts, scales in _scale_blocks(partition, dist, c, seeds):
+        for row_counts, scale in zip(counts, scales):
             idx = np.flatnonzero(scale)
             yield SketchResult(_frozen(_scaled_product(a, b, idx, scale[idx])), row_counts)
+
+
+def error_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``H = (AᵀA) ∘ (BBᵀ)``, read-only: ``|A·diag(u)·B|_F² = uᵀHu`` for every ``u``.
+
+    ``H`` is n×n and depends only on ``(a, b)``, so one ``H`` serves every
+    plan and sample count on them.  It is built in its own buffer, squared
+    in place when ``b`` is ``a.T`` (``AᵀA`` is then one ``syrk``).
+    """
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+    h = a.T @ a
+    h *= h if _is_transpose(a, b) else b @ b.T
+    return _frozen(h)
+
+
+def frobenius_errors(h: np.ndarray, partition: Partition, dist: SamplingDistribution,
+                     c: int, seeds) -> np.ndarray:
+    """Squared Frobenius error ``|AB - sketch(...).estimate|_F²`` of one sketch per seed, with no estimate formed.
+
+    ``h`` is ``error_form(a, b)``.  Trial t draws the counts of
+    ``sketch(a, b, partition, dist, SketchConfig(c, seeds[t]))`` and its
+    error is ``uᵀHu`` with ``u = 1 - s``: one GEMM per block of trials.
+    ``H`` is positive semidefinite (Schur product theorem), so a negative
+    value is rounding and is clamped to 0.  The ``u`` form is kept on
+    purpose: expanding it to ``|AB|² - 2sᵀd + sᵀHs`` cancels.  The plan is
+    checked once, on this call, with ``h`` standing in for both factors.
+    """
+    _check_plan(h, h, partition, dist)
+    if c < 1:
+        raise ValueError(f"sample count must be >= 1, got {c}")
+    out = np.empty(len(seeds))
+    lo = 0
+    for _, scales in _scale_blocks(partition, dist, c, seeds):
+        u = np.subtract(1.0, scales, out=scales)
+        uh = u @ h
+        uh *= u
+        uh.sum(axis=1, out=out[lo:lo + len(u)])
+        lo += len(u)
+    return np.maximum(out, 0.0, out=out)
 
 
 def element_contribution(a: np.ndarray, b: np.ndarray, partition: Partition,

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+from fractions import Fraction
 
 import numpy as np
 
@@ -103,6 +104,88 @@ def gram_error_bound(a, s):
     """
     k = int(np.count_nonzero(s))
     return (gamma(k + 1) + gamma(k + 4)) * ((np.abs(a) * np.abs(s)) @ np.abs(a).T)
+
+
+def quadratic_form_error_bound(a, b, s, diff):
+    """Bound on the gap between ``frobenius_errors``' ``uᵀĤu`` and the direct ``sum(diff ** 2)``.
+
+    ``s`` is the float scale vector both paths use and ``diff`` the direct
+    path's ``fl(AB) - estimate``.  With ``u = 1 - s`` exactly, the true error
+    is ``|E|_F²`` for ``E = A·diag(u)·B``.  Let ``W = |A|·diag(|u|)·|B|``, so
+    ``|u|ᵀH'|u| = |W|_F²`` for ``H' = (|A|ᵀ|A|) ∘ (|B||B|ᵀ)``; A is m×n, B n×p,
+    and K indices are drawn.  In Higham's terms (Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sections 3.1, 3.5, lemma 3.3):
+
+    * ``Ĥ``: the entries of ``AᵀA`` and ``BBᵀ`` are inner products of m and p
+      terms, and the Hadamard product rounds once, so
+      ``|Ĥ - H| <= gamma_{m+p+1} H'``.
+    * the form: ``û = fl(1 - s)`` rounds once per entry.  A term
+      ``û_k ĥ_kj û_j`` takes one rounding as a product and at most n - 1 as
+      an addend of ``(ÛĤ)_j``, one more in the product with ``û_j`` and at
+      most n - 1 in the row sum: 2n roundings, plus the two of ``û_k`` and
+      ``û_j``.  So ``|q̂ - uᵀĤu| <= gamma_{2n+2} |u|ᵀ|Ĥ||u|``, and with the
+      first point ``|q̂ - |E|_F²| <= gamma_{2n+m+p+3} |W|_F²``.  (The GEMM and
+      the product with ``û_j`` alone, gamma_{n+1}, leave out the row sum.)
+    * direct: ``fl(AB)`` is within ``gamma_n |A||B|`` of ``AB``, the estimate
+      within ``gamma_{K+4} |A||s||B|`` (``gram_error_bound``; the GEMM path
+      has gamma_{K+1}), and the subtraction rounds ``|E| <= |A||B| + |A||s||B|``
+      once, so ``|D̂ - E| <= R = gamma_{n+1} |A||B| + gamma_{K+5} |A||s||B|``.
+      Then ``|sum D̂² - |E|_F²| <= sum R (2|E| + R) <= sum R (2|D̂| + 3R)``,
+      and squaring and summing the m p entries adds ``gamma_{mp} sum D̂²``.
+    """
+    m, n = a.shape
+    p = b.shape[1]
+    k = int(np.count_nonzero(s))
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    w = (abs_a * np.abs(1.0 - s)) @ abs_b
+    r = gamma(n + 1) * (abs_a @ abs_b) + gamma(k + 5) * ((abs_a * s) @ abs_b)
+    direct = float(np.sum(diff * diff))
+    return (gamma(2 * n + m + p + 3) * float(np.sum(w * w)) + gamma(m * p) * direct
+            + float(np.sum(r * (2 * np.abs(diff) + 3 * r))))
+
+
+def direct_errors_and_bounds(a, b, partition, dist, c, seeds):
+    """Per seed, the direct squared error ``|fl(AB) - sketch(...).estimate|_F²`` and
+    ``quadratic_form_error_bound`` of its gap to ``frobenius_errors``."""
+    exact = multiply(a, b)
+    direct, bounds = [], []
+    for seed in seeds:
+        diff = exact - sketch(a, b, partition, dist, SketchConfig(c, seed)).estimate
+        s = scale_vector(partition, dist, sample_indices(dist, c, seed))
+        direct.append(float(np.sum(diff * diff)))
+        bounds.append(quadratic_form_error_bound(a, b, s, diff))
+    return np.array(direct), np.array(bounds)
+
+
+def stderr_error_bound(x):
+    """Bound on the gap between ``np.std(x, ddof=1) / sqrt(T)`` and the reference
+    ``statistics.stdev(x) / sqrt(T)`` for T >= 2 nonnegative floats ``x``.
+
+    Let S be the exact sum of squared deviations and ``s = sqrt(S / (T(T - 1)))``
+    the exact standard error.
+
+    * numpy's two-pass variance: the computed mean is within ``e = gamma_T x̄``
+      of ``x̄`` (T - 1 additions and a division of nonnegative terms), and
+      ``sum (x_i - x̂)² = S + T(x̂ - x̄)²``.  Each term rounds three times and
+      the sum T - 1 more, so the computed ``Ŝ`` is within
+      ``dS = gamma_{T+2} (S + T e²) + T e²`` of S.
+    * ``sqrt(Ŝ)`` is within ``min(dS / sqrt(S), sqrt(dS))`` of ``sqrt(S)``, and
+      the division by T - 1, the root, ``sqrt(T)`` and the last division
+      round four times: ``|ŝ - s| <= gamma_4 sqrt((S + dS) / (T(T - 1)))
+      + min(dS / sqrt(S), sqrt(dS)) / sqrt(T(T - 1))``.
+    * the reference: ``statistics.stdev`` rounds at most twice (its variance
+      to float, then the root) and the division by ``sqrt(T)`` twice more,
+      so it is within ``gamma_4 s`` of s.
+    """
+    t = len(x)
+    exact = [Fraction(v) for v in x]
+    mean = sum(exact) / t
+    big_s = float(sum((v - mean) ** 2 for v in exact))
+    e = gamma(t) * float(mean)
+    ds = gamma(t + 2) * (big_s + t * e * e) + t * e * e
+    root_gap = min(ds / math.sqrt(big_s), math.sqrt(ds)) if big_s > 0 else math.sqrt(ds)
+    norm = math.sqrt(t * (t - 1))
+    return (gamma(4) * math.sqrt(big_s + ds) + root_gap + gamma(4) * math.sqrt(big_s)) / norm
 
 
 def loop_validate(n, groups):

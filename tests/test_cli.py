@@ -296,3 +296,22 @@ class TestDeterminismPerThreadCount:
             first = self.run_sketch(tmp_path, threads, f"t{threads}-first")
             second = self.run_sketch(tmp_path, threads, f"t{threads}-second")
             assert first == second, f"outputs differ between reruns at {threads} threads"
+
+    def run_fig1(self, tmp_path, threads, out, trials, c):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        proc = subprocess.run(
+            [sys.executable, "-m", "partsketch", "experiment", "fig1", "--rows", "100", "--cols", "2000",
+             "--trials", str(trials), "--c-min", str(c), "--c-max", str(c), "--seed", "5",
+             "--out-dir", str(tmp_path / out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return (tmp_path / out / "fig1.csv").read_bytes()
+
+    # the paper shape: 3 trials per method take their errors from the estimates,
+    # 30 at c = 3000 from the 2000 x 2000 error form and each block's GEMM against it
+    @pytest.mark.parametrize("trials, c", [(3, 1000), (30, 3000)])
+    def test_fig1_reruns_are_byte_identical_at_one_and_two_threads(self, tmp_path, trials, c):
+        for threads in (1, 2):
+            first = self.run_fig1(tmp_path, threads, f"t{threads}-first", trials, c)
+            second = self.run_fig1(tmp_path, threads, f"t{threads}-second", trials, c)
+            assert first == second, f"fig1.csv differs between reruns at {threads} threads"

@@ -9,9 +9,14 @@ from partsketch import (ConfigError, ExperimentConfig, aggregate_distribution,
                         optimal_distribution, optimal_expected_error,
                         pair_partition, paper_scale, run_fig1, run_fig2,
                         run_table1, write_csv)
-from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER,
-                                    experiment_matrix, pairing_strategy)
-from helpers import loop_fig1_csv, loop_fig2_csv
+from partsketch import experiments, sketching
+from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _error_form_pays,
+                                    _fig1_row, _methods, experiment_matrix,
+                                    pairing_strategy)
+from partsketch.matrices import frobenius_norm, multiply
+from partsketch.rng import derive_seed
+from helpers import (direct_errors_and_bounds, loop_fig1_csv, loop_fig2_csv,
+                     stderr_error_bound)
 
 TINY_FIG1 = ExperimentConfig(rows=8, cols=12, c_min=4, c_max=8, c_step=4,
                              trials=30, runs=10, seed=5)
@@ -145,15 +150,117 @@ class TestBatchedTrials:
 
     @pytest.mark.parametrize("strategy", ["enhanced", "random"])
     def test_fig1_matches_per_trial_loop(self, tmp_path, strategy):
+        # 4 x 12 takes its errors from the estimates: every column but stderr
+        # byte for byte, stderr (numpy's two-pass std against the exact-Fraction
+        # statistics.stdev) within its derived bound
         cfg = replace(self.CFG, strategy=strategy)
+        assert not _error_form_pays(4, 12, cfg.c_grid(), 2 * cfg.trials)
         run_fig1(cfg, tmp_path)
-        assert (tmp_path / "fig1.csv").read_bytes() == loop_fig1_csv(cfg).encode()
+        got = (tmp_path / "fig1.csv").read_text().splitlines()
+        want = loop_fig1_csv(cfg).splitlines()
+        assert got[0] == want[0] and len(got) == len(want)
+        a = experiment_matrix(cfg)
+        methods = {label: (part, d) for label, part, d in _methods(cfg, a, a.T)}
+        for line, ref in zip(got[1:], want[1:]):
+            fields, ref_fields = line.split(","), ref.split(",")
+            assert fields[:4] + fields[5:] == ref_fields[:4] + ref_fields[5:]
+            c, label = int(fields[0]), fields[1]
+            seeds = [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(cfg.trials)]
+            sq_errs, _ = direct_errors_and_bounds(a, a.T, *methods[label], c, seeds)
+            assert abs(float(fields[4]) - float(ref_fields[4])) <= stderr_error_bound(sq_errs)
+
+    def test_fig1_error_form_matches_per_trial_loop_within_derived_bound(self, tmp_path, monkeypatch):
+        # 12 x 12 takes its errors from uᵀHu: each cell's plan and seeds are the
+        # loop's, each trial's error is within quadratic_form_error_bound of the
+        # loop's direct error, and each row is reduced from those errors
+        cfg = replace(self.CFG, rows=12)
+        assert _error_form_pays(12, 12, cfg.c_grid(), 2 * cfg.trials)
+        calls = []
+
+        def recording(h, partition, dist, c, seeds):
+            errs = sketching.frobenius_errors(h, partition, dist, c, seeds)
+            calls.append((partition, dist, c, seeds, errs))
+            return errs
+
+        monkeypatch.setattr(experiments, "frobenius_errors", recording)
+        rows_out = run_fig1(cfg, tmp_path)
+        a = experiment_matrix(cfg)
+        exact_f = frobenius_norm(multiply(a, a.T))
+        cells = [(c, label, part, d) for c in cfg.c_grid() for label, part, d in _methods(cfg, a, a.T)]
+        assert len(calls) == len(cells) == len(rows_out)
+        for (c, label, part, d), (part_got, d_got, c_got, seeds, errs), row in zip(cells, calls, rows_out):
+            assert (c_got, part_got) == (c, part) and np.array_equal(d_got.weights, d.weights)
+            assert seeds == [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(cfg.trials)]
+            direct, bounds = direct_errors_and_bounds(a, a.T, part, d, c, seeds)
+            assert np.all(np.abs(errs - direct) <= bounds)
+            assert row == _fig1_row(c, label, errs, exact_f)
 
     @pytest.mark.parametrize("strategy", ["enhanced", "random"])
     def test_fig2_matches_per_trial_loop(self, tmp_path, strategy):
         cfg = replace(self.CFG, strategy=strategy)
         run_fig2(cfg, tmp_path)
         assert (tmp_path / "fig2.csv").read_bytes() == loop_fig2_csv(cfg).encode()
+
+
+class TestFig1ErrorForm:
+    """fig1 takes its squared errors from uᵀHu while H fits its memory cap and
+    costs fewer multiply-adds than the estimates, and from the estimates otherwise."""
+
+    @staticmethod
+    def scaled_product_calls(monkeypatch):
+        calls = []
+        scaled_product = sketching._scaled_product
+
+        def recording(*args):
+            calls.append(1)
+            return scaled_product(*args)
+
+        def forbidden(*args):
+            raise AssertionError("statistics.stdev called")
+
+        monkeypatch.setattr(sketching, "_scaled_product", recording)
+        monkeypatch.setattr("statistics.stdev", forbidden)
+        return calls
+
+    @pytest.mark.parametrize("rows, direct", [(3, True), (4, True), (12, False)])
+    def test_branch_follows_the_cost_rule(self, tmp_path, monkeypatch, rows, direct):
+        # n = 12, 24 trials at each c in (5, 6005): building H (rows·144/2) and 48
+        # GEMM rows of 144 against the syrks' 24·rows²·(5 + 12)/2 multiply-adds
+        calls = self.scaled_product_calls(monkeypatch)
+        cfg = replace(TestBatchedTrials.CFG, rows=rows)
+        rows_out = run_fig1(cfg, tmp_path)
+        assert len(calls) == (4 * cfg.trials if direct else 0)
+        assert all(r["trials"] == cfg.trials and r["stderr"] > 0 for r in rows_out)
+
+    def test_cost_rule(self):
+        paper = paper_scale(ExperimentConfig())
+        per_c = 2 * paper.trials
+        assert _error_form_pays(100, 2000, paper.c_grid(), per_c)
+        assert not _error_form_pays(100, 2000, paper.c_grid(), 2)  # one trial per method: H costs more
+        assert not _error_form_pays(100, 2049, paper.c_grid(), per_c)  # H past its 2**22 entries
+        assert not _error_form_pays(100, 10000, paper.c_grid(), per_c)
+        assert _error_form_pays(50, 500, ExperimentConfig().c_grid(), 2 * 10)  # the desk shape
+
+    @pytest.mark.parametrize("cols, direct", [(2000, False), (2049, True)])
+    def test_wide_input_past_the_cap_takes_the_direct_branch(self, tmp_path, monkeypatch, cols, direct):
+        # 30 trials per method at c = 2000: H would cost fewer multiply-adds at both widths
+        calls = self.scaled_product_calls(monkeypatch)
+        cfg = ExperimentConfig(rows=100, cols=cols, c_min=2000, c_max=2000, trials=30, seed=2)
+        run_fig1(cfg, tmp_path)
+        assert len(calls) == (2 * cfg.trials if direct else 0)
+
+    def test_paper_shape_errors_within_derived_bound(self):
+        # 100 x 2000, where n and the rounding terms of both paths are largest
+        cfg = paper_scale(ExperimentConfig(seed=21))
+        a = experiment_matrix(cfg)
+        b = a.T
+        h = sketching.error_form(a, b)
+        for label, partition, dist in _methods(cfg, a, b):
+            for c in (1000, 3000):
+                seeds = [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(3)]
+                errs = sketching.frobenius_errors(h, partition, dist, c, seeds)
+                direct, bounds = direct_errors_and_bounds(a, b, partition, dist, c, seeds)
+                assert np.all(np.abs(errs - direct) <= bounds), (label, c)
 
 
 class TestTable1:

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 
 from partsketch import (ENHANCED, SketchConfig, brute_force_expectation,
                         coarsen, dense, distribution, element_contribution,
-                        element_weight, finest, frobenius_norm, multiply,
+                        element_weight, error_form, expected_frobenius_error_sq,
+                        finest, frobenius_errors, frobenius_norm, multiply,
                         optimal_distribution, pairwise_plan, sample_indices,
-                        sketch, sketch_trials,
-                        spectral_norm, uniform_stream)
+                        sketch, sketch_trials, spectral_norm,
+                        uniform_distribution, uniform_stream)
 from partsketch import sketching
 from partsketch.rng import derive_seed
 from partsketch.sketching import _is_transpose, _trials_per_block
-from helpers import (gemm_error_bound, gram_error_bound, loop_sketch,
-                     random_coarsening, random_instance, scale_vector)
+from helpers import (direct_errors_and_bounds, gemm_error_bound, gram_error_bound,
+                     loop_sketch, random_coarsening, random_instance, scale_vector)
 
 
 def small_instance(seed=0):
@@ -175,6 +176,80 @@ class TestSketchTrials:
         with pytest.raises(ValueError, match=">= 1"):
             sketch_trials(a, b, part, d, 0, [1])
         assert list(sketch_trials(a, b, part, d, 3, [])) == []
+
+
+class TestFrobeniusErrors:
+    """``uᵀHu`` against the squared error of the estimate each seed's sketch forms."""
+
+    @staticmethod
+    def plan(rng, a, b, kind):
+        n = a.shape[1]
+        if kind == "one-group":
+            part = coarsen([list(range(n))], n)
+        elif kind == "coarse":
+            part = random_coarsening(rng, n, max_groups=n // 2 + 1)
+        else:
+            part = finest(n)
+        d = optimal_distribution(a, b, part)
+        if kind == "zero-groups":  # every third index is never drawn
+            w = d.weights.copy()
+            w[::3] = 0.0
+            d = distribution(part, w, normalize=True)
+        return part, d
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(["finest", "coarse", "one-group", "zero-groups"]),
+           st.integers(1, 5000), st.booleans())
+    @example(3, "one-group", 7, True)
+    @example(4, "one-group", 1, False)
+    @example(5, "zero-groups", 1, True)
+    @example(6, "zero-groups", 5000, False)
+    @example(7, "finest", 1, True)
+    @example(8, "coarse", 1, False)
+    def test_matches_the_direct_error_within_derived_bound(self, seed, kind, c, transposed):
+        # signed entries, n up to 80; seven seeds span two blocks at c = 5000 (blocks of 6)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        a = dense(rng.random((int(rng.integers(1, 7)), n)) - 0.5)
+        b = a.T if transposed else dense(rng.random((n, int(rng.integers(1, 7)))) - 0.5)
+        part, d = self.plan(rng, a, b, kind)
+        seeds = [derive_seed(seed, t) for t in range(7)]
+        errs = frobenius_errors(error_form(a, b), part, d, c, seeds)
+        direct, bounds = direct_errors_and_bounds(a, b, part, d, c, seeds)
+        assert errs.shape == (7,) and np.all(errs >= 0.0)
+        assert np.all(np.abs(errs - direct) <= bounds)
+        if part.k == 1:  # s = c / (c · 1) = 1 exactly, so u = 0
+            assert np.all(errs == 0.0)
+
+    @pytest.mark.parametrize("b_kind", ["a.T", "unrelated"])
+    @pytest.mark.parametrize("optimal", [True, False])
+    def test_mean_matches_closed_form(self, b_kind, optimal):
+        rng = np.random.default_rng(43)
+        a = dense(rng.random((4, 30)) - 0.5)
+        b = a.T if b_kind == "a.T" else dense(rng.random((30, 3)) - 0.5)
+        part = random_coarsening(rng, 30, max_groups=12)
+        d = optimal_distribution(a, b, part) if optimal else uniform_distribution(part)
+        c = 7
+        errs = frobenius_errors(error_form(a, b), part, d, c, [derive_seed(43, t) for t in range(4000)])
+        stderr = errs.std(ddof=1) / np.sqrt(errs.size)
+        assert abs(errs.mean() - expected_frobenius_error_sq(a, b, part, d, c)) <= 5 * stderr
+
+    def test_error_form_and_plan_checks(self):
+        a, b, part, d = TestSketchTrials.plan("unrelated", False)
+        h = error_form(a, b)
+        assert h.shape == (40, 40) and not h.flags.writeable
+        assert np.array_equal(h, (a.T @ a) * (b @ b.T))
+        with pytest.raises(ValueError, match="mismatch"):
+            error_form(a, dense(np.ones((3, 2))))
+        with pytest.raises(ValueError, match="partition covers 40"):
+            frobenius_errors(h[:39, :39], part, d, 3, [1])
+        with pytest.raises(ValueError, match="mismatch"):
+            frobenius_errors(h[:39, :], part, d, 3, [1])
+        with pytest.raises(ValueError, match="supported"):
+            frobenius_errors(h, coarsen([list(range(20)), list(range(20, 40))], 40), d, 3, [1])
+        with pytest.raises(ValueError, match=">= 1"):
+            frobenius_errors(h, part, d, 0, [1])
+        assert frobenius_errors(h, part, d, 3, []).shape == (0,)
 
 
 class TestSketch:
