@@ -18,8 +18,8 @@ from .distributions import (SamplingDistribution, aggregate_distribution,
                             distribution_to_json, element_weight,
                             group_weights, optimal_distribution,
                             uniform_distribution)
-from .errors import (ConfigError, NumericError, PartSketchError,
-                     ZeroProductError)
+from .errors import (ConfigError, MatrixFileError, NumericError,
+                     PartSketchError, ZeroProductError)
 from .experiments import (ExperimentConfig, paper_scale, run_fig1, run_fig2,
                           run_table1)
 from .matrices import (block_product, dense, frobenius_norm, multiply,

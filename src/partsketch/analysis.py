@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SamplingDistribution, _check_plan, group_weights
+from .distributions import SamplingDistribution, _check_plan, _check_sample_count, _check_shapes, group_weights
 from .errors import NumericError, ZeroProductError
 from .matrices import _frozen, frobenius_norm, multiply, spectral_norm
 from .partitions import Partition
@@ -54,8 +54,7 @@ def expected_frobenius_error_sq(a: np.ndarray, b: np.ndarray, partition: Partiti
     first term) is reported as zero.
     """
     _check_plan(a, b, partition, dist)
-    if c < 1:
-        raise ValueError(f"sample count must be >= 1, got {c}")
+    _check_sample_count(c)
     w, ratio = _scaled_weights(group_weights(a, b, partition), dist.weights)
     total = float(np.sum(w * ratio))
     return _excess_over_product(total, a, b, "expected squared error") / c
@@ -68,8 +67,7 @@ def optimal_expected_error(a: np.ndarray, b: np.ndarray, partition: Partition, c
     ``expected_frobenius_error_sq`` evaluated at ``optimal_distribution``.
     Returns 0 for the zero product.
     """
-    if c < 1:
-        raise ValueError(f"sample count must be >= 1, got {c}")
+    _check_sample_count(c)
     total_sq = float(np.sum(group_weights(a, b, partition))) ** 2
     return _excess_over_product(total_sq, a, b, "optimal expected error") / c
 
@@ -125,8 +123,7 @@ def tail_bound_value(variance_bound: float, deviation_bound: float, dims_sum: fl
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    if c < 1:
-        raise ValueError("c must be >= 1")
+    _check_sample_count(c)
     denom = 2.0 * variance_bound / epsilon + deviation_bound
     if denom == 0.0:
         return 0.0
@@ -217,6 +214,7 @@ def uniform_spectral_bound(a: np.ndarray, b: np.ndarray, c: int, k: int, s_c: in
 
     ``s_c`` comes from :func:`min_draw_threshold` for the same (c, k).
     """
+    _check_sample_count(c)
     return k * (s_c - 1) / c * spectral_norm(a) * spectral_norm(b)
 
 
@@ -247,10 +245,7 @@ def pairing_comparators(a: np.ndarray, b: np.ndarray, pairing: Partition) -> Pai
     sums of their members'.  ``pairing`` must partition the inner dimension
     into groups of at most two indices.
     """
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    if pairing.n != a.shape[1]:
-        raise ValueError(f"pairing covers {pairing.n} indices but the inner dimension is {a.shape[1]}")
+    _check_shapes(a, b, pairing)
     if np.bincount(pairing.labels).max() > 2:
         raise ValueError("pairing groups must have at most two indices")
     w = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=1)
@@ -281,6 +276,7 @@ def brute_force_expectation(a: np.ndarray, b: np.ndarray, partition: Partition,
     directly.  Guarded to k^c <= 1e6.
     """
     _check_plan(a, b, partition, dist)
+    _check_sample_count(c)
     k = partition.k
     if k ** c > ENUMERATION_LIMIT:
         raise ValueError(f"k^c = {k}^{c} exceeds the enumeration guard of {ENUMERATION_LIMIT}")

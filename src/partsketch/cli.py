@@ -12,17 +12,19 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (bernstein_tail_bound, bound_report, min_draw_threshold,
                        uniform_spectral_bound)
 from .distributions import distribution_to_json, optimal_distribution
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, MatrixFileError, NumericError
 from .experiments import (ExperimentConfig, pairing_strategy, paper_scale, run_fig1,
                           run_fig2, run_table1)
 from .matrices import read_matrix, write_csv
-from .partitions import finest, partition_from_json
+from .partitions import PAIRING_KINDS, finest, partition_from_json
 from .sketching import SketchConfig, draw_log_json, pairwise_plan, sketch
 
-STRATEGY_CHOICES = ("enhanced", "random", "balanced", "simple", "finest")
+STRATEGY_CHOICES = ("finest", *PAIRING_KINDS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,25 +33,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_matrix(path):
-    try:
-        return read_matrix(path)
-    except ValueError as exc:
-        raise OSError(f"{path}: {exc}") from None
-
-
-def _plan(args, a, b):
-    """Partition and distribution from --partition-file or --strategy."""
+def _plan(args):
+    """Matrices --a and --b, and the partition and distribution from --partition-file or --strategy."""
+    a, b = read_matrix(args.a), read_matrix(args.b)
     if args.partition_file is not None:
         partition = partition_from_json(Path(args.partition_file).read_text())
-        if partition.n != a.shape[1]:
-            raise ConfigError(f"{args.partition_file}: partition covers {partition.n} indices "
-                              f"but the inner dimension is {a.shape[1]}")
-        return partition, optimal_distribution(a, b, partition)
-    if args.strategy == "finest":
+    elif args.strategy == "finest":
         partition = finest(a.shape[1])
-        return partition, optimal_distribution(a, b, partition)
-    return pairwise_plan(a, b, pairing_strategy(args.strategy, args.seed))
+    else:
+        return (a, b, *pairwise_plan(a, b, pairing_strategy(args.strategy, args.seed)))
+    return a, b, partition, optimal_distribution(a, b, partition)
 
 
 def _out_dir(args) -> Path:
@@ -59,9 +52,7 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_sketch(args) -> int:
-    a = _load_matrix(args.a)
-    b = _load_matrix(args.b)
-    partition, dist = _plan(args, a, b)
+    a, b, partition, dist = _plan(args)
     cfg = SketchConfig(args.c, args.seed)
     result = sketch(a, b, partition, dist, cfg)
     out = _out_dir(args)
@@ -75,9 +66,7 @@ def _cmd_sketch(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    a = _load_matrix(args.a)
-    b = _load_matrix(args.b)
-    partition, dist = _plan(args, a, b)
+    a, b, partition, dist = _plan(args)
     report = bound_report(a, b, partition, dist)
     payload = {"report": dataclasses.asdict(report)}
     if args.epsilon is not None:
@@ -119,8 +108,6 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _cmd_experiment(args) -> int:
-    if args.strategy == "finest":
-        raise ConfigError("experiments compare against the finest method; pick a pairing strategy")
     cfg = _experiment_config(args)
     out = _out_dir(args)
     if args.which == "fig1":
@@ -139,26 +126,24 @@ def build_parser() -> _Parser:
                      description="Randomized matrix-product sketching over index partitions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sk = sub.add_parser("sketch", help="sketch a product and write estimate/draw-log/bounds files")
-    sk.add_argument("--a", required=True, help="left matrix (CSV, or .bin binary layout)")
-    sk.add_argument("--b", required=True, help="right matrix")
+    plan = _Parser(add_help=False)  # the flags sketch and analyze share
+    plan.add_argument("--a", required=True, help="left matrix (CSV, or .bin binary layout)")
+    plan.add_argument("--b", required=True, help="right matrix")
+    plan.add_argument("--seed", type=int, default=0)
+    plan.add_argument("--strategy", choices=STRATEGY_CHOICES, default="finest")
+    plan.add_argument("--partition-file", help="JSON partition (1-based groups); overrides --strategy")
+    plan.add_argument("--out-dir", required=True)
+
+    sk = sub.add_parser("sketch", parents=[plan],
+                        help="sketch a product and write estimate/draw-log/bounds files")
     sk.add_argument("--c", type=int, required=True, help="sample count")
-    sk.add_argument("--seed", type=int, default=0)
-    sk.add_argument("--strategy", choices=STRATEGY_CHOICES, default="finest")
-    sk.add_argument("--partition-file", help="JSON partition (1-based groups); overrides --strategy")
-    sk.add_argument("--out-dir", required=True)
     sk.set_defaults(func=_cmd_sketch)
 
-    an = sub.add_parser("analyze", help="report bound inputs, tail bounds, and draw thresholds")
-    an.add_argument("--a", required=True)
-    an.add_argument("--b", required=True)
-    an.add_argument("--seed", type=int, default=0)
-    an.add_argument("--strategy", choices=STRATEGY_CHOICES, default="finest")
-    an.add_argument("--partition-file")
+    an = sub.add_parser("analyze", parents=[plan],
+                        help="report bound inputs, tail bounds, and draw thresholds")
     an.add_argument("--c", type=int, help="sample count for tail bound / draw threshold")
     an.add_argument("--k", type=int, help="group count for the uniform draw threshold")
     an.add_argument("--epsilon", type=float, help="tail-bound deviation")
-    an.add_argument("--out-dir", required=True)
     an.set_defaults(func=_cmd_analyze)
 
     ex = sub.add_parser("experiment", help="run the reproducible experiment harness")
@@ -166,7 +151,7 @@ def build_parser() -> _Parser:
     ex.add_argument("--seed", type=int, default=0)
     for flag in ("--rows", "--cols", "--c-min", "--c-max", "--c-step", "--trials", "--runs"):
         ex.add_argument(flag, type=int)
-    ex.add_argument("--strategy", choices=STRATEGY_CHOICES,
+    ex.add_argument("--strategy", choices=PAIRING_KINDS,
                     help=f"pairing strategy (default: {ExperimentConfig.strategy})")
     ex.add_argument("--matrix-file", help="load A instead of generating it")
     ex.add_argument("--paper-scale", action="store_true",
@@ -180,7 +165,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):  # non-finite results exit 3
+            return args.func(args)
+    except (MatrixFileError, OSError) as exc:  # before ValueError: a MatrixFileError is one
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -188,10 +177,7 @@ def main(argv=None) -> int:
         # an oversized sample count or matrix size is a configuration error
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

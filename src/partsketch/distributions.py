@@ -57,12 +57,23 @@ class SamplingDistribution:
         return cdf
 
 
-def _check_plan(a: np.ndarray, b: np.ndarray, partition: Partition, dist: SamplingDistribution) -> None:
-    """Raise ``ValueError`` unless ``a @ b`` conforms and ``dist`` is over ``partition`` of its inner dimension."""
+def _check_shapes(a: np.ndarray, b: np.ndarray, partition: Partition) -> None:
+    """Raise ``ValueError`` unless ``a @ b`` conforms and ``partition`` covers its inner dimension."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
     if partition.n != a.shape[1]:
         raise ValueError(f"partition covers {partition.n} indices but the inner dimension is {a.shape[1]}")
+
+
+def _check_sample_count(c: int) -> None:
+    """Raise ``ValueError`` unless the sample count ``c`` is at least 1."""
+    if c < 1:
+        raise ValueError(f"sample count must be >= 1, got {c}")
+
+
+def _check_plan(a: np.ndarray, b: np.ndarray, partition: Partition, dist: SamplingDistribution) -> None:
+    """Raise ``ValueError`` unless ``_check_shapes`` passes and ``dist`` is over ``partition``."""
+    _check_shapes(a, b, partition)
     if dist.support != partition:
         raise ValueError("distribution is not supported on the given partition")
 
@@ -126,7 +137,9 @@ def group_weights(a: np.ndarray, b: np.ndarray, partition: Partition) -> np.ndar
     temporaries; ``|a_j| |b_j|`` for singletons) unless ``s^2 > m * rho``,
     where the m x rho block is smaller, so no temporary grows with n^2.
     Groups whose Gram sum nearly cancels are taken from their blocks.
+    Raises ``ValueError`` unless ``a @ b`` conforms and ``partition`` covers its n inner indices.
     """
+    _check_shapes(a, b, partition)
     m, rho = a.shape[0], b.shape[1]
     sizes = np.bincount(partition.labels, minlength=partition.k)
     members = np.argsort(partition.labels, kind="stable")  # grouped by label, ascending within
@@ -145,10 +158,9 @@ def optimal_distribution(a: np.ndarray, b: np.ndarray, partition: Partition) -> 
     contribute nothing to the product, so never sampling them keeps the
     estimator unbiased and the error formula finite.  Raises
     :class:`ZeroProductError` when every weight vanishes (the product is zero
-    and no distribution is defined).
+    and no distribution is defined), and ``ValueError`` as :func:`group_weights`
+    does on matrices and a partition that do not conform.
     """
-    if a.shape[1] != partition.n:
-        raise ValueError(f"partition covers {partition.n} indices but a has {a.shape[1]} columns")
     w = group_weights(a, b, partition)
     total = float(np.sum(w))
     if total == 0.0:

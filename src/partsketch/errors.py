@@ -15,3 +15,7 @@ class NumericError(PartSketchError):
 
 class ZeroProductError(NumericError):
     """The exact product is zero, so no sampling distribution is defined."""
+
+
+class MatrixFileError(PartSketchError, ValueError):
+    """A matrix file that does not hold a valid matrix; the message names the file once."""

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import MatrixFileError
 
 
 def dense(values) -> np.ndarray:
@@ -115,17 +116,19 @@ def write_binary(a: np.ndarray, path) -> None:
 def read_binary(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if len(raw) < 16:
-        raise ValueError(f"{path}: truncated header")
+        raise ValueError("truncated header")
     rows, cols = (int(v) for v in np.frombuffer(raw[:16], dtype="<i8"))
     if rows < 1 or cols < 1:
-        raise ValueError(f"{path}: invalid dimensions {rows}x{cols}")
+        raise ValueError(f"invalid dimensions {rows}x{cols}")
     if len(raw) != 16 + rows * cols * 8:
-        raise ValueError(f"{path}: payload size does not match header")
+        raise ValueError("payload size does not match header")
     return dense(np.frombuffer(raw[16:], dtype="<f8").reshape(rows, cols))
 
 
 def read_matrix(path) -> np.ndarray:
-    """Dispatch on extension: ``.bin`` binary layout, anything else CSV."""
-    if str(path).endswith(".bin"):
-        return read_binary(path)
-    return read_csv(path)
+    """Dispatch on extension: ``.bin`` binary layout, anything else CSV.  A file that does not
+    hold a valid matrix raises :class:`MatrixFileError`, a ``ValueError`` reading ``"<path>: <reason>"``."""
+    try:
+        return read_binary(path) if str(path).endswith(".bin") else read_csv(path)
+    except ValueError as exc:
+        raise MatrixFileError(f"{path}: {exc}") from None

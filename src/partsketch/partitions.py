@@ -117,9 +117,7 @@ def validate(n, groups) -> str | None:
 
 
 def finest(n: int) -> Partition:
-    """The n singleton groups {0},{1},...,{n-1} in index order."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    """The n singleton groups {0},{1},...,{n-1} in index order; ``Partition`` rejects n < 1."""
     return Partition(n, tuple((i,) for i in range(n)))
 
 

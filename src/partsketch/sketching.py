@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (SamplingDistribution, _check_plan, aggregate_distribution,
-                            optimal_distribution)
+from .distributions import (SamplingDistribution, _check_plan, _check_sample_count,
+                            aggregate_distribution, optimal_distribution)
 from .matrices import _frozen
 from .partitions import PairingStrategy, Partition, finest, pair_partition
 from .rng import uniform_rows, uniform_stream
@@ -44,8 +44,7 @@ class SketchConfig:
     seed: int
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.c}")
+        _check_sample_count(self.c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +66,7 @@ def sample_indices(dist: SamplingDistribution, c: int, seed: int) -> np.ndarray:
     so the draw list does not depend on evaluation order or batching.
     Zero-probability groups occupy empty CDF intervals and are never drawn.
     """
-    if c < 1:
-        raise ValueError(f"sample count must be >= 1, got {c}")
+    _check_sample_count(c)
     return np.searchsorted(dist.cdf, uniform_stream(seed, c), side="right").astype(np.int64)
 
 
@@ -131,8 +129,7 @@ def sketch_trials(a: np.ndarray, b: np.ndarray, partition: Partition,
     built in one step; every estimate comes from the same kernel.
     """
     _check_plan(a, b, partition, dist)
-    if c < 1:
-        raise ValueError(f"sample count must be >= 1, got {c}")
+    _check_sample_count(c)
     return _sketch_blocks(a, b, partition, dist, c, seeds)
 
 
@@ -188,8 +185,7 @@ def frobenius_errors(h: np.ndarray, partition: Partition, dist: SamplingDistribu
     checked once, on this call, with ``h`` standing in for both factors.
     """
     _check_plan(h, h, partition, dist)
-    if c < 1:
-        raise ValueError(f"sample count must be >= 1, got {c}")
+    _check_sample_count(c)
     out = np.empty(len(seeds))
     lo = 0
     for _, scales in _scale_blocks(partition, dist, c, seeds):

@@ -10,10 +10,10 @@ from partsketch import (BALANCED, ENHANCED, SIMPLE, ZeroProductError,
                         aggregate_distribution, bernstein_tail_bound,
                         binomial_cdf, bound_report, brute_force_expectation,
                         coarsen, dense, distribution,
-                        expected_frobenius_error_sq, finest,
+                        expected_frobenius_error_sq, finest, group_weights,
                         min_draw_threshold, multiply, optimal_distribution,
                         optimal_expected_error, pair_partition,
-                        pairing_comparators, random_pairing, spectral_norm,
+                        pairing_comparators, pairwise_plan, random_pairing, spectral_norm,
                         tail_bound_value, uniform_spectral_bound)
 from partsketch.sketching import element_contribution
 from helpers import all_pairings, random_coarsening, random_instance
@@ -455,6 +455,34 @@ class TestBruteForce:
         d = optimal_distribution(a, b, part)
         with pytest.raises(ValueError, match="guard"):
             brute_force_expectation(a, b, part, d, 8)  # 8^8 > 1e6
+
+    def test_zero_samples_are_rejected(self):
+        a, b = random_instance(np.random.default_rng(25), n=4)
+        part = finest(4)
+        with pytest.raises(ValueError, match="sample count must be >= 1, got 0"):
+            brute_force_expectation(a, b, part, optimal_distribution(a, b, part), 0)
+        with pytest.raises(ValueError, match="sample count must be >= 1, got 0"):
+            uniform_spectral_bound(a, b, 0, 4, 2)
+
+
+class TestShapeCheck:
+    """Every function that builds a plan from ``(a, b, partition)`` rejects a ``b`` whose rows are not ``a``'s columns."""
+
+    BUILDERS = {
+        "group_weights": lambda a, b: group_weights(a, b, finest(4)),
+        "optimal_distribution": lambda a, b: optimal_distribution(a, b, finest(4)),
+        "pairwise_plan": lambda a, b: pairwise_plan(a, b, ENHANCED),
+        "optimal_expected_error": lambda a, b: optimal_expected_error(a, b, finest(4), 3),
+        "pairing_comparators": lambda a, b: pairing_comparators(a, b, pair_partition(np.full(4, 0.25), SIMPLE)),
+    }
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    @pytest.mark.parametrize("b_rows", [3, 5])
+    def test_non_conforming_b_is_rejected(self, name, b_rows):
+        rng = np.random.default_rng(8)
+        a, b = dense(rng.random((3, 4))), dense(rng.random((b_rows, 2)))
+        with pytest.raises(ValueError, match=rf"dimension mismatch: \(3, 4\) x \({b_rows}, 2\)"):
+            self.BUILDERS[name](a, b)
 
 
 class TestPlanCheck:

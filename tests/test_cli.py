@@ -198,6 +198,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: Unable to allocate") and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["sketch", "analyze"])
+    def test_overflow_is_numeric_failure(self, tmp_path, capsys, command):
+        write_csv(dense(np.full((2, 3), 1e200)), tmp_path / "a.csv")
+        write_csv(dense(np.full((3, 2), 1e200)), tmp_path / "b.csv")
+        code = main([command, "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                     "--c", "2", "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numeric failure: overflow encountered in ")
+
     def test_csv_number_syntax_is_io_error(self, tmp_path, capsys):
         for name, text in (("sep.csv", "1_0,2\n3,4\n"), ("digit.csv", "1,2\n3,\u0661\n")):
             (tmp_path / name).write_text(text, encoding="utf-8")
@@ -206,10 +216,46 @@ class TestExitCodes:
             assert code == 2
             assert capsys.readouterr().err.startswith(f"i/o error: {tmp_path / name}: line ")
 
-    def test_experiment_rejects_finest_strategy(self, tmp_path):
+    def test_experiment_rejects_finest_strategy(self, tmp_path, capsys):
         code = main(["experiment", "fig1", "--strategy", "finest",
                      "--out-dir", str(tmp_path)])
         assert code == 1
+        assert "argument --strategy: invalid choice: 'finest'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sketch", "analyze"])
+    @pytest.mark.parametrize("b_rows", [3, 5])
+    @pytest.mark.parametrize("plan", ["finest", "enhanced", "partition-file"])
+    def test_non_conforming_b_is_config_error(self, tmp_path, capsys, command, b_rows, plan):
+        rng = np.random.default_rng(0)
+        write_csv(dense(rng.random((3, 4))), tmp_path / "a.csv")
+        write_csv(dense(rng.random((b_rows, 2))), tmp_path / "b.csv")
+        (tmp_path / "part.json").write_text("[[1, 2], [3, 4]]")
+        argv = [command, "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                "--c", "3", "--out-dir", str(tmp_path / "out")]
+        if plan == "partition-file":
+            argv += ["--partition-file", str(tmp_path / "part.json")]
+        else:
+            argv += ["--strategy", plan]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: dimension mismatch: (3, 4) x ({b_rows}, 2)")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("which", ["fig1", "fig2", "table1"])
+    @pytest.mark.parametrize("name, content", [("bad.csv", b"1.0,2.0\n3.0\n"), ("bad.bin", b"abc")])
+    def test_malformed_matrix_file_is_io_error(self, tmp_path, capsys, which, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["experiment", which, "--matrix-file", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {path}: ") and err.count(str(path)) == 1
+
+    @pytest.mark.parametrize("command", ["sketch", "analyze", "experiment"])
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: partsketch {command}")
 
 
 class TestExperimentCommand:

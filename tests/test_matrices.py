@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from partsketch import (block_product, dense, frobenius_norm, multiply,
+from partsketch import (MatrixFileError, block_product, dense, frobenius_norm, multiply,
                         read_binary, read_csv, read_matrix, spectral_norm,
                         write_binary, write_csv)
 from helpers import random_coarsening
@@ -234,3 +234,12 @@ class TestMatrixIO:
         write_binary(a, tmp_path / "a.bin")
         assert np.array_equal(read_matrix(tmp_path / "a.csv"), a)
         assert np.array_equal(read_matrix(tmp_path / "a.bin"), a)
+
+    @pytest.mark.parametrize("name, content", [("t.bin", b"abc"), ("t.csv", b"1,2\n3\n"), ("t.csv", b"\xff")])
+    def test_read_matrix_names_a_malformed_file_once(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(MatrixFileError) as info:
+            read_matrix(path)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value).startswith(f"{path}: ") and str(info.value).count(str(path)) == 1
