@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import SamplingDistribution, _check_plan, _check_sample_count, _check_shapes, group_weights
 from .errors import NumericError, ZeroProductError
-from .matrices import _frozen, frobenius_norm, multiply, spectral_norm
+from .matrices import _check_conformable, _frozen, frobenius_norm, multiply, spectral_norm
 from .partitions import Partition
 
 EPS = float(np.finfo(np.float64).eps)
@@ -212,8 +212,10 @@ def min_draw_threshold(c: int, k: int) -> DrawThreshold:
 def uniform_spectral_bound(a: np.ndarray, b: np.ndarray, c: int, k: int, s_c: int) -> float:
     """High-probability cap k*(s_c - 1)/c * |a|_2 * |b|_2 on the sketch's spectral norm.
 
-    ``s_c`` comes from :func:`min_draw_threshold` for the same (c, k).
+    ``s_c`` comes from :func:`min_draw_threshold` for the same (c, k).  Raises
+    ``ValueError`` unless ``a @ b`` conforms and c >= 1.
     """
+    _check_conformable(a, b)
     _check_sample_count(c)
     return k * (s_c - 1) / c * spectral_norm(a) * spectral_norm(b)
 

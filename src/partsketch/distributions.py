@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ZeroProductError
-from .matrices import block_product, frobenius_norm
+from .matrices import _check_conformable, block_product, frobenius_norm
 from .partitions import Partition
 
 SUM_TOL = 1e-12
@@ -56,11 +56,22 @@ class SamplingDistribution:
         cdf.flags.writeable = False
         return cdf
 
+    @cached_property
+    def guide(self) -> np.ndarray:
+        """Guide table of the inverse CDF (Chen & Asau 1974): ``guide[j]`` is the first group g
+        with ``floor(fl(cdf[g] · k)) >= j``, for j = 0..k.  Read-only, built once.
+
+        Rounding is monotone, so a variate u starting at ``guide[floor(fl(u · k))]`` never
+        starts past its group, the first g with ``cdf[g] > u``."""
+        k = self.weights.size
+        guide = np.searchsorted(np.floor(self.cdf * k), np.arange(k + 1))
+        guide.flags.writeable = False
+        return guide
+
 
 def _check_shapes(a: np.ndarray, b: np.ndarray, partition: Partition) -> None:
     """Raise ``ValueError`` unless ``a @ b`` conforms and ``partition`` covers its inner dimension."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+    _check_conformable(a, b)
     if partition.n != a.shape[1]:
         raise ValueError(f"partition covers {partition.n} indices but the inner dimension is {a.shape[1]}")
 

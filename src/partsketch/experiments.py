@@ -123,9 +123,9 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
     Per (c, method): mean relative Frobenius error over ``trials`` seeded
     sketches, the mean squared absolute error, and the standard error of that
     squared-error mean (sample std / sqrt(trials)).  The squared errors come
-    from ``frobenius_errors`` against one ``error_form`` shared by every
-    cell, with no estimate formed, when ``_error_form_pays``; otherwise from
-    the estimates of ``sketch_trials``.
+    from one ``frobenius_errors`` call over every cell, against one
+    ``error_form``, with no estimate formed, when ``_error_form_pays``;
+    otherwise from the estimates of ``sketch_trials``, cell by cell.
     """
     a = experiment_matrix(cfg)
     b = a.T
@@ -133,17 +133,16 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
     exact_f = frobenius_norm(exact)
     methods = _methods(cfg, a, b)
     m, n = a.shape
-    h = error_form(a, b) if _error_form_pays(m, n, cfg.c_grid(), len(methods) * cfg.trials) else None
-    rows_out = []
-    for c in cfg.c_grid():
-        for label, partition, dist in methods:
-            seeds = [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(cfg.trials)]
-            if h is not None:
-                sq_errs = frobenius_errors(h, partition, dist, c, seeds)
-            else:
-                sq_errs = np.array([np.sum(np.square(exact - result.estimate))
-                                    for result in sketch_trials(a, b, partition, dist, c, seeds)])
-            rows_out.append(_fig1_row(c, label, sq_errs, exact_f))
+    cells = {(c, label): (partition, dist, c, [derive_seed(cfg.seed, "fig1", label, c, t)
+                                               for t in range(cfg.trials)])
+             for c in cfg.c_grid() for label, partition, dist in methods}
+    if _error_form_pays(m, n, cfg.c_grid(), len(methods) * cfg.trials):
+        errors = frobenius_errors(error_form(a, b), list(cells.values()))
+    else:
+        errors = [np.array([np.sum(np.square(exact - result.estimate))
+                            for result in sketch_trials(a, b, partition, dist, c, seeds)])
+                  for partition, dist, c, seeds in cells.values()]
+    rows_out = [_fig1_row(c, label, sq_errs, exact_f) for (c, label), sq_errs in zip(cells, errors)]
     lines = [FIG1_HEADER]
     for r in rows_out:
         lines.append(f"{r['c']},{r['method']},{r['mean_rel_frob_err']!r},"

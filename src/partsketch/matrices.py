@@ -40,10 +40,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product ``a @ b``; raises on inner-dimension mismatch."""
+def _check_conformable(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``a @ b`` conforms: ``a``'s columns are ``b``'s rows."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+
+
+def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product ``a @ b``; raises on inner-dimension mismatch."""
+    _check_conformable(a, b)
     return _frozen(a @ b)
 
 
@@ -69,8 +74,7 @@ def block_product(a: np.ndarray, b: np.ndarray, group) -> np.ndarray:
     ``multiply(a, b)``.  Indices are 0-based and must be in range; the group
     must be nonempty.
     """
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+    _check_conformable(a, b)
     idx = np.asarray(group, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("group must be a nonempty 1-d index list")

@@ -3,17 +3,20 @@
 A sketch draws c group indices from a sampling distribution over a partition
 of the inner dimension and forms ``A · diag(s) · B`` with
 ``s_j = count[g(j)] / (c · p[g(j)])`` as one BLAS product over the drawn
-indices.  Draws come from a counter-based stream, so a (matrices, partition,
+indices.  Draws come from a counter-based stream, each variate's group found
+by the distribution's guide table with no sort, so a (matrices, partition,
 distribution, config) tuple and the BLAS thread count fix the result bit for
 bit.  A result keeps only the estimate and the per-group counts; the draws
 in order are ``sample_indices`` of the same stream.  ``sketch_trials`` runs
 many seeds on one plan, drawing them in blocks, with the results of one
 ``sketch`` per seed.
 
-``frobenius_errors`` draws the same blocks but forms no estimate: a trial's
+``frobenius_errors`` draws the same counts but forms no estimate: a trial's
 squared error ``|AB - A·diag(s)·B|_F²`` is the quadratic form ``uᵀHu`` with
-``u = 1 - s`` and ``H = (AᵀA) ∘ (BBᵀ)`` (``error_form``), so a block of
-trials costs one GEMM against ``H``.
+``u = 1 - s`` and ``H = (AᵀA) ∘ (BBᵀ)`` (``error_form``).  It takes a list of
+(partition, distribution, c, seeds) cells and runs one GEMM against ``H`` per
+``_FORM_ROWS`` trials across them, so a trial's last bits depend on which rows
+share its GEMM: the call's cell list fixes them.
 """
 
 from __future__ import annotations
@@ -21,19 +24,28 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .distributions import (SamplingDistribution, _check_plan, _check_sample_count,
                             aggregate_distribution, optimal_distribution)
-from .matrices import _frozen
+from .matrices import _check_conformable, _frozen
 from .partitions import PairingStrategy, Partition, finest, pair_partition
 from .rng import uniform_rows, uniform_stream
 
-# Entries per block temporary in sketch_trials (256 KiB of float64): enough to
-# amortise the per-call costs over many small trials, small enough that a
-# block of large trials adds little to peak memory.
+# Entries per block temporary in sketch_trials and frobenius_errors (256 KiB
+# of float64): enough to amortise the per-call costs over many small trials,
+# small enough that a block of large trials adds little to peak memory.
 _BLOCK_ENTRIES = 2 ** 15
+
+# Forward steps of a guide-table lookup before a variate still short of its
+# group is left to binary search.
+_GUIDE_STEPS = 2
+
+# Trials per GEMM against H in frobenius_errors: one (rows, n) buffer of u, at
+# most 2 MiB while H is used (n <= 2048), shares the packing of H across them.
+_FORM_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -59,30 +71,47 @@ class SketchResult:
         self.counts.flags.writeable = False
 
 
+def _inverse_cdf(dist: SamplingDistribution, u: np.ndarray) -> np.ndarray:
+    """Group of every variate in ``u``, bit for bit ``searchsorted(dist.cdf, u, side="right")``.
+
+    A variate starts at ``dist.guide[floor(fl(u · k))]``, which is never past
+    its group, and steps forward while ``cdf[g] <= u``; that also skips
+    zero-probability groups.  After ``_GUIDE_STEPS`` steps the variates still
+    short of their group are found by binary search, so a skewed distribution
+    costs no more than a search.
+    """
+    cdf = dist.cdf
+    groups = dist.guide[(u * cdf.size).astype(np.intp)]
+    for _ in range(_GUIDE_STEPS):
+        groups += cdf[groups] <= u
+    short = cdf[groups] <= u
+    if short.any():
+        groups[short] = np.searchsorted(cdf, u[short], side="right")
+    return groups
+
+
 def sample_indices(dist: SamplingDistribution, c: int, seed: int) -> np.ndarray:
-    """c categorical draws from ``dist`` by inverse-CDF binary search.
+    """c categorical draws from ``dist`` by inverse CDF, each found from the guide table.
 
     Draw i consumes the i-th variate of the Philox stream keyed by ``seed``,
     so the draw list does not depend on evaluation order or batching.
     Zero-probability groups occupy empty CDF intervals and are never drawn.
     """
     _check_sample_count(c)
-    return np.searchsorted(dist.cdf, uniform_stream(seed, c), side="right").astype(np.int64)
+    return _inverse_cdf(dist, uniform_stream(seed, c)).astype(np.int64, copy=False)
 
 
 def _draw_block(dist: SamplingDistribution, c: int, seeds) -> np.ndarray:
     """Per-group draw counts of a block of trials, one row per seed.
 
     Row t is bit for bit ``bincount(sample_indices(dist, c, seeds[t]))``:
-    each seed's c variates fill one row, one call sorts every row, and one
-    search of the CDF finds each variate's group (the search resumes where
-    the previous one stopped while a row's keys ascend).  Offsetting row t's
-    groups by ``t * k`` lets one ``bincount`` count the whole block.
+    each seed's c variates fill one row and the guide-table lookup finds
+    every variate's group in place, with no sort (``bincount`` ignores
+    order).  Offsetting row t's groups by ``t * k`` lets one ``bincount``
+    count the whole block.
     """
     trials, k = len(seeds), dist.weights.size
-    u = uniform_rows(seeds, c)
-    u.sort(axis=1)
-    groups = np.searchsorted(dist.cdf, u, side="right")
+    groups = _inverse_cdf(dist, uniform_rows(seeds, c))
     groups += k * np.arange(trials)[:, None]
     return np.bincount(groups.ravel(), minlength=trials * k).reshape(trials, k)
 
@@ -139,20 +168,19 @@ def _trials_per_block(c: int, n: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(c, n))
 
 
-def _scale_blocks(partition: Partition, dist: SamplingDistribution, c: int,
-                  seeds) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``(counts, scales)`` per block of seeds: the block's per-group draw counts and
-    its ``(trials, n)`` scale matrix, ``s_j = count[g(j)] / (c · p[g(j)])`` (0 when undrawn)."""
-    per_block = _trials_per_block(c, partition.n)
-    c_weights = c * dist.weights
-    for lo in range(0, len(seeds), per_block):
-        counts = _draw_block(dist, c, seeds[lo:lo + per_block])
-        group_scale = np.divide(counts, c_weights, out=np.zeros(counts.shape), where=counts > 0)
-        yield counts, group_scale[:, partition.labels]
+def _block_scales(partition: Partition, dist: SamplingDistribution, c: int,
+                  seeds) -> tuple[np.ndarray, np.ndarray]:
+    """``(counts, scales)`` of one block of seeds: its per-group draw counts and its
+    ``(trials, n)`` scale matrix, ``s_j = count[g(j)] / (c · p[g(j)])`` (0 when undrawn)."""
+    counts = _draw_block(dist, c, seeds)
+    group_scale = np.divide(counts, c * dist.weights, out=np.zeros(counts.shape), where=counts > 0)
+    return counts, group_scale[:, partition.labels]
 
 
 def _sketch_blocks(a, b, partition, dist, c, seeds) -> Iterator[SketchResult]:
-    for counts, scales in _scale_blocks(partition, dist, c, seeds):
+    per_block = _trials_per_block(c, partition.n)
+    for lo in range(0, len(seeds), per_block):
+        counts, scales = _block_scales(partition, dist, c, seeds[lo:lo + per_block])
         for row_counts, scale in zip(counts, scales):
             idx = np.flatnonzero(scale)
             yield SketchResult(_frozen(_scaled_product(a, b, idx, scale[idx])), row_counts)
@@ -165,36 +193,57 @@ def error_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     plan and sample count on them.  It is built in its own buffer, squared
     in place when ``b`` is ``a.T`` (``AᵀA`` is then one ``syrk``).
     """
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+    _check_conformable(a, b)
     h = a.T @ a
     h *= h if _is_transpose(a, b) else b @ b.T
     return _frozen(h)
 
 
-def frobenius_errors(h: np.ndarray, partition: Partition, dist: SamplingDistribution,
-                     c: int, seeds) -> np.ndarray:
-    """Squared Frobenius error ``|AB - sketch(...).estimate|_F²`` of one sketch per seed, with no estimate formed.
+def frobenius_errors(h: np.ndarray, cells) -> list[np.ndarray]:
+    """Squared Frobenius errors ``|AB - sketch(...).estimate|_F²`` of every trial of ``cells``, with no estimate formed.
 
-    ``h`` is ``error_form(a, b)``.  Trial t draws the counts of
-    ``sketch(a, b, partition, dist, SketchConfig(c, seeds[t]))`` and its
-    error is ``uᵀHu`` with ``u = 1 - s``: one GEMM per block of trials.
+    ``h`` is ``error_form(a, b)`` and ``cells`` a sequence of
+    ``(partition, dist, c, seeds)``; the result holds one array per cell, of
+    one error per seed.  Trial t of a cell draws the counts of
+    ``sketch(a, b, partition, dist, SketchConfig(c, seeds[t]))`` and its error
+    is ``uᵀHu`` with ``u = 1 - s``.  Every cell's plan is checked, with ``h``
+    standing in for both factors, before any draw.  The ``u`` rows of all
+    cells fill one ``(_FORM_ROWS, n)`` buffer in order, and each full buffer
+    (and the last, partial one) takes one GEMM against ``H``, so an error's
+    last bits are fixed by the whole cell list, not by its cell alone.
     ``H`` is positive semidefinite (Schur product theorem), so a negative
     value is rounding and is clamped to 0.  The ``u`` form is kept on
-    purpose: expanding it to ``|AB|² - 2sᵀd + sᵀHs`` cancels.  The plan is
-    checked once, on this call, with ``h`` standing in for both factors.
+    purpose: expanding it to ``|AB|² - 2sᵀd + sᵀHs`` cancels.
     """
-    _check_plan(h, h, partition, dist)
-    _check_sample_count(c)
-    out = np.empty(len(seeds))
-    lo = 0
-    for _, scales in _scale_blocks(partition, dist, c, seeds):
-        u = np.subtract(1.0, scales, out=scales)
-        uh = u @ h
-        uh *= u
-        uh.sum(axis=1, out=out[lo:lo + len(u)])
-        lo += len(u)
-    return np.maximum(out, 0.0, out=out)
+    for partition, dist, c, _ in cells:
+        _check_plan(h, h, partition, dist)
+        _check_sample_count(c)
+    sizes = [len(seeds) for *_, seeds in cells]
+    out = np.empty(sum(sizes))
+    u = np.empty((min(_FORM_ROWS, out.size), h.shape[0]))
+    done = fill = 0
+    for partition, dist, c, seeds in cells:
+        per_block = _trials_per_block(c, partition.n)
+        lo = 0
+        while lo < len(seeds):
+            take = min(per_block, len(u) - fill, len(seeds) - lo)
+            _, scales = _block_scales(partition, dist, c, seeds[lo:lo + take])
+            np.subtract(1.0, scales, out=u[fill:fill + take])
+            lo += take
+            fill += take
+            if fill == len(u):
+                _quadratic_forms(u, h, out[done:done + fill])
+                done, fill = done + fill, 0
+    _quadratic_forms(u[:fill], h, out[done:done + fill])
+    np.maximum(out, 0.0, out=out)
+    return [out[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
+
+
+def _quadratic_forms(u: np.ndarray, h: np.ndarray, out: np.ndarray) -> None:
+    """``out[i] = u[i]ᵀ h u[i]`` for every row of ``u``, from one GEMM."""
+    uh = u @ h
+    uh *= u
+    uh.sum(axis=1, out=out)
 
 
 def element_contribution(a: np.ndarray, b: np.ndarray, partition: Partition,

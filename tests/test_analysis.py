@@ -8,8 +8,8 @@ from scipy import stats as scipy_stats
 
 from partsketch import (BALANCED, ENHANCED, SIMPLE, ZeroProductError,
                         aggregate_distribution, bernstein_tail_bound,
-                        binomial_cdf, bound_report, brute_force_expectation,
-                        coarsen, dense, distribution,
+                        binomial_cdf, block_product, bound_report, brute_force_expectation,
+                        coarsen, dense, distribution, error_form,
                         expected_frobenius_error_sq, finest, group_weights,
                         min_draw_threshold, multiply, optimal_distribution,
                         optimal_expected_error, pair_partition,
@@ -466,7 +466,8 @@ class TestBruteForce:
 
 
 class TestShapeCheck:
-    """Every function that builds a plan from ``(a, b, partition)`` rejects a ``b`` whose rows are not ``a``'s columns."""
+    """Every function that builds a plan from ``(a, b, partition)``, or takes ``(a, b)`` alone,
+    rejects a ``b`` whose rows are not ``a``'s columns."""
 
     BUILDERS = {
         "group_weights": lambda a, b: group_weights(a, b, finest(4)),
@@ -474,6 +475,10 @@ class TestShapeCheck:
         "pairwise_plan": lambda a, b: pairwise_plan(a, b, ENHANCED),
         "optimal_expected_error": lambda a, b: optimal_expected_error(a, b, finest(4), 3),
         "pairing_comparators": lambda a, b: pairing_comparators(a, b, pair_partition(np.full(4, 0.25), SIMPLE)),
+        "uniform_spectral_bound": lambda a, b: uniform_spectral_bound(a, b, 3, 4, 2),
+        "multiply": multiply,
+        "block_product": lambda a, b: block_product(a, b, [0, 1]),
+        "error_form": error_form,
     }
 
     @pytest.mark.parametrize("name", BUILDERS)

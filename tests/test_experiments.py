@@ -170,25 +170,27 @@ class TestBatchedTrials:
             assert abs(float(fields[4]) - float(ref_fields[4])) <= stderr_error_bound(sq_errs)
 
     def test_fig1_error_form_matches_per_trial_loop_within_derived_bound(self, tmp_path, monkeypatch):
-        # 12 x 12 takes its errors from uᵀHu: each cell's plan and seeds are the
-        # loop's, each trial's error is within quadratic_form_error_bound of the
-        # loop's direct error, and each row is reduced from those errors
+        # 12 x 12 takes its errors from uᵀHu in one call over every cell: each
+        # cell's plan and seeds are the loop's, each trial's error is within
+        # quadratic_form_error_bound of the loop's direct error, and each row is
+        # reduced from those errors
         cfg = replace(self.CFG, rows=12)
         assert _error_form_pays(12, 12, cfg.c_grid(), 2 * cfg.trials)
         calls = []
 
-        def recording(h, partition, dist, c, seeds):
-            errs = sketching.frobenius_errors(h, partition, dist, c, seeds)
-            calls.append((partition, dist, c, seeds, errs))
-            return errs
+        def recording(h, cells):
+            errors = sketching.frobenius_errors(h, cells)
+            calls.append((cells, errors))
+            return errors
 
         monkeypatch.setattr(experiments, "frobenius_errors", recording)
         rows_out = run_fig1(cfg, tmp_path)
         a = experiment_matrix(cfg)
         exact_f = frobenius_norm(multiply(a, a.T))
         cells = [(c, label, part, d) for c in cfg.c_grid() for label, part, d in _methods(cfg, a, a.T)]
-        assert len(calls) == len(cells) == len(rows_out)
-        for (c, label, part, d), (part_got, d_got, c_got, seeds, errs), row in zip(cells, calls, rows_out):
+        [(cells_got, errors)] = calls
+        assert len(cells_got) == len(errors) == len(cells) == len(rows_out)
+        for (c, label, part, d), (part_got, d_got, c_got, seeds), errs, row in zip(cells, cells_got, errors, rows_out):
             assert (c_got, part_got) == (c, part) and np.array_equal(d_got.weights, d.weights)
             assert seeds == [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(cfg.trials)]
             direct, bounds = direct_errors_and_bounds(a, a.T, part, d, c, seeds)
@@ -258,7 +260,7 @@ class TestFig1ErrorForm:
         for label, partition, dist in _methods(cfg, a, b):
             for c in (1000, 3000):
                 seeds = [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(3)]
-                errs = sketching.frobenius_errors(h, partition, dist, c, seeds)
+                [errs] = sketching.frobenius_errors(h, [(partition, dist, c, seeds)])
                 direct, bounds = direct_errors_and_bounds(a, b, partition, dist, c, seeds)
                 assert np.all(np.abs(errs - direct) <= bounds), (label, c)
 

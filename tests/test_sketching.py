@@ -14,7 +14,8 @@ from partsketch import (ENHANCED, SketchConfig, brute_force_expectation,
                         uniform_distribution, uniform_stream)
 from partsketch import sketching
 from partsketch.rng import derive_seed
-from partsketch.sketching import _is_transpose, _trials_per_block
+from partsketch.sketching import (_FORM_ROWS, _GUIDE_STEPS, _inverse_cdf, _is_transpose,
+                                  _trials_per_block)
 from helpers import (direct_errors_and_bounds, gemm_error_bound, gram_error_bound,
                      loop_sketch, random_coarsening, random_instance, scale_vector)
 
@@ -68,10 +69,10 @@ class TestDrawCounts:
     @example([1.0], 3000, 5)
     @example([0.0, 0.3, 0.0, 0.7, 0.0], 1, 11)
     @example([0.0, 0.5, 0.5, 0.0], 5000, 2)
-    def test_one_sort_counts_equal_counted_draws(self, weights, c, seed):
-        # a block of trials sorts its variates in one call and counts them in
-        # one pass; each trial's count per group must equal the bincount of
-        # its own per-draw binary searches
+    def test_block_counts_equal_counted_draws(self, weights, c, seed):
+        # a block of trials looks up its variates in one call and counts them
+        # in one pass; each trial's count per group must equal the bincount of
+        # its own draws
         k = len(weights)
         part = finest(k)
         d = distribution(part, weights, normalize=True)
@@ -98,6 +99,52 @@ class TestDrawCounts:
         assert d.cdf[-1] == 1.0 and d.cdf[0] == d.cdf[1]
         with pytest.raises(ValueError):
             d.cdf[0] = 0.5
+
+
+class TestGuideTable:
+    """The guide-table lookup finds every variate's group exactly as a binary search of the CDF does."""
+
+    @staticmethod
+    def hard_variates(cdf):
+        # every CDF entry below 1 and its neighbours, 0 and the largest double below 1
+        inner = cdf[cdf < 1.0]
+        return np.concatenate([inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+                               [0.0, 1.0 - 2.0**-53]])
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0), st.floats(1e-12, 1e-6)),
+                    min_size=1, max_size=60).filter(lambda w: sum(w) > 0),
+           st.integers(0, 2**63 - 1))
+    @example([1.0], 0)
+    @example([0.0, 1.0, 0.0], 1)
+    @example([1.0] + [1e-12] * 20, 2)
+    @example([1e-12] * 20 + [1.0], 3)
+    @example([0.0] * 10 + [1.0, 1e-300, 1e-300, 1e-300, 1.0], 4)
+    def test_lookup_equals_binary_search(self, weights, seed):
+        d = distribution(finest(len(weights)), weights, normalize=True)
+        u = np.concatenate([self.hard_variates(d.cdf), uniform_stream(seed, 200)])
+        want = np.searchsorted(d.cdf, u, side="right")
+        assert np.array_equal(_inverse_cdf(d, u), want)
+        assert np.array_equal(_inverse_cdf(d, u[:200].reshape(8, 25)), want[:200].reshape(8, 25))
+        assert np.all(d.guide[(u * d.weights.size).astype(np.intp)] <= want)  # never past the answer
+
+    def test_skewed_weights_reach_the_search_fallback(self):
+        # twenty groups share the first guide bucket, so a variate at the CDF's
+        # tenth entry is more than _GUIDE_STEPS steps short of its group
+        d = distribution(finest(21), [1e-12] * 20 + [1.0], normalize=True)
+        u = d.cdf[[10, 15]]
+        want = np.searchsorted(d.cdf, u, side="right")
+        assert np.all(want - d.guide[(u * 21).astype(np.intp)] > _GUIDE_STEPS)
+        assert np.array_equal(_inverse_cdf(d, u), want)
+
+    def test_guide_is_cached_read_only_and_defined_by_the_cdf(self):
+        d = distribution(finest(5), [0.05, 0.0, 0.4, 0.25, 0.3])
+        assert d.guide is d.guide and d.guide.shape == (6,)
+        buckets = np.floor(d.cdf * 5)
+        for j, start in enumerate(d.guide):
+            assert start == min(g for g in range(5) if buckets[g] >= j)
+        with pytest.raises(ValueError):
+            d.guide[0] = 1
 
 
 class TestSketchTrials:
@@ -214,7 +261,7 @@ class TestFrobeniusErrors:
         b = a.T if transposed else dense(rng.random((n, int(rng.integers(1, 7)))) - 0.5)
         part, d = self.plan(rng, a, b, kind)
         seeds = [derive_seed(seed, t) for t in range(7)]
-        errs = frobenius_errors(error_form(a, b), part, d, c, seeds)
+        [errs] = frobenius_errors(error_form(a, b), [(part, d, c, seeds)])
         direct, bounds = direct_errors_and_bounds(a, b, part, d, c, seeds)
         assert errs.shape == (7,) and np.all(errs >= 0.0)
         assert np.all(np.abs(errs - direct) <= bounds)
@@ -230,7 +277,7 @@ class TestFrobeniusErrors:
         part = random_coarsening(rng, 30, max_groups=12)
         d = optimal_distribution(a, b, part) if optimal else uniform_distribution(part)
         c = 7
-        errs = frobenius_errors(error_form(a, b), part, d, c, [derive_seed(43, t) for t in range(4000)])
+        [errs] = frobenius_errors(error_form(a, b), [(part, d, c, [derive_seed(43, t) for t in range(4000)])])
         stderr = errs.std(ddof=1) / np.sqrt(errs.size)
         assert abs(errs.mean() - expected_frobenius_error_sq(a, b, part, d, c)) <= 5 * stderr
 
@@ -242,14 +289,61 @@ class TestFrobeniusErrors:
         with pytest.raises(ValueError, match="mismatch"):
             error_form(a, dense(np.ones((3, 2))))
         with pytest.raises(ValueError, match="partition covers 40"):
-            frobenius_errors(h[:39, :39], part, d, 3, [1])
+            frobenius_errors(h[:39, :39], [(part, d, 3, [1])])
         with pytest.raises(ValueError, match="mismatch"):
-            frobenius_errors(h[:39, :], part, d, 3, [1])
+            frobenius_errors(h[:39, :], [(part, d, 3, [1])])
         with pytest.raises(ValueError, match="supported"):
-            frobenius_errors(h, coarsen([list(range(20)), list(range(20, 40))], 40), d, 3, [1])
+            frobenius_errors(h, [(coarsen([list(range(20)), list(range(20, 40))], 40), d, 3, [1])])
         with pytest.raises(ValueError, match=">= 1"):
-            frobenius_errors(h, part, d, 0, [1])
-        assert frobenius_errors(h, part, d, 3, []).shape == (0,)
+            frobenius_errors(h, [(part, d, 0, [1])])
+
+    def test_cell_without_seeds_gives_an_empty_array(self):
+        a, b, part, d = TestSketchTrials.plan("unrelated", False)
+        h = error_form(a, b)
+        assert frobenius_errors(h, []) == []
+        [empty] = frobenius_errors(h, [(part, d, 3, [])])
+        assert empty.shape == (0,)
+        first, empty, last = frobenius_errors(h, [(part, d, 3, [1, 2]), (part, d, 9, []), (part, d, 3, [4])])
+        assert (first.shape, empty.shape, last.shape) == ((2,), (0,), (1,))
+
+    @pytest.mark.parametrize("bad", ["partition", "c", "h"])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_a_bad_plan_in_any_cell_raises_before_any_draw(self, monkeypatch, bad, where):
+        a, b, part, d = TestSketchTrials.plan("unrelated", False)
+        h = error_form(a, b)
+        cells = [(part, d, 3, [1, 2])] * 3
+        if bad == "partition":
+            cells[where] = (coarsen([list(range(20)), list(range(20, 40))], 40), d, 3, [1])
+        elif bad == "c":
+            cells[where] = (part, d, 0, [1])
+        else:  # a distribution over another n than h's
+            cells[where] = (finest(39), uniform_distribution(finest(39)), 3, [1])
+        draws = []
+        monkeypatch.setattr(sketching, "_draw_block", lambda *args: draws.append(args))
+        with pytest.raises(ValueError):
+            frobenius_errors(h, cells)
+        assert draws == []
+
+    def test_cells_straddling_gemm_chunks_match_the_direct_error(self):
+        # 20 + 0 + 150 + 7 trials: the third cell fills the first 128-row GEMM
+        # and spills into the second, in draw blocks of 6 trials at c = 5000
+        rng = np.random.default_rng(44)
+        a = dense(rng.random((5, 40)) - 0.5)
+        b = dense(rng.random((40, 3)) - 0.5)
+        part = random_coarsening(rng, 40, max_groups=25)
+        plans = [(finest(40), optimal_distribution(a, b, finest(40))),
+                 (part, optimal_distribution(a, b, part)), (part, uniform_distribution(part))]
+        cells = [(*plans[0], 7, [derive_seed(44, 0, t) for t in range(20)]),
+                 (*plans[1], 3, []),
+                 (*plans[1], 5000, [derive_seed(44, 2, t) for t in range(150)]),
+                 (*plans[2], 1, [derive_seed(44, 3, t) for t in range(7)])]
+        assert sum(len(seeds) for *_, seeds in cells) > _FORM_ROWS > 20
+        assert _trials_per_block(5000, 40) == 6
+        errors = frobenius_errors(error_form(a, b), cells)
+        assert [e.shape for e in errors] == [(20,), (0,), (150,), (7,)]
+        for (part_t, d_t, c, seeds), errs in zip(cells, errors):
+            direct, bounds = direct_errors_and_bounds(a, b, part_t, d_t, c, seeds)
+            assert np.all(np.abs(errs - direct) <= bounds)
 
 
 class TestSketch:
