@@ -89,25 +89,46 @@ def block_product(a: np.ndarray, b: np.ndarray, group) -> np.ndarray:
 
 def write_csv(a: np.ndarray, path) -> None:
     """One matrix row per line, comma-separated ``repr`` decimals (lossless round trip)."""
-    text = "\n".join(",".join(repr(float(v)) for v in row) for row in a) + "\n"
-    Path(path).write_text(text)
+    rows = np.asarray(a, dtype=np.float64).tolist()
+    Path(path).write_text("\n".join(",".join(map(repr, row)) for row in rows) + "\n")
+
+
+# What a CSV may hold: tab, "\n" and printable ASCII other than ``_``.  ``read_text``
+# has already turned CRLF and CR line ends into "\n", so rows end only there.
+_CSV_CHARS = bytes([9, 10, *(c for c in range(0x20, 0x7f) if c != ord("_"))])
+
+
+def _not_plain(s: str) -> bytes:
+    """The UTF-8 bytes of ``s`` that a CSV may not hold; empty when there are none."""
+    return s.encode().translate(None, _CSV_CHARS)
 
 
 def read_csv(path) -> np.ndarray:
     """Comma-separated decimals, one matrix row per line.
 
-    Fields are read by ``float()`` but must be plain ASCII without ``_``:
-    ``float()`` alone would read ``1_0`` as 10 and non-ASCII digits as decimals.
+    A field is read as ``float()`` reads it, but must be plain ASCII without ``_``
+    or control characters other than tab: ``float()`` alone would read ``1_0``
+    as 10 and non-ASCII digits as decimals, and ``str.splitlines`` would end a
+    row at a form feed.  NumPy's C parser (``np.loadtxt``) reads the rows.  Only
+    when it raises or skips a blank line does the ``float()`` scan run: the scan
+    defines what is accepted and gives every error message.
     """
     text = Path(path).read_text()
-    if "_" in text or not text.isascii():
-        lineno, field = next((i, f) for i, line in enumerate(text.splitlines(), 1)
-                             for f in line.split(",") if "_" in f or not f.isascii())
+    if _not_plain(text):
+        lineno, field = next((i, f) for i, line in enumerate(text.split("\n"), 1)
+                             for f in line.split(",") if _not_plain(f))
         raise ValueError(f"line {lineno}: {field!r} is not a plain ASCII decimal number")
-    rows = []
-    for line in text.strip().splitlines():
-        rows.append([float(field) for field in line.split(",")])
-    return dense(rows)
+    body = text.strip()
+    lines = body.split("\n") if body else []
+    if lines:  # loadtxt warns on no rows
+        try:
+            a = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        except ValueError:
+            pass
+        else:
+            if a.shape[0] == len(lines):  # loadtxt skips blank lines, which the scan rejects
+                return dense(a)
+    return dense([[float(field) for field in line.split(",")] for line in lines])
 
 
 def write_binary(a: np.ndarray, path) -> None:

@@ -148,6 +148,17 @@ class TestExitCodes:
                      "--c", "1", "--out-dir", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85"])
+    def test_unicode_line_separator_is_io_error(self, tmp_path, capsys, separator):
+        # str.splitlines ends a line at these, so locating the bad field used to raise StopIteration
+        path = tmp_path / "f.csv"
+        path.write_text(f"1,2{separator},3\n4,5,6\n", encoding="utf-8")
+        code = main(["sketch", "--a", str(path), "--b", str(path), "--c", "3",
+                     "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert err == f"i/o error: {path}: line 1: {'2' + separator!r} is not a plain ASCII decimal number\n"
+
     def test_zero_product_is_numeric_failure(self, tmp_path):
         write_csv(dense(np.zeros((2, 3))), tmp_path / "z.csv")
         write_csv(dense(np.zeros((3, 2))), tmp_path / "z2.csv")

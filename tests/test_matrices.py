@@ -1,9 +1,10 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,6 +18,52 @@ finite_matrices = hnp.arrays(
     st.tuples(st.integers(1, 5), st.integers(1, 6)),
     elements=st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=64),
 )
+
+
+def scan_csv(path):
+    """The per-field float() scan: each stripped row of the file split at commas."""
+    text = Path(path).read_text()
+    return dense([[float(f) for f in line.split(",")] for line in text.strip().splitlines()])
+
+
+def csv_outcome(read, path):
+    """(shape, bytes) of the matrix ``read`` returns, or the message of its ``ValueError``."""
+    try:
+        a = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return a.shape, a.tobytes()
+
+
+PAD = st.sampled_from(["", " ", "\t", "  \t "])
+doubles = st.floats(width=64, allow_nan=False, allow_infinity=False)
+numbers = st.one_of(
+    doubles.map(repr), doubles.map(lambda v: "%.25g" % v), doubles.map(lambda v: "%.3e" % v),
+    st.floats(-1e6, 1e6).map(repr), st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(["nan", "-NaN", "inf", "+Infinity", "-inf", "1e400", "-1e-400", "-0.0", "+.5",
+                     "5.", "1E+3", "4.9e-324", "2.2250738585072011e-308", "1.7976931348623157e308"]),
+)
+fields = st.one_of(st.tuples(PAD, numbers, PAD).map("".join), numbers,
+                   st.text("0123456789.+-eEnaif #\"", max_size=5))
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text: padded decimals over mostly rectangular rows, with ragged rows, trailing
+    commas, blank and whitespace-only lines, CRLF or CR line ends, and empty files."""
+    cols = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["ragged", "comma", "blank", "space"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(PAD))
+        else:
+            width = draw(st.integers(1, 5)) if kind == "ragged" else cols
+            lines.append(",".join(draw(fields) for _ in range(width)) + ("," if kind == "comma" else ""))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol, eol * 3, eol + " " + eol]))
 
 
 class TestDense:
@@ -190,6 +237,9 @@ class TestMatrixIO:
         ("1_0,2\n", "1_0"),  # float() reads 10.0
         ("1,2\n3,\u0661\n", "\u0661"),  # ARABIC-INDIC DIGIT ONE: float() reads 1.0
         ("1, 2\u00a0\n", " 2\u00a0"),  # a trailing non-ASCII space
+        # str.splitlines would end a row at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029, and NumPy's
+        # parser skips \x1c-\x1f as whitespace: every control character but tab is rejected
+        *((f"1,2\n3{c}4,5\n", f"3{c}4") for c in "\x00\x0b\x0c\x1c\x1d\x1e\x1f\x7f\x85\u2028\u2029"),
     ])
     def test_csv_rejects_separators_and_non_ascii(self, tmp_path, text, bad):
         path = tmp_path / "a.csv"
@@ -204,6 +254,24 @@ class TestMatrixIO:
         expected = np.array([[float("+1"), float(" 1.5 ")], [float("1e5"), float("1E-1")],
                              [-0.25, 7.0]])
         assert read_csv(path).tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts())
+    def test_csv_reads_as_the_float_scan(self, tmp_path, text):
+        # NumPy's C parser and the per-field float() scan give the same bytes or the same message
+        path = tmp_path / "a.csv"
+        path.write_bytes(text.encode())
+        assert csv_outcome(read_csv, path) == csv_outcome(scan_csv, path)
+
+    def test_csv_writer_bytes(self, tmp_path):
+        # the bytes of one repr(float(v)) per value, as the writer has always written them
+        a = np.array([[-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 2.225073858507201e-308],
+                      [1e308, -1e308, 1.0, -3.0, 2.0 ** 53], [1e16, 0.1, 1 / 3, 123456789.0, -7.5]])
+        for m in (a, a[:, :1], a[:1], np.array([[1, -2], [3, 4]])):
+            expected = "\n".join(",".join(repr(float(v)) for v in row) for row in m) + "\n"
+            write_csv(m, tmp_path / "m.csv")
+            assert (tmp_path / "m.csv").read_text() == expected
 
     def test_binary_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(6)
