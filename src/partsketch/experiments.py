@@ -15,7 +15,7 @@ bytes.  Trial t of a (method, sample count) cell is keyed by
 ``derive_seed(seed, experiment, method, c, t)``, so trials are independent
 of execution order and of matrix generation, which uses its own substream.
 Each cell draws its trials in one batch, with the draws of one ``sketch`` per
-trial.  fig2 takes each trial's estimate from ``sketch_trials``.  fig1 needs
+trial.  fig2 takes every estimate from one ``sketch_trials`` call.  fig1 needs
 only each trial's squared Frobenius error, the quadratic form ``uᵀHu`` of
 ``frobenius_errors``, so it forms no estimate while building ``H`` once
 costs less than the estimates and ``H`` fits its memory cap
@@ -37,7 +37,7 @@ from .errors import ConfigError
 from .matrices import dense, frobenius_norm, multiply, read_matrix, spectral_norm
 from .partitions import (PAIRING_KINDS, PairingStrategy, finest,
                          pair_partition)
-from .rng import derive_seed, generator
+from .rng import derive_seed, derive_seeds, generator
 # ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
 from .sketching import error_form, frobenius_errors, sketch, sketch_trials  # noqa: F401
 
@@ -125,7 +125,7 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
     squared-error mean (sample std / sqrt(trials)).  The squared errors come
     from one ``frobenius_errors`` call over every cell, against one
     ``error_form``, with no estimate formed, when ``_error_form_pays``;
-    otherwise from the estimates of ``sketch_trials``, cell by cell.
+    otherwise from the estimates of one ``sketch_trials`` call over every cell.
     """
     a = experiment_matrix(cfg)
     b = a.T
@@ -133,15 +133,14 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
     exact_f = frobenius_norm(exact)
     methods = _methods(cfg, a, b)
     m, n = a.shape
-    cells = {(c, label): (partition, dist, c, [derive_seed(cfg.seed, "fig1", label, c, t)
-                                               for t in range(cfg.trials)])
+    cells = {(c, label): (partition, dist, c, derive_seeds(cfg.seed, ("fig1", label, c), cfg.trials))
              for c in cfg.c_grid() for label, partition, dist in methods}
     if _error_form_pays(m, n, cfg.c_grid(), len(methods) * cfg.trials):
         errors = frobenius_errors(error_form(a, b), list(cells.values()))
     else:
-        errors = [np.array([np.sum(np.square(exact - result.estimate))
-                            for result in sketch_trials(a, b, partition, dist, c, seeds)])
-                  for partition, dist, c, seeds in cells.values()]
+        results = sketch_trials(a, b, list(cells.values()))
+        errors = [np.array([np.sum(np.square(exact - next(results).estimate)) for _ in seeds])
+                  for *_, seeds in cells.values()]
     rows_out = [_fig1_row(c, label, sq_errs, exact_f) for (c, label), sq_errs in zip(cells, errors)]
     lines = [FIG1_HEADER]
     for r in rows_out:
@@ -195,13 +194,13 @@ def run_fig2(cfg: ExperimentConfig, out_dir) -> list[dict]:
     b = a.T
     exact = multiply(a, b)
     exact_2 = spectral_norm(exact)
-    rows_out = []
-    for label, partition, dist in _methods(cfg, a, b):
-        for c in cfg.fig2_c_values(a.shape[1]):
-            seeds = [derive_seed(cfg.seed, "fig2", label, c, run) for run in range(cfg.runs)]
-            for run, result in enumerate(sketch_trials(a, b, partition, dist, c, seeds)):
-                err = spectral_norm(exact - result.estimate) / exact_2
-                rows_out.append({"method": label, "c": c, "run": run, "rel_2norm_err": err})
+    cells = [(label, partition, dist, c)
+             for label, partition, dist in _methods(cfg, a, b) for c in cfg.fig2_c_values(a.shape[1])]
+    results = sketch_trials(a, b, [(partition, dist, c, derive_seeds(cfg.seed, ("fig2", label, c), cfg.runs))
+                                   for label, partition, dist, c in cells])
+    rows_out = [{"method": label, "c": c, "run": run,
+                 "rel_2norm_err": spectral_norm(exact - next(results).estimate) / exact_2}
+                for label, _, _, c in cells for run in range(cfg.runs)]
     lines = [FIG2_HEADER]
     for r in rows_out:
         lines.append(f"{r['method']},{r['c']},{r['run']},{r['rel_2norm_err']!r}")

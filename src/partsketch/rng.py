@@ -19,10 +19,21 @@ def derive_seed(master_seed: int, *path) -> int:
     """64-bit key of the substream ``path`` under ``master_seed``: 8-byte BLAKE2b, read
     little-endian, of the JSON list ``[master_seed, *path]``, with ints (NumPy ints and
     bools too) written exactly and every other part as its ``str``."""
-    parts = [int(p) if isinstance(p, (int, np.integer, np.bool_)) else str(p)
-             for p in (master_seed, *path)]
-    digest = hashlib.blake2b(json.dumps(parts).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    return _key(json.dumps(_parts(master_seed, *path)))
+
+
+def derive_seeds(master_seed: int, path, count: int) -> list[int]:
+    """``[derive_seed(master_seed, *path, t) for t in range(count)]``, from one JSON prefix."""
+    prefix = json.dumps(_parts(master_seed, *path))[:-1]
+    return [_key(f"{prefix}, {t}]") for t in range(count)]
+
+
+def _parts(*parts) -> list:
+    return [int(p) if isinstance(p, (int, np.integer, np.bool_)) else str(p) for p in parts]
+
+
+def _key(text: str) -> int:
+    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "little")
 
 
 def uniform_rows(seeds, count: int) -> np.ndarray:

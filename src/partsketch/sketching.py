@@ -7,9 +7,9 @@ indices.  Draws come from a counter-based stream, each variate's group found
 by the distribution's guide table with no sort, so a (matrices, partition,
 distribution, config) tuple and the BLAS thread count fix the result bit for
 bit.  A result keeps only the estimate and the per-group counts; the draws
-in order are ``sample_indices`` of the same stream.  ``sketch_trials`` runs
-many seeds on one plan, drawing them in blocks, with the results of one
-``sketch`` per seed.
+in order are ``sample_indices`` of the same stream.  ``sketch_trials`` runs a
+list of cells on one (A, B) from one ``Aᵀ`` panel, drawing them in blocks,
+with the results of one ``sketch`` per seed.
 
 ``frobenius_errors`` draws the same counts but forms no estimate: a trial's
 squared error ``|AB - A·diag(s)·B|_F²`` is the quadratic form ``uᵀHu`` with
@@ -122,18 +122,18 @@ def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
             and b.ctypes.data == a.ctypes.data)
 
 
-def _scaled_product(a: np.ndarray, b: np.ndarray, idx: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """``a[:, idx] · diag(scale) · b[idx, :]`` as one BLAS product over the gathered panel ``x = a[:, idx]``.
+def _scaled_product(panel: np.ndarray, b: np.ndarray, idx: np.ndarray, scale: np.ndarray, gram: bool) -> np.ndarray:
+    """``A[:, idx] · diag(scale) · b[idx, :]`` as one BLAS product over the gathered rows ``x = panel[idx]``.
 
-    When ``b`` is ``a.T`` it is ``x @ x.T`` with ``x`` scaled by ``sqrt(scale)``,
-    which NumPy hands to BLAS ``syrk``: half the flops of a GEMM, and an
-    exactly symmetric estimate.  ``scale`` must then be positive.  Any other
-    ``b`` takes one GEMM with ``x`` scaled by ``scale``.
+    ``panel`` is ``Aᵀ``; when C-contiguous, each gathered row is one contiguous copy.
+    When ``gram`` (``b`` is ``A.T``) it is ``x.T @ x`` with ``x`` scaled by
+    ``sqrt(scale)``, which NumPy hands to BLAS ``syrk``: half the flops of a
+    GEMM, and an exactly symmetric estimate.  ``scale`` must then be
+    positive.  Any other ``b`` takes one GEMM with ``x`` scaled by ``scale``.
     """
-    x = a[:, idx]
-    gram = _is_transpose(a, b)
-    x *= np.sqrt(scale) if gram else scale
-    return x @ (x.T if gram else b[idx, :])
+    x = panel[idx]
+    x *= (np.sqrt(scale) if gram else scale)[:, None]
+    return x.T @ (x if gram else b[idx])
 
 
 def sketch(a: np.ndarray, b: np.ndarray, partition: Partition,
@@ -143,23 +143,24 @@ def sketch(a: np.ndarray, b: np.ndarray, partition: Partition,
     The estimate is ``a[:, J] · diag(s[J]) · b[J, :]`` over the drawn inner
     indices J in ascending order, so the draw multiset, not the draw order,
     determines it.  Every drawn group has positive probability by
-    construction of the sampler.  This is ``sketch_trials`` with one seed.
+    construction of the sampler.  This is ``sketch_trials`` with one cell of one seed.
     """
-    return next(sketch_trials(a, b, partition, dist, cfg.c, [cfg.seed]))
+    return next(sketch_trials(a, b, [(partition, dist, cfg.c, [cfg.seed])]))
 
 
-def sketch_trials(a: np.ndarray, b: np.ndarray, partition: Partition,
-                  dist: SamplingDistribution, c: int, seeds) -> Iterator[SketchResult]:
-    """One sketch per seed of the sequence ``seeds``, in order, on one plan.
+def sketch_trials(a: np.ndarray, b: np.ndarray, cells) -> Iterator[SketchResult]:
+    """Lazily, one sketch per seed of every cell of ``cells`` (cells and seeds in order).
 
-    Result t is bit for bit ``sketch(a, b, partition, dist, SketchConfig(c, seeds[t]))``.
-    The plan is checked once, on this call.  Trials are drawn a block at a
-    time (``_draw_block``), and each block's ``(trials, n)`` scale matrix is
-    built in one step; every estimate comes from the same kernel.
+    ``cells`` is a sequence of ``(partition, dist, c, seeds)``, as for ``frobenius_errors``;
+    seed t of a cell gives bit for bit ``sketch(a, b, partition, dist, SketchConfig(c, seeds[t]))``.
+    Every cell's plan is checked on this call, before any draw.  Trials are drawn a block
+    at a time (``_draw_block``), each block's ``(trials, n)`` scale matrix built in one
+    step, and every estimate gathers its rows from one ``Aᵀ`` panel copied once per call.
     """
-    _check_plan(a, b, partition, dist)
-    _check_sample_count(c)
-    return _sketch_blocks(a, b, partition, dist, c, seeds)
+    for partition, dist, c, _ in cells:
+        _check_plan(a, b, partition, dist)
+        _check_sample_count(c)
+    return _sketch_cells(a, b, cells)
 
 
 def _trials_per_block(c: int, n: int) -> int:
@@ -177,13 +178,16 @@ def _block_scales(partition: Partition, dist: SamplingDistribution, c: int,
     return counts, group_scale[:, partition.labels]
 
 
-def _sketch_blocks(a, b, partition, dist, c, seeds) -> Iterator[SketchResult]:
-    per_block = _trials_per_block(c, partition.n)
-    for lo in range(0, len(seeds), per_block):
-        counts, scales = _block_scales(partition, dist, c, seeds[lo:lo + per_block])
-        for row_counts, scale in zip(counts, scales):
-            idx = np.flatnonzero(scale)
-            yield SketchResult(_frozen(_scaled_product(a, b, idx, scale[idx])), row_counts)
+def _sketch_cells(a, b, cells) -> Iterator[SketchResult]:
+    panel = np.ascontiguousarray(a.T)
+    gram = _is_transpose(a, b)
+    for partition, dist, c, seeds in cells:
+        per_block = _trials_per_block(c, partition.n)
+        for lo in range(0, len(seeds), per_block):
+            counts, scales = _block_scales(partition, dist, c, seeds[lo:lo + per_block])
+            for row_counts, scale in zip(counts, scales):
+                idx = np.flatnonzero(scale)
+                yield SketchResult(_frozen(_scaled_product(panel, b, idx, scale[idx], gram)), row_counts)
 
 
 def error_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -263,7 +267,7 @@ def element_contribution(a: np.ndarray, b: np.ndarray, partition: Partition,
         return _frozen(np.zeros((a.shape[0], b.shape[1])))
     idx = np.flatnonzero(partition.labels == group_index)
     scale = np.full(idx.size, count / (c * dist.weights[group_index]))
-    return _frozen(_scaled_product(a, b, idx, scale))
+    return _frozen(_scaled_product(a.T, b, idx, scale, _is_transpose(a, b)))
 
 
 def pairwise_plan(a: np.ndarray, b: np.ndarray,

@@ -10,6 +10,7 @@ from partsketch import (SketchConfig, coarsen, dense, derive_seed, frobenius_nor
                         multiply, sample_indices, sketch, spectral_norm)
 from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _methods,
                                     experiment_matrix)
+from partsketch.sketching import _is_transpose
 
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -89,6 +90,37 @@ def gemm_error_bound(a, s, b):
     """
     k = int(np.count_nonzero(s))
     return 2 * gamma(k + 1) * ((np.abs(a) * np.abs(s)) @ np.abs(b))
+
+
+def column_gather_product(a, b, idx, scale):
+    """Reference kernel: ``a[:, idx] · diag(scale) · b[idx, :]`` over columns gathered from
+    the row-major A, ``x @ x.T`` (``syrk``) with ``x`` scaled by ``sqrt(scale)`` when ``b``
+    is ``a.T``, else one GEMM with ``x`` scaled by ``scale``."""
+    x = a[:, idx]
+    gram = _is_transpose(a, b)
+    x *= np.sqrt(scale) if gram else scale
+    return x @ (x.T if gram else b[idx, :])
+
+
+def kernel_error_bound(a, b, idx, scale):
+    """Elementwise bound on the gap between two BLAS evaluations of the scaled product
+    ``column_gather_product`` forms, whatever the order of their sums.
+
+    Both evaluations scale the same entries the same way, so they multiply
+    the same scaled factors ``x`` (m×K) and ``y`` (K×p), K = ``len(idx)``.
+    Each entry is a sum of K products, within gamma_K (|x||y|) of its exact
+    value (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 3.5), so two evaluations are within 2 gamma_K (|x||y|), about
+    K·eps·(|x||y|), of each other.
+    """
+    x = np.abs(a[:, idx])
+    if _is_transpose(a, b):
+        x *= np.sqrt(scale)
+        y = x.T
+    else:
+        x *= scale
+        y = np.abs(b[idx, :])
+    return 2 * gamma(len(idx)) * (x @ y)
 
 
 def gram_error_bound(a, s):

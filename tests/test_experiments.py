@@ -203,6 +203,12 @@ class TestBatchedTrials:
         run_fig2(cfg, tmp_path)
         assert (tmp_path / "fig2.csv").read_bytes() == loop_fig2_csv(cfg).encode()
 
+    def test_fig2_keeps_every_cell_of_a_repeated_c(self, tmp_path):
+        cfg = replace(TINY_FIG2, runs=3, fig2_c=(5, 5, 2))
+        rows = run_fig2(cfg, tmp_path)
+        assert [r["c"] for r in rows] == [5] * 6 + [2] * 3 + [5] * 6 + [2] * 3
+        assert (tmp_path / "fig2.csv").read_bytes() == loop_fig2_csv(cfg).encode()
+
 
 class TestFig1ErrorForm:
     """fig1 takes its squared errors from uᵀHu while H fits its memory cap and

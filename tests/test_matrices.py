@@ -13,6 +13,8 @@ from partsketch import (MatrixFileError, block_product, dense, frobenius_norm, m
                         write_binary, write_csv)
 from helpers import random_coarsening
 
+EPS = np.finfo(np.float64).eps
+
 finite_matrices = hnp.arrays(
     np.float64,
     st.tuples(st.integers(1, 5), st.integers(1, 6)),
@@ -144,9 +146,21 @@ class TestSpectralNorm:
     def test_matches_svd_on_random_matrices(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            a = dense(rng.normal(size=(int(rng.integers(1, 7)), int(rng.integers(1, 7)))))
-            expected = np.linalg.svd(a, compute_uv=False)[0]
-            assert spectral_norm(a) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            m, n = (int(v) for v in rng.integers(1, 7, size=2))
+            g = rng.normal(size=(m, n))
+            sym = rng.normal(size=(n, n))
+            for a in (dense(g), dense(sym + sym.T)):
+                expected = np.linalg.svd(a, compute_uv=False)[0]
+                bound = 8 * max(a.shape) * EPS * frobenius_norm(a)
+                assert abs(spectral_norm(a) - expected) <= bound
+
+    def test_symmetric_indefinite_takes_the_largest_magnitude(self):
+        # eigenvalues -1 ± 2√2: the negative one has the larger magnitude
+        a = dense([[1.0, 2.0], [2.0, -3.0]])
+        assert abs(spectral_norm(a) - (1 + 2 * math.sqrt(2))) <= 16 * EPS * frobenius_norm(a)
+
+    def test_one_by_one_negative(self):
+        assert spectral_norm(dense([[-3.0]])) == 3.0
 
     def test_nearly_coincident_top_singular_values(self):
         # the case that stalls a power iteration: the top two singular values

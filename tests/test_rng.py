@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from partsketch import derive_seed, uniform_rows, uniform_stream
+from partsketch import derive_seed, derive_seeds, uniform_rows, uniform_stream
 from partsketch.rng import generator
 
 path_parts = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=6),
@@ -31,6 +31,22 @@ class TestDeriveSeed:
         assert derive_seed(master, *path, "3") != derive_seed(master, *path, 3)
         assert derive_seed(master, *path, 1, 23) != derive_seed(master, *path, 12, 3)
         assert derive_seed(master, *path, 2**64) != derive_seed(master, *path, 0)
+
+
+class TestDeriveSeeds:
+    # NumPy ints and bools, labels JSON must escape (quotes, backslashes, non-ASCII)
+    parts = st.one_of(path_parts, st.integers(-2**63, 2**63 - 1).map(np.int64),
+                      st.booleans(), st.booleans().map(np.bool_), st.text(alphabet='"\\/aü€\n\x00', max_size=5))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.one_of(master_seeds, st.integers(-2**63, 2**63 - 1).map(np.int64)),
+           st.lists(parts, max_size=4), st.integers(0, 12))
+    @example(-1, ['say "hi"', "naïve €", np.int64(-5), np.bool_(True), True], 3)
+    @example(2**70, [], 2)
+    @example(-2**70, ["fig1", "pairwise-enhanced", 250], 11)
+    def test_key_t_is_derive_seed_of_the_path_and_t(self, master, path, count):
+        keys = derive_seeds(master, tuple(path), count)
+        assert keys == [derive_seed(master, *path, t) for t in range(count)]
 
 
 class TestUniformRows:

@@ -16,8 +16,9 @@ from partsketch import sketching
 from partsketch.rng import derive_seed
 from partsketch.sketching import (_FORM_ROWS, _GUIDE_STEPS, _inverse_cdf, _is_transpose,
                                   _trials_per_block)
-from helpers import (direct_errors_and_bounds, gemm_error_bound, gram_error_bound,
-                     loop_sketch, random_coarsening, random_instance, scale_vector)
+from helpers import (column_gather_product, direct_errors_and_bounds, gemm_error_bound,
+                     gram_error_bound, kernel_error_bound, loop_sketch, random_coarsening,
+                     random_instance, scale_vector)
 
 
 def small_instance(seed=0):
@@ -77,7 +78,7 @@ class TestDrawCounts:
         part = finest(k)
         d = distribution(part, weights, normalize=True)
         seeds = [seed, seed ^ 1, seed // 3]
-        results = sketch_trials(dense(np.ones((1, k))), dense(np.ones((k, 1))), part, d, c, seeds)
+        results = sketch_trials(dense(np.ones((1, k))), dense(np.ones((k, 1))), [(part, d, c, seeds)])
         for s, res in zip(seeds, results, strict=True):
             assert np.array_equal(res.counts, np.bincount(sample_indices(d, c, s), minlength=k))
 
@@ -172,7 +173,7 @@ class TestSketchTrials:
         a, b, part, d = self.plan(b_kind, zero_groups)
         per_block = _trials_per_block(c, part.n)
         seeds = [derive_seed(c, t) for t in range(1 if extra is None else per_block + extra)]
-        results = list(sketch_trials(a, b, part, d, c, seeds))
+        results = list(sketch_trials(a, b, [(part, d, c, seeds)]))
         assert len(results) == len(seeds)
         for seed, res in zip(seeds, results):
             lone = sketch(a, b, part, d, SketchConfig(c, seed))
@@ -195,10 +196,10 @@ class TestSketchTrials:
             return draw_block(dist, c, seeds)
 
         monkeypatch.setattr(sketching, "_draw_block", recording)
-        assert len(list(sketch_trials(a, b, part, d, 5000, list(range(13))))) == 13
+        assert len(list(sketch_trials(a, b, [(part, d, 5000, list(range(13)))]))) == 13
         assert sizes == [6, 6, 1]  # 2**15 // 5000
         sizes.clear()
-        list(sketch_trials(a, b, part, d, 3, list(range(900))))
+        list(sketch_trials(a, b, [(part, d, 3, list(range(900)))]))
         assert sizes == [819, 81]  # 2**15 // n, n = 40
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -217,12 +218,92 @@ class TestSketchTrials:
     def test_plan_is_checked_on_the_call(self):
         a, b, part, d = self.plan("unrelated", False)
         with pytest.raises(ValueError, match="supported"):
-            sketch_trials(a, b, coarsen([list(range(20)), list(range(20, 40))], 40), d, 3, [1])
+            sketch_trials(a, b, [(coarsen([list(range(20)), list(range(20, 40))], 40), d, 3, [1])])
         with pytest.raises(ValueError, match="mismatch"):
-            sketch_trials(a, dense(np.ones((3, 2))), part, d, 3, [1])
+            sketch_trials(a, dense(np.ones((3, 2))), [(part, d, 3, [1])])
         with pytest.raises(ValueError, match=">= 1"):
-            sketch_trials(a, b, part, d, 0, [1])
-        assert list(sketch_trials(a, b, part, d, 3, [])) == []
+            sketch_trials(a, b, [(part, d, 0, [1])])
+
+    def test_cell_without_seeds_yields_nothing(self):
+        a, b, part, d = self.plan("unrelated", False)
+        assert list(sketch_trials(a, b, [])) == []
+        assert list(sketch_trials(a, b, [(part, d, 3, [])])) == []
+        results = list(sketch_trials(a, b, [(part, d, 3, [1, 2]), (part, d, 9, []), (part, d, 5, [4])]))
+        assert [int(r.counts.sum()) for r in results] == [3, 3, 5]
+
+    @pytest.mark.parametrize("bad", ["partition", "c"])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_a_bad_plan_in_any_cell_raises_before_any_draw(self, monkeypatch, bad, where):
+        a, b, part, d = self.plan("unrelated", False)
+        cells = [(part, d, 3, [1, 2])] * 3
+        if bad == "partition":
+            cells[where] = (coarsen([list(range(20)), list(range(20, 40))], 40), d, 3, [1])
+        else:
+            cells[where] = (part, d, 0, [1])
+        draws = []
+        monkeypatch.setattr(sketching, "_draw_block", lambda *args: draws.append(args))
+        with pytest.raises(ValueError):
+            sketch_trials(a, b, cells)
+        assert draws == []
+
+    @pytest.mark.parametrize("b_kind", ["a.T", "unrelated"])
+    def test_several_cells_equal_a_lone_sketch_per_seed(self, b_kind):
+        # three plans on one (A, B); the middle cell spans two draw blocks (6 + 2 trials)
+        a, b, part, d = self.plan(b_kind, False)
+        coarse = random_coarsening(np.random.default_rng(42), 40, max_groups=25)
+        cells = [(part, d, 7, [derive_seed(45, 0, t) for t in range(5)]),
+                 (coarse, optimal_distribution(a, b, coarse), 5000, [derive_seed(45, 1, t) for t in range(8)]),
+                 (part, uniform_distribution(part), 1, [derive_seed(45, 2, t) for t in range(3)])]
+        results = sketch_trials(a, b, cells)
+        for partition, dist, c, seeds in cells:
+            for seed in seeds:
+                res, lone = next(results), sketch(a, b, partition, dist, SketchConfig(c, seed))
+                assert res.estimate.tobytes() == lone.estimate.tobytes()
+                assert res.counts.tobytes() == lone.counts.tobytes()
+        assert next(results, None) is None
+
+    def test_later_cells_are_drawn_lazily(self, monkeypatch):
+        a, b, part, d = self.plan("a.T", False)
+        drawn = []
+        draw_block = sketching._draw_block
+
+        def recording(dist, c, seeds):
+            drawn.append(c)
+            return draw_block(dist, c, seeds)
+
+        monkeypatch.setattr(sketching, "_draw_block", recording)
+        results = sketch_trials(a, b, [(part, d, 3, [1, 2]), (part, d, 5, [3]), (part, d, 7, [4])])
+        assert drawn == []
+        next(results)
+        assert drawn == [3]
+        assert len(list(results)) == 3 and drawn == [3, 5, 7]
+
+
+class TestPanelKernel:
+    """Every estimate, gathered as rows of one Aᵀ panel, against the column-gather kernel
+    it replaced, within the forward-error bound of two orders of the same sums."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 120), st.integers(1, 2500), st.integers(1, 3000),
+           st.sampled_from(["view", "copy", "other"]), st.booleans())
+    @example(0, 7, 30, 1, "view", False)  # K = 1, syrk
+    @example(1, 7, 30, 1, "copy", True)  # K = 1, GEMM
+    @example(2, 1, 300, 500, "view", False)  # m = 1
+    @example(3, 1, 300, 500, "copy", False)
+    @example(4, 100, 2000, 3000, "view", False)  # the paper shape
+    def test_within_gemm_bound_of_the_column_gather_kernel(self, seed, m, n, c, b_kind, coarse):
+        rng = np.random.default_rng(seed)
+        a = dense(rng.random((m, n)) - 0.5)
+        b = {"view": a.T, "copy": dense(a.T.copy()),
+             "other": dense(rng.random((n, int(rng.integers(1, 6)))) - 0.5)}[b_kind]
+        part = random_coarsening(rng, n, max_groups=n // 2 + 1) if coarse and n > 1 else finest(n)
+        d = optimal_distribution(a, b, part)
+        seeds = [derive_seed(seed, t) for t in range(3)]
+        for trial_seed, res in zip(seeds, sketch_trials(a, b, [(part, d, c, seeds)]), strict=True):
+            s = scale_vector(part, d, sample_indices(d, c, trial_seed))
+            idx = np.flatnonzero(s)
+            reference = column_gather_product(a, b, idx, s[idx])
+            assert np.all(np.abs(res.estimate - reference) <= kernel_error_bound(a, b, idx, s[idx]))
 
 
 class TestFrobeniusErrors:
