@@ -13,10 +13,11 @@ from .analysis import (BoundReport, DrawThreshold, PairingComparators,
                        min_draw_threshold, optimal_expected_error,
                        pairing_comparators, tail_bound_value,
                        uniform_spectral_bound)
-from .distributions import (SamplingDistribution, aggregate_distribution,
-                            distribution, distribution_stats,
-                            distribution_to_json, element_weight,
-                            group_weights, optimal_distribution,
+from .distributions import (Plan, SamplingDistribution,
+                            aggregate_distribution, distribution,
+                            distribution_stats, distribution_to_json,
+                            element_weight, group_weights,
+                            optimal_distribution, optimal_plan,
                             uniform_distribution)
 from .errors import (ConfigError, MatrixFileError, NumericError,
                      PartSketchError, ZeroProductError)
@@ -28,10 +29,11 @@ from .matrices import (block_product, dense, frobenius_norm, multiply,
 from .partitions import (BALANCED, ENHANCED, SIMPLE, PairingStrategy,
                          Partition, coarsen, finest, pair_partition,
                          partition_from_json, partition_to_json,
-                         random_pairing, validate)
+                         random_pairing)
 from .rng import derive_seed, derive_seeds, uniform_rows, uniform_stream
 from .sketching import (SketchConfig, SketchResult, draw_log_json,
                         element_contribution, error_form, frobenius_errors,
-                        pairwise_plan, sample_indices, sketch, sketch_trials)
+                        pairwise_plan, sample_indices, sketch,
+                        sketch_from_draws, sketch_trials)
 
 __version__ = "0.1.0"

@@ -95,10 +95,17 @@ class BoundReport:
 
 
 def bound_report(a: np.ndarray, b: np.ndarray, partition: Partition,
-                 dist: SamplingDistribution) -> BoundReport:
-    """Collect the scalar summaries the tail bound needs; pure bookkeeping."""
+                 dist: SamplingDistribution, weights: np.ndarray | None = None) -> BoundReport:
+    """Collect the scalar summaries the tail bound needs; pure bookkeeping.
+
+    ``weights`` are the group weights ``group_weights(a, b, partition)`` when a
+    caller already holds them (``Plan.weights``); otherwise they are computed here.
+    """
     _check_plan(a, b, partition, dist)
-    weights = group_weights(a, b, partition)
+    if weights is None:
+        weights = group_weights(a, b, partition)
+    elif weights.shape != (partition.k,):
+        raise ValueError(f"expected {partition.k} group weights, got shape {weights.shape}")
     w, ratio = _scaled_weights(weights, dist.weights)
     ab = multiply(a, b)
     return BoundReport(

@@ -9,13 +9,13 @@ probabilities over each group's members.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ZeroProductError
-from .matrices import _check_conformable, block_product, frobenius_norm
+from .matrices import _check_conformable, _frozen, block_product, frobenius_norm
 from .partitions import Partition
 
 SUM_TOL = 1e-12
@@ -172,11 +172,41 @@ def optimal_distribution(a: np.ndarray, b: np.ndarray, partition: Partition) -> 
     and no distribution is defined), and ``ValueError`` as :func:`group_weights`
     does on matrices and a partition that do not conform.
     """
-    w = group_weights(a, b, partition)
+    return optimal_plan(a, b, partition).distribution
+
+
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """One sketch setup: matrices, a partition of their inner dimension and a distribution over it, checked once.
+
+    ``weights`` is ``group_weights(a, b, partition)``: the ``known_weights``
+    the distribution was built from, or else computed on first read, so a
+    plan whose consumers never ask for them never builds them.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    partition: Partition
+    distribution: SamplingDistribution
+    known_weights: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        _check_plan(self.a, self.b, self.partition, self.distribution)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        if self.known_weights is not None:
+            return self.known_weights
+        return _frozen(group_weights(self.a, self.b, self.partition))
+
+
+def optimal_plan(a: np.ndarray, b: np.ndarray, partition: Partition) -> Plan:
+    """The plan of ``optimal_distribution`` over ``partition``, keeping the group weights it is built from."""
+    w = _frozen(group_weights(a, b, partition))
     total = float(np.sum(w))
     if total == 0.0:
         raise ZeroProductError("every block weight is zero: the product is the zero matrix")
-    return SamplingDistribution(partition, w / total)
+    return Plan(a, b, partition, SamplingDistribution(partition, w / total), w)
 
 
 def uniform_distribution(partition: Partition) -> SamplingDistribution:
@@ -193,7 +223,7 @@ def aggregate_distribution(p_finest: SamplingDistribution, partition: Partition)
     """
     n = partition.n
     support = p_finest.support
-    if support.n != n or support.k != n or not np.array_equal(support.labels, np.arange(n)):
+    if support.n != n or support.k != n or not np.array_equal(support.order, np.arange(n)):
         raise ValueError("p_finest must be supported on the finest partition of the same ground set")
     w = np.bincount(partition.labels, weights=p_finest.weights, minlength=partition.k)
     return SamplingDistribution(partition, w)

@@ -7,7 +7,8 @@ indices.  Draws come from a counter-based stream, each variate's group found
 by the distribution's guide table with no sort, so a (matrices, partition,
 distribution, config) tuple and the BLAS thread count fix the result bit for
 bit.  A result keeps only the estimate and the per-group counts; the draws
-in order are ``sample_indices`` of the same stream.  ``sketch_trials`` runs a
+in order are ``sample_indices`` of the same stream, and ``sketch_from_draws``
+forms the same result from them.  ``sketch_trials`` runs a
 list of cells on one (A, B) from one ``Aᵀ`` panel, drawing them in blocks,
 with the results of one ``sketch`` per seed.
 
@@ -143,9 +144,10 @@ def sketch(a: np.ndarray, b: np.ndarray, partition: Partition,
     The estimate is ``a[:, J] · diag(s[J]) · b[J, :]`` over the drawn inner
     indices J in ascending order, so the draw multiset, not the draw order,
     determines it.  Every drawn group has positive probability by
-    construction of the sampler.  This is ``sketch_trials`` with one cell of one seed.
+    construction of the sampler.  This is ``sketch_from_draws`` of the draws
+    ``sample_indices(dist, cfg.c, cfg.seed)``.
     """
-    return next(sketch_trials(a, b, [(partition, dist, cfg.c, [cfg.seed])]))
+    return sketch_from_draws(a, b, partition, dist, sample_indices(dist, cfg.c, cfg.seed))
 
 
 def sketch_trials(a: np.ndarray, b: np.ndarray, cells) -> Iterator[SketchResult]:
@@ -169,13 +171,24 @@ def _trials_per_block(c: int, n: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(c, n))
 
 
+def _scales(partition: Partition, dist: SamplingDistribution, c: int, counts: np.ndarray) -> np.ndarray:
+    """Per-index scales ``s_j = count[g(j)] / (c · p[g(j)])`` (0 when undrawn) of per-group
+    ``counts``, one row per row of counts."""
+    group_scale = np.divide(counts, c * dist.weights, out=np.zeros(counts.shape), where=counts > 0)
+    return group_scale[..., partition.labels]
+
+
 def _block_scales(partition: Partition, dist: SamplingDistribution, c: int,
                   seeds) -> tuple[np.ndarray, np.ndarray]:
     """``(counts, scales)`` of one block of seeds: its per-group draw counts and its
-    ``(trials, n)`` scale matrix, ``s_j = count[g(j)] / (c · p[g(j)])`` (0 when undrawn)."""
+    ``(trials, n)`` scale matrix (``_scales``)."""
     counts = _draw_block(dist, c, seeds)
-    group_scale = np.divide(counts, c * dist.weights, out=np.zeros(counts.shape), where=counts > 0)
-    return counts, group_scale[:, partition.labels]
+    return counts, _scales(partition, dist, c, counts)
+
+
+def _result(panel: np.ndarray, b: np.ndarray, counts: np.ndarray, scale: np.ndarray, gram: bool) -> SketchResult:
+    idx = np.flatnonzero(scale)
+    return SketchResult(_frozen(_scaled_product(panel, b, idx, scale[idx], gram)), counts)
 
 
 def _sketch_cells(a, b, cells) -> Iterator[SketchResult]:
@@ -186,8 +199,28 @@ def _sketch_cells(a, b, cells) -> Iterator[SketchResult]:
         for lo in range(0, len(seeds), per_block):
             counts, scales = _block_scales(partition, dist, c, seeds[lo:lo + per_block])
             for row_counts, scale in zip(counts, scales):
-                idx = np.flatnonzero(scale)
-                yield SketchResult(_frozen(_scaled_product(panel, b, idx, scale[idx], gram)), row_counts)
+                yield _result(panel, b, row_counts, scale, gram)
+
+
+def sketch_from_draws(a: np.ndarray, b: np.ndarray, partition: Partition,
+                      dist: SamplingDistribution, draws: np.ndarray) -> SketchResult:
+    """The sketch whose c = ``len(draws)`` draws are the group indices ``draws``.
+
+    Its counts are ``bincount(draws)``.  ``sketch`` passes ``sample_indices(dist, c, seed)``,
+    whose counts are the ones ``sketch_trials`` draws for that seed (``_draw_block``'s
+    contract), so a caller holding a draw log forms its sketch without drawing again.
+    Raises ``ValueError`` unless the plan checks, c >= 1 and every draw is a group of
+    positive probability.
+    """
+    _check_plan(a, b, partition, dist)
+    _check_sample_count(len(draws))
+    draws = np.asarray(draws)
+    if draws.dtype.kind not in "iu" or draws.min() < 0 or draws.max() >= partition.k:
+        raise ValueError(f"draws must be group indices in [0, {partition.k})")
+    counts = np.bincount(draws, minlength=partition.k)
+    if np.any(counts[dist.weights == 0]):
+        raise ValueError("draws hold a group of probability 0")
+    return _result(a.T, b, counts, _scales(partition, dist, len(draws), counts), _is_transpose(a, b))
 
 
 def error_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -282,14 +315,14 @@ def pairwise_plan(a: np.ndarray, b: np.ndarray,
     return partition, aggregate_distribution(p_finest, partition)
 
 
-def draw_log_json(dist: SamplingDistribution, cfg: SketchConfig, counts: np.ndarray) -> str:
+def draw_log_json(cfg: SketchConfig, draws: np.ndarray, counts: np.ndarray) -> str:
     """JSON draw log {"draws": 1-based group indices, "counts", "seed", "c"}.
 
-    The draws, in draw order, are ``sample_indices(dist, cfg.c, cfg.seed)``:
-    the stream whose per-group ``counts`` a sketch with ``cfg`` used.
+    ``draws``, in draw order, are ``sample_indices(dist, cfg.c, cfg.seed)`` and
+    ``counts`` their per-group counts, as ``sketch_from_draws`` took them.
     """
     payload = {
-        "draws": (sample_indices(dist, cfg.c, cfg.seed) + 1).tolist(),
+        "draws": (draws + 1).tolist(),
         "counts": counts.tolist(),
         "seed": int(cfg.seed),
         "c": int(cfg.c),

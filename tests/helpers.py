@@ -221,9 +221,15 @@ def stderr_error_bound(x):
 
 
 def loop_validate(n, groups):
-    """Reference partition check: the per-index scan, returning the first violation met."""
-    if n < 1:
-        return f"ground-set size must be positive, got {n}"
+    """Reference partition check: None if ``groups`` partition {0..n-1}, else the first violation a per-index scan meets.
+
+    The scan visits the groups in order and each group's indices in order:
+    an empty group, then per index a non-integer (booleans included), an
+    index out of range or one already seen; after the scan, the lowest index
+    no group covers.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        return f"ground-set size must be a positive integer, got {n!r}"
     if not 1 <= len(groups) <= n:
         return f"group count must be in [1, {n}], got {len(groups)}"
     seen = np.zeros(n, dtype=bool)
@@ -231,7 +237,7 @@ def loop_validate(n, groups):
         if len(group) == 0:
             return f"group {gi} is empty"
         for idx in group:
-            if not isinstance(idx, (int, np.integer)):
+            if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
                 return f"group {gi} holds a non-integer index {idx!r}"
             if not 0 <= idx < n:
                 return f"index {idx} out of range [0, {n})"
@@ -239,8 +245,7 @@ def loop_validate(n, groups):
                 return f"index {idx} appears in more than one group"
             seen[idx] = True
     if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
-        return f"index {missing} is not covered by any group"
+        return f"index {int(np.argmin(seen))} is not covered by any group"
     return None
 
 

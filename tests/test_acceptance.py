@@ -16,11 +16,11 @@ from partsketch import (BALANCED, ENHANCED, SIMPLE, ExperimentConfig,
                         min_draw_threshold, multiply, optimal_distribution,
                         optimal_expected_error, pair_partition, paper_scale,
                         pairing_comparators, random_pairing, run_fig1,
-                        run_fig2, run_table1, sketch, spectral_norm,
+                        run_fig2, run_table1, sketch, sketch_trials, spectral_norm,
                         uniform_distribution, uniform_spectral_bound,
                         brute_force_expectation)
 from partsketch.cli import main
-from partsketch.rng import derive_seed
+from partsketch.rng import derive_seed, derive_seeds
 from helpers import all_pairings, random_coarsening, random_instance
 
 DESK = ExperimentConfig(seed=2024)
@@ -67,9 +67,9 @@ def test_criterion_02_monte_carlo_consistency():
     exact = multiply(a, b)
     c, trials = 5, 10**5
     total = 0.0
-    for t in range(trials):
-        est = sketch(a, b, part, d, SketchConfig(c, derive_seed(2020, t))).estimate
-        diff = exact - est
+    # trial t is sketch(a, b, part, d, SketchConfig(c, derive_seed(2020, t))) bit for bit
+    for result in sketch_trials(a, b, [(part, d, c, derive_seeds(2020, (), trials))]):
+        diff = exact - result.estimate
         total += float(np.sum(diff * diff))
     empirical = total / trials
     theory = expected_frobenius_error_sq(a, b, part, d, c)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from partsketch import (ENHANCED, ExperimentConfig, SketchConfig, dense, multiply,
-                        pairwise_plan, read_csv, sample_indices, sketch, sketching,
-                        write_binary, write_csv)
+from partsketch import (ENHANCED, ExperimentConfig, SketchConfig, bernstein_tail_bound,
+                        bound_report, dense, distribution_to_json, finest, min_draw_threshold,
+                        multiply, optimal_distribution, pairwise_plan, partition_from_json,
+                        read_csv, read_matrix, sample_indices, sketch, sketching,
+                        uniform_spectral_bound, write_binary, write_csv)
 from partsketch.cli import _experiment_config, build_parser, main
 
 
@@ -83,6 +86,72 @@ class TestSketchCommand:
         for key in ("weight_sum", "max_scaled_weight", "scaled_weight_sq_sum",
                     "product_spectral_norm", "product_frobenius_norm", "out_rows", "out_cols"):
             assert key in report
+
+
+class TestOutputsAgainstPrimitives:
+    """Every file of the four benchmark request kinds equals what the public primitives give."""
+
+    C, SEED, K, EPSILON = 60, 11, 7, 3.0
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        rng = np.random.default_rng(12)
+        a = dense(rng.random((5, 24)))
+        for ext, write in (("csv", write_csv), ("bin", write_binary)):
+            write(a, tmp_path / f"a.{ext}")
+            write(dense(a.T), tmp_path / f"b.{ext}")
+        (tmp_path / "part.json").write_text(
+            json.dumps([[int(i) + 1 for i in g] for g in np.array_split(rng.permutation(24), 9)]))
+        return tmp_path
+
+    @staticmethod
+    def json_text(obj):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+    def reference_plan(self, tmp_path, ext, source):
+        a, b = read_matrix(tmp_path / f"a.{ext}"), read_matrix(tmp_path / f"b.{ext}")
+        if source == "finest":
+            partition = finest(a.shape[1])
+            return a, b, partition, optimal_distribution(a, b, partition)
+        if source == "enhanced":
+            return (a, b, *pairwise_plan(a, b, ENHANCED))
+        partition = partition_from_json((tmp_path / "part.json").read_text())
+        return a, b, partition, optimal_distribution(a, b, partition)
+
+    @pytest.mark.parametrize("ext, source", [("csv", "finest"), ("bin", "enhanced"), ("bin", "partition")])
+    def test_sketch_files(self, inputs, ext, source):
+        plan = ["--partition-file", str(inputs / "part.json")] if source == "partition" else ["--strategy", source]
+        out = inputs / "out"
+        assert main(["sketch", "--a", str(inputs / f"a.{ext}"), "--b", str(inputs / f"b.{ext}"),
+                     "--c", str(self.C), "--seed", str(self.SEED), *plan, "--out-dir", str(out)]) == 0
+        a, b, partition, dist = self.reference_plan(inputs, ext, source)
+        write_csv(sketch(a, b, partition, dist, SketchConfig(self.C, self.SEED)).estimate, inputs / "ref.csv")
+        assert (out / "estimate.csv").read_bytes() == (inputs / "ref.csv").read_bytes()
+        log = json.loads((out / "draws.json").read_text())
+        draws = sample_indices(dist, self.C, self.SEED)
+        assert log == {"draws": (draws + 1).tolist(), "seed": self.SEED, "c": self.C,
+                       "counts": np.bincount(draws, minlength=partition.k).tolist()}
+        report = dataclasses.asdict(bound_report(a, b, partition, dist))  # weights computed afresh
+        assert (out / "bounds.json").read_text() == self.json_text(report)
+        assert (out / "distribution.json").read_text() == distribution_to_json(dist) + "\n"
+
+    def test_analyze_file(self, inputs):
+        out = inputs / "out"
+        assert main(["analyze", "--a", str(inputs / "a.bin"), "--b", str(inputs / "b.bin"), "--c", str(self.C),
+                     "--strategy", "enhanced", "--k", str(self.K), "--epsilon", repr(self.EPSILON),
+                     "--out-dir", str(out)]) == 0
+        a, b, partition, dist = self.reference_plan(inputs, "bin", "enhanced")
+        report = bound_report(a, b, partition, dist)
+        threshold = min_draw_threshold(self.C, self.K)
+        assert threshold.feasible
+        expected = {
+            "report": dataclasses.asdict(report),
+            "tail_bound": {"c": self.C, "epsilon": self.EPSILON,
+                           "value": bernstein_tail_bound(report, self.C, self.EPSILON)},
+            "draw_threshold": {"c": self.C, "k": self.K, "threshold": threshold.threshold, "feasible": True},
+            "uniform_spectral_bound": uniform_spectral_bound(a, b, self.C, self.K, threshold.threshold),
+        }
+        assert (out / "analysis.json").read_text() == self.json_text(expected)
 
 
 class TestAnalyzeCommand:
@@ -193,12 +262,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["sketch", "experiment"])
     def test_out_of_memory_is_config_error(self, tmp_path, matrices, monkeypatch, capsys, command):
-        # an oversized --c makes the draw block's allocation fail; stand in for
-        # it without allocating anything
-        def no_memory(dist, c, seeds):
-            raise MemoryError(f"Unable to allocate an array with shape ({len(seeds)}, {c})")
+        # an oversized --c makes the allocation of the variates fail (a sketch
+        # request's one stream, an experiment's draw block); stand in for it
+        # without allocating anything
+        def no_memory(seeds, c):
+            raise MemoryError(f"Unable to allocate an array of {c} variates")
 
-        monkeypatch.setattr(sketching, "_draw_block", no_memory)
+        monkeypatch.setattr(sketching, "uniform_rows", no_memory)
+        monkeypatch.setattr(sketching, "uniform_stream", no_memory)
         if command == "sketch":
             argv = ["sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
                     "--c", "100000000000"]

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partsketch import (SamplingDistribution, ZeroProductError,
+from partsketch import (ENHANCED, Plan, SamplingDistribution, ZeroProductError,
                         aggregate_distribution, coarsen, dense, distribution,
                         distribution_stats, distribution_to_json,
                         element_weight, finest, group_weights, multiply,
-                        optimal_distribution, uniform_distribution)
+                        optimal_distribution, optimal_plan, pairwise_plan,
+                        uniform_distribution)
+from partsketch import distributions
 from helpers import random_coarsening, random_instance
 
 
@@ -191,3 +193,38 @@ class TestExports:
         payload = json.loads(distribution_to_json(d))
         assert payload["partition"] == [[1], [2]]
         assert payload["weights"] == [0.25, 0.75]
+
+
+class TestPlan:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting(a, b, partition):
+            calls.append(partition)
+            return group_weights(a, b, partition)
+
+        monkeypatch.setattr(distributions, "group_weights", counting)
+        return calls
+
+    def test_optimal_plan_keeps_the_weights_it_is_built_from(self, counted):
+        a, b = random_instance(np.random.default_rng(4), n=7)
+        part = coarsen([[0, 3], [1], [2, 4, 5], [6]], 7)
+        plan = optimal_plan(a, b, part)
+        assert plan.weights is plan.known_weights and len(counted) == 1
+        assert np.array_equal(plan.weights, group_weights(a, b, part))
+        assert np.array_equal(plan.distribution.weights, optimal_distribution(a, b, part).weights)
+        assert not plan.weights.flags.writeable
+
+    def test_pairwise_plan_computes_pair_weights_only_when_read(self, counted):
+        a, b = random_instance(np.random.default_rng(5), n=8)
+        plan = Plan(a, b, *pairwise_plan(a, b, ENHANCED))
+        assert [p.k for p in counted] == [8]  # the finest weights the pairs are ordered by
+        weights = plan.weights
+        assert [p.k for p in counted] == [8, 4] and plan.weights is weights
+        assert np.array_equal(weights, group_weights(a, b, plan.partition))
+
+    def test_checks_itself(self):
+        a, b = random_instance(np.random.default_rng(6), n=4)
+        with pytest.raises(ValueError, match="not supported on the given partition"):
+            Plan(a, b, coarsen([[0, 1], [2, 3]], 4), optimal_distribution(a, b, finest(4)))

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from partsketch import (BALANCED, ENHANCED, SIMPLE, PairingStrategy,
                         Partition, coarsen, finest, pair_partition,
                         partition_from_json, partition_to_json,
-                        random_pairing, validate)
-from helpers import loop_validate
+                        random_pairing)
+from helpers import loop_validate as validate
 
 
 class TestFinest:
@@ -72,19 +72,18 @@ class TestValidate:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
         st.lists(st.one_of(st.integers(-1, n), st.integers(-1, n), st.sampled_from(
-            [0.5, 1.0, "1", None, 2**64, -2**70, np.int64(1), np.uint64(0)])), max_size=4),
+            [0.5, 1.0, "1", None, True, False, 2**64, -2**70, np.int64(1), np.uint64(0)])), max_size=4),
         min_size=1, max_size=n))))
     def test_matches_the_per_index_scan(self, case):
-        # booleans are left out: the scan indexes its seen-mask with them
+        # the array check names the violation the scan meets first
         n, groups = case
         groups = tuple(tuple(g) for g in groups)
-        violation = loop_validate(n, groups)
-        assert validate(n, groups) == violation
+        violation = validate(n, groups)
         if violation is None:
-            assert Partition(n, groups).groups == groups
+            assert coarsen(groups, n).groups == groups
         else:
             with pytest.raises(ValueError) as info:
-                Partition(n, groups)
+                coarsen(groups, n)
             assert str(info.value) == violation
 
 
@@ -101,7 +100,7 @@ class TestPartitionChecksItself:
     def test_invalid_groups_raise_the_scan_message(self, n, groups, message):
         assert validate(n, groups) == message
         with pytest.raises(ValueError) as info:
-            Partition(n, groups)
+            coarsen(groups, n)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("groups, message", [
@@ -117,7 +116,7 @@ class TestPartitionChecksItself:
         assert partition_to_json(coarsen([[np.int64(1)], [np.int64(0)]], 2)) == "[[2], [1]]"
 
     def test_numpy_integers_are_stored_as_python_ints(self):
-        part = Partition(np.int64(2), ((np.uint8(1),), (0,)))
+        part = coarsen(((np.uint8(1),), (0,)), np.int64(2))
         assert type(part.n) is int and all(type(i) is int for g in part.groups for i in g)
         assert part == coarsen([[1], [0]], 2) and part.labels.tolist() == [1, 0]
 
@@ -236,3 +235,59 @@ class TestPartitionJson:
     def test_rejects_non_integer_entries(self, text):
         with pytest.raises(ValueError, match="not an integer"):
             partition_from_json(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[[-1, 1]]", "index -1 out of range [1, 2]"),
+        ("[[1, 4], [2]]", "index 4 out of range [1, 3]"),
+        ("[[1180591620717411303424], [1]]", "index 1180591620717411303424 out of range [1, 2]"),
+        ("[[1], [1]]", "index 1 appears in more than one group"),
+        ("[[2, 1], [], [3]]", "group 2 is empty"),
+        ("[[1], [], []]", "group count must be in [1, 1], got 3"),
+        ("[]", "ground-set size must be a positive integer, got 0"),
+    ])
+    def test_messages_count_from_one_as_the_file_does(self, text, message):
+        with pytest.raises(ValueError) as info:
+            partition_from_json(text)
+        assert str(info.value) == message
+
+
+class TestArrays:
+    def test_order_and_offsets(self):
+        part = coarsen([[2, 0], [1], [4, 3]], 5)
+        assert part.order.tolist() == [2, 0, 1, 4, 3] and part.offsets.tolist() == [0, 2, 3, 5]
+        assert part == Partition(5, [2, 0, 1, 4, 3], [0, 2, 3, 5])
+        for arr in (part.order, part.offsets):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_builders_agree_with_groups(self):
+        assert finest(4) == coarsen([[0], [1], [2], [3]], 4)
+        p = np.array([0.1, 0.4, 0.2, 0.25, 0.05])
+        assert pair_partition(p, BALANCED) == coarsen([[1, 4], [3, 0], [2]], 5)
+
+    def test_groups_are_built_on_first_read(self):
+        part = finest(3)
+        assert "groups" not in part.__dict__
+        assert part.groups == ((0,), (1,), (2,)) and part.groups is part.groups
+
+    def test_equality_and_hash(self, monkeypatch):
+        one, two = coarsen([[1, 0], [2]], 3), Partition(3, np.array([1, 0, 2]), np.array([0, 2, 3]))
+        assert one == two and hash(one) == hash(two)
+        assert one != coarsen([[0, 1], [2]], 3)  # the order within a group counts
+        assert one != coarsen([[2], [1, 0]], 3)  # so does the order of the groups
+        assert len({one, two, finest(3), finest(3)}) == 2
+        monkeypatch.setattr(np, "array_equal", lambda *args: pytest.fail("compared arrays"))
+        assert one == one and not one != one  # identity: no array is read
+
+    @pytest.mark.parametrize("order, offsets, message", [
+        ([0.0, 1.0], [0, 1, 2], "order and offsets must be 1-d integer arrays"),
+        (np.array([0, 1], dtype=np.uint64), [0, 1, 2], "order and offsets must be 1-d integer arrays"),
+        ([0, 1], [[0, 1, 2]], "order and offsets must be 1-d integer arrays"),
+        ([0, 1], [0, 2, 1, 2], "offsets must rise from 0 to the length of order"),
+        ([0, 1], [1, 2], "offsets must rise from 0 to the length of order"),
+        ([1, 1], [0, 1, 2], "index 1 appears in more than one group"),
+    ])
+    def test_rejects_invalid_arrays(self, order, offsets, message):
+        with pytest.raises(ValueError) as info:
+            Partition(2, order, offsets)
+        assert str(info.value) == message

@@ -10,10 +10,10 @@ from partsketch import (ENHANCED, SketchConfig, brute_force_expectation,
                         element_weight, error_form, expected_frobenius_error_sq,
                         finest, frobenius_errors, frobenius_norm, multiply,
                         optimal_distribution, pairwise_plan, sample_indices,
-                        sketch, sketch_trials, spectral_norm,
+                        sketch, sketch_from_draws, sketch_trials, spectral_norm,
                         uniform_distribution, uniform_stream)
 from partsketch import sketching
-from partsketch.rng import derive_seed
+from partsketch.rng import derive_seed, derive_seeds
 from partsketch.sketching import (_FORM_ROWS, _GUIDE_STEPS, _inverse_cdf, _is_transpose,
                                   _trials_per_block)
 from helpers import (column_gather_product, direct_errors_and_bounds, gemm_error_bound,
@@ -464,8 +464,9 @@ class TestSketch:
         exact = multiply(a, b)
         acc = np.zeros_like(exact)
         acc_sq = np.zeros_like(exact)
-        for t in range(trials):
-            est = sketch(a, b, part, d, SketchConfig(2, derive_seed(77, t))).estimate
+        # trial t is sketch(a, b, part, d, SketchConfig(2, derive_seed(77, t))) bit for bit
+        for result in sketch_trials(a, b, [(part, d, 2, derive_seeds(77, (), trials))]):
+            est = result.estimate
             acc += est
             acc_sq += est * est
         mean = acc / trials
@@ -500,6 +501,36 @@ class TestSketch:
             sketch(a, dense(np.ones((3, 2))), part, d, SketchConfig(1, 0))
         with pytest.raises(ValueError, match=">= 1"):
             SketchConfig(0, 0)
+
+
+class TestSketchFromDraws:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.booleans())
+    def test_equals_the_trial_of_the_same_seed(self, seed, c, gram):
+        # sketch_trials draws its counts in blocks and gathers rows from a copied panel
+        rng = np.random.default_rng(seed)
+        a, b = random_instance(rng, max_n=12)
+        if gram:
+            b = a.T
+        part = random_coarsening(rng, a.shape[1])
+        d = optimal_distribution(a, b, part)
+        expected = next(sketch_trials(a, b, [(part, d, c, [seed])]))
+        result = sketch_from_draws(a, b, part, d, sample_indices(d, c, seed))
+        assert result.estimate.tobytes() == expected.estimate.tobytes()
+        assert np.array_equal(result.counts, expected.counts)
+
+    @pytest.mark.parametrize("draws, match", [
+        (np.array([], dtype=np.int64), "sample count"),
+        (np.array([0, 4]), "group indices"),
+        (np.array([0.0, 1.0]), "group indices"),
+        (np.array([0, 1]), "probability 0"),
+    ])
+    def test_rejects_invalid_draws(self, draws, match):
+        a, b = small_instance()
+        part = coarsen([[0, 1], [2], [3]], 4)
+        d = distribution(part, [0.5, 0.0, 0.5])
+        with pytest.raises(ValueError, match=match):
+            sketch_from_draws(a, b, part, d, draws)
 
 
 class TestElementContribution:
