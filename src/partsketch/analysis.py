@@ -1,21 +1,20 @@
-"""Closed-form error expectations, tail bounds, draw thresholds, and oracles.
+"""The closed-form error expectation, tail bounds and draw thresholds.
 
-Everything here is an exact formula or an exhaustive enumeration; nothing
-samples.  These are the reference quantities the sketch engine is tested
-against and the numbers the ``analyze`` CLI reports.
+Everything here is an exact formula; nothing samples.  These are the
+reference quantities the sketch engine is tested against and the numbers
+the ``analyze`` CLI reports.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SamplingDistribution, _check_plan, _check_sample_count, _check_shapes, group_weights
+from .distributions import Plan, SamplingDistribution, _check_sample_count, _check_shapes
 from .errors import NumericError, ZeroProductError
-from .matrices import _check_conformable, _frozen, frobenius_norm, multiply, spectral_norm
+from .matrices import _check_conformable, frobenius_norm, multiply, spectral_norm
 from .partitions import Partition
 
 EPS = float(np.finfo(np.float64).eps)
@@ -51,25 +50,14 @@ def expected_frobenius_error_sq(a: np.ndarray, b: np.ndarray, partition: Partiti
     zero weight and zero probability contribute nothing (they are recovered
     exactly by never being sampled); zero probability on a nonzero-weight
     group is an error.  A result within rounding of zero (relative to the
-    first term) is reported as zero.
+    first term) is reported as zero.  At ``optimal_distribution`` it is ((sum of group
+    weights)^2 - |ab|_F^2) / c.  Raises ``ValueError`` unless the ``Plan`` builds and c >= 1.
     """
-    _check_plan(a, b, partition, dist)
+    plan = Plan(a, b, partition, dist)
     _check_sample_count(c)
-    w, ratio = _scaled_weights(group_weights(a, b, partition), dist.weights)
+    w, ratio = _scaled_weights(plan.weights, dist.weights)
     total = float(np.sum(w * ratio))
     return _excess_over_product(total, a, b, "expected squared error") / c
-
-
-def optimal_expected_error(a: np.ndarray, b: np.ndarray, partition: Partition, c: int) -> float:
-    """Expected squared Frobenius error under the weight-proportional distribution.
-
-    Closed form ((sum of group weights)^2 - |ab|_F^2) / c; agrees with
-    ``expected_frobenius_error_sq`` evaluated at ``optimal_distribution``.
-    Returns 0 for the zero product.
-    """
-    _check_sample_count(c)
-    total_sq = float(np.sum(group_weights(a, b, partition))) ** 2
-    return _excess_over_product(total_sq, a, b, "optimal expected error") / c
 
 
 # ---------------------------------------------------------------------------
@@ -94,22 +82,12 @@ class BoundReport:
     out_cols: int
 
 
-def bound_report(a: np.ndarray, b: np.ndarray, partition: Partition,
-                 dist: SamplingDistribution, weights: np.ndarray | None = None) -> BoundReport:
-    """Collect the scalar summaries the tail bound needs; pure bookkeeping.
-
-    ``weights`` are the group weights ``group_weights(a, b, partition)`` when a
-    caller already holds them (``Plan.weights``); otherwise they are computed here.
-    """
-    _check_plan(a, b, partition, dist)
-    if weights is None:
-        weights = group_weights(a, b, partition)
-    elif weights.shape != (partition.k,):
-        raise ValueError(f"expected {partition.k} group weights, got shape {weights.shape}")
-    w, ratio = _scaled_weights(weights, dist.weights)
-    ab = multiply(a, b)
+def bound_report(plan: Plan) -> BoundReport:
+    """Collect the scalar summaries the tail bound needs from ``plan`` and its group weights; pure bookkeeping."""
+    w, ratio = _scaled_weights(plan.weights, plan.distribution.weights)
+    ab = multiply(plan.a, plan.b)
     return BoundReport(
-        weight_sum=float(np.sum(weights)),
+        weight_sum=float(np.sum(plan.weights)),
         max_scaled_weight=float(np.max(ratio, initial=0.0)),
         scaled_weight_sq_sum=float(np.sum(w * ratio)),
         product_spectral_norm=spectral_norm(ab),
@@ -267,47 +245,3 @@ def pairing_comparators(a: np.ndarray, b: np.ndarray, pairing: Partition) -> Pai
     single_var = 4.0 / total * float(np.sum(w * (total - w) ** 2))
     paired_var = 4.0 / total * float(np.sum(pair_sums * (total - pair_sums) ** 2))
     return PairingComparators(single_dev, paired_dev, single_var, paired_var)
-
-
-# ---------------------------------------------------------------------------
-# Enumeration oracle
-# ---------------------------------------------------------------------------
-
-ENUMERATION_LIMIT = 1_000_000
-
-
-def brute_force_expectation(a: np.ndarray, b: np.ndarray, partition: Partition,
-                            dist: SamplingDistribution, c: int) -> tuple[np.ndarray, float]:
-    """Exact expectation of the sketch and of its squared Frobenius error.
-
-    Enumerates all k^c draw sequences, weighting each by its probability.
-    Independent of the sampling engine: blocks are sliced and summed here
-    directly.  Guarded to k^c <= 1e6.
-    """
-    _check_plan(a, b, partition, dist)
-    _check_sample_count(c)
-    k = partition.k
-    if k ** c > ENUMERATION_LIMIT:
-        raise ValueError(f"k^c = {k}^{c} exceeds the enumeration guard of {ENUMERATION_LIMIT}")
-    exact = multiply(a, b)
-    probs = [float(p) for p in dist.weights]
-    scaled = []
-    for g, p in zip(partition.groups, probs):
-        idx = list(g)
-        scaled.append(a[:, idx] @ b[idx, :] / p if p > 0.0 else None)
-    mean = np.zeros_like(exact)
-    err_sq = 0.0
-    for seq in itertools.product(range(k), repeat=c):
-        prob = 1.0
-        for r in seq:
-            prob *= probs[r]
-        if prob == 0.0:
-            continue
-        est = np.zeros_like(exact)
-        for r in seq:
-            est += scaled[r]
-        est /= c
-        mean += prob * est
-        diff = exact - est
-        err_sq += prob * float(np.sum(diff * diff))
-    return _frozen(mean), err_sq

@@ -60,11 +60,11 @@ def _cmd_sketch(args) -> int:
     plan = _plan(args)
     cfg = SketchConfig(args.c, args.seed)
     draws = sample_indices(plan.distribution, cfg.c, cfg.seed)
-    result = sketch_from_draws(plan.a, plan.b, plan.partition, plan.distribution, draws)
+    result = sketch_from_draws(plan, draws)
     out = _out_dir(args)
     write_csv(result.estimate, out / "estimate.csv")
     (out / "draws.json").write_text(draw_log_json(cfg, draws, result.counts) + "\n")
-    report = bound_report(plan.a, plan.b, plan.partition, plan.distribution, plan.weights)
+    report = bound_report(plan)
     (out / "bounds.json").write_text(json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n")
     (out / "distribution.json").write_text(distribution_to_json(plan.distribution) + "\n")
     return 0
@@ -72,7 +72,7 @@ def _cmd_sketch(args) -> int:
 
 def _cmd_analyze(args) -> int:
     plan = _plan(args)
-    report = bound_report(plan.a, plan.b, plan.partition, plan.distribution, plan.weights)
+    report = bound_report(plan)
     payload = {"report": dataclasses.asdict(report)}
     if args.epsilon is not None:
         if args.c is None:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ZeroProductError
-from .matrices import _check_conformable, _frozen, block_product, frobenius_norm
+from .matrices import _check_conformable, _frozen
 from .partitions import Partition
 
 SUM_TOL = 1e-12
@@ -82,27 +82,17 @@ def _check_sample_count(c: int) -> None:
         raise ValueError(f"sample count must be >= 1, got {c}")
 
 
-def _check_plan(a: np.ndarray, b: np.ndarray, partition: Partition, dist: SamplingDistribution) -> None:
-    """Raise ``ValueError`` unless ``_check_shapes`` passes and ``dist`` is over ``partition``."""
-    _check_shapes(a, b, partition)
-    if dist.support != partition:
-        raise ValueError("distribution is not supported on the given partition")
+# The largest c whose draw temporaries fit 2 GiB: ``sample_indices`` holds c float64
+# variates, their intp groups and a float64 and a bool temporary of a guide-table
+# step at once, 8 + 8 + 8 + 1 = 25 bytes a draw, counted as 32: 2**31 // 32 = 2**26.
+_MAX_DRAWS = 2 ** 31 // 32
 
 
-def distribution(support: Partition, weights, *, normalize: bool = False) -> SamplingDistribution:
-    """A distribution over ``support`` from a copy of ``weights``; with ``normalize`` they are first rescaled to sum to 1."""
-    w = np.array(weights, dtype=np.float64, copy=True)
-    if normalize:
-        total = float(np.sum(w))
-        if total <= 0:
-            raise ValueError(f"cannot normalize weights summing to {total}")
-        w /= total
-    return SamplingDistribution(support, w)
-
-
-def element_weight(a: np.ndarray, b: np.ndarray, group) -> float:
-    """Frobenius norm of the group's block product."""
-    return frobenius_norm(block_product(a, b, group))
+def _check_draw_count(c: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= c <= _MAX_DRAWS``: c draws can be sampled."""
+    _check_sample_count(c)
+    if c > _MAX_DRAWS:
+        raise ValueError(f"sample count must be <= {_MAX_DRAWS} (2 GiB of draw temporaries), got {c}")
 
 
 def _squared_norms(a: np.ndarray, b: np.ndarray, members: np.ndarray, starts: np.ndarray,
@@ -177,11 +167,12 @@ def optimal_distribution(a: np.ndarray, b: np.ndarray, partition: Partition) -> 
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """One sketch setup: matrices, a partition of their inner dimension and a distribution over it, checked once.
+    """One sketch setup: matrices, a partition of their inner dimension and a distribution over it.
 
-    ``weights`` is ``group_weights(a, b, partition)``: the ``known_weights``
-    the distribution was built from, or else computed on first read, so a
-    plan whose consumers never ask for them never builds them.
+    Construction, the one plan check, raises ``ValueError`` unless ``a @ b`` conforms, ``partition``
+    covers its inner dimension and ``distribution`` is over it.  ``weights`` is ``group_weights(a, b,
+    partition)``: the ``known_weights`` the distribution was built from, or else computed on first
+    read, so a plan whose consumers never ask for them never builds them.
     """
 
     a: np.ndarray
@@ -191,7 +182,9 @@ class Plan:
     known_weights: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        _check_plan(self.a, self.b, self.partition, self.distribution)
+        _check_shapes(self.a, self.b, self.partition)
+        if self.distribution.support != self.partition:
+            raise ValueError("distribution is not supported on the given partition")
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -207,12 +200,6 @@ def optimal_plan(a: np.ndarray, b: np.ndarray, partition: Partition) -> Plan:
     if total == 0.0:
         raise ZeroProductError("every block weight is zero: the product is the zero matrix")
     return Plan(a, b, partition, SamplingDistribution(partition, w / total), w)
-
-
-def uniform_distribution(partition: Partition) -> SamplingDistribution:
-    """Probability 1/k for each of the k groups."""
-    k = partition.k
-    return SamplingDistribution(partition, np.full(k, 1.0 / k))
 
 
 def aggregate_distribution(p_finest: SamplingDistribution, partition: Partition) -> SamplingDistribution:

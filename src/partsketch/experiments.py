@@ -14,7 +14,8 @@ Every output is a pure function of the config; reruns produce identical
 bytes.  Trial t of a (method, sample count) cell is keyed by
 ``derive_seed(seed, experiment, method, c, t)``, so trials are independent
 of execution order and of matrix generation, which uses its own substream.
-Each cell draws its trials in one batch, with the draws of one ``sketch`` per
+Both methods are ``Plan``s on one (A, Aᵀ), and a cell is ``(plan, c, seeds)``;
+each cell draws its trials in one batch, with the draws of one ``sketch`` per
 trial.  fig2 takes every estimate from one ``sketch_trials`` call.  fig1 needs
 only each trial's squared Frobenius error, the quadratic form ``uᵀHu`` of
 ``frobenius_errors``, so it forms no estimate while building ``H`` once
@@ -31,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import (aggregate_distribution, distribution_stats,
-                            optimal_distribution)
+from .distributions import (Plan, _check_draw_count, aggregate_distribution,
+                            distribution_stats, optimal_plan)
 from .errors import ConfigError
 from .matrices import dense, frobenius_norm, multiply, read_matrix, spectral_norm
 from .partitions import (PAIRING_KINDS, PairingStrategy, finest,
@@ -68,10 +69,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"matrix dimensions must be positive, got {self.rows}x{self.cols}")
-        if self.c_step < 1 or not self.c_grid():
+        if self.c_step < 1 or self.c_min > self.c_max:
             raise ConfigError(f"empty sample-count grid: min={self.c_min} max={self.c_max} step={self.c_step}")
-        if min(self.c_grid()) < 1 or min(self.fig2_c_values(self.cols)) < 1:
+        if self.c_min < 1 or min(self.fig2_c_values(self.cols)) < 1:
             raise ConfigError("sample counts must be >= 1")
+        try:
+            for c in (self.c_max, *(self.fig2_c or ())):
+                _check_draw_count(c)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.runs < 1:
@@ -106,15 +112,13 @@ def pairing_strategy(kind: str, seed: int) -> PairingStrategy:
     return PairingStrategy(kind, derive_seed(seed, "pairing") if kind == "random" else None)
 
 
-def _methods(cfg: ExperimentConfig, a: np.ndarray, b: np.ndarray):
-    """(label, partition, distribution) for the per-index baseline and the pairwise method."""
-    n = a.shape[1]
-    fin = finest(n)
-    p_o = optimal_distribution(a, b, fin)
+def _methods(cfg: ExperimentConfig, a: np.ndarray, b: np.ndarray) -> list[tuple[str, Plan]]:
+    """(label, plan) for the per-index baseline and the pairwise method."""
+    fin = optimal_plan(a, b, finest(a.shape[1]))
     strat = pairing_strategy(cfg.strategy, cfg.seed)
-    pair_part = pair_partition(p_o.weights, strat)
-    pair_dist = aggregate_distribution(p_o, pair_part)
-    return [("finest", fin, p_o), (f"pairwise-{strat.kind}", pair_part, pair_dist)]
+    pairs = pair_partition(fin.distribution.weights, strat)
+    return [("finest", fin),
+            (f"pairwise-{strat.kind}", Plan(a, b, pairs, aggregate_distribution(fin.distribution, pairs)))]
 
 
 def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
@@ -133,12 +137,12 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
     exact_f = frobenius_norm(exact)
     methods = _methods(cfg, a, b)
     m, n = a.shape
-    cells = {(c, label): (partition, dist, c, derive_seeds(cfg.seed, ("fig1", label, c), cfg.trials))
-             for c in cfg.c_grid() for label, partition, dist in methods}
+    cells = {(c, label): (plan, c, derive_seeds(cfg.seed, ("fig1", label, c), cfg.trials))
+             for c in cfg.c_grid() for label, plan in methods}
     if _error_form_pays(m, n, cfg.c_grid(), len(methods) * cfg.trials):
         errors = frobenius_errors(error_form(a, b), list(cells.values()))
     else:
-        results = sketch_trials(a, b, list(cells.values()))
+        results = sketch_trials(list(cells.values()))
         errors = [np.array([np.sum(np.square(exact - next(results).estimate)) for _ in seeds])
                   for *_, seeds in cells.values()]
     rows_out = [_fig1_row(c, label, sq_errs, exact_f) for (c, label), sq_errs in zip(cells, errors)]
@@ -194,13 +198,12 @@ def run_fig2(cfg: ExperimentConfig, out_dir) -> list[dict]:
     b = a.T
     exact = multiply(a, b)
     exact_2 = spectral_norm(exact)
-    cells = [(label, partition, dist, c)
-             for label, partition, dist in _methods(cfg, a, b) for c in cfg.fig2_c_values(a.shape[1])]
-    results = sketch_trials(a, b, [(partition, dist, c, derive_seeds(cfg.seed, ("fig2", label, c), cfg.runs))
-                                   for label, partition, dist, c in cells])
+    cells = [(label, plan, c) for label, plan in _methods(cfg, a, b) for c in cfg.fig2_c_values(a.shape[1])]
+    results = sketch_trials([(plan, c, derive_seeds(cfg.seed, ("fig2", label, c), cfg.runs))
+                             for label, plan, c in cells])
     rows_out = [{"method": label, "c": c, "run": run,
                  "rel_2norm_err": spectral_norm(exact - next(results).estimate) / exact_2}
-                for label, _, _, c in cells for run in range(cfg.runs)]
+                for label, _, c in cells for run in range(cfg.runs)]
     lines = [FIG2_HEADER]
     for r in rows_out:
         lines.append(f"{r['method']},{r['c']},{r['run']},{r['rel_2norm_err']!r}")
@@ -212,8 +215,8 @@ def run_table1(cfg: ExperimentConfig, out_dir) -> dict:
     """max/mean/min of the per-index and pairwise probabilities; writes table1.json."""
     a = experiment_matrix(cfg)
     b = a.T
-    (_, _, p_o), (_, _, p_pair) = _methods(cfg, a, b)
-    payload = {"finest": distribution_stats(p_o), "pairwise": distribution_stats(p_pair)}
+    (_, fin), (_, pairs) = _methods(cfg, a, b)
+    payload = {"finest": distribution_stats(fin.distribution), "pairwise": distribution_stats(pairs.distribution)}
     _write(out_dir, "table1.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return payload
 

@@ -67,22 +67,6 @@ def spectral_norm(a: np.ndarray) -> float:
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
-def block_product(a: np.ndarray, b: np.ndarray, group) -> np.ndarray:
-    """Product restricted to one index group: columns ``group`` of ``a`` times rows ``group`` of ``b``.
-
-    Summing this over the groups of any partition of the inner axis recovers
-    ``multiply(a, b)``.  Indices are 0-based and must be in range; the group
-    must be nonempty.
-    """
-    _check_conformable(a, b)
-    idx = np.asarray(group, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ValueError("group must be a nonempty 1-d index list")
-    if idx.min() < 0 or idx.max() >= a.shape[1]:
-        raise ValueError(f"group index out of range [0, {a.shape[1]})")
-    return _frozen(a[:, idx] @ b[idx, :])
-
-
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------

@@ -137,10 +137,6 @@ BALANCED = PairingStrategy("balanced")
 SIMPLE = PairingStrategy("simple")
 
 
-def random_pairing(seed: int) -> PairingStrategy:
-    return PairingStrategy("random", seed)
-
-
 def finest(n: int) -> Partition:
     """The n singleton groups {0},{1},...,{n-1} in index order; ``Partition`` rejects n < 1."""
     return Partition(n, np.arange(n), np.arange(n + 1))

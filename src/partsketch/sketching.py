@@ -8,16 +8,15 @@ by the distribution's guide table with no sort, so a (matrices, partition,
 distribution, config) tuple and the BLAS thread count fix the result bit for
 bit.  A result keeps only the estimate and the per-group counts; the draws
 in order are ``sample_indices`` of the same stream, and ``sketch_from_draws``
-forms the same result from them.  ``sketch_trials`` runs a
-list of cells on one (A, B) from one ``Aᵀ`` panel, drawing them in blocks,
-with the results of one ``sketch`` per seed.
+forms the same result from them.  ``sketch_trials`` runs a list of
+``(plan, c, seeds)`` cells on one (A, B) from one ``Aᵀ`` panel, drawing them
+in blocks, with the results of one ``sketch`` per seed.
 
 ``frobenius_errors`` draws the same counts but forms no estimate: a trial's
 squared error ``|AB - A·diag(s)·B|_F²`` is the quadratic form ``uᵀHu`` with
-``u = 1 - s`` and ``H = (AᵀA) ∘ (BBᵀ)`` (``error_form``).  It takes a list of
-(partition, distribution, c, seeds) cells and runs one GEMM against ``H`` per
-``_FORM_ROWS`` trials across them, so a trial's last bits depend on which rows
-share its GEMM: the call's cell list fixes them.
+``u = 1 - s`` and ``H = (AᵀA) ∘ (BBᵀ)`` (``error_form``).  It runs one GEMM
+against ``H`` per ``_FORM_ROWS`` trials across its cells, so a trial's last
+bits depend on which rows share its GEMM: the call's cell list fixes them.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .distributions import (SamplingDistribution, _check_plan, _check_sample_count,
+from .distributions import (Plan, SamplingDistribution, _check_draw_count, _check_sample_count,
                             aggregate_distribution, optimal_distribution)
 from .matrices import _check_conformable, _frozen
 from .partitions import PairingStrategy, Partition, finest, pair_partition
@@ -97,8 +96,9 @@ def sample_indices(dist: SamplingDistribution, c: int, seed: int) -> np.ndarray:
     Draw i consumes the i-th variate of the Philox stream keyed by ``seed``,
     so the draw list does not depend on evaluation order or batching.
     Zero-probability groups occupy empty CDF intervals and are never drawn.
+    Raises ``ValueError`` unless ``_check_draw_count`` passes, before anything is drawn.
     """
-    _check_sample_count(c)
+    _check_draw_count(c)
     return _inverse_cdf(dist, uniform_stream(seed, c)).astype(np.int64, copy=False)
 
 
@@ -145,24 +145,26 @@ def sketch(a: np.ndarray, b: np.ndarray, partition: Partition,
     indices J in ascending order, so the draw multiset, not the draw order,
     determines it.  Every drawn group has positive probability by
     construction of the sampler.  This is ``sketch_from_draws`` of the draws
-    ``sample_indices(dist, cfg.c, cfg.seed)``.
+    ``sample_indices(dist, cfg.c, cfg.seed)`` under ``Plan(a, b, partition, dist)``.
     """
-    return sketch_from_draws(a, b, partition, dist, sample_indices(dist, cfg.c, cfg.seed))
+    return sketch_from_draws(Plan(a, b, partition, dist), sample_indices(dist, cfg.c, cfg.seed))
 
 
-def sketch_trials(a: np.ndarray, b: np.ndarray, cells) -> Iterator[SketchResult]:
+def sketch_trials(cells) -> Iterator[SketchResult]:
     """Lazily, one sketch per seed of every cell of ``cells`` (cells and seeds in order).
 
-    ``cells`` is a sequence of ``(partition, dist, c, seeds)``, as for ``frobenius_errors``;
-    seed t of a cell gives bit for bit ``sketch(a, b, partition, dist, SketchConfig(c, seeds[t]))``.
-    Every cell's plan is checked on this call, before any draw.  Trials are drawn a block
-    at a time (``_draw_block``), each block's ``(trials, n)`` scale matrix built in one
-    step, and every estimate gathers its rows from one ``Aᵀ`` panel copied once per call.
+    ``cells`` is a sequence of ``(plan, c, seeds)``; seed t of a cell gives bit for bit
+    ``sketch`` of the plan's pieces and ``SketchConfig(c, seeds[t])``.  Unless every plan
+    holds the first plan's ``a`` and ``b`` objects and every c passes ``_check_draw_count``,
+    this call raises ``ValueError`` before any draw.  Trials are drawn a block at a time
+    (``_draw_block``), each block's ``(trials, n)`` scale matrix built in one step, and
+    every estimate gathers its rows from one ``Aᵀ`` panel copied once per call.
     """
-    for partition, dist, c, _ in cells:
-        _check_plan(a, b, partition, dist)
-        _check_sample_count(c)
-    return _sketch_cells(a, b, cells)
+    for plan, c, _ in cells:
+        if plan.a is not cells[0][0].a or plan.b is not cells[0][0].b:
+            raise ValueError("every cell's plan must hold the first cell's matrices")
+        _check_draw_count(c)
+    return _sketch_cells(cells)
 
 
 def _trials_per_block(c: int, n: int) -> int:
@@ -171,19 +173,11 @@ def _trials_per_block(c: int, n: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(c, n))
 
 
-def _scales(partition: Partition, dist: SamplingDistribution, c: int, counts: np.ndarray) -> np.ndarray:
+def _scales(dist: SamplingDistribution, c: int, counts: np.ndarray) -> np.ndarray:
     """Per-index scales ``s_j = count[g(j)] / (c · p[g(j)])`` (0 when undrawn) of per-group
-    ``counts``, one row per row of counts."""
+    ``counts``, one row per row of counts; g is read off ``dist.support``."""
     group_scale = np.divide(counts, c * dist.weights, out=np.zeros(counts.shape), where=counts > 0)
-    return group_scale[..., partition.labels]
-
-
-def _block_scales(partition: Partition, dist: SamplingDistribution, c: int,
-                  seeds) -> tuple[np.ndarray, np.ndarray]:
-    """``(counts, scales)`` of one block of seeds: its per-group draw counts and its
-    ``(trials, n)`` scale matrix (``_scales``)."""
-    counts = _draw_block(dist, c, seeds)
-    return counts, _scales(partition, dist, c, counts)
+    return group_scale[..., dist.support.labels]
 
 
 def _result(panel: np.ndarray, b: np.ndarray, counts: np.ndarray, scale: np.ndarray, gram: bool) -> SketchResult:
@@ -191,36 +185,37 @@ def _result(panel: np.ndarray, b: np.ndarray, counts: np.ndarray, scale: np.ndar
     return SketchResult(_frozen(_scaled_product(panel, b, idx, scale[idx], gram)), counts)
 
 
-def _sketch_cells(a, b, cells) -> Iterator[SketchResult]:
+def _sketch_cells(cells) -> Iterator[SketchResult]:
+    if not cells:
+        return
+    a, b = cells[0][0].a, cells[0][0].b
     panel = np.ascontiguousarray(a.T)
     gram = _is_transpose(a, b)
-    for partition, dist, c, seeds in cells:
-        per_block = _trials_per_block(c, partition.n)
+    for plan, c, seeds in cells:
+        per_block = _trials_per_block(c, plan.partition.n)
         for lo in range(0, len(seeds), per_block):
-            counts, scales = _block_scales(partition, dist, c, seeds[lo:lo + per_block])
-            for row_counts, scale in zip(counts, scales):
+            counts = _draw_block(plan.distribution, c, seeds[lo:lo + per_block])
+            for row_counts, scale in zip(counts, _scales(plan.distribution, c, counts)):
                 yield _result(panel, b, row_counts, scale, gram)
 
 
-def sketch_from_draws(a: np.ndarray, b: np.ndarray, partition: Partition,
-                      dist: SamplingDistribution, draws: np.ndarray) -> SketchResult:
-    """The sketch whose c = ``len(draws)`` draws are the group indices ``draws``.
+def sketch_from_draws(plan: Plan, draws: np.ndarray) -> SketchResult:
+    """The sketch under ``plan`` whose c = ``len(draws)`` draws are the group indices ``draws``.
 
     Its counts are ``bincount(draws)``.  ``sketch`` passes ``sample_indices(dist, c, seed)``,
     whose counts are the ones ``sketch_trials`` draws for that seed (``_draw_block``'s
     contract), so a caller holding a draw log forms its sketch without drawing again.
-    Raises ``ValueError`` unless the plan checks, c >= 1 and every draw is a group of
-    positive probability.
+    Raises ``ValueError`` unless c >= 1 and every draw is a group of positive probability.
     """
-    _check_plan(a, b, partition, dist)
     _check_sample_count(len(draws))
+    k, dist = plan.partition.k, plan.distribution
     draws = np.asarray(draws)
-    if draws.dtype.kind not in "iu" or draws.min() < 0 or draws.max() >= partition.k:
-        raise ValueError(f"draws must be group indices in [0, {partition.k})")
-    counts = np.bincount(draws, minlength=partition.k)
+    if draws.dtype.kind not in "iu" or draws.min() < 0 or draws.max() >= k:
+        raise ValueError(f"draws must be group indices in [0, {k})")
+    counts = np.bincount(draws, minlength=k)
     if np.any(counts[dist.weights == 0]):
         raise ValueError("draws hold a group of probability 0")
-    return _result(a.T, b, counts, _scales(partition, dist, len(draws), counts), _is_transpose(a, b))
+    return _result(plan.a.T, plan.b, counts, _scales(dist, len(draws), counts), _is_transpose(plan.a, plan.b))
 
 
 def error_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -240,11 +235,11 @@ def frobenius_errors(h: np.ndarray, cells) -> list[np.ndarray]:
     """Squared Frobenius errors ``|AB - sketch(...).estimate|_F²`` of every trial of ``cells``, with no estimate formed.
 
     ``h`` is ``error_form(a, b)`` and ``cells`` a sequence of
-    ``(partition, dist, c, seeds)``; the result holds one array per cell, of
-    one error per seed.  Trial t of a cell draws the counts of
-    ``sketch(a, b, partition, dist, SketchConfig(c, seeds[t]))`` and its error
-    is ``uᵀHu`` with ``u = 1 - s``.  Every cell's plan is checked, with ``h``
-    standing in for both factors, before any draw.  The ``u`` rows of all
+    ``(plan, c, seeds)`` on that (a, b); the result holds one array per cell,
+    of one error per seed.  Trial t of a cell draws the counts of
+    ``sketch_trials``' trial for ``seeds[t]`` and its error is ``uᵀHu`` with
+    ``u = 1 - s``.  Unless ``h`` is n×n for every plan's n and every c passes
+    ``_check_draw_count``, this call raises ``ValueError`` before any draw.  The ``u`` rows of all
     cells fill one ``(_FORM_ROWS, n)`` buffer in order, and each full buffer
     (and the last, partial one) takes one GEMM against ``H``, so an error's
     last bits are fixed by the whole cell list, not by its cell alone.
@@ -252,19 +247,21 @@ def frobenius_errors(h: np.ndarray, cells) -> list[np.ndarray]:
     value is rounding and is clamped to 0.  The ``u`` form is kept on
     purpose: expanding it to ``|AB|² - 2sᵀd + sᵀHs`` cancels.
     """
-    for partition, dist, c, _ in cells:
-        _check_plan(h, h, partition, dist)
-        _check_sample_count(c)
+    for plan, c, _ in cells:
+        n = plan.partition.n
+        if h.shape != (n, n):
+            raise ValueError(f"dimension mismatch: h is {h.shape} but the plan's inner dimension is {n}")
+        _check_draw_count(c)
     sizes = [len(seeds) for *_, seeds in cells]
     out = np.empty(sum(sizes))
     u = np.empty((min(_FORM_ROWS, out.size), h.shape[0]))
     done = fill = 0
-    for partition, dist, c, seeds in cells:
-        per_block = _trials_per_block(c, partition.n)
+    for plan, c, seeds in cells:
+        per_block = _trials_per_block(c, plan.partition.n)
         lo = 0
         while lo < len(seeds):
             take = min(per_block, len(u) - fill, len(seeds) - lo)
-            _, scales = _block_scales(partition, dist, c, seeds[lo:lo + take])
+            scales = _scales(plan.distribution, c, _draw_block(plan.distribution, c, seeds[lo:lo + take]))
             np.subtract(1.0, scales, out=u[fill:fill + take])
             lo += take
             fill += take
@@ -281,26 +278,6 @@ def _quadratic_forms(u: np.ndarray, h: np.ndarray, out: np.ndarray) -> None:
     uh = u @ h
     uh *= u
     uh.sum(axis=1, out=out)
-
-
-def element_contribution(a: np.ndarray, b: np.ndarray, partition: Partition,
-                         dist: SamplingDistribution, draws: np.ndarray, group_index: int) -> np.ndarray:
-    """The part of the estimate attributable to one group, from the same draw log.
-
-    The sketch's kernel restricted to the group's indices: equal to the estimate
-    bit for bit when only this group is drawn; summed over groups, equal to it
-    within the GEMM rounding bound (the summation order differs).
-    """
-    _check_plan(a, b, partition, dist)
-    if not 0 <= group_index < partition.k:
-        raise ValueError(f"group index {group_index} out of range [0, {partition.k})")
-    c = len(draws)
-    count = int(np.sum(draws == group_index))
-    if count == 0:
-        return _frozen(np.zeros((a.shape[0], b.shape[1])))
-    idx = np.flatnonzero(partition.labels == group_index)
-    scale = np.full(idx.size, count / (c * dist.weights[group_index]))
-    return _frozen(_scaled_product(a.T, b, idx, scale, _is_transpose(a, b)))
 
 
 def pairwise_plan(a: np.ndarray, b: np.ndarray,

@@ -1,16 +1,19 @@
-"""Shared generators for randomized test instances, and reference computations."""
+"""Shared generators for randomized test instances, and reference computations (oracles)."""
 
+import itertools
 import math
 import statistics
 from fractions import Fraction
 
 import numpy as np
 
-from partsketch import (SketchConfig, coarsen, dense, derive_seed, frobenius_norm,
-                        multiply, sample_indices, sketch, spectral_norm)
+from partsketch import (Plan, SamplingDistribution, SketchConfig, coarsen, dense, derive_seed,
+                        frobenius_norm, multiply, sample_indices, sketch, spectral_norm)
 from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _methods,
                                     experiment_matrix)
-from partsketch.sketching import _is_transpose
+from partsketch.distributions import _check_sample_count
+from partsketch.matrices import _check_conformable, _frozen
+from partsketch.sketching import _is_transpose, _scaled_product
 
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -39,6 +42,98 @@ def random_coarsening(rng, n, max_groups=None):
         groups.append([int(i) for i in perm[start:cut]])
         start = cut
     return coarsen(groups, n)
+
+
+def distribution(support, weights, *, normalize=False):
+    """A distribution over ``support`` from a copy of ``weights``; with ``normalize`` they are first rescaled to sum to 1."""
+    w = np.array(weights, dtype=np.float64, copy=True)
+    if normalize:
+        total = float(np.sum(w))
+        if total <= 0:
+            raise ValueError(f"cannot normalize weights summing to {total}")
+        w /= total
+    return SamplingDistribution(support, w)
+
+
+def block_product(a, b, group):
+    """Product restricted to one index group: columns ``group`` of ``a`` times rows ``group`` of ``b``.
+
+    Summing this over the groups of any partition of the inner axis recovers
+    ``multiply(a, b)``.  Indices are 0-based and must be in range; the group
+    must be nonempty.
+    """
+    _check_conformable(a, b)
+    idx = np.asarray(group, dtype=np.intp)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ValueError("group must be a nonempty 1-d index list")
+    if idx.min() < 0 or idx.max() >= a.shape[1]:
+        raise ValueError(f"group index out of range [0, {a.shape[1]})")
+    return _frozen(a[:, idx] @ b[idx, :])
+
+
+def element_weight(a, b, group):
+    """Frobenius norm of the group's block product: the per-group oracle for ``group_weights``."""
+    return frobenius_norm(block_product(a, b, group))
+
+
+def element_contribution(a, b, partition, dist, draws, group_index):
+    """The part of the estimate attributable to one group, from the same draw log.
+
+    The sketch's kernel restricted to the group's indices: equal to the estimate
+    bit for bit when only this group is drawn; summed over groups, equal to it
+    within the GEMM rounding bound (the summation order differs).  Raises
+    ``ValueError`` unless ``Plan(a, b, partition, dist)`` builds.
+    """
+    Plan(a, b, partition, dist)
+    if not 0 <= group_index < partition.k:
+        raise ValueError(f"group index {group_index} out of range [0, {partition.k})")
+    c = len(draws)
+    count = int(np.sum(draws == group_index))
+    if count == 0:
+        return _frozen(np.zeros((a.shape[0], b.shape[1])))
+    idx = np.flatnonzero(partition.labels == group_index)
+    scale = np.full(idx.size, count / (c * dist.weights[group_index]))
+    return _frozen(_scaled_product(a.T, b, idx, scale, _is_transpose(a, b)))
+
+
+ENUMERATION_LIMIT = 1_000_000
+
+
+def brute_force_expectation(a, b, partition, dist, c):
+    """Exact expectation of the sketch and of its squared Frobenius error.
+
+    Enumerates all k^c draw sequences, weighting each by its probability.
+    Independent of the sampling engine: blocks are sliced and summed here
+    directly.  Guarded to k^c <= ``ENUMERATION_LIMIT``; raises ``ValueError``
+    unless ``Plan(a, b, partition, dist)`` builds and c >= 1.
+    """
+    Plan(a, b, partition, dist)
+    _check_sample_count(c)
+    k = partition.k
+    if k ** c > ENUMERATION_LIMIT:
+        raise ValueError(f"k^c = {k}^{c} exceeds the enumeration guard of {ENUMERATION_LIMIT}")
+    exact = multiply(a, b)
+    probs = [float(p) for p in dist.weights]
+    scaled = []
+    for g, p in zip(partition.groups, probs):
+        idx = list(g)
+        scaled.append(a[:, idx] @ b[idx, :] / p if p > 0.0 else None)
+    mean = np.zeros_like(exact)
+    err_sq = 0.0
+    for seq in itertools.product(range(k), repeat=c):
+        prob = 1.0
+        for r in seq:
+            prob *= probs[r]
+        if prob == 0.0:
+            continue
+        est = np.zeros_like(exact)
+        for r in seq:
+            est += scaled[r]
+        est /= c
+        mean += prob * est
+        diff = exact - est
+        err_sq += prob * float(np.sum(diff * diff))
+    return _frozen(mean), err_sq
 
 
 def all_pairings(indices):
@@ -257,11 +352,11 @@ def loop_fig1_csv(cfg):
     exact_f = frobenius_norm(exact)
     lines = [FIG1_HEADER]
     for c in cfg.c_grid():
-        for label, partition, dist in _methods(cfg, a, b):
+        for label, plan in _methods(cfg, a, b):
             sq_errs, rel_errs = [], []
             for t in range(cfg.trials):
                 seed = derive_seed(cfg.seed, "fig1", label, c, t)
-                diff = exact - sketch(a, b, partition, dist, SketchConfig(c, seed)).estimate
+                diff = exact - sketch(a, b, plan.partition, plan.distribution, SketchConfig(c, seed)).estimate
                 sq = float(np.sum(diff * diff))
                 sq_errs.append(sq)
                 rel_errs.append(math.sqrt(sq) / exact_f)
@@ -278,10 +373,11 @@ def loop_fig2_csv(cfg):
     exact = multiply(a, b)
     exact_2 = spectral_norm(exact)
     lines = [FIG2_HEADER]
-    for label, partition, dist in _methods(cfg, a, b):
+    for label, plan in _methods(cfg, a, b):
         for c in cfg.fig2_c_values(a.shape[1]):
             for run in range(cfg.runs):
                 seed = derive_seed(cfg.seed, "fig2", label, c, run)
-                err = spectral_norm(exact - sketch(a, b, partition, dist, SketchConfig(c, seed)).estimate)
+                err = spectral_norm(exact - sketch(a, b, plan.partition, plan.distribution,
+                                                   SketchConfig(c, seed)).estimate)
                 lines.append(f"{label},{c},{run},{err / exact_2!r}")
     return "\n".join(lines) + "\n"

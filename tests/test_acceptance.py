@@ -10,18 +10,17 @@ import numpy as np
 import pytest
 
 from partsketch import (BALANCED, ENHANCED, SIMPLE, ExperimentConfig,
-                        SketchConfig, aggregate_distribution, coarsen, dense,
-                        distribution, element_weight,
+                        PairingStrategy, Plan, SketchConfig,
+                        aggregate_distribution, coarsen, dense,
                         expected_frobenius_error_sq, finest, frobenius_norm,
                         min_draw_threshold, multiply, optimal_distribution,
-                        optimal_expected_error, pair_partition, paper_scale,
-                        pairing_comparators, random_pairing, run_fig1,
-                        run_fig2, run_table1, sketch, sketch_trials, spectral_norm,
-                        uniform_distribution, uniform_spectral_bound,
-                        brute_force_expectation)
+                        pair_partition, paper_scale, pairing_comparators,
+                        run_fig1, run_fig2, run_table1, sketch, sketch_trials,
+                        spectral_norm, uniform_spectral_bound)
 from partsketch.cli import main
 from partsketch.rng import derive_seed, derive_seeds
-from helpers import all_pairings, random_coarsening, random_instance
+from helpers import (all_pairings, brute_force_expectation, distribution, element_weight,
+                     random_coarsening, random_instance)
 
 DESK = ExperimentConfig(seed=2024)
 
@@ -68,7 +67,7 @@ def test_criterion_02_monte_carlo_consistency():
     c, trials = 5, 10**5
     total = 0.0
     # trial t is sketch(a, b, part, d, SketchConfig(c, derive_seed(2020, t))) bit for bit
-    for result in sketch_trials(a, b, [(part, d, c, derive_seeds(2020, (), trials))]):
+    for result in sketch_trials([(Plan(a, b, part, d), c, derive_seeds(2020, (), trials))]):
         diff = exact - result.estimate
         total += float(np.sum(diff * diff))
     empirical = total / trials
@@ -105,8 +104,9 @@ def test_criterion_04_coarser_partitions_never_lose():
     for _ in range(100):
         a, b = random_instance(rng)
         part = random_coarsening(rng, a.shape[1])
-        coarse = optimal_expected_error(a, b, part, 2)
-        fine = optimal_expected_error(a, b, finest(a.shape[1]), 2)
+        coarse = expected_frobenius_error_sq(a, b, part, optimal_distribution(a, b, part), 2)
+        fine_part = finest(a.shape[1])
+        fine = expected_frobenius_error_sq(a, b, fine_part, optimal_distribution(a, b, fine_part), 2)
         worst = max(worst, coarse - fine)
         ok = ok and coarse <= fine + 1e-12
     criterion(4, "optimal coarse-partition error bounded by finest-partition error",
@@ -120,9 +120,9 @@ def test_criterion_05_aggregated_distributions_never_lose():
         a, b = random_instance(rng)
         n = a.shape[1]
         p_o = optimal_distribution(a, b, finest(n))
-        fine = optimal_expected_error(a, b, finest(n), 2)
+        fine = expected_frobenius_error_sq(a, b, p_o.support, p_o, 2)
         parts = [pair_partition(p_o.weights, s)
-                 for s in (ENHANCED, BALANCED, SIMPLE, random_pairing(9000 + i))]
+                 for s in (ENHANCED, BALANCED, SIMPLE, PairingStrategy("random", 9000 + i))]
         parts.append(random_coarsening(rng, n))
         for part in parts:
             agg = aggregate_distribution(p_o, part)
@@ -167,7 +167,7 @@ def test_criterion_08_uniform_sampling_spectral_coverage():
     a = dense(rng.random((30, k)))
     b = dense(rng.random((k, 30)))
     part = finest(k)
-    d = uniform_distribution(part)
+    d = distribution(part, np.ones(k), normalize=True)
     threshold = min_draw_threshold(c, k)
     assert threshold.feasible
     bound = uniform_spectral_bound(a, b, c, k, threshold.threshold)
@@ -189,7 +189,7 @@ def test_criterion_09_pairing_comparators():
     for i in range(100):
         a, b = random_instance(rng, max_n=8, centered=False)
         p_o = optimal_distribution(a, b, finest(a.shape[1]))
-        strategy = (ENHANCED, BALANCED, SIMPLE, random_pairing(i))[i % 4]
+        strategy = (ENHANCED, BALANCED, SIMPLE, PairingStrategy("random", i))[i % 4]
         comp = pairing_comparators(a, b, pair_partition(p_o.weights, strategy))
         ok = ok and comp.paired_deviation_bound <= comp.single_deviation_bound + 1e-12
         ok = ok and comp.paired_variance_bound <= comp.single_variance_bound + 1e-12

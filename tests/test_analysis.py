@@ -6,21 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from partsketch import (BALANCED, ENHANCED, SIMPLE, ZeroProductError,
-                        aggregate_distribution, bernstein_tail_bound,
-                        binomial_cdf, block_product, bound_report, brute_force_expectation,
-                        coarsen, dense, distribution, error_form,
+from partsketch import (BALANCED, ENHANCED, SIMPLE, PairingStrategy, Plan, SketchConfig,
+                        ZeroProductError, aggregate_distribution, bernstein_tail_bound,
+                        binomial_cdf, bound_report, coarsen, dense, error_form,
                         expected_frobenius_error_sq, finest, group_weights,
                         min_draw_threshold, multiply, optimal_distribution,
-                        optimal_expected_error, pair_partition,
-                        pairing_comparators, pairwise_plan, random_pairing, spectral_norm,
-                        tail_bound_value, uniform_spectral_bound)
-from partsketch.sketching import element_contribution
-from helpers import all_pairings, random_coarsening, random_instance
+                        pair_partition, pairing_comparators, pairwise_plan, sketch,
+                        spectral_norm, tail_bound_value, uniform_spectral_bound)
+from helpers import (all_pairings, block_product, brute_force_expectation, distribution,
+                     element_contribution, random_coarsening, random_instance)
 
 
 def column_weights(a, b):
     return np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=1)
+
+
+def optimal_error(a, b, part, c):
+    """The closed form at the optimal distribution over ``part``."""
+    return expected_frobenius_error_sq(a, b, part, optimal_distribution(a, b, part), c)
 
 
 class TestExpectedError:
@@ -110,7 +113,6 @@ class TestCancellationFloor:
         part = finest(n)
         d = optimal_distribution(a, b, part)
         assert expected_frobenius_error_sq(a, b, part, d, 3) == 0.0
-        assert optimal_expected_error(a, b, part, 3) == 0.0
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.floats(-6.0, 6.0))
@@ -125,8 +127,6 @@ class TestCancellationFloor:
         base = expected_frobenius_error_sq(a, b, part, d, 2)
         assert base > 0.0
         assert expected_frobenius_error_sq(sa, sb, part, d, 2) == pytest.approx(scale**4 * base, rel=1e-9)
-        assert optimal_expected_error(sa, sb, part, 2) == pytest.approx(
-            scale**4 * optimal_expected_error(a, b, part, 2), rel=1e-9)
 
 
 class TestOptimalExpectedError:
@@ -134,14 +134,14 @@ class TestOptimalExpectedError:
         rng = np.random.default_rng(8)
         a, b = random_instance(rng)
         part = coarsen([list(range(a.shape[1]))], a.shape[1])
-        assert optimal_expected_error(a, b, part, 5) == 0.0
+        assert optimal_error(a, b, part, 5) == 0.0
 
     def test_orthonormal_closed_form(self):
         n, c = 6, 4
         a = dense(np.eye(n))
         b = dense(np.eye(n))
         # unit weights: ((sum of n ones)^2 - n) / c
-        assert optimal_expected_error(a, b, finest(n), c) == pytest.approx(
+        assert optimal_error(a, b, finest(n), c) == pytest.approx(
             (n * n - n) / c, rel=1e-12)
 
     def test_agrees_with_generic_formula_at_optimum(self):
@@ -151,7 +151,8 @@ class TestOptimalExpectedError:
             part = random_coarsening(rng, a.shape[1])
             d = optimal_distribution(a, b, part)
             direct = expected_frobenius_error_sq(a, b, part, d, 3)
-            closed = optimal_expected_error(a, b, part, 3)
+            # ((sum of group weights)^2 - |AB|_F^2) / c, the closed form at the optimum
+            closed = (float(np.sum(group_weights(a, b, part))) ** 2 - float(np.sum(multiply(a, b) ** 2))) / 3
             assert direct == pytest.approx(closed, rel=1e-11, abs=1e-12)
 
     def test_finest_has_largest_error(self):
@@ -159,8 +160,8 @@ class TestOptimalExpectedError:
         for _ in range(100):
             a, b = random_instance(rng)
             part = random_coarsening(rng, a.shape[1])
-            coarse = optimal_expected_error(a, b, part, 2)
-            fine = optimal_expected_error(a, b, finest(a.shape[1]), 2)
+            coarse = optimal_error(a, b, part, 2)
+            fine = optimal_error(a, b, finest(a.shape[1]), 2)
             assert coarse <= fine + 1e-12 * max(1.0, fine)
 
     def test_perturbations_never_beat_optimum(self):
@@ -185,7 +186,7 @@ class TestBernsteinBound:
         b = dense(rng.random((3, 2)) - 0.5)
         part = coarsen([[0, 1], [2]], 3)
         d = optimal_distribution(a, b, part)
-        report = bound_report(a, b, part, d)
+        report = bound_report(Plan(a, b, part, d))
         # independent ingredients: svd for the spectral norm, direct block norms
         weight_total = sum(float(np.linalg.norm(a[:, list(g)] @ b[list(g), :]))
                            for g in part.groups)
@@ -201,7 +202,7 @@ class TestBernsteinBound:
         a, b = random_instance(rng)
         part = finest(a.shape[1])
         d = optimal_distribution(a, b, part)
-        report = bound_report(a, b, part, d)
+        report = bound_report(Plan(a, b, part, d))
         assert bernstein_tail_bound(report, 20, 0.5) <= bernstein_tail_bound(report, 10, 0.5)
 
     def test_decays_to_zero_for_huge_epsilon(self):
@@ -209,7 +210,7 @@ class TestBernsteinBound:
         a, b = random_instance(rng)
         part = finest(a.shape[1])
         d = optimal_distribution(a, b, part)
-        report = bound_report(a, b, part, d)
+        report = bound_report(Plan(a, b, part, d))
         sigma_sq = (report.product_spectral_norm**2
                     + 2 * report.weight_sum * report.product_spectral_norm
                     + report.scaled_weight_sq_sum)
@@ -339,7 +340,7 @@ class TestPairingComparators:
             n = a.shape[1]
             po = optimal_distribution(a, b, finest(n))
             pairing = pair_partition(po.weights, ENHANCED if rng.random() < 0.5 else
-                                     random_pairing(int(rng.integers(1e6))))
+                                     PairingStrategy("random", int(rng.integers(1e6))))
             comp = pairing_comparators(a, b, pairing)
             assert comp.paired_deviation_bound <= comp.single_deviation_bound + 1e-12
             assert comp.paired_variance_bound <= comp.single_variance_bound + 1e-12
@@ -349,7 +350,7 @@ class TestPairingComparators:
         for _ in range(50):
             a, b = random_instance(rng, max_n=9, centered=False)
             n = a.shape[1]
-            pairing = pair_partition(rng.random(n), random_pairing(int(rng.integers(1e6))))
+            pairing = pair_partition(rng.random(n), PairingStrategy("random", int(rng.integers(1e6))))
             w = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=1)
             total = float(np.sum(w))
             sums = np.array([float(np.sum(w[list(g)])) for g in pairing.groups])
@@ -412,9 +413,9 @@ class TestCoarseningOrdering:
             a, b = random_instance(rng)
             n = a.shape[1]
             po = optimal_distribution(a, b, finest(n))
-            fine = optimal_expected_error(a, b, finest(n), 2)
+            fine = optimal_error(a, b, finest(n), 2)
             plans = [pair_partition(po.weights, s)
-                     for s in (ENHANCED, BALANCED, SIMPLE, random_pairing(int(rng.integers(1e6))))]
+                     for s in (ENHANCED, BALANCED, SIMPLE, PairingStrategy("random", int(rng.integers(1e6))))]
             plans.append(random_coarsening(rng, n))
             for part in plans:
                 agg = aggregate_distribution(po, part)
@@ -473,7 +474,6 @@ class TestShapeCheck:
         "group_weights": lambda a, b: group_weights(a, b, finest(4)),
         "optimal_distribution": lambda a, b: optimal_distribution(a, b, finest(4)),
         "pairwise_plan": lambda a, b: pairwise_plan(a, b, ENHANCED),
-        "optimal_expected_error": lambda a, b: optimal_expected_error(a, b, finest(4), 3),
         "pairing_comparators": lambda a, b: pairing_comparators(a, b, pair_partition(np.full(4, 0.25), SIMPLE)),
         "uniform_spectral_bound": lambda a, b: uniform_spectral_bound(a, b, 3, 4, 2),
         "multiply": multiply,
@@ -491,11 +491,13 @@ class TestShapeCheck:
 
 
 class TestPlanCheck:
-    """Every consumer of a (partition, distribution) pair checks it against ``a @ b`` and each other."""
+    """``Plan`` checks a (partition, distribution) pair against ``a @ b`` and each other when it is
+    built; the loose entry points and the enumeration oracles build one."""
 
     CONSUMERS = {
+        "Plan": Plan,
         "expected_frobenius_error_sq": lambda a, b, part, d: expected_frobenius_error_sq(a, b, part, d, 5),
-        "bound_report": bound_report,
+        "sketch": lambda a, b, part, d: sketch(a, b, part, d, SketchConfig(2, 0)),
         "brute_force_expectation": lambda a, b, part, d: brute_force_expectation(a, b, part, d, 2),
         "element_contribution": lambda a, b, part, d: element_contribution(a, b, part, d, np.array([0, 1]), 0),
     }

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from partsketch import (ENHANCED, ExperimentConfig, SketchConfig, bernstein_tail_bound,
+from partsketch import (ENHANCED, ExperimentConfig, Plan, SketchConfig, bernstein_tail_bound,
                         bound_report, dense, distribution_to_json, finest, min_draw_threshold,
                         multiply, optimal_distribution, pairwise_plan, partition_from_json,
                         read_csv, read_matrix, sample_indices, sketch, sketching,
@@ -131,7 +131,7 @@ class TestOutputsAgainstPrimitives:
         draws = sample_indices(dist, self.C, self.SEED)
         assert log == {"draws": (draws + 1).tolist(), "seed": self.SEED, "c": self.C,
                        "counts": np.bincount(draws, minlength=partition.k).tolist()}
-        report = dataclasses.asdict(bound_report(a, b, partition, dist))  # weights computed afresh
+        report = dataclasses.asdict(bound_report(Plan(a, b, partition, dist)))  # weights computed afresh
         assert (out / "bounds.json").read_text() == self.json_text(report)
         assert (out / "distribution.json").read_text() == distribution_to_json(dist) + "\n"
 
@@ -141,7 +141,7 @@ class TestOutputsAgainstPrimitives:
                      "--strategy", "enhanced", "--k", str(self.K), "--epsilon", repr(self.EPSILON),
                      "--out-dir", str(out)]) == 0
         a, b, partition, dist = self.reference_plan(inputs, "bin", "enhanced")
-        report = bound_report(a, b, partition, dist)
+        report = bound_report(Plan(a, b, partition, dist))
         threshold = min_draw_threshold(self.C, self.K)
         assert threshold.feasible
         expected = {
@@ -262,9 +262,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["sketch", "experiment"])
     def test_out_of_memory_is_config_error(self, tmp_path, matrices, monkeypatch, capsys, command):
-        # an oversized --c makes the allocation of the variates fail (a sketch
-        # request's one stream, an experiment's draw block); stand in for it
-        # without allocating anything
+        # a failed allocation of the variates (a sketch request's one stream, an
+        # experiment's draw block) is a configuration error; stand in for it
+        # without allocating anything, at a --c below the draw-count bound
         def no_memory(seeds, c):
             raise MemoryError(f"Unable to allocate an array of {c} variates")
 
@@ -272,13 +272,37 @@ class TestExitCodes:
         monkeypatch.setattr(sketching, "uniform_stream", no_memory)
         if command == "sketch":
             argv = ["sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
-                    "--c", "100000000000"]
+                    "--c", "1000"]
         else:
             argv = ["experiment", "fig1", "--rows", "3", "--cols", "4", "--c-min", "2",
                     "--c-max", "2", "--trials", "2"]
         assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: Unable to allocate") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["sketch", "experiment"])
+    def test_draw_count_past_the_bound_exits_before_any_allocation(self, tmp_path, matrices, monkeypatch,
+                                                                   capsys, command):
+        def no_allocation(*args):
+            pytest.fail("a sample count past the bound reached the variate stream")
+
+        monkeypatch.setattr(sketching, "uniform_rows", no_allocation)
+        monkeypatch.setattr(sketching, "uniform_stream", no_allocation)
+        if command == "sketch":
+            argv = ["sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                    "--c", "100000000000"]
+        else:
+            argv = ["experiment", "fig1", "--c-max", "100000000000"]
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: sample count must be <= 67108864 (2 GiB of draw temporaries), got 100000000000\n"
+
+    def test_closed_forms_take_any_draw_count(self, tmp_path, matrices):
+        assert main(["analyze", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                     "--c", "100000000000", "--k", "250", "--epsilon", "1",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
+        assert payload["tail_bound"]["c"] == payload["draw_threshold"]["c"] == 10**11
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["sketch", "analyze"])

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partsketch import (ENHANCED, Plan, SamplingDistribution, ZeroProductError,
-                        aggregate_distribution, coarsen, dense, distribution,
+                        aggregate_distribution, coarsen, dense,
                         distribution_stats, distribution_to_json,
-                        element_weight, finest, group_weights, multiply,
-                        optimal_distribution, optimal_plan, pairwise_plan,
-                        uniform_distribution)
+                        finest, group_weights,
+                        optimal_distribution, optimal_plan, pairwise_plan)
 from partsketch import distributions
-from helpers import random_coarsening, random_instance
+from helpers import distribution, element_weight, random_coarsening, random_instance
 
 
 class TestElementWeight:
@@ -158,10 +157,6 @@ class TestDistributionConstruction:
     def test_normalize(self):
         d = distribution(finest(2), [3.0, 1.0], normalize=True)
         assert d.weights.tolist() == [0.75, 0.25]
-
-    def test_uniform(self):
-        d = uniform_distribution(coarsen([[0, 1], [2], [3]], 4))
-        assert np.allclose(d.weights, [1 / 3] * 3, atol=1e-15)
 
     @pytest.mark.parametrize("weights, match", [
         ([0.5, 0.5, 0.5], "sum"),

@@ -6,10 +6,10 @@ import pytest
 
 from partsketch import (ConfigError, ExperimentConfig, aggregate_distribution,
                         expected_frobenius_error_sq, finest,
-                        optimal_distribution, optimal_expected_error,
-                        pair_partition, paper_scale, run_fig1, run_fig2,
-                        run_table1, write_csv)
+                        optimal_distribution, pair_partition, paper_scale,
+                        run_fig1, run_fig2, run_table1, write_csv)
 from partsketch import experiments, sketching
+from partsketch.distributions import _MAX_DRAWS
 from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _error_form_pays,
                                     _fig1_row, _methods, experiment_matrix,
                                     pairing_strategy)
@@ -53,6 +53,15 @@ class TestConfig:
     def test_invalid_configs(self, bad):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("counts", [dict(c_max=10**11), dict(fig2_c=(10, _MAX_DRAWS + 1))])
+    def test_draw_count_bound_is_checked_before_the_grid_is_built(self, monkeypatch, counts):
+        def no_grid(self):
+            pytest.fail("the sample-count grid was built")
+
+        monkeypatch.setattr(ExperimentConfig, "c_grid", no_grid)
+        with pytest.raises(ConfigError, match=f"sample count must be <= {_MAX_DRAWS}"):
+            ExperimentConfig(**counts)
 
     def test_matrix_generation_uses_dedicated_substream(self):
         cfg = ExperimentConfig(rows=3, cols=4, seed=1)
@@ -102,7 +111,7 @@ class TestFig1:
         pair_dist = aggregate_distribution(p_o, pair_part)
         for r in rows:
             if r["method"] == "finest":
-                theory = optimal_expected_error(a, b, finest(cfg.cols), r["c"])
+                theory = expected_frobenius_error_sq(a, b, finest(cfg.cols), p_o, r["c"])
             else:
                 theory = expected_frobenius_error_sq(a, b, pair_part, pair_dist, r["c"])
             assert abs(r["mean_sq_frob_err"] - theory) <= 5 * r["stderr"]
@@ -160,7 +169,7 @@ class TestBatchedTrials:
         want = loop_fig1_csv(cfg).splitlines()
         assert got[0] == want[0] and len(got) == len(want)
         a = experiment_matrix(cfg)
-        methods = {label: (part, d) for label, part, d in _methods(cfg, a, a.T)}
+        methods = {label: (plan.partition, plan.distribution) for label, plan in _methods(cfg, a, a.T)}
         for line, ref in zip(got[1:], want[1:]):
             fields, ref_fields = line.split(","), ref.split(",")
             assert fields[:4] + fields[5:] == ref_fields[:4] + ref_fields[5:]
@@ -187,11 +196,13 @@ class TestBatchedTrials:
         rows_out = run_fig1(cfg, tmp_path)
         a = experiment_matrix(cfg)
         exact_f = frobenius_norm(multiply(a, a.T))
-        cells = [(c, label, part, d) for c in cfg.c_grid() for label, part, d in _methods(cfg, a, a.T)]
+        cells = [(c, label, plan.partition, plan.distribution)
+                 for c in cfg.c_grid() for label, plan in _methods(cfg, a, a.T)]
         [(cells_got, errors)] = calls
         assert len(cells_got) == len(errors) == len(cells) == len(rows_out)
-        for (c, label, part, d), (part_got, d_got, c_got, seeds), errs, row in zip(cells, cells_got, errors, rows_out):
-            assert (c_got, part_got) == (c, part) and np.array_equal(d_got.weights, d.weights)
+        for (c, label, part, d), (plan_got, c_got, seeds), errs, row in zip(cells, cells_got, errors, rows_out):
+            assert (c_got, plan_got.partition) == (c, part)
+            assert np.array_equal(plan_got.distribution.weights, d.weights)
             assert seeds == [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(cfg.trials)]
             direct, bounds = direct_errors_and_bounds(a, a.T, part, d, c, seeds)
             assert np.all(np.abs(errs - direct) <= bounds)
@@ -263,11 +274,11 @@ class TestFig1ErrorForm:
         a = experiment_matrix(cfg)
         b = a.T
         h = sketching.error_form(a, b)
-        for label, partition, dist in _methods(cfg, a, b):
+        for label, plan in _methods(cfg, a, b):
             for c in (1000, 3000):
                 seeds = [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(3)]
-                [errs] = sketching.frobenius_errors(h, [(partition, dist, c, seeds)])
-                direct, bounds = direct_errors_and_bounds(a, b, partition, dist, c, seeds)
+                [errs] = sketching.frobenius_errors(h, [(plan, c, seeds)])
+                direct, bounds = direct_errors_and_bounds(a, b, plan.partition, plan.distribution, c, seeds)
                 assert np.all(np.abs(errs - direct) <= bounds), (label, c)
 
 

@@ -8,10 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from partsketch import (MatrixFileError, block_product, dense, frobenius_norm, multiply,
+from partsketch import (MatrixFileError, dense, frobenius_norm, multiply,
                         read_binary, read_csv, read_matrix, spectral_norm,
                         write_binary, write_csv)
-from helpers import random_coarsening
+from helpers import block_product, random_coarsening
 
 EPS = np.finfo(np.float64).eps
 

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from partsketch import (BALANCED, ENHANCED, SIMPLE, PairingStrategy,
                         Partition, coarsen, finest, pair_partition,
-                        partition_from_json, partition_to_json,
-                        random_pairing)
+                        partition_from_json, partition_to_json)
 from helpers import loop_validate as validate
 
 
@@ -147,9 +146,9 @@ class TestPairPartition:
         assert pair_partition(self.p, SIMPLE).groups == ((0, 1), (2, 3))
 
     def test_random_is_seed_deterministic(self):
-        a = pair_partition(self.p, random_pairing(99))
-        b = pair_partition(self.p, random_pairing(99))
-        c = pair_partition(self.p, random_pairing(100))
+        a = pair_partition(self.p, PairingStrategy("random", 99))
+        b = pair_partition(self.p, PairingStrategy("random", 99))
+        c = pair_partition(self.p, PairingStrategy("random", 100))
         assert a.groups == b.groups
         assert validate(c.n, c.groups) is None
 
@@ -178,7 +177,7 @@ class TestPairPartition:
         rng = np.random.default_rng(seed)
         p = rng.random(n)
         p /= p.sum()
-        for strategy in (ENHANCED, BALANCED, SIMPLE, random_pairing(seed)):
+        for strategy in (ENHANCED, BALANCED, SIMPLE, PairingStrategy("random", seed)):
             part = pair_partition(p, strategy)
             assert validate(part.n, part.groups) is None
             assert part.k == (n + 1) // 2

@@ -5,20 +5,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from partsketch import (ENHANCED, SketchConfig, brute_force_expectation,
-                        coarsen, dense, distribution, element_contribution,
-                        element_weight, error_form, expected_frobenius_error_sq,
-                        finest, frobenius_errors, frobenius_norm, multiply,
-                        optimal_distribution, pairwise_plan, sample_indices,
-                        sketch, sketch_from_draws, sketch_trials, spectral_norm,
-                        uniform_distribution, uniform_stream)
+from partsketch import (ENHANCED, Plan, SketchConfig, coarsen, dense, error_form,
+                        expected_frobenius_error_sq, finest, frobenius_errors,
+                        frobenius_norm, multiply, optimal_distribution, pairwise_plan,
+                        sample_indices, sketch, sketch_from_draws, sketch_trials,
+                        spectral_norm, uniform_stream)
 from partsketch import sketching
+from partsketch.distributions import _MAX_DRAWS
 from partsketch.rng import derive_seed, derive_seeds
 from partsketch.sketching import (_FORM_ROWS, _GUIDE_STEPS, _inverse_cdf, _is_transpose,
                                   _trials_per_block)
-from helpers import (column_gather_product, direct_errors_and_bounds, gemm_error_bound,
+from helpers import (brute_force_expectation, column_gather_product, direct_errors_and_bounds,
+                     distribution, element_contribution, element_weight, gemm_error_bound,
                      gram_error_bound, kernel_error_bound, loop_sketch, random_coarsening,
                      random_instance, scale_vector)
+
+
+def uniform(part):
+    return distribution(part, np.ones(part.k), normalize=True)
 
 
 def small_instance(seed=0):
@@ -78,7 +82,7 @@ class TestDrawCounts:
         part = finest(k)
         d = distribution(part, weights, normalize=True)
         seeds = [seed, seed ^ 1, seed // 3]
-        results = sketch_trials(dense(np.ones((1, k))), dense(np.ones((k, 1))), [(part, d, c, seeds)])
+        results = sketch_trials([(Plan(dense(np.ones((1, k))), dense(np.ones((k, 1))), part, d), c, seeds)])
         for s, res in zip(seeds, results, strict=True):
             assert np.array_equal(res.counts, np.bincount(sample_indices(d, c, s), minlength=k))
 
@@ -173,7 +177,7 @@ class TestSketchTrials:
         a, b, part, d = self.plan(b_kind, zero_groups)
         per_block = _trials_per_block(c, part.n)
         seeds = [derive_seed(c, t) for t in range(1 if extra is None else per_block + extra)]
-        results = list(sketch_trials(a, b, [(part, d, c, seeds)]))
+        results = list(sketch_trials([(Plan(a, b, part, d), c, seeds)]))
         assert len(results) == len(seeds)
         for seed, res in zip(seeds, results):
             lone = sketch(a, b, part, d, SketchConfig(c, seed))
@@ -196,10 +200,11 @@ class TestSketchTrials:
             return draw_block(dist, c, seeds)
 
         monkeypatch.setattr(sketching, "_draw_block", recording)
-        assert len(list(sketch_trials(a, b, [(part, d, 5000, list(range(13)))]))) == 13
+        plan = Plan(a, b, part, d)
+        assert len(list(sketch_trials([(plan, 5000, list(range(13)))]))) == 13
         assert sizes == [6, 6, 1]  # 2**15 // 5000
         sizes.clear()
-        list(sketch_trials(a, b, [(part, d, 3, list(range(900)))]))
+        list(sketch_trials([(plan, 3, list(range(900)))]))
         assert sizes == [819, 81]  # 2**15 // n, n = 40
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -216,34 +221,43 @@ class TestSketchTrials:
         assert (per_block + 1) * max(c, n) > 2**15
 
     def test_plan_is_checked_on_the_call(self):
+        # the plans check themselves when built; the call checks that they share one (A, B) and each c
         a, b, part, d = self.plan("unrelated", False)
+        plan = Plan(a, b, part, d)
         with pytest.raises(ValueError, match="supported"):
-            sketch_trials(a, b, [(coarsen([list(range(20)), list(range(20, 40))], 40), d, 3, [1])])
+            Plan(a, b, coarsen([list(range(20)), list(range(20, 40))], 40), d)
         with pytest.raises(ValueError, match="mismatch"):
-            sketch_trials(a, dense(np.ones((3, 2))), [(part, d, 3, [1])])
+            Plan(a, dense(np.ones((3, 2))), part, d)
+        with pytest.raises(ValueError, match="the first cell's matrices"):
+            sketch_trials([(plan, 3, [1]), (Plan(a, dense(b.copy()), part, d), 3, [1])])
         with pytest.raises(ValueError, match=">= 1"):
-            sketch_trials(a, b, [(part, d, 0, [1])])
+            sketch_trials([(plan, 0, [1])])
 
     def test_cell_without_seeds_yields_nothing(self):
         a, b, part, d = self.plan("unrelated", False)
-        assert list(sketch_trials(a, b, [])) == []
-        assert list(sketch_trials(a, b, [(part, d, 3, [])])) == []
-        results = list(sketch_trials(a, b, [(part, d, 3, [1, 2]), (part, d, 9, []), (part, d, 5, [4])]))
+        plan = Plan(a, b, part, d)
+        assert list(sketch_trials([])) == []
+        assert list(sketch_trials([(plan, 3, [])])) == []
+        results = list(sketch_trials([(plan, 3, [1, 2]), (plan, 9, []), (plan, 5, [4])]))
         assert [int(r.counts.sum()) for r in results] == [3, 3, 5]
 
-    @pytest.mark.parametrize("bad", ["partition", "c"])
+    @pytest.mark.parametrize("bad", ["partition", "c", "matrices", "draws"])
     @pytest.mark.parametrize("where", [0, 2])
     def test_a_bad_plan_in_any_cell_raises_before_any_draw(self, monkeypatch, bad, where):
+        # partition: a plan over another inner dimension, so on other matrices; matrices: a plan
+        # on an equal copy of (A, B); draws: c past the draw-count bound
         a, b, part, d = self.plan("unrelated", False)
-        cells = [(part, d, 3, [1, 2])] * 3
+        cells = [(Plan(a, b, part, d), 3, [1, 2])] * 3
         if bad == "partition":
-            cells[where] = (coarsen([list(range(20)), list(range(20, 40))], 40), d, 3, [1])
+            cells[where] = (Plan(dense(a[:, :39]), dense(b[:39]), finest(39), uniform(finest(39))), 3, [1])
+        elif bad == "matrices":
+            cells[where] = (Plan(dense(a.copy()), dense(b.copy()), part, d), 3, [1])
         else:
-            cells[where] = (part, d, 0, [1])
+            cells[where] = (cells[where][0], 0 if bad == "c" else _MAX_DRAWS + 1, [1])
         draws = []
         monkeypatch.setattr(sketching, "_draw_block", lambda *args: draws.append(args))
         with pytest.raises(ValueError):
-            sketch_trials(a, b, cells)
+            sketch_trials(cells)
         assert draws == []
 
     @pytest.mark.parametrize("b_kind", ["a.T", "unrelated"])
@@ -251,13 +265,14 @@ class TestSketchTrials:
         # three plans on one (A, B); the middle cell spans two draw blocks (6 + 2 trials)
         a, b, part, d = self.plan(b_kind, False)
         coarse = random_coarsening(np.random.default_rng(42), 40, max_groups=25)
-        cells = [(part, d, 7, [derive_seed(45, 0, t) for t in range(5)]),
-                 (coarse, optimal_distribution(a, b, coarse), 5000, [derive_seed(45, 1, t) for t in range(8)]),
-                 (part, uniform_distribution(part), 1, [derive_seed(45, 2, t) for t in range(3)])]
-        results = sketch_trials(a, b, cells)
-        for partition, dist, c, seeds in cells:
+        cells = [(Plan(a, b, part, d), 7, [derive_seed(45, 0, t) for t in range(5)]),
+                 (Plan(a, b, coarse, optimal_distribution(a, b, coarse)), 5000,
+                  [derive_seed(45, 1, t) for t in range(8)]),
+                 (Plan(a, b, part, uniform(part)), 1, [derive_seed(45, 2, t) for t in range(3)])]
+        results = sketch_trials(cells)
+        for plan, c, seeds in cells:
             for seed in seeds:
-                res, lone = next(results), sketch(a, b, partition, dist, SketchConfig(c, seed))
+                res, lone = next(results), sketch(a, b, plan.partition, plan.distribution, SketchConfig(c, seed))
                 assert res.estimate.tobytes() == lone.estimate.tobytes()
                 assert res.counts.tobytes() == lone.counts.tobytes()
         assert next(results, None) is None
@@ -272,7 +287,8 @@ class TestSketchTrials:
             return draw_block(dist, c, seeds)
 
         monkeypatch.setattr(sketching, "_draw_block", recording)
-        results = sketch_trials(a, b, [(part, d, 3, [1, 2]), (part, d, 5, [3]), (part, d, 7, [4])])
+        plan = Plan(a, b, part, d)
+        results = sketch_trials([(plan, 3, [1, 2]), (plan, 5, [3]), (plan, 7, [4])])
         assert drawn == []
         next(results)
         assert drawn == [3]
@@ -299,7 +315,7 @@ class TestPanelKernel:
         part = random_coarsening(rng, n, max_groups=n // 2 + 1) if coarse and n > 1 else finest(n)
         d = optimal_distribution(a, b, part)
         seeds = [derive_seed(seed, t) for t in range(3)]
-        for trial_seed, res in zip(seeds, sketch_trials(a, b, [(part, d, c, seeds)]), strict=True):
+        for trial_seed, res in zip(seeds, sketch_trials([(Plan(a, b, part, d), c, seeds)]), strict=True):
             s = scale_vector(part, d, sample_indices(d, c, trial_seed))
             idx = np.flatnonzero(s)
             reference = column_gather_product(a, b, idx, s[idx])
@@ -342,7 +358,7 @@ class TestFrobeniusErrors:
         b = a.T if transposed else dense(rng.random((n, int(rng.integers(1, 7)))) - 0.5)
         part, d = self.plan(rng, a, b, kind)
         seeds = [derive_seed(seed, t) for t in range(7)]
-        [errs] = frobenius_errors(error_form(a, b), [(part, d, c, seeds)])
+        [errs] = frobenius_errors(error_form(a, b), [(Plan(a, b, part, d), c, seeds)])
         direct, bounds = direct_errors_and_bounds(a, b, part, d, c, seeds)
         assert errs.shape == (7,) and np.all(errs >= 0.0)
         assert np.all(np.abs(errs - direct) <= bounds)
@@ -356,9 +372,9 @@ class TestFrobeniusErrors:
         a = dense(rng.random((4, 30)) - 0.5)
         b = a.T if b_kind == "a.T" else dense(rng.random((30, 3)) - 0.5)
         part = random_coarsening(rng, 30, max_groups=12)
-        d = optimal_distribution(a, b, part) if optimal else uniform_distribution(part)
+        d = optimal_distribution(a, b, part) if optimal else uniform(part)
         c = 7
-        [errs] = frobenius_errors(error_form(a, b), [(part, d, c, [derive_seed(43, t) for t in range(4000)])])
+        [errs] = frobenius_errors(error_form(a, b), [(Plan(a, b, part, d), c, [derive_seed(43, t) for t in range(4000)])])
         stderr = errs.std(ddof=1) / np.sqrt(errs.size)
         assert abs(errs.mean() - expected_frobenius_error_sq(a, b, part, d, c)) <= 5 * stderr
 
@@ -369,36 +385,40 @@ class TestFrobeniusErrors:
         assert np.array_equal(h, (a.T @ a) * (b @ b.T))
         with pytest.raises(ValueError, match="mismatch"):
             error_form(a, dense(np.ones((3, 2))))
-        with pytest.raises(ValueError, match="partition covers 40"):
-            frobenius_errors(h[:39, :39], [(part, d, 3, [1])])
+        plan = Plan(a, b, part, d)
+        with pytest.raises(ValueError, match=r"mismatch: h is \(39, 39\) but the plan's inner dimension is 40"):
+            frobenius_errors(h[:39, :39], [(plan, 3, [1])])
         with pytest.raises(ValueError, match="mismatch"):
-            frobenius_errors(h[:39, :], [(part, d, 3, [1])])
+            frobenius_errors(h[:39, :], [(plan, 3, [1])])
         with pytest.raises(ValueError, match="supported"):
-            frobenius_errors(h, [(coarsen([list(range(20)), list(range(20, 40))], 40), d, 3, [1])])
+            Plan(a, b, coarsen([list(range(20)), list(range(20, 40))], 40), d)
         with pytest.raises(ValueError, match=">= 1"):
-            frobenius_errors(h, [(part, d, 0, [1])])
+            frobenius_errors(h, [(plan, 0, [1])])
 
     def test_cell_without_seeds_gives_an_empty_array(self):
         a, b, part, d = TestSketchTrials.plan("unrelated", False)
         h = error_form(a, b)
+        plan = Plan(a, b, part, d)
         assert frobenius_errors(h, []) == []
-        [empty] = frobenius_errors(h, [(part, d, 3, [])])
+        [empty] = frobenius_errors(h, [(plan, 3, [])])
         assert empty.shape == (0,)
-        first, empty, last = frobenius_errors(h, [(part, d, 3, [1, 2]), (part, d, 9, []), (part, d, 3, [4])])
+        first, empty, last = frobenius_errors(h, [(plan, 3, [1, 2]), (plan, 9, []), (plan, 3, [4])])
         assert (first.shape, empty.shape, last.shape) == ((2,), (0,), (1,))
 
-    @pytest.mark.parametrize("bad", ["partition", "c", "h"])
+    @pytest.mark.parametrize("bad", ["partition", "c", "h", "draws"])
     @pytest.mark.parametrize("where", [0, 2])
     def test_a_bad_plan_in_any_cell_raises_before_any_draw(self, monkeypatch, bad, where):
+        # partition: a plan over another n than h's, on other matrices; h: an h of another size
+        # than every plan's n; draws: c past the draw-count bound
         a, b, part, d = TestSketchTrials.plan("unrelated", False)
         h = error_form(a, b)
-        cells = [(part, d, 3, [1, 2])] * 3
+        cells = [(Plan(a, b, part, d), 3, [1, 2])] * 3
         if bad == "partition":
-            cells[where] = (coarsen([list(range(20)), list(range(20, 40))], 40), d, 3, [1])
-        elif bad == "c":
-            cells[where] = (part, d, 0, [1])
-        else:  # a distribution over another n than h's
-            cells[where] = (finest(39), uniform_distribution(finest(39)), 3, [1])
+            cells[where] = (Plan(dense(a[:, :39]), dense(b[:39]), finest(39), uniform(finest(39))), 3, [1])
+        elif bad == "h":
+            h = error_form(dense(a[:, :39]), dense(b[:39]))
+        else:
+            cells[where] = (cells[where][0], 0 if bad == "c" else _MAX_DRAWS + 1, [1])
         draws = []
         monkeypatch.setattr(sketching, "_draw_block", lambda *args: draws.append(args))
         with pytest.raises(ValueError):
@@ -412,18 +432,18 @@ class TestFrobeniusErrors:
         a = dense(rng.random((5, 40)) - 0.5)
         b = dense(rng.random((40, 3)) - 0.5)
         part = random_coarsening(rng, 40, max_groups=25)
-        plans = [(finest(40), optimal_distribution(a, b, finest(40))),
-                 (part, optimal_distribution(a, b, part)), (part, uniform_distribution(part))]
-        cells = [(*plans[0], 7, [derive_seed(44, 0, t) for t in range(20)]),
-                 (*plans[1], 3, []),
-                 (*plans[1], 5000, [derive_seed(44, 2, t) for t in range(150)]),
-                 (*plans[2], 1, [derive_seed(44, 3, t) for t in range(7)])]
+        plans = [Plan(a, b, finest(40), optimal_distribution(a, b, finest(40))),
+                 Plan(a, b, part, optimal_distribution(a, b, part)), Plan(a, b, part, uniform(part))]
+        cells = [(plans[0], 7, [derive_seed(44, 0, t) for t in range(20)]),
+                 (plans[1], 3, []),
+                 (plans[1], 5000, [derive_seed(44, 2, t) for t in range(150)]),
+                 (plans[2], 1, [derive_seed(44, 3, t) for t in range(7)])]
         assert sum(len(seeds) for *_, seeds in cells) > _FORM_ROWS > 20
         assert _trials_per_block(5000, 40) == 6
         errors = frobenius_errors(error_form(a, b), cells)
         assert [e.shape for e in errors] == [(20,), (0,), (150,), (7,)]
-        for (part_t, d_t, c, seeds), errs in zip(cells, errors):
-            direct, bounds = direct_errors_and_bounds(a, b, part_t, d_t, c, seeds)
+        for (plan, c, seeds), errs in zip(cells, errors):
+            direct, bounds = direct_errors_and_bounds(a, b, plan.partition, plan.distribution, c, seeds)
             assert np.all(np.abs(errs - direct) <= bounds)
 
 
@@ -465,7 +485,7 @@ class TestSketch:
         acc = np.zeros_like(exact)
         acc_sq = np.zeros_like(exact)
         # trial t is sketch(a, b, part, d, SketchConfig(2, derive_seed(77, t))) bit for bit
-        for result in sketch_trials(a, b, [(part, d, 2, derive_seeds(77, (), trials))]):
+        for result in sketch_trials([(Plan(a, b, part, d), 2, derive_seeds(77, (), trials))]):
             est = result.estimate
             acc += est
             acc_sq += est * est
@@ -514,8 +534,9 @@ class TestSketchFromDraws:
             b = a.T
         part = random_coarsening(rng, a.shape[1])
         d = optimal_distribution(a, b, part)
-        expected = next(sketch_trials(a, b, [(part, d, c, [seed])]))
-        result = sketch_from_draws(a, b, part, d, sample_indices(d, c, seed))
+        plan = Plan(a, b, part, d)
+        expected = next(sketch_trials([(plan, c, [seed])]))
+        result = sketch_from_draws(plan, sample_indices(d, c, seed))
         assert result.estimate.tobytes() == expected.estimate.tobytes()
         assert np.array_equal(result.counts, expected.counts)
 
@@ -530,7 +551,7 @@ class TestSketchFromDraws:
         part = coarsen([[0, 1], [2], [3]], 4)
         d = distribution(part, [0.5, 0.0, 0.5])
         with pytest.raises(ValueError, match=match):
-            sketch_from_draws(a, b, part, d, draws)
+            sketch_from_draws(Plan(a, b, part, d), draws)
 
 
 class TestElementContribution:
