@@ -16,11 +16,11 @@ import numpy as np
 
 from .analysis import (bernstein_tail_bound, bound_report, min_draw_threshold,
                        uniform_spectral_bound)
-from .distributions import Plan, distribution_to_json, optimal_plan
+from .distributions import Plan, _check_sample_count, distribution_to_json, optimal_plan
 from .errors import ConfigError, MatrixFileError, NumericError
 from .experiments import (ExperimentConfig, pairing_strategy, paper_scale, run_fig1,
                           run_fig2, run_table1)
-from .matrices import read_matrix, write_csv
+from .matrices import read_matrix, write_csv, write_output
 from .partitions import PAIRING_KINDS, finest, partition_from_json
 # ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
 from .sketching import (SketchConfig, draw_log_json, pairwise_plan, sample_indices, sketch,  # noqa: F401
@@ -63,10 +63,10 @@ def _cmd_sketch(args) -> int:
     result = sketch_from_draws(plan, draws)
     out = _out_dir(args)
     write_csv(result.estimate, out / "estimate.csv")
-    (out / "draws.json").write_text(draw_log_json(cfg, draws, result.counts) + "\n")
+    write_output(out / "draws.json", draw_log_json(cfg, draws, result.counts) + "\n")
     report = bound_report(plan)
-    (out / "bounds.json").write_text(json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n")
-    (out / "distribution.json").write_text(distribution_to_json(plan.distribution) + "\n")
+    write_output(out / "bounds.json", json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n")
+    write_output(out / "distribution.json", distribution_to_json(plan.distribution) + "\n")
     return 0
 
 
@@ -74,6 +74,8 @@ def _cmd_analyze(args) -> int:
     plan = _plan(args)
     report = bound_report(plan)
     payload = {"report": dataclasses.asdict(report)}
+    if args.c is not None:
+        _check_sample_count(args.c)
     if args.epsilon is not None:
         if args.c is None:
             raise ConfigError("--epsilon needs --c to evaluate the tail bound")
@@ -96,7 +98,7 @@ def _cmd_analyze(args) -> int:
             payload["uniform_spectral_bound"] = uniform_spectral_bound(
                 plan.a, plan.b, args.c, args.k, threshold.threshold)
     out = _out_dir(args)
-    (out / "analysis.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_output(out / "analysis.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
 

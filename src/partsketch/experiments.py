@@ -35,7 +35,7 @@ import numpy as np
 from .distributions import (Plan, _check_draw_count, aggregate_distribution,
                             distribution_stats, optimal_plan)
 from .errors import ConfigError
-from .matrices import dense, frobenius_norm, multiply, read_matrix, spectral_norm
+from .matrices import dense, frobenius_norm, multiply, read_matrix, spectral_norm, write_output
 from .partitions import (PAIRING_KINDS, PairingStrategy, finest,
                          pair_partition)
 from .rng import derive_seed, derive_seeds, generator
@@ -224,4 +224,4 @@ def run_table1(cfg: ExperimentConfig, out_dir) -> dict:
 def _write(out_dir, name: str, text: str) -> None:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
-    (path / name).write_text(text)
+    write_output(path / name, text)

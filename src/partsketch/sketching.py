@@ -50,13 +50,15 @@ _FORM_ROWS = 128
 
 @dataclass(frozen=True)
 class SketchConfig:
-    """Sample count and master seed of one sketch."""
+    """Sample count and master seed of one sketch; the seed is the draws' 64-bit Philox key."""
 
     c: int
     seed: int
 
     def __post_init__(self):
         _check_sample_count(self.c)
+        if not 0 <= self.seed < 2 ** 64:  # the key is never taken modulo 2**64
+            raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

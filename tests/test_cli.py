@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -255,10 +256,23 @@ class TestExitCodes:
                      "--c", "1", "--out-dir", str(tmp_path)])
         assert code == 1
 
-    def test_invalid_sample_count_is_config_error(self, tmp_path, matrices):
-        code = main(["sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
-                     "--c", "0", "--out-dir", str(tmp_path / "out")])
-        assert code == 1
+    def test_invalid_sample_count_is_config_error(self, tmp_path, matrices, capsys):
+        # analyze checks a given --c even with neither --epsilon nor --k to use it
+        for command in ("sketch", "analyze"):
+            for c in ("0", "-5"):
+                code = main([command, "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                             "--c", c, "--out-dir", str(tmp_path / "out")])
+                assert code == 1
+                assert capsys.readouterr().err == f"error: sample count must be >= 1, got {c}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed, code", [(2**64, 1), (-1, 1), (-2**64, 1), (2**64 - 1, 0), (0, 0)])
+    def test_sketch_seed_is_one_64_bit_key(self, tmp_path, matrices, capsys, seed, code):
+        # the seed is the Philox key itself: outside [0, 2**64) it would alias another seed's draws
+        assert main(["sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                     "--c", "3", "--seed", str(seed), "--out-dir", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else f"error: seed must be in [0, 2**64 - 1], got {seed}\n")
 
     @pytest.mark.parametrize("command", ["sketch", "experiment"])
     def test_out_of_memory_is_config_error(self, tmp_path, matrices, monkeypatch, capsys, command):
@@ -422,6 +436,55 @@ class TestExperimentCommand:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads((tmp_path / "out/analysis.json").read_text())
         assert payload["draw_threshold"]["threshold"] == 3
+
+
+class TestOutputFiles:
+    """Outputs are rewritten in place: their bytes do not depend on what the out-dir held."""
+
+    REQUESTS = {
+        "sketch": ["sketch", "--a", "{a}", "--b", "{b}", "--c", "7", "--seed", "3", "--strategy", "enhanced"],
+        "analyze": ["analyze", "--a", "{a}", "--b", "{b}", "--c", "7", "--k", "4", "--epsilon", "1"],
+        "fig1": ["experiment", "fig1", *TestExperimentCommand.FLAGS],
+        "fig2": ["experiment", "fig2", *TestExperimentCommand.FLAGS],
+        "table1": ["experiment", "table1", *TestExperimentCommand.FLAGS],
+    }
+
+    def run(self, tmp_path, request, out):
+        argv = [arg.format(a=tmp_path / "a.csv", b=tmp_path / "b.csv") for arg in self.REQUESTS[request]]
+        return main([*argv, "--out-dir", str(out)])
+
+    @pytest.mark.parametrize("request_name", list(REQUESTS))
+    def test_rerun_over_longer_files_is_byte_identical(self, tmp_path, matrices, request_name):
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        assert self.run(tmp_path, request_name, fresh) == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        reused.mkdir()
+        for name in names:
+            (reused / name).write_bytes(b"junk\n" * (len((fresh / name).read_bytes()) + 100))
+        assert self.run(tmp_path, request_name, reused) == 0
+        assert sorted(p.name for p in reused.iterdir()) == names
+        assert files_equal(fresh, reused, names)
+
+    def test_symlinked_outputs_are_followed(self, tmp_path, matrices):
+        # a link to a regular file rewrites its target; a link to the null device is written, not truncated
+        out = tmp_path / "out"
+        out.mkdir()
+        (tmp_path / "kept.csv").write_bytes(b"junk\n" * 1000)
+        (out / "estimate.csv").symlink_to(tmp_path / "kept.csv")
+        (out / "draws.json").symlink_to(os.devnull)
+        assert self.run(tmp_path, "sketch", tmp_path / "fresh") == 0
+        assert self.run(tmp_path, "sketch", out) == 0
+        assert (out / "estimate.csv").is_symlink() and (out / "draws.json").is_symlink()
+        assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "fresh" / "estimate.csv").read_bytes()
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @pytest.mark.parametrize("request_name, name", [("sketch", "estimate.csv"), ("sketch", "bounds.json"),
+                                                    ("analyze", "analysis.json"), ("fig1", "fig1.csv")])
+    def test_output_named_by_a_directory_is_io_error(self, tmp_path, matrices, capsys, request_name, name):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        assert self.run(tmp_path, request_name, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and name in err and "Traceback" not in err
 
 
 class TestDeterminismPerThreadCount:

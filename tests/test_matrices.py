@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from partsketch import (MatrixFileError, dense, frobenius_norm, multiply,
                         read_binary, read_csv, read_matrix, spectral_norm,
                         write_binary, write_csv)
+from partsketch.matrices import write_output
 from helpers import block_product, random_coarsening
 
 EPS = np.finfo(np.float64).eps
@@ -286,6 +289,20 @@ class TestMatrixIO:
             expected = "\n".join(",".join(repr(float(v)) for v in row) for row in m) + "\n"
             write_csv(m, tmp_path / "m.csv")
             assert (tmp_path / "m.csv").read_text() == expected
+
+    def test_output_is_rewritten_in_place(self, tmp_path):
+        # a longer file is cut to the new bytes; the inode, a hard link and the mode are kept
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"junk," * 1000)
+        os.chmod(path, 0o640)
+        os.link(path, tmp_path / "link.csv")
+        inode = path.stat().st_ino
+        write_csv(np.array([[1.0, -2.5]]), path)
+        assert path.read_bytes() == (tmp_path / "link.csv").read_bytes() == b"1.0,-2.5\n"
+        assert path.stat().st_ino == inode and stat.S_IMODE(path.stat().st_mode) == 0o640
+        write_output(path, "a longer text\n")
+        write_binary(dense([[1.5]]), path)
+        assert np.array_equal(read_binary(path), [[1.5]])
 
     def test_binary_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(6)
