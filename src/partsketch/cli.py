@@ -43,7 +43,7 @@ def _plan(args) -> Plan:
     """
     a, b = read_matrix(args.a), read_matrix(args.b)
     if args.partition_file is not None:
-        return optimal_plan(a, b, partition_from_json(Path(args.partition_file).read_text()))
+        return optimal_plan(a, b, partition_from_json(Path(args.partition_file).read_text(encoding="utf-8")))
     if args.strategy == "finest":
         return optimal_plan(a, b, finest(a.shape[1]))
     return Plan(a, b, *pairwise_plan(a, b, pairing_strategy(args.strategy, args.seed)))

@@ -16,11 +16,9 @@ bytes.  Trial t of a (method, sample count) cell is keyed by
 of execution order and of matrix generation, which uses its own substream.
 Both methods are ``Plan``s on one (A, Aᵀ), and a cell is ``(plan, c, seeds)``;
 each cell draws its trials in one batch, with the draws of one ``sketch`` per
-trial.  fig2 takes every estimate from one ``sketch_trials`` call.  fig1 needs
-only each trial's squared Frobenius error, the quadratic form ``uᵀHu`` of
-``frobenius_errors``, so it forms no estimate while building ``H`` once
-costs less than the estimates and ``H`` fits its memory cap
-(``_error_form_pays``).
+trial.  fig2 takes every estimate from one ``sketch_trials`` call, and fig1
+every squared Frobenius error from one ``frobenius_errors`` call, which
+chooses its own kernel.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from .partitions import (PAIRING_KINDS, PairingStrategy, finest,
                          pair_partition)
 from .rng import derive_seed, derive_seeds, generator
 # ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
-from .sketching import error_form, frobenius_errors, sketch, sketch_trials  # noqa: F401
+from .sketching import frobenius_errors, sketch, sketch_trials  # noqa: F401
 
 FIG1_HEADER = "c,method,mean_rel_frob_err,mean_sq_frob_err,stderr,trials"
 FIG2_HEADER = "method,c,run,rel_2norm_err"
@@ -71,6 +69,8 @@ class ExperimentConfig:
             raise ConfigError(f"matrix dimensions must be positive, got {self.rows}x{self.cols}")
         if self.c_step < 1 or self.c_min > self.c_max:
             raise ConfigError(f"empty sample-count grid: min={self.c_min} max={self.c_max} step={self.c_step}")
+        if self.fig2_c is not None and not self.fig2_c:
+            raise ConfigError("fig2_c needs at least one sample count")
         if self.c_min < 1 or min(self.fig2_c_values(self.cols)) < 1:
             raise ConfigError("sample counts must be >= 1")
         try:
@@ -127,24 +127,15 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
     Per (c, method): mean relative Frobenius error over ``trials`` seeded
     sketches, the mean squared absolute error, and the standard error of that
     squared-error mean (sample std / sqrt(trials)).  The squared errors come
-    from one ``frobenius_errors`` call over every cell, against one
-    ``error_form``, with no estimate formed, when ``_error_form_pays``;
-    otherwise from the estimates of one ``sketch_trials`` call over every cell.
+    from one ``frobenius_errors`` call over every cell.
     """
     a = experiment_matrix(cfg)
     b = a.T
-    exact = multiply(a, b)
-    exact_f = frobenius_norm(exact)
+    exact_f = frobenius_norm(multiply(a, b))
     methods = _methods(cfg, a, b)
-    m, n = a.shape
     cells = {(c, label): (plan, c, derive_seeds(cfg.seed, ("fig1", label, c), cfg.trials))
              for c in cfg.c_grid() for label, plan in methods}
-    if _error_form_pays(m, n, cfg.c_grid(), len(methods) * cfg.trials):
-        errors = frobenius_errors(error_form(a, b), list(cells.values()))
-    else:
-        results = sketch_trials(list(cells.values()))
-        errors = [np.array([np.sum(np.square(exact - next(results).estimate)) for _ in seeds])
-                  for *_, seeds in cells.values()]
+    errors = frobenius_errors(list(cells.values()))
     rows_out = [_fig1_row(c, label, sq_errs, exact_f) for (c, label), sq_errs in zip(cells, errors)]
     lines = [FIG1_HEADER]
     for r in rows_out:
@@ -152,28 +143,6 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
                      f"{r['mean_sq_frob_err']!r},{r['stderr']!r},{r['trials']}")
     _write(out_dir, "fig1.csv", "\n".join(lines) + "\n")
     return rows_out
-
-
-# fig1 holds H only up to this many float64 entries (32 MiB, n <= 2048), so
-# the paper's 100x2000 shape fits; a wider A takes the direct path, whose
-# memory does not grow with n².
-_ERROR_FORM_ENTRIES = 2 ** 22
-
-
-def _error_form_pays(m: int, n: int, c_grid, trials_per_c: int) -> bool:
-    """Whether fig1's errors should come from ``H`` rather than from the estimates.
-
-    ``H`` must fit ``_ERROR_FORM_ENTRIES`` and take fewer multiply-adds than
-    the sketches it replaces.  With ``B = Aᵀ`` (m×n), building ``H`` is one
-    ``syrk`` of m·n²/2 and each trial one GEMM row of n² against it; a direct
-    trial is one ``syrk`` of m²·K/2 over its K <= min(c, n) drawn columns.
-    ``trials_per_c`` counts every method's trials at one c.
-    """
-    if n * n > _ERROR_FORM_ENTRIES:
-        return False
-    form = m * n * n / 2 + trials_per_c * len(c_grid) * n * n
-    direct = trials_per_c * sum(m * m * min(c, n) / 2 for c in c_grid)
-    return form < direct
 
 
 def _fig1_row(c: int, method: str, sq_errs: np.ndarray, exact_f: float) -> dict:

@@ -123,7 +123,7 @@ def read_csv(path) -> np.ndarray:
     when it raises or skips a blank line does the ``float()`` scan run: the scan
     defines what is accepted and gives every error message.
     """
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     if _not_plain(text):
         lineno, field = next((i, f) for i, line in enumerate(text.split("\n"), 1)
                              for f in line.split(",") if _not_plain(f))

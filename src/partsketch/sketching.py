@@ -12,11 +12,14 @@ forms the same result from them.  ``sketch_trials`` runs a list of
 ``(plan, c, seeds)`` cells on one (A, B) from one ``Aᵀ`` panel, drawing them
 in blocks, with the results of one ``sketch`` per seed.
 
-``frobenius_errors`` draws the same counts but forms no estimate: a trial's
-squared error ``|AB - A·diag(s)·B|_F²`` is the quadratic form ``uᵀHu`` with
-``u = 1 - s`` and ``H = (AᵀA) ∘ (BBᵀ)`` (``error_form``).  It runs one GEMM
-against ``H`` per ``_FORM_ROWS`` trials across its cells, so a trial's last
-bits depend on which rows share its GEMM: the call's cell list fixes them.
+``frobenius_errors`` takes the same cells and draws the same counts, and
+returns each trial's squared error ``|AB - A·diag(s)·B|_F²``.  It picks its
+own kernel (``_error_form_pays``): the quadratic form ``uᵀHu`` with
+``u = 1 - s`` and ``H = (AᵀA) ∘ (BBᵀ)`` (``error_form``), one GEMM against
+``H`` per ``_FORM_ROWS`` trials across its cells, or else the estimates of
+``sketch_trials``.  On the ``H`` path a trial's last bits depend on which rows
+share its GEMM: the call's cell list fixes them.  Both calls draw by one block
+loop (``_blocks``), and ``frobenius_errors`` checks its cells by ``sketch_trials``.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ _GUIDE_STEPS = 2
 # Trials per GEMM against H in frobenius_errors: one (rows, n) buffer of u, at
 # most 2 MiB while H is used (n <= 2048), shares the packing of H across them.
 _FORM_ROWS = 128
+
+# frobenius_errors holds H only up to this many float64 entries (32 MiB,
+# n <= 2048), so the paper's 100x2000 shape fits; a wider A takes the
+# estimates, whose memory does not grow with n².
+_ERROR_FORM_ENTRIES = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -159,8 +167,8 @@ def sketch_trials(cells) -> Iterator[SketchResult]:
     ``sketch`` of the plan's pieces and ``SketchConfig(c, seeds[t])``.  Unless every plan
     holds the first plan's ``a`` and ``b`` objects and every c passes ``_check_draw_count``,
     this call raises ``ValueError`` before any draw.  Trials are drawn a block at a time
-    (``_draw_block``), each block's ``(trials, n)`` scale matrix built in one step, and
-    every estimate gathers its rows from one ``Aᵀ`` panel copied once per call.
+    (``_blocks``), and every estimate gathers its rows from one ``Aᵀ`` panel copied once
+    per call.
     """
     for plan, c, _ in cells:
         if plan.a is not cells[0][0].a or plan.b is not cells[0][0].b:
@@ -182,6 +190,16 @@ def _scales(dist: SamplingDistribution, c: int, counts: np.ndarray) -> np.ndarra
     return group_scale[..., dist.support.labels]
 
 
+def _blocks(cells) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(counts, scales)`` of every draw block of ``cells`` in order, one row per seed:
+    each cell's seeds ``_trials_per_block`` at a time, counted by ``_draw_block``."""
+    for plan, c, seeds in cells:
+        per_block = _trials_per_block(c, plan.partition.n)
+        for lo in range(0, len(seeds), per_block):
+            counts = _draw_block(plan.distribution, c, seeds[lo:lo + per_block])
+            yield counts, _scales(plan.distribution, c, counts)
+
+
 def _result(panel: np.ndarray, b: np.ndarray, counts: np.ndarray, scale: np.ndarray, gram: bool) -> SketchResult:
     idx = np.flatnonzero(scale)
     return SketchResult(_frozen(_scaled_product(panel, b, idx, scale[idx], gram)), counts)
@@ -193,12 +211,9 @@ def _sketch_cells(cells) -> Iterator[SketchResult]:
     a, b = cells[0][0].a, cells[0][0].b
     panel = np.ascontiguousarray(a.T)
     gram = _is_transpose(a, b)
-    for plan, c, seeds in cells:
-        per_block = _trials_per_block(c, plan.partition.n)
-        for lo in range(0, len(seeds), per_block):
-            counts = _draw_block(plan.distribution, c, seeds[lo:lo + per_block])
-            for row_counts, scale in zip(counts, _scales(plan.distribution, c, counts)):
-                yield _result(panel, b, row_counts, scale, gram)
+    for counts, scales in _blocks(cells):
+        for row_counts, scale in zip(counts, scales):
+            yield _result(panel, b, row_counts, scale, gram)
 
 
 def sketch_from_draws(plan: Plan, draws: np.ndarray) -> SketchResult:
@@ -233,53 +248,67 @@ def error_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _frozen(h)
 
 
-def frobenius_errors(h: np.ndarray, cells) -> list[np.ndarray]:
-    """Squared Frobenius errors ``|AB - sketch(...).estimate|_F²`` of every trial of ``cells``, with no estimate formed.
+def frobenius_errors(cells) -> list[np.ndarray]:
+    """Squared Frobenius errors ``|AB - sketch(...).estimate|_F²`` of every trial of ``cells``.
 
-    ``h`` is ``error_form(a, b)`` and ``cells`` a sequence of
-    ``(plan, c, seeds)`` on that (a, b); the result holds one array per cell,
-    of one error per seed.  Trial t of a cell draws the counts of
-    ``sketch_trials``' trial for ``seeds[t]`` and its error is ``uᵀHu`` with
-    ``u = 1 - s``.  Unless ``h`` is n×n for every plan's n and every c passes
-    ``_check_draw_count``, this call raises ``ValueError`` before any draw.  The ``u`` rows of all
-    cells fill one ``(_FORM_ROWS, n)`` buffer in order, and each full buffer
-    (and the last, partial one) takes one GEMM against ``H``, so an error's
-    last bits are fixed by the whole cell list, not by its cell alone.
-    ``H`` is positive semidefinite (Schur product theorem), so a negative
-    value is rounding and is clamped to 0.  The ``u`` form is kept on
-    purpose: expanding it to ``|AB|² - 2sᵀd + sᵀHs`` cancels.
+    ``cells`` are ``sketch_trials``' cells, checked by that call before any draw; the
+    result holds one array per cell, of one error per seed, from the counts ``sketch_trials``
+    draws.  When ``_error_form_pays``, ``H = error_form(a, b)`` is built once and a trial's
+    error is ``uᵀHu`` with ``u = 1 - s``, with no estimate formed: the ``u`` rows of all
+    cells are taken ``_FORM_ROWS`` at a time in order, each group in one GEMM against ``H``,
+    so an error's last bits are fixed by the whole cell list, not by its cell alone.  ``H``
+    is positive semidefinite (Schur product theorem), so a negative value is rounding and is
+    clamped to 0.  The ``u`` form is kept on purpose: expanding it to
+    ``|AB|² - 2sᵀd + sᵀHs`` cancels.  Otherwise an error is ``sum(square(a @ b - estimate))``
+    of ``sketch_trials``' estimate.
     """
-    for plan, c, _ in cells:
-        n = plan.partition.n
-        if h.shape != (n, n):
-            raise ValueError(f"dimension mismatch: h is {h.shape} but the plan's inner dimension is {n}")
-        _check_draw_count(c)
-    sizes = [len(seeds) for *_, seeds in cells]
-    out = np.empty(sum(sizes))
-    u = np.empty((min(_FORM_ROWS, out.size), h.shape[0]))
-    done = fill = 0
-    for plan, c, seeds in cells:
-        per_block = _trials_per_block(c, plan.partition.n)
-        lo = 0
-        while lo < len(seeds):
-            take = min(per_block, len(u) - fill, len(seeds) - lo)
-            scales = _scales(plan.distribution, c, _draw_block(plan.distribution, c, seeds[lo:lo + take]))
-            np.subtract(1.0, scales, out=u[fill:fill + take])
-            lo += take
-            fill += take
-            if fill == len(u):
-                _quadratic_forms(u, h, out[done:done + fill])
-                done, fill = done + fill, 0
-    _quadratic_forms(u[:fill], h, out[done:done + fill])
-    np.maximum(out, 0.0, out=out)
-    return [out[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
+    results = sketch_trials(cells)  # the cell check; it draws only when read
+    if not cells:
+        return []
+    a, b = cells[0][0].a, cells[0][0].b
+    ends = list(accumulate(len(seeds) for *_, seeds in cells))
+    if _error_form_pays(cells):
+        h = error_form(a, b)
+        errors = np.empty(ends[-1])
+        for lo, u in zip(range(0, errors.size, _FORM_ROWS), _form_rows(cells, a.shape[1])):
+            uh = u @ h
+            uh *= u
+            uh.sum(axis=1, out=errors[lo:lo + len(u)])
+        np.maximum(errors, 0.0, out=errors)
+    else:
+        exact = a @ b
+        errors = np.array([np.sum(np.square(exact - res.estimate)) for res in results])
+    return [errors[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-def _quadratic_forms(u: np.ndarray, h: np.ndarray, out: np.ndarray) -> None:
-    """``out[i] = u[i]ᵀ h u[i]`` for every row of ``u``, from one GEMM."""
-    uh = u @ h
-    uh *= u
-    uh.sum(axis=1, out=out)
+def _form_rows(cells, n: int) -> Iterator[np.ndarray]:
+    """``u = 1 - s`` of every trial of ``cells`` in order, ``_FORM_ROWS`` rows at a time (fewer
+    in the last group), each draw block written into one reused ``(_FORM_ROWS, n)`` buffer."""
+    u = np.empty((_FORM_ROWS, n))
+    fill = 0
+    for _, scales in _blocks(cells):
+        while len(scales):
+            take = min(len(scales), _FORM_ROWS - fill)
+            np.subtract(1.0, scales[:take], out=u[fill:fill + take])
+            scales, fill = scales[take:], (fill + take) % _FORM_ROWS
+            if not fill:
+                yield u
+    if fill:
+        yield u[:fill]
+
+
+def _error_form_pays(cells) -> bool:
+    """Whether ``frobenius_errors`` should take ``cells``' errors from ``H`` rather than from the estimates.
+
+    ``H`` must fit ``_ERROR_FORM_ENTRIES`` and take fewer multiply-adds than
+    the sketches it replaces.  With ``B = Aᵀ`` (m×n), building ``H`` is one
+    ``syrk`` of m·n²/2 and each trial one GEMM row of n² against it; a direct
+    trial is one ``syrk`` of m²·K/2 over its K <= min(c, n) drawn columns.
+    """
+    m, n = cells[0][0].a.shape
+    form = m * n * n / 2 + sum(len(seeds) for *_, seeds in cells) * n * n
+    direct = sum(len(seeds) * m * m * min(c, n) / 2 for _, c, seeds in cells)
+    return n * n <= _ERROR_FORM_ENTRIES and form < direct
 
 
 def pairwise_plan(a: np.ndarray, b: np.ndarray,

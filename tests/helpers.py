@@ -6,9 +6,10 @@ import statistics
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from partsketch import (Plan, SamplingDistribution, SketchConfig, coarsen, dense, derive_seed,
-                        frobenius_norm, multiply, sample_indices, sketch, spectral_norm)
+                        frobenius_norm, multiply, sample_indices, sketch, sketching, spectral_norm)
 from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _methods,
                                     experiment_matrix)
 from partsketch.distributions import _check_sample_count
@@ -282,6 +283,18 @@ def direct_errors_and_bounds(a, b, partition, dist, c, seeds):
         direct.append(float(np.sum(diff * diff)))
         bounds.append(quadratic_form_error_bound(a, b, s, diff))
     return np.array(direct), np.array(bounds)
+
+
+def form_path_errors(cells):
+    """``frobenius_errors(cells)`` sent down its ``uᵀHu`` path whatever the cost rule would
+    pick; raises ``AssertionError`` if the call forms an estimate (calls ``_scaled_product``)."""
+    def forbidden(*args):
+        raise AssertionError("an estimate was formed on the error-form path")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sketching, "_error_form_pays", lambda cells: True)
+        mp.setattr(sketching, "_scaled_product", forbidden)
+        return sketching.frobenius_errors(cells)
 
 
 def stderr_error_bound(x):

@@ -88,6 +88,17 @@ class TestSketchCommand:
                     "product_spectral_norm", "product_frobenius_norm", "out_rows", "out_cols"):
             assert key in report
 
+    def test_inputs_are_read_as_utf8_whatever_the_locale(self, tmp_path, matrices):
+        # outputs are written as UTF-8; a text read that left its codec to the locale would warn
+        (tmp_path / "part.json").write_text("[[1, 4], [2, 3]]")
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "partsketch", "sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+             "--c", "3", "--partition-file", str(tmp_path / "part.json"), "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out/estimate.csv").exists()
+
 
 class TestOutputsAgainstPrimitives:
     """Every file of the four benchmark request kinds equals what the public primitives give."""

@@ -4,19 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from partsketch import (ConfigError, ExperimentConfig, aggregate_distribution,
+from partsketch import (ConfigError, ExperimentConfig, Plan, aggregate_distribution,
                         expected_frobenius_error_sq, finest,
                         optimal_distribution, pair_partition, paper_scale,
                         run_fig1, run_fig2, run_table1, write_csv)
 from partsketch import experiments, sketching
 from partsketch.distributions import _MAX_DRAWS
-from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _error_form_pays,
-                                    _fig1_row, _methods, experiment_matrix,
-                                    pairing_strategy)
+from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _fig1_row, _methods,
+                                    experiment_matrix, pairing_strategy)
 from partsketch.matrices import frobenius_norm, multiply
 from partsketch.rng import derive_seed
-from helpers import (direct_errors_and_bounds, loop_fig1_csv, loop_fig2_csv,
-                     stderr_error_bound)
+from partsketch.sketching import _error_form_pays
+from helpers import (direct_errors_and_bounds, distribution, form_path_errors, loop_fig1_csv,
+                     loop_fig2_csv, stderr_error_bound)
 
 TINY_FIG1 = ExperimentConfig(rows=8, cols=12, c_min=4, c_max=8, c_step=4,
                              trials=30, runs=10, seed=5)
@@ -49,6 +49,7 @@ class TestConfig:
         dict(rows=0),
         dict(strategy="finest"),
         dict(strategy="sorted"),
+        dict(fig2_c=()),
     ])
     def test_invalid_configs(self, bad):
         with pytest.raises(ConfigError):
@@ -149,6 +150,13 @@ class TestFig2:
         assert pairwise and all(e <= 1e-13 for e in pairwise)
 
 
+def fig1_cells(cfg):
+    """The cells ``run_fig1`` hands ``frobenius_errors`` for ``cfg``."""
+    a = experiment_matrix(cfg)
+    return [(plan, c, [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(cfg.trials)])
+            for c in cfg.c_grid() for label, plan in _methods(cfg, a, a.T)]
+
+
 class TestBatchedTrials:
     """Each (method, c) cell derives its seeds and draws its trials in one batch,
     with the bytes of one derive_seed and one sketch per trial."""
@@ -163,7 +171,7 @@ class TestBatchedTrials:
         # byte for byte, stderr (numpy's two-pass std against the exact-Fraction
         # statistics.stdev) within its derived bound
         cfg = replace(self.CFG, strategy=strategy)
-        assert not _error_form_pays(4, 12, cfg.c_grid(), 2 * cfg.trials)
+        assert not _error_form_pays(fig1_cells(cfg))
         run_fig1(cfg, tmp_path)
         got = (tmp_path / "fig1.csv").read_text().splitlines()
         want = loop_fig1_csv(cfg).splitlines()
@@ -184,11 +192,11 @@ class TestBatchedTrials:
         # quadratic_form_error_bound of the loop's direct error, and each row is
         # reduced from those errors
         cfg = replace(self.CFG, rows=12)
-        assert _error_form_pays(12, 12, cfg.c_grid(), 2 * cfg.trials)
+        assert _error_form_pays(fig1_cells(cfg))
         calls = []
 
-        def recording(h, cells):
-            errors = sketching.frobenius_errors(h, cells)
+        def recording(cells):
+            errors = sketching.frobenius_errors(cells)
             calls.append((cells, errors))
             return errors
 
@@ -251,14 +259,28 @@ class TestFig1ErrorForm:
         assert len(calls) == (4 * cfg.trials if direct else 0)
         assert all(r["trials"] == cfg.trials and r["stderr"] > 0 for r in rows_out)
 
+    @staticmethod
+    def cells(m, n, cs_and_trials):
+        """Cells of ``(c, trials)`` on one m×n A; the rule reads only A's shape, each c and each seed count."""
+        a = np.broadcast_to(0.0, (m, n))
+        plan = Plan(a, a.T, finest(n), distribution(finest(n), np.ones(n), normalize=True))
+        return [(plan, c, range(trials)) for c, trials in cs_and_trials]
+
     def test_cost_rule(self):
-        paper = paper_scale(ExperimentConfig())
-        per_c = 2 * paper.trials
-        assert _error_form_pays(100, 2000, paper.c_grid(), per_c)
-        assert not _error_form_pays(100, 2000, paper.c_grid(), 2)  # one trial per method: H costs more
-        assert not _error_form_pays(100, 2049, paper.c_grid(), per_c)  # H past its 2**22 entries
-        assert not _error_form_pays(100, 10000, paper.c_grid(), per_c)
-        assert _error_form_pays(50, 500, ExperimentConfig().c_grid(), 2 * 10)  # the desk shape
+        paper = paper_scale(ExperimentConfig()).c_grid()
+        per_method = [(c, 1000) for c in paper for _ in range(2)]
+        assert _error_form_pays(self.cells(100, 2000, per_method))
+        assert not _error_form_pays(self.cells(100, 2000, [(c, 1) for c, _ in per_method]))  # H costs more
+        assert not _error_form_pays(self.cells(100, 2049, per_method))  # H past its 2**22 entries
+        assert not _error_form_pays(self.cells(100, 10000, per_method))
+        desk = [(c, 10) for c in ExperimentConfig().c_grid() for _ in range(2)]
+        assert _error_form_pays(self.cells(50, 500, desk))  # the desk shape
+        # cells of unequal seed counts at 50 x 500: H costs 6.25e6 + 2.5e5 per trial, and a
+        # direct trial 6.25e5 at c >= n, half that at c = 250
+        for cs_and_trials, pays in [([(500, 16)], False), ([(500, 17)], True), ([(1000, 10), (500, 7)], True),
+                                    ([(1000, 17), (250, 0)], True), ([(1000, 16), (250, 1)], False),
+                                    ([(250, 17)], False), ([(250, 0), (1000, 9), (1500, 8)], True)]:
+            assert _error_form_pays(self.cells(50, 500, cs_and_trials)) is pays, cs_and_trials
 
     @pytest.mark.parametrize("cols, direct", [(2000, False), (2049, True)])
     def test_wide_input_past_the_cap_takes_the_direct_branch(self, tmp_path, monkeypatch, cols, direct):
@@ -273,11 +295,10 @@ class TestFig1ErrorForm:
         cfg = paper_scale(ExperimentConfig(seed=21))
         a = experiment_matrix(cfg)
         b = a.T
-        h = sketching.error_form(a, b)
         for label, plan in _methods(cfg, a, b):
             for c in (1000, 3000):
                 seeds = [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(3)]
-                [errs] = sketching.frobenius_errors(h, [(plan, c, seeds)])
+                [errs] = form_path_errors([(plan, c, seeds)])
                 direct, bounds = direct_errors_and_bounds(a, b, plan.partition, plan.distribution, c, seeds)
                 assert np.all(np.abs(errs - direct) <= bounds), (label, c)
 

@@ -16,9 +16,9 @@ from partsketch.rng import derive_seed, derive_seeds
 from partsketch.sketching import (_FORM_ROWS, _GUIDE_STEPS, _inverse_cdf, _is_transpose,
                                   _trials_per_block)
 from helpers import (brute_force_expectation, column_gather_product, direct_errors_and_bounds,
-                     distribution, element_contribution, element_weight, gemm_error_bound,
-                     gram_error_bound, kernel_error_bound, loop_sketch, random_coarsening,
-                     random_instance, scale_vector)
+                     distribution, element_contribution, element_weight, form_path_errors,
+                     gemm_error_bound, gram_error_bound, kernel_error_bound, loop_sketch,
+                     random_coarsening, random_instance, scale_vector)
 
 
 def uniform(part):
@@ -323,7 +323,10 @@ class TestPanelKernel:
 
 
 class TestFrobeniusErrors:
-    """``uᵀHu`` against the squared error of the estimate each seed's sketch forms."""
+    """``uᵀHu`` against the squared error of the estimate each seed's sketch forms.
+
+    The cost rule would send most of these small shapes to the estimates, so the tests of
+    the ``uᵀHu`` path take it by ``form_path_errors``."""
 
     @staticmethod
     def plan(rng, a, b, kind):
@@ -358,7 +361,7 @@ class TestFrobeniusErrors:
         b = a.T if transposed else dense(rng.random((n, int(rng.integers(1, 7)))) - 0.5)
         part, d = self.plan(rng, a, b, kind)
         seeds = [derive_seed(seed, t) for t in range(7)]
-        [errs] = frobenius_errors(error_form(a, b), [(Plan(a, b, part, d), c, seeds)])
+        [errs] = form_path_errors([(Plan(a, b, part, d), c, seeds)])
         direct, bounds = direct_errors_and_bounds(a, b, part, d, c, seeds)
         assert errs.shape == (7,) and np.all(errs >= 0.0)
         assert np.all(np.abs(errs - direct) <= bounds)
@@ -374,7 +377,7 @@ class TestFrobeniusErrors:
         part = random_coarsening(rng, 30, max_groups=12)
         d = optimal_distribution(a, b, part) if optimal else uniform(part)
         c = 7
-        [errs] = frobenius_errors(error_form(a, b), [(Plan(a, b, part, d), c, [derive_seed(43, t) for t in range(4000)])])
+        [errs] = form_path_errors([(Plan(a, b, part, d), c, [derive_seed(43, t) for t in range(4000)])])
         stderr = errs.std(ddof=1) / np.sqrt(errs.size)
         assert abs(errs.mean() - expected_frobenius_error_sq(a, b, part, d, c)) <= 5 * stderr
 
@@ -386,44 +389,56 @@ class TestFrobeniusErrors:
         with pytest.raises(ValueError, match="mismatch"):
             error_form(a, dense(np.ones((3, 2))))
         plan = Plan(a, b, part, d)
-        with pytest.raises(ValueError, match=r"mismatch: h is \(39, 39\) but the plan's inner dimension is 40"):
-            frobenius_errors(h[:39, :39], [(plan, 3, [1])])
-        with pytest.raises(ValueError, match="mismatch"):
-            frobenius_errors(h[:39, :], [(plan, 3, [1])])
+        with pytest.raises(ValueError, match="the first cell's matrices"):
+            frobenius_errors([(plan, 3, [1]), (Plan(a, dense(b.copy()), part, d), 3, [1])])
         with pytest.raises(ValueError, match="supported"):
             Plan(a, b, coarsen([list(range(20)), list(range(20, 40))], 40), d)
         with pytest.raises(ValueError, match=">= 1"):
-            frobenius_errors(h, [(plan, 0, [1])])
+            frobenius_errors([(plan, 0, [1])])
 
-    def test_cell_without_seeds_gives_an_empty_array(self):
+    def test_cell_without_seeds_gives_an_empty_array(self, monkeypatch):
         a, b, part, d = TestSketchTrials.plan("unrelated", False)
-        h = error_form(a, b)
         plan = Plan(a, b, part, d)
-        assert frobenius_errors(h, []) == []
-        [empty] = frobenius_errors(h, [(plan, 3, [])])
-        assert empty.shape == (0,)
-        first, empty, last = frobenius_errors(h, [(plan, 3, [1, 2]), (plan, 9, []), (plan, 3, [4])])
-        assert (first.shape, empty.shape, last.shape) == ((2,), (0,), (1,))
+        for pays in (True, False):  # both kernels
+            monkeypatch.setattr(sketching, "_error_form_pays", lambda cells: pays)
+            assert frobenius_errors([]) == []
+            [empty] = frobenius_errors([(plan, 3, [])])
+            assert empty.shape == (0,)
+            first, empty, last = frobenius_errors([(plan, 3, [1, 2]), (plan, 9, []), (plan, 3, [4])])
+            assert (first.shape, empty.shape, last.shape) == ((2,), (0,), (1,))
 
-    @pytest.mark.parametrize("bad", ["partition", "c", "h", "draws"])
+    @pytest.mark.parametrize("bad", ["partition", "c", "matrices", "draws"])
     @pytest.mark.parametrize("where", [0, 2])
     def test_a_bad_plan_in_any_cell_raises_before_any_draw(self, monkeypatch, bad, where):
-        # partition: a plan over another n than h's, on other matrices; h: an h of another size
-        # than every plan's n; draws: c past the draw-count bound
+        # partition: a plan over another inner dimension, so on other matrices; matrices: a plan
+        # on an equal copy of (A, B); draws: c past the draw-count bound
         a, b, part, d = TestSketchTrials.plan("unrelated", False)
-        h = error_form(a, b)
         cells = [(Plan(a, b, part, d), 3, [1, 2])] * 3
         if bad == "partition":
             cells[where] = (Plan(dense(a[:, :39]), dense(b[:39]), finest(39), uniform(finest(39))), 3, [1])
-        elif bad == "h":
-            h = error_form(dense(a[:, :39]), dense(b[:39]))
+        elif bad == "matrices":
+            cells[where] = (Plan(dense(a.copy()), dense(b.copy()), part, d), 3, [1])
         else:
             cells[where] = (cells[where][0], 0 if bad == "c" else _MAX_DRAWS + 1, [1])
         draws = []
         monkeypatch.setattr(sketching, "_draw_block", lambda *args: draws.append(args))
         with pytest.raises(ValueError):
-            frobenius_errors(h, cells)
+            frobenius_errors(cells)
         assert draws == []
+
+    @pytest.mark.parametrize("b_kind", ["a.T", "unrelated"])
+    def test_direct_path_is_the_squared_error_of_each_estimate(self, monkeypatch, b_kind):
+        # past the cost rule, an error is sum(square(a @ b - estimate)) of sketch_trials' trial, to the bit
+        a, b, part, d = TestSketchTrials.plan(b_kind, True)
+        cells = [(Plan(a, b, part, d), 7, [derive_seed(46, 0, t) for t in range(9)]),
+                 (Plan(a, b, part, uniform(part)), 5000, [derive_seed(46, 1, t) for t in range(8)])]
+        assert not sketching._error_form_pays(cells)
+        monkeypatch.setattr(sketching, "error_form", None)  # the H path would call it
+        errors = frobenius_errors(cells)
+        results = sketch_trials(cells)
+        for (_, _, seeds), errs in zip(cells, errors):
+            want = [np.sum(np.square(multiply(a, b) - next(results).estimate)) for _ in seeds]
+            assert errs.tobytes() == np.array(want).tobytes()
 
     def test_cells_straddling_gemm_chunks_match_the_direct_error(self):
         # 20 + 0 + 150 + 7 trials: the third cell fills the first 128-row GEMM
@@ -440,7 +455,7 @@ class TestFrobeniusErrors:
                  (plans[2], 1, [derive_seed(44, 3, t) for t in range(7)])]
         assert sum(len(seeds) for *_, seeds in cells) > _FORM_ROWS > 20
         assert _trials_per_block(5000, 40) == 6
-        errors = frobenius_errors(error_form(a, b), cells)
+        errors = form_path_errors(cells)
         assert [e.shape for e in errors] == [(20,), (0,), (150,), (7,)]
         for (plan, c, seeds), errs in zip(cells, errors):
             direct, bounds = direct_errors_and_bounds(a, b, plan.partition, plan.distribution, c, seeds)
