@@ -126,8 +126,10 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
 
     Per (c, method): mean relative Frobenius error over ``trials`` seeded
     sketches, the mean squared absolute error, and the standard error of that
-    squared-error mean (sample std / sqrt(trials)).  The squared errors come
-    from one ``frobenius_errors`` call over every cell.
+    squared-error mean (sample std / sqrt(trials), 0 for one trial).  The squared
+    errors come from one ``frobenius_errors`` call over every cell, and every row is
+    summarised from their one (cells, trials) array; the means sum each cell as
+    ``statistics.fmean`` does (``fsum / T``).
     """
     a = experiment_matrix(cfg)
     b = a.T
@@ -135,30 +137,19 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
     methods = _methods(cfg, a, b)
     cells = {(c, label): (plan, c, derive_seeds(cfg.seed, ("fig1", label, c), cfg.trials))
              for c in cfg.c_grid() for label, plan in methods}
-    errors = frobenius_errors(list(cells.values()))
-    rows_out = [_fig1_row(c, label, sq_errs, exact_f) for (c, label), sq_errs in zip(cells, errors)]
+    sq_errs = np.array(frobenius_errors(list(cells.values())))  # one row per cell
+    trials = cfg.trials
+    rel_errs = np.sqrt(sq_errs) / exact_f
+    stderrs = np.std(sq_errs, axis=1, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(len(cells))
+    rows_out = [{"c": c, "method": label, "mean_rel_frob_err": math.fsum(rel) / trials,
+                 "mean_sq_frob_err": math.fsum(sq) / trials, "stderr": float(stderr), "trials": trials}
+                for (c, label), rel, sq, stderr in zip(cells, rel_errs, sq_errs, stderrs)]
     lines = [FIG1_HEADER]
     for r in rows_out:
         lines.append(f"{r['c']},{r['method']},{r['mean_rel_frob_err']!r},"
                      f"{r['mean_sq_frob_err']!r},{r['stderr']!r},{r['trials']}")
     _write(out_dir, "fig1.csv", "\n".join(lines) + "\n")
     return rows_out
-
-
-def _fig1_row(c: int, method: str, sq_errs: np.ndarray, exact_f: float) -> dict:
-    """One fig1 row from a cell's squared errors: means as ``statistics.fmean`` sums them
-    (``fsum / T``), and the standard error of the squared-error mean."""
-    trials = len(sq_errs)
-    rel_errs = np.sqrt(sq_errs) / exact_f
-    stderr = float(np.std(sq_errs, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
-    return {
-        "c": c,
-        "method": method,
-        "mean_rel_frob_err": math.fsum(rel_errs) / trials,
-        "mean_sq_frob_err": math.fsum(sq_errs) / trials,
-        "stderr": stderr,
-        "trials": trials,
-    }
 
 
 def run_fig2(cfg: ExperimentConfig, out_dir) -> list[dict]:

@@ -36,19 +36,36 @@ def _key(text: str) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "little")
 
 
-def uniform_rows(seeds, count: int) -> np.ndarray:
-    """``(len(seeds), count)`` uniforms on [0, 1); row t is ``generator(seeds[t]).random(count)``.
+class RowStream:
+    """Rows of keyed Philox streams from one reused generator: ``rows(seeds, count)`` row t is
+    ``generator(seeds[t]).random(count)``, on every call.
 
-    One Philox serves every row: each row resets its key, counter and buffer."""
-    bits = np.random.Philox(key=0)
-    gen = np.random.Generator(bits)
-    state = bits.state
-    out = np.empty((len(seeds), count))
-    for row, seed in zip(out, seeds):
-        state["state"]["key"][0] = seed & _MASK64
-        bits.state = state
-        gen.random(out=row)
-    return out
+    Each row resets the one Philox's key, counter and buffer through a state dict of plain
+    Python ints, which the state setter reads without converting NumPy scalars, so a stream
+    kept across calls costs one rekeying a row and nothing more."""
+
+    def __init__(self):
+        self._bits = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bits)
+        self._key = [0, 0]
+        # buffer_pos 4: the buffer is empty, so a row never reads what the previous row left in it
+        self._state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": self._key},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def rows(self, seeds, count: int) -> np.ndarray:
+        """``(len(seeds), count)`` uniforms on [0, 1), one row per seed."""
+        out = np.empty((len(seeds), count))
+        bits, state, key, random = self._bits, self._state, self._key, self._gen.random
+        for row, seed in zip(out, seeds):
+            key[0] = int(seed) & _MASK64
+            bits.state = state
+            random(out=row)
+        return out
+
+
+def uniform_rows(seeds, count: int) -> np.ndarray:
+    """``(len(seeds), count)`` uniforms on [0, 1); row t is ``generator(seeds[t]).random(count)``."""
+    return RowStream().rows(seeds, count)
 
 
 def uniform_stream(seed: int, count: int) -> np.ndarray:

@@ -19,7 +19,8 @@ own kernel (``_error_form_pays``): the quadratic form ``uᵀHu`` with
 ``H`` per ``_FORM_ROWS`` trials across its cells, or else the estimates of
 ``sketch_trials``.  On the ``H`` path a trial's last bits depend on which rows
 share its GEMM: the call's cell list fixes them.  Both calls draw by one block
-loop (``_blocks``), and ``frobenius_errors`` checks its cells by ``sketch_trials``.
+loop (``_blocks``), whose blocks read their variates from one ``RowStream`` per
+call, and ``frobenius_errors`` checks its cells by ``sketch_trials``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .distributions import (Plan, SamplingDistribution, _check_draw_count, _chec
                             aggregate_distribution, optimal_distribution)
 from .matrices import _check_conformable, _frozen
 from .partitions import PairingStrategy, Partition, finest, pair_partition
-from .rng import uniform_rows, uniform_stream
+from .rng import RowStream, uniform_stream
 
 # Entries per block temporary in sketch_trials and frobenius_errors (256 KiB
 # of float64): enough to amortise the per-call costs over many small trials,
@@ -112,17 +113,17 @@ def sample_indices(dist: SamplingDistribution, c: int, seed: int) -> np.ndarray:
     return _inverse_cdf(dist, uniform_stream(seed, c)).astype(np.int64, copy=False)
 
 
-def _draw_block(dist: SamplingDistribution, c: int, seeds) -> np.ndarray:
+def _draw_block(stream: RowStream, dist: SamplingDistribution, c: int, seeds) -> np.ndarray:
     """Per-group draw counts of a block of trials, one row per seed.
 
     Row t is bit for bit ``bincount(sample_indices(dist, c, seeds[t]))``:
-    each seed's c variates fill one row and the guide-table lookup finds
-    every variate's group in place, with no sort (``bincount`` ignores
+    each seed's c variates, read from ``stream``, fill one row and the guide-table
+    lookup finds every variate's group in place, with no sort (``bincount`` ignores
     order).  Offsetting row t's groups by ``t * k`` lets one ``bincount``
     count the whole block.
     """
     trials, k = len(seeds), dist.weights.size
-    groups = _inverse_cdf(dist, uniform_rows(seeds, c))
+    groups = _inverse_cdf(dist, stream.rows(seeds, c))
     groups += k * np.arange(trials)[:, None]
     return np.bincount(groups.ravel(), minlength=trials * k).reshape(trials, k)
 
@@ -185,18 +186,23 @@ def _trials_per_block(c: int, n: int) -> int:
 
 def _scales(dist: SamplingDistribution, c: int, counts: np.ndarray) -> np.ndarray:
     """Per-index scales ``s_j = count[g(j)] / (c · p[g(j)])`` (0 when undrawn) of per-group
-    ``counts``, one row per row of counts; g is read off ``dist.support``."""
-    group_scale = np.divide(counts, c * dist.weights, out=np.zeros(counts.shape), where=counts > 0)
+    ``counts``, one row per row of counts; g is read off ``dist.support``.  A group of
+    probability 0 is never drawn, so its count 0 is divided by 1 instead: every scale is
+    ``count / (c · p)`` or an exact 0, with no masked division."""
+    w = dist.weights
+    group_scale = counts / np.where(w > 0, c * w, 1.0)
     return group_scale[..., dist.support.labels]
 
 
 def _blocks(cells) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``(counts, scales)`` of every draw block of ``cells`` in order, one row per seed:
-    each cell's seeds ``_trials_per_block`` at a time, counted by ``_draw_block``."""
+    each cell's seeds ``_trials_per_block`` at a time, counted by ``_draw_block`` from
+    one ``RowStream`` that every block shares."""
+    stream = RowStream()
     for plan, c, seeds in cells:
         per_block = _trials_per_block(c, plan.partition.n)
         for lo in range(0, len(seeds), per_block):
-            counts = _draw_block(plan.distribution, c, seeds[lo:lo + per_block])
+            counts = _draw_block(stream, plan.distribution, c, seeds[lo:lo + per_block])
             yield counts, _scales(plan.distribution, c, counts)
 
 
@@ -301,13 +307,18 @@ def _error_form_pays(cells) -> bool:
     """Whether ``frobenius_errors`` should take ``cells``' errors from ``H`` rather than from the estimates.
 
     ``H`` must fit ``_ERROR_FORM_ENTRIES`` and take fewer multiply-adds than
-    the sketches it replaces.  With ``B = Aᵀ`` (m×n), building ``H`` is one
-    ``syrk`` of m·n²/2 and each trial one GEMM row of n² against it; a direct
-    trial is one ``syrk`` of m²·K/2 over its K <= min(c, n) drawn columns.
+    the sketches it replaces.  For an m×n A and an n×ρ B, building ``H`` is one
+    ``syrk`` of m·n²/2 for ``AᵀA``, and another of ρ·n²/2 for ``BBᵀ`` unless
+    ``B = Aᵀ``; each trial is one GEMM row of n² against it.  A direct trial
+    over its K <= min(c, n) drawn columns is one ``syrk`` of m²·K/2 when
+    ``B = Aᵀ``, and one GEMM of m·ρ·K otherwise.
     """
-    m, n = cells[0][0].a.shape
-    form = m * n * n / 2 + sum(len(seeds) for *_, seeds in cells) * n * n
-    direct = sum(len(seeds) * m * m * min(c, n) / 2 for _, c, seeds in cells)
+    a, b = cells[0][0].a, cells[0][0].b
+    (m, n), rho = a.shape, b.shape[1]
+    gram = _is_transpose(a, b)
+    form = (m if gram else m + rho) * n * n / 2 + sum(len(seeds) for *_, seeds in cells) * n * n
+    per_column = m * m / 2 if gram else m * rho
+    direct = sum(len(seeds) * per_column * min(c, n) for _, c, seeds in cells)
     return n * n <= _ERROR_FORM_ENTRIES and form < direct
 
 

@@ -379,6 +379,15 @@ def loop_fig1_csv(cfg):
     return "\n".join(lines) + "\n"
 
 
+def fig1_row(c, method, sq_errs, exact_f):
+    """One fig1 row from one cell's squared errors alone: the means as ``statistics.fmean``
+    sums them (``fsum / T``), and numpy's sample std over sqrt(T) (0.0 for one trial)."""
+    trials = len(sq_errs)
+    stderr = float(np.std(sq_errs, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
+    return {"c": c, "method": method, "mean_rel_frob_err": math.fsum(np.sqrt(sq_errs) / exact_f) / trials,
+            "mean_sq_frob_err": math.fsum(sq_errs) / trials, "stderr": stderr, "trials": trials}
+
+
 def loop_fig2_csv(cfg):
     """fig2.csv as run_fig2 writes it, from one derive_seed and one sketch per run."""
     a = experiment_matrix(cfg)

@@ -288,12 +288,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["sketch", "experiment"])
     def test_out_of_memory_is_config_error(self, tmp_path, matrices, monkeypatch, capsys, command):
         # a failed allocation of the variates (a sketch request's one stream, an
-        # experiment's draw block) is a configuration error; stand in for it
-        # without allocating anything, at a --c below the draw-count bound
-        def no_memory(seeds, c):
-            raise MemoryError(f"Unable to allocate an array of {c} variates")
+        # experiment's draw block from its row stream) is a configuration error;
+        # stand in for it without allocating anything, at a --c below the draw-count bound
+        def no_memory(*args):
+            raise MemoryError(f"Unable to allocate an array of {args[-1]} variates")
 
-        monkeypatch.setattr(sketching, "uniform_rows", no_memory)
+        monkeypatch.setattr(sketching.RowStream, "rows", no_memory)
         monkeypatch.setattr(sketching, "uniform_stream", no_memory)
         if command == "sketch":
             argv = ["sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
@@ -311,7 +311,7 @@ class TestExitCodes:
         def no_allocation(*args):
             pytest.fail("a sample count past the bound reached the variate stream")
 
-        monkeypatch.setattr(sketching, "uniform_rows", no_allocation)
+        monkeypatch.setattr(sketching.RowStream, "rows", no_allocation)
         monkeypatch.setattr(sketching, "uniform_stream", no_allocation)
         if command == "sketch":
             argv = ["sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),

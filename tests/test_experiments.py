@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,12 @@ from partsketch import (ConfigError, ExperimentConfig, Plan, aggregate_distribut
                         run_fig1, run_fig2, run_table1, write_csv)
 from partsketch import experiments, sketching
 from partsketch.distributions import _MAX_DRAWS
-from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _fig1_row, _methods,
+from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _methods,
                                     experiment_matrix, pairing_strategy)
 from partsketch.matrices import frobenius_norm, multiply
 from partsketch.rng import derive_seed
 from partsketch.sketching import _error_form_pays
-from helpers import (direct_errors_and_bounds, distribution, form_path_errors, loop_fig1_csv,
+from helpers import (direct_errors_and_bounds, distribution, fig1_row, form_path_errors, loop_fig1_csv,
                      loop_fig2_csv, stderr_error_bound)
 
 TINY_FIG1 = ExperimentConfig(rows=8, cols=12, c_min=4, c_max=8, c_step=4,
@@ -117,6 +118,19 @@ class TestFig1:
                 theory = expected_frobenius_error_sq(a, b, pair_part, pair_dist, r["c"])
             assert abs(r["mean_sq_frob_err"] - theory) <= 5 * r["stderr"]
 
+    @pytest.mark.parametrize("rows, form", [(3, False), (20, True)])
+    def test_one_trial_has_stderr_zero_and_no_warning(self, tmp_path, rows, form):
+        # the sample std of one error is undefined (numpy warns and returns nan): one trial's
+        # standard error is written as 0.0, on the estimates' path and on H's
+        cfg = ExperimentConfig(rows=rows, cols=10, c_min=5, c_max=10, c_step=5, trials=1, seed=3)
+        assert _error_form_pays(fig1_cells(cfg)) is form
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows_out = run_fig1(cfg, tmp_path)
+        assert [r["stderr"] for r in rows_out] == [0.0] * 4
+        lines = (tmp_path / "fig1.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[4] for line in lines] == ["0.0"] * 4
+
     def test_monte_carlo_rate_is_half_order(self, tmp_path):
         cfg = ExperimentConfig(rows=6, cols=12, c_min=8, c_max=32, c_step=24,
                                trials=1200, seed=13)
@@ -214,7 +228,7 @@ class TestBatchedTrials:
             assert seeds == [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(cfg.trials)]
             direct, bounds = direct_errors_and_bounds(a, a.T, part, d, c, seeds)
             assert np.all(np.abs(errs - direct) <= bounds)
-            assert row == _fig1_row(c, label, errs, exact_f)
+            assert row == fig1_row(c, label, errs, exact_f)
 
     @pytest.mark.parametrize("strategy", ["enhanced", "random"])
     def test_fig2_matches_per_trial_loop(self, tmp_path, strategy):
@@ -260,10 +274,12 @@ class TestFig1ErrorForm:
         assert all(r["trials"] == cfg.trials and r["stderr"] > 0 for r in rows_out)
 
     @staticmethod
-    def cells(m, n, cs_and_trials):
-        """Cells of ``(c, trials)`` on one m×n A; the rule reads only A's shape, each c and each seed count."""
+    def cells(m, n, cs_and_trials, cols=None):
+        """Cells of ``(c, trials)`` on one m×n A and B = Aᵀ, or an n×cols B; the rule reads only the
+        shapes, whether B is Aᵀ, each c and each seed count."""
         a = np.broadcast_to(0.0, (m, n))
-        plan = Plan(a, a.T, finest(n), distribution(finest(n), np.ones(n), normalize=True))
+        b = a.T if cols is None else np.broadcast_to(1.0, (n, cols))
+        plan = Plan(a, b, finest(n), distribution(finest(n), np.ones(n), normalize=True))
         return [(plan, c, range(trials)) for c, trials in cs_and_trials]
 
     def test_cost_rule(self):
@@ -281,6 +297,11 @@ class TestFig1ErrorForm:
                                     ([(1000, 17), (250, 0)], True), ([(1000, 16), (250, 1)], False),
                                     ([(250, 17)], False), ([(250, 0), (1000, 9), (1500, 8)], True)]:
             assert _error_form_pays(self.cells(50, 500, cs_and_trials)) is pays, cs_and_trials
+        # B not Aᵀ, 100 x 2000 at c = 2000, 200 trials: H also builds BBᵀ (ρ·n²/2), and a direct
+        # trial is an m·ρ·K GEMM; at one BLAS thread, 70 ms direct against 103 ms on H at ρ = 1,
+        # and 115 ms on H against 244 ms direct at ρ = 100
+        assert not _error_form_pays(self.cells(100, 2000, [(2000, 200)], cols=1))
+        assert _error_form_pays(self.cells(100, 2000, [(2000, 200)], cols=100))
 
     @pytest.mark.parametrize("cols, direct", [(2000, False), (2049, True)])
     def test_wide_input_past_the_cap_takes_the_direct_branch(self, tmp_path, monkeypatch, cols, direct):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partsketch import derive_seed, derive_seeds, uniform_rows, uniform_stream
-from partsketch.rng import generator
+from partsketch.rng import RowStream, generator
 
 path_parts = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=6),
                        st.sampled_from(["fig1", "fig2", "finest", "pairwise-enhanced"]))
@@ -63,3 +63,15 @@ class TestUniformRows:
     def test_stream_is_the_one_row_case(self):
         assert np.array_equal(uniform_stream(9, 7), uniform_rows([9], 7)[0])
         assert uniform_rows([], 4).shape == (0, 4)
+
+    def test_one_stream_reused_across_calls(self):
+        # every call after the first starts where the last row left Philox's 4-word
+        # buffer partly read (c = 1, 3, 5): the stream's rows must not see it
+        stream = RowStream()
+        seeds = [0, -1, 2**63, 2**64 - 1]
+        for c in (1, 3, 5, 8, 1, 8, 3):
+            block = stream.rows(seeds, c)
+            assert block.shape == (len(seeds), c)
+            for row, seed in zip(block, seeds):
+                assert np.array_equal(row, generator(seed).random(c))
+        assert stream.rows([], 4).shape == (0, 4)

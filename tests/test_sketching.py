@@ -192,12 +192,13 @@ class TestSketchTrials:
 
     def test_blocks_follow_the_entry_budget(self, monkeypatch):
         a, b, part, d = self.plan("a.T", False)
-        sizes = []
+        sizes, streams = [], []
         draw_block = sketching._draw_block
 
-        def recording(dist, c, seeds):
+        def recording(stream, dist, c, seeds):
             sizes.append(len(seeds))
-            return draw_block(dist, c, seeds)
+            streams.append(stream)
+            return draw_block(stream, dist, c, seeds)
 
         monkeypatch.setattr(sketching, "_draw_block", recording)
         plan = Plan(a, b, part, d)
@@ -206,6 +207,8 @@ class TestSketchTrials:
         sizes.clear()
         list(sketch_trials([(plan, 3, list(range(900)))]))
         assert sizes == [819, 81]  # 2**15 // n, n = 40
+        # one row stream per call, shared by its blocks
+        assert streams[0] is streams[1] is streams[2] is not streams[3] is streams[4]
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.integers(1, 10**12), st.integers(1, 10**7))
@@ -282,9 +285,9 @@ class TestSketchTrials:
         drawn = []
         draw_block = sketching._draw_block
 
-        def recording(dist, c, seeds):
+        def recording(stream, dist, c, seeds):
             drawn.append(c)
-            return draw_block(dist, c, seeds)
+            return draw_block(stream, dist, c, seeds)
 
         monkeypatch.setattr(sketching, "_draw_block", recording)
         plan = Plan(a, b, part, d)
