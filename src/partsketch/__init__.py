@@ -25,7 +25,7 @@ from .matrices import (dense, frobenius_norm, multiply, read_binary, read_csv,
 from .partitions import (BALANCED, ENHANCED, SIMPLE, PairingStrategy,
                          Partition, coarsen, finest, pair_partition,
                          partition_from_json, partition_to_json)
-from .rng import derive_seed, derive_seeds, uniform_rows, uniform_stream
+from .rng import derive_seed, derive_seeds
 from .sketching import (SketchConfig, SketchResult, draw_log_json,
                         error_form, frobenius_errors, pairwise_plan,
                         sample_indices, sketch, sketch_from_draws,

@@ -65,8 +65,9 @@ class ExperimentConfig:
     fig2_c: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+        if self.rows < 1:
             raise ConfigError(f"matrix dimensions must be positive, got {self.rows}x{self.cols}")
+        _check_pairable(self.cols)
         if self.c_step < 1 or self.c_min > self.c_max:
             raise ConfigError(f"empty sample-count grid: min={self.c_min} max={self.c_max} step={self.c_step}")
         if self.fig2_c is not None and not self.fig2_c:
@@ -112,8 +113,15 @@ def pairing_strategy(kind: str, seed: int) -> PairingStrategy:
     return PairingStrategy(kind, derive_seed(seed, "pairing") if kind == "random" else None)
 
 
+def _check_pairable(cols: int) -> None:
+    if cols < 2:
+        raise ConfigError(f"every experiment pairs A's columns, so A needs at least 2 columns, got {cols}")
+
+
 def _methods(cfg: ExperimentConfig, a: np.ndarray, b: np.ndarray) -> list[tuple[str, Plan]]:
-    """(label, plan) for the per-index baseline and the pairwise method."""
+    """(label, plan) for the per-index baseline and the pairwise method; raises
+    ``ConfigError`` when A (a loaded matrix) has fewer than 2 columns to pair."""
+    _check_pairable(a.shape[1])
     fin = optimal_plan(a, b, finest(a.shape[1]))
     strat = pairing_strategy(cfg.strategy, cfg.seed)
     pairs = pair_partition(fin.distribution.weights, strat)

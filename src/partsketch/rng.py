@@ -63,16 +63,6 @@ class RowStream:
         return out
 
 
-def uniform_rows(seeds, count: int) -> np.ndarray:
-    """``(len(seeds), count)`` uniforms on [0, 1); row t is ``generator(seeds[t]).random(count)``."""
-    return RowStream().rows(seeds, count)
-
-
-def uniform_stream(seed: int, count: int) -> np.ndarray:
-    """``count`` float64 uniforms on [0, 1) from the Philox stream keyed by ``seed``."""
-    return uniform_rows([seed], count)[0]
-
-
 def generator(seed: int) -> np.random.Generator:
     """A Philox generator keyed by ``seed`` for bulk draws (matrix entries, permutations)."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed & _MASK64)))

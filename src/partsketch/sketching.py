@@ -13,14 +13,15 @@ forms the same result from them.  ``sketch_trials`` runs a list of
 in blocks, with the results of one ``sketch`` per seed.
 
 ``frobenius_errors`` takes the same cells and draws the same counts, and
-returns each trial's squared error ``|AB - A·diag(s)·B|_F²``.  It picks its
-own kernel (``_error_form_pays``): the quadratic form ``uᵀHu`` with
-``u = 1 - s`` and ``H = (AᵀA) ∘ (BBᵀ)`` (``error_form``), one GEMM against
-``H`` per ``_FORM_ROWS`` trials across its cells, or else the estimates of
-``sketch_trials``.  On the ``H`` path a trial's last bits depend on which rows
-share its GEMM: the call's cell list fixes them.  Both calls draw by one block
-loop (``_blocks``), whose blocks read their variates from one ``RowStream`` per
-call, and ``frobenius_errors`` checks its cells by ``sketch_trials``.
+returns each trial's squared error ``|AB - A·diag(s)·B|_F²``.  While ``H``
+fits its memory cap (``_ERROR_FORM_ENTRIES``, n <= 2048) that is the quadratic
+form ``uᵀHu`` with ``u = 1 - s`` and ``H = (AᵀA) ∘ (BBᵀ)`` (``error_form``),
+one GEMM against ``H`` per ``_FORM_ROWS`` trials across its cells; past the cap
+it is taken from the estimates of ``sketch_trials``.  On the ``H`` path a
+trial's last bits depend on which rows share its GEMM: the call's cell list
+fixes them.  Both calls draw by one block loop (``_blocks``), whose blocks
+read their variates from one ``RowStream`` per call, and
+``frobenius_errors`` checks its cells by ``sketch_trials``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .distributions import (Plan, SamplingDistribution, _check_draw_count, _chec
                             aggregate_distribution, optimal_distribution)
 from .matrices import _check_conformable, _frozen
 from .partitions import PairingStrategy, Partition, finest, pair_partition
-from .rng import RowStream, uniform_stream
+from .rng import RowStream
 
 # Entries per block temporary in sketch_trials and frobenius_errors (256 KiB
 # of float64): enough to amortise the per-call costs over many small trials,
@@ -51,9 +52,9 @@ _GUIDE_STEPS = 2
 # most 2 MiB while H is used (n <= 2048), shares the packing of H across them.
 _FORM_ROWS = 128
 
-# frobenius_errors holds H only up to this many float64 entries (32 MiB,
-# n <= 2048), so the paper's 100x2000 shape fits; a wider A takes the
-# estimates, whose memory does not grow with n².
+# frobenius_errors takes its errors from H exactly when H holds at most this
+# many float64 entries (32 MiB, n <= 2048), so the paper's 100x2000 shape fits;
+# a wider A takes the estimates, whose memory does not grow with n².
 _ERROR_FORM_ENTRIES = 2 ** 22
 
 
@@ -110,7 +111,7 @@ def sample_indices(dist: SamplingDistribution, c: int, seed: int) -> np.ndarray:
     Raises ``ValueError`` unless ``_check_draw_count`` passes, before anything is drawn.
     """
     _check_draw_count(c)
-    return _inverse_cdf(dist, uniform_stream(seed, c)).astype(np.int64, copy=False)
+    return _inverse_cdf(dist, RowStream().rows([seed], c)[0]).astype(np.int64, copy=False)
 
 
 def _draw_block(stream: RowStream, dist: SamplingDistribution, c: int, seeds) -> np.ndarray:
@@ -259,21 +260,22 @@ def frobenius_errors(cells) -> list[np.ndarray]:
 
     ``cells`` are ``sketch_trials``' cells, checked by that call before any draw; the
     result holds one array per cell, of one error per seed, from the counts ``sketch_trials``
-    draws.  When ``_error_form_pays``, ``H = error_form(a, b)`` is built once and a trial's
-    error is ``uᵀHu`` with ``u = 1 - s``, with no estimate formed: the ``u`` rows of all
-    cells are taken ``_FORM_ROWS`` at a time in order, each group in one GEMM against ``H``,
-    so an error's last bits are fixed by the whole cell list, not by its cell alone.  ``H``
-    is positive semidefinite (Schur product theorem), so a negative value is rounding and is
-    clamped to 0.  The ``u`` form is kept on purpose: expanding it to
-    ``|AB|² - 2sᵀd + sᵀHs`` cancels.  Otherwise an error is ``sum(square(a @ b - estimate))``
-    of ``sketch_trials``' estimate.
+    draws.  When the n×n ``H = error_form(a, b)`` fits ``_ERROR_FORM_ENTRIES``, it is built
+    once and a trial's error is ``uᵀHu`` with ``u = 1 - s``, with no estimate formed: the
+    ``u`` rows of all cells are taken ``_FORM_ROWS`` at a time in order, each group in one
+    GEMM against ``H``, so an error's last bits are fixed by the whole cell list, not by its
+    cell alone.  ``H`` is positive semidefinite (Schur product theorem), so a negative value
+    is rounding and is clamped to 0.  The ``u`` form is kept on purpose: expanding it to
+    ``|AB|² - 2sᵀd + sᵀHs`` cancels.  Past the cap an error is
+    ``sum(square(a @ b - estimate))`` of ``sketch_trials``' estimate, whose memory does not
+    grow with n².
     """
     results = sketch_trials(cells)  # the cell check; it draws only when read
     if not cells:
         return []
     a, b = cells[0][0].a, cells[0][0].b
     ends = list(accumulate(len(seeds) for *_, seeds in cells))
-    if _error_form_pays(cells):
+    if a.shape[1] ** 2 <= _ERROR_FORM_ENTRIES:
         h = error_form(a, b)
         errors = np.empty(ends[-1])
         for lo, u in zip(range(0, errors.size, _FORM_ROWS), _form_rows(cells, a.shape[1])):
@@ -301,25 +303,6 @@ def _form_rows(cells, n: int) -> Iterator[np.ndarray]:
                 yield u
     if fill:
         yield u[:fill]
-
-
-def _error_form_pays(cells) -> bool:
-    """Whether ``frobenius_errors`` should take ``cells``' errors from ``H`` rather than from the estimates.
-
-    ``H`` must fit ``_ERROR_FORM_ENTRIES`` and take fewer multiply-adds than
-    the sketches it replaces.  For an m×n A and an n×ρ B, building ``H`` is one
-    ``syrk`` of m·n²/2 for ``AᵀA``, and another of ρ·n²/2 for ``BBᵀ`` unless
-    ``B = Aᵀ``; each trial is one GEMM row of n² against it.  A direct trial
-    over its K <= min(c, n) drawn columns is one ``syrk`` of m²·K/2 when
-    ``B = Aᵀ``, and one GEMM of m·ρ·K otherwise.
-    """
-    a, b = cells[0][0].a, cells[0][0].b
-    (m, n), rho = a.shape, b.shape[1]
-    gram = _is_transpose(a, b)
-    form = (m if gram else m + rho) * n * n / 2 + sum(len(seeds) for *_, seeds in cells) * n * n
-    per_column = m * m / 2 if gram else m * rho
-    direct = sum(len(seeds) * per_column * min(c, n) for _, c, seeds in cells)
-    return n * n <= _ERROR_FORM_ENTRIES and form < direct
 
 
 def pairwise_plan(a: np.ndarray, b: np.ndarray,

@@ -286,13 +286,12 @@ def direct_errors_and_bounds(a, b, partition, dist, c, seeds):
 
 
 def form_path_errors(cells):
-    """``frobenius_errors(cells)`` sent down its ``uᵀHu`` path whatever the cost rule would
-    pick; raises ``AssertionError`` if the call forms an estimate (calls ``_scaled_product``)."""
+    """``frobenius_errors(cells)`` for cells whose ``H`` fits its cap, so the call takes its
+    ``uᵀHu`` path; raises ``AssertionError`` if it forms an estimate (calls ``_scaled_product``)."""
     def forbidden(*args):
         raise AssertionError("an estimate was formed on the error-form path")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sketching, "_error_form_pays", lambda cells: True)
         mp.setattr(sketching, "_scaled_product", forbidden)
         return sketching.frobenius_errors(cells)
 

@@ -294,7 +294,6 @@ class TestExitCodes:
             raise MemoryError(f"Unable to allocate an array of {args[-1]} variates")
 
         monkeypatch.setattr(sketching.RowStream, "rows", no_memory)
-        monkeypatch.setattr(sketching, "uniform_stream", no_memory)
         if command == "sketch":
             argv = ["sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
                     "--c", "1000"]
@@ -312,7 +311,6 @@ class TestExitCodes:
             pytest.fail("a sample count past the bound reached the variate stream")
 
         monkeypatch.setattr(sketching.RowStream, "rows", no_allocation)
-        monkeypatch.setattr(sketching, "uniform_stream", no_allocation)
         if command == "sketch":
             argv = ["sketch", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
                     "--c", "100000000000"]
@@ -426,6 +424,17 @@ class TestExperimentCommand:
         rows = (tmp_path / "out/fig2.csv").read_text().splitlines()[1:]
         assert sorted({int(row.split(",")[1]) for row in rows}) == [6, 18]
 
+    @pytest.mark.parametrize("which", ["fig1", "fig2", "table1"])
+    def test_one_column_is_config_error(self, tmp_path, capsys, which):
+        # every experiment pairs A's columns: a generated or a loaded A of one column exits 1
+        # with that reason, not with a message about a default it never uses
+        write_csv(dense(np.ones((3, 1))), tmp_path / "m.csv")
+        for source in (["--rows", "3", "--cols", "1"], ["--matrix-file", str(tmp_path / "m.csv")]):
+            assert main(["experiment", which, *source, "--out-dir", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == (
+                "error: every experiment pairs A's columns, so A needs at least 2 columns, got 1\n")
+        assert not list((tmp_path / "out").glob("*"))
+
     @pytest.mark.parametrize("flag", ["--rows", "--cols"])
     def test_matrix_file_rejects_explicit_size(self, tmp_path, capsys, flag):
         write_csv(dense(np.ones((2, 3))), tmp_path / "m.csv")
@@ -523,21 +532,21 @@ class TestDeterminismPerThreadCount:
             second = self.run_sketch(tmp_path, threads, f"t{threads}-second")
             assert first == second, f"outputs differ between reruns at {threads} threads"
 
-    def run_fig1(self, tmp_path, threads, out, trials, c):
+    def run_fig1(self, tmp_path, threads, out, cols, trials, c):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
         proc = subprocess.run(
-            [sys.executable, "-m", "partsketch", "experiment", "fig1", "--rows", "100", "--cols", "2000",
+            [sys.executable, "-m", "partsketch", "experiment", "fig1", "--rows", "100", "--cols", str(cols),
              "--trials", str(trials), "--c-min", str(c), "--c-max", str(c), "--seed", "5",
              "--out-dir", str(tmp_path / out)],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return (tmp_path / out / "fig1.csv").read_bytes()
 
-    # the paper shape: 3 trials per method take their errors from the estimates,
-    # 30 at c = 3000 from the 2000 x 2000 error form and each block's GEMM against it
-    @pytest.mark.parametrize("trials, c", [(3, 1000), (30, 3000)])
-    def test_fig1_reruns_are_byte_identical_at_one_and_two_threads(self, tmp_path, trials, c):
+    # 100 x 2100, past H's cap, takes its errors from the estimates; the paper shape 100 x 2000
+    # at c = 3000 from the 2000 x 2000 error form and each block's GEMM against it
+    @pytest.mark.parametrize("cols, trials, c", [(2100, 3, 1000), (2000, 30, 3000)])
+    def test_fig1_reruns_are_byte_identical_at_one_and_two_threads(self, tmp_path, cols, trials, c):
         for threads in (1, 2):
-            first = self.run_fig1(tmp_path, threads, f"t{threads}-first", trials, c)
-            second = self.run_fig1(tmp_path, threads, f"t{threads}-second", trials, c)
+            first = self.run_fig1(tmp_path, threads, f"t{threads}-first", cols, trials, c)
+            second = self.run_fig1(tmp_path, threads, f"t{threads}-second", cols, trials, c)
             assert first == second, f"fig1.csv differs between reruns at {threads} threads"

@@ -15,7 +15,6 @@ from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _methods,
                                     experiment_matrix, pairing_strategy)
 from partsketch.matrices import frobenius_norm, multiply
 from partsketch.rng import derive_seed
-from partsketch.sketching import _error_form_pays
 from helpers import (direct_errors_and_bounds, distribution, fig1_row, form_path_errors, loop_fig1_csv,
                      loop_fig2_csv, stderr_error_bound)
 
@@ -51,6 +50,7 @@ class TestConfig:
         dict(strategy="finest"),
         dict(strategy="sorted"),
         dict(fig2_c=()),
+        dict(cols=1),
     ])
     def test_invalid_configs(self, bad):
         with pytest.raises(ConfigError):
@@ -119,15 +119,18 @@ class TestFig1:
             assert abs(r["mean_sq_frob_err"] - theory) <= 5 * r["stderr"]
 
     @pytest.mark.parametrize("rows, form", [(3, False), (20, True)])
-    def test_one_trial_has_stderr_zero_and_no_warning(self, tmp_path, rows, form):
+    def test_one_trial_has_stderr_zero_and_no_warning(self, tmp_path, monkeypatch, rows, form):
         # the sample std of one error is undefined (numpy warns and returns nan): one trial's
-        # standard error is written as 0.0, on the estimates' path and on H's
+        # standard error is written as 0.0, on H's path and, with no H under the cap, on the estimates'
         cfg = ExperimentConfig(rows=rows, cols=10, c_min=5, c_max=10, c_step=5, trials=1, seed=3)
-        assert _error_form_pays(fig1_cells(cfg)) is form
+        if not form:
+            monkeypatch.setattr(sketching, "_ERROR_FORM_ENTRIES", 0)
+        calls = scaled_product_calls(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows_out = run_fig1(cfg, tmp_path)
         assert [r["stderr"] for r in rows_out] == [0.0] * 4
+        assert len(calls) == (0 if form else 4)
         lines = (tmp_path / "fig1.csv").read_text().splitlines()[1:]
         assert [line.split(",")[4] for line in lines] == ["0.0"] * 4
 
@@ -164,11 +167,22 @@ class TestFig2:
         assert pairwise and all(e <= 1e-13 for e in pairwise)
 
 
-def fig1_cells(cfg):
-    """The cells ``run_fig1`` hands ``frobenius_errors`` for ``cfg``."""
-    a = experiment_matrix(cfg)
-    return [(plan, c, [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(cfg.trials)])
-            for c in cfg.c_grid() for label, plan in _methods(cfg, a, a.T)]
+def scaled_product_calls(monkeypatch):
+    """A list that gains one entry per estimate formed (``_scaled_product`` call); also forbids
+    ``statistics.stdev``."""
+    calls = []
+    scaled_product = sketching._scaled_product
+
+    def recording(*args):
+        calls.append(1)
+        return scaled_product(*args)
+
+    def forbidden(*args):
+        raise AssertionError("statistics.stdev called")
+
+    monkeypatch.setattr(sketching, "_scaled_product", recording)
+    monkeypatch.setattr("statistics.stdev", forbidden)
+    return calls
 
 
 class TestBatchedTrials:
@@ -180,12 +194,12 @@ class TestBatchedTrials:
                            trials=12, runs=12, fig2_c=(5, 6005), seed=17)
 
     @pytest.mark.parametrize("strategy", ["enhanced", "random"])
-    def test_fig1_matches_per_trial_loop(self, tmp_path, strategy):
-        # 4 x 12 takes its errors from the estimates: every column but stderr
-        # byte for byte, stderr (numpy's two-pass std against the exact-Fraction
-        # statistics.stdev) within its derived bound
+    def test_fig1_matches_per_trial_loop(self, tmp_path, monkeypatch, strategy):
+        # 4 x 12 with no H under the cap takes its errors from the estimates: every
+        # column but stderr byte for byte, stderr (numpy's two-pass std against the
+        # exact-Fraction statistics.stdev) within its derived bound
         cfg = replace(self.CFG, strategy=strategy)
-        assert not _error_form_pays(fig1_cells(cfg))
+        monkeypatch.setattr(sketching, "_ERROR_FORM_ENTRIES", 0)
         run_fig1(cfg, tmp_path)
         got = (tmp_path / "fig1.csv").read_text().splitlines()
         want = loop_fig1_csv(cfg).splitlines()
@@ -201,16 +215,15 @@ class TestBatchedTrials:
             assert abs(float(fields[4]) - float(ref_fields[4])) <= stderr_error_bound(sq_errs)
 
     def test_fig1_error_form_matches_per_trial_loop_within_derived_bound(self, tmp_path, monkeypatch):
-        # 12 x 12 takes its errors from uᵀHu in one call over every cell: each
-        # cell's plan and seeds are the loop's, each trial's error is within
-        # quadratic_form_error_bound of the loop's direct error, and each row is
-        # reduced from those errors
+        # 12 x 12 takes its errors from uᵀHu in one call over every cell, with no
+        # estimate formed: each cell's plan and seeds are the loop's, each trial's
+        # error is within quadratic_form_error_bound of the loop's direct error,
+        # and each row is reduced from those errors
         cfg = replace(self.CFG, rows=12)
-        assert _error_form_pays(fig1_cells(cfg))
         calls = []
 
         def recording(cells):
-            errors = sketching.frobenius_errors(cells)
+            errors = form_path_errors(cells)
             calls.append((cells, errors))
             return errors
 
@@ -243,73 +256,60 @@ class TestBatchedTrials:
         assert (tmp_path / "fig2.csv").read_bytes() == loop_fig2_csv(cfg).encode()
 
 
+class _Kernel(Exception):
+    pass
+
+
+def kernel(monkeypatch, cells):
+    """The kernel ``frobenius_errors(cells)`` takes, ``"H"`` or ``"estimates"``, stopped at its
+    first step: building ``H``, or drawing the first block of estimates."""
+    def stop(name):
+        def raising(*args):
+            raise _Kernel(name)
+        return raising
+
+    monkeypatch.setattr(sketching, "error_form", stop("H"))
+    monkeypatch.setattr(sketching, "_blocks", stop("estimates"))
+    with pytest.raises(_Kernel) as info:
+        sketching.frobenius_errors(cells)
+    return str(info.value)
+
+
 class TestFig1ErrorForm:
-    """fig1 takes its squared errors from uᵀHu while H fits its memory cap and
-    costs fewer multiply-adds than the estimates, and from the estimates otherwise."""
-
-    @staticmethod
-    def scaled_product_calls(monkeypatch):
-        calls = []
-        scaled_product = sketching._scaled_product
-
-        def recording(*args):
-            calls.append(1)
-            return scaled_product(*args)
-
-        def forbidden(*args):
-            raise AssertionError("statistics.stdev called")
-
-        monkeypatch.setattr(sketching, "_scaled_product", recording)
-        monkeypatch.setattr("statistics.stdev", forbidden)
-        return calls
-
-    @pytest.mark.parametrize("rows, direct", [(3, True), (4, True), (12, False)])
-    def test_branch_follows_the_cost_rule(self, tmp_path, monkeypatch, rows, direct):
-        # n = 12, 24 trials at each c in (5, 6005): building H (rows·144/2) and 48
-        # GEMM rows of 144 against the syrks' 24·rows²·(5 + 12)/2 multiply-adds
-        calls = self.scaled_product_calls(monkeypatch)
-        cfg = replace(TestBatchedTrials.CFG, rows=rows)
-        rows_out = run_fig1(cfg, tmp_path)
-        assert len(calls) == (4 * cfg.trials if direct else 0)
-        assert all(r["trials"] == cfg.trials and r["stderr"] > 0 for r in rows_out)
+    """fig1 takes its squared errors from uᵀHu while H fits its memory cap,
+    and from the estimates past it."""
 
     @staticmethod
     def cells(m, n, cs_and_trials, cols=None):
-        """Cells of ``(c, trials)`` on one m×n A and B = Aᵀ, or an n×cols B; the rule reads only the
-        shapes, whether B is Aᵀ, each c and each seed count."""
+        """Cells of ``(c, trials)`` on one m×n A and B = Aᵀ, or an n×cols B, of constant entries."""
         a = np.broadcast_to(0.0, (m, n))
         b = a.T if cols is None else np.broadcast_to(1.0, (n, cols))
         plan = Plan(a, b, finest(n), distribution(finest(n), np.ones(n), normalize=True))
         return [(plan, c, range(trials)) for c, trials in cs_and_trials]
 
-    def test_cost_rule(self):
+    def test_cost_rule(self, monkeypatch):
+        # H exactly when its n² entries fit 2**22, whatever m, B, c and the trial counts; at one
+        # BLAS thread H is slower in two cases, both outside every experiment preset: the paper
+        # shape at one trial per cell (29.7 against 12.4 ms) and a 2000 x 1 B (106 against 69 ms)
         paper = paper_scale(ExperimentConfig()).c_grid()
         per_method = [(c, 1000) for c in paper for _ in range(2)]
-        assert _error_form_pays(self.cells(100, 2000, per_method))
-        assert not _error_form_pays(self.cells(100, 2000, [(c, 1) for c, _ in per_method]))  # H costs more
-        assert not _error_form_pays(self.cells(100, 2049, per_method))  # H past its 2**22 entries
-        assert not _error_form_pays(self.cells(100, 10000, per_method))
-        desk = [(c, 10) for c in ExperimentConfig().c_grid() for _ in range(2)]
-        assert _error_form_pays(self.cells(50, 500, desk))  # the desk shape
-        # cells of unequal seed counts at 50 x 500: H costs 6.25e6 + 2.5e5 per trial, and a
-        # direct trial 6.25e5 at c >= n, half that at c = 250
-        for cs_and_trials, pays in [([(500, 16)], False), ([(500, 17)], True), ([(1000, 10), (500, 7)], True),
-                                    ([(1000, 17), (250, 0)], True), ([(1000, 16), (250, 1)], False),
-                                    ([(250, 17)], False), ([(250, 0), (1000, 9), (1500, 8)], True)]:
-            assert _error_form_pays(self.cells(50, 500, cs_and_trials)) is pays, cs_and_trials
-        # B not Aᵀ, 100 x 2000 at c = 2000, 200 trials: H also builds BBᵀ (ρ·n²/2), and a direct
-        # trial is an m·ρ·K GEMM; at one BLAS thread, 70 ms direct against 103 ms on H at ρ = 1,
-        # and 115 ms on H against 244 ms direct at ρ = 100
-        assert not _error_form_pays(self.cells(100, 2000, [(2000, 200)], cols=1))
-        assert _error_form_pays(self.cells(100, 2000, [(2000, 200)], cols=100))
+        assert kernel(monkeypatch, self.cells(100, 2000, per_method)) == "H"
+        assert kernel(monkeypatch, self.cells(100, 2000, [(c, 1) for c, _ in per_method])) == "H"
+        assert kernel(monkeypatch, self.cells(100, 2000, [(2000, 200)], cols=1)) == "H"
+        assert kernel(monkeypatch, self.cells(100, 2049, per_method)) == "estimates"  # H past its 2**22 entries
+        assert kernel(monkeypatch, self.cells(100, 10000, per_method)) == "estimates"
 
-    @pytest.mark.parametrize("cols, direct", [(2000, False), (2049, True)])
-    def test_wide_input_past_the_cap_takes_the_direct_branch(self, tmp_path, monkeypatch, cols, direct):
-        # 30 trials per method at c = 2000: H would cost fewer multiply-adds at both widths
-        calls = self.scaled_product_calls(monkeypatch)
-        cfg = ExperimentConfig(rows=100, cols=cols, c_min=2000, c_max=2000, trials=30, seed=2)
-        run_fig1(cfg, tmp_path)
-        assert len(calls) == (2 * cfg.trials if direct else 0)
+    @pytest.mark.parametrize("cols, rows, trials, direct", [
+        (2000, 100, 30, False), (2048, 100, 1, False), (2049, 100, 1, True), (2049, 100, 30, True),
+        (12, 3, 12, False), (12, 4, 12, False), (12, 12, 12, False)])
+    def test_wide_input_past_the_cap_takes_the_direct_branch(self, tmp_path, monkeypatch, cols, rows, trials, direct):
+        # every estimate formed, or none: the widest H that fits (n = 2048), the narrowest A past it,
+        # and H at n = 12 even for a few rows, where each estimate costs fewer flops than its GEMM row
+        calls = scaled_product_calls(monkeypatch)
+        cfg = ExperimentConfig(rows=rows, cols=cols, c_min=5, c_max=2005, c_step=2000, trials=trials, seed=2)
+        rows_out = run_fig1(cfg, tmp_path)
+        assert len(calls) == (4 * trials if direct else 0)
+        assert all(r["trials"] == trials and (r["stderr"] > 0) is (trials > 1) for r in rows_out)
 
     def test_paper_shape_errors_within_derived_bound(self):
         # 100 x 2000, where n and the rounding terms of both paths are largest

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from partsketch import derive_seed, derive_seeds, uniform_rows, uniform_stream
+from partsketch import derive_seed, derive_seeds, finest, sample_indices
 from partsketch.rng import RowStream, generator
+from helpers import distribution
 
 path_parts = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=6),
                        st.sampled_from(["fig1", "fig2", "finest", "pairwise-enhanced"]))
@@ -55,14 +56,15 @@ class TestUniformRows:
         # a row that leaves part of Philox's 4-word buffer unread must not
         # hand it to the next row
         seeds = [0, -1, 2**63, 2**64 - 1, 0]
-        block = uniform_rows(seeds, c)
+        block = RowStream().rows(seeds, c)
         assert block.shape == (len(seeds), c)
         for row, seed in zip(block, seeds):
             assert np.array_equal(row, generator(seed).random(c))
 
     def test_stream_is_the_one_row_case(self):
-        assert np.array_equal(uniform_stream(9, 7), uniform_rows([9], 7)[0])
-        assert uniform_rows([], 4).shape == (0, 4)
+        # sample_indices reads one row: draw i is the group of generator(seed)'s i-th variate
+        d = distribution(finest(5), [0.1, 0.3, 0.0, 0.4, 0.2])
+        assert np.array_equal(sample_indices(d, 7, 9), np.searchsorted(d.cdf, generator(9).random(7), side="right"))
 
     def test_one_stream_reused_across_calls(self):
         # every call after the first starts where the last row left Philox's 4-word

@@ -9,10 +9,10 @@ from partsketch import (ENHANCED, Plan, SketchConfig, coarsen, dense, error_form
                         expected_frobenius_error_sq, finest, frobenius_errors,
                         frobenius_norm, multiply, optimal_distribution, pairwise_plan,
                         sample_indices, sketch, sketch_from_draws, sketch_trials,
-                        spectral_norm, uniform_stream)
+                        spectral_norm)
 from partsketch import sketching
 from partsketch.distributions import _MAX_DRAWS
-from partsketch.rng import derive_seed, derive_seeds
+from partsketch.rng import derive_seed, derive_seeds, generator
 from partsketch.sketching import (_FORM_ROWS, _GUIDE_STEPS, _inverse_cdf, _is_transpose,
                                   _trials_per_block)
 from helpers import (brute_force_expectation, column_gather_product, direct_errors_and_bounds,
@@ -88,8 +88,8 @@ class TestDrawCounts:
 
     def test_variate_on_a_group_boundary(self):
         # u_0 = cdf[0] exactly: the draw and its count both go to group 1
-        seed = next(s for s in range(100) if uniform_stream(s, 1)[0] >= 0.5)
-        u0 = uniform_stream(seed, 1)[0]
+        seed = next(s for s in range(100) if generator(s).random() >= 0.5)
+        u0 = generator(seed).random()
         part = finest(2)
         d = distribution(part, [u0, 1 - u0])  # 1 - u0 is exact for u0 >= 0.5
         assert d.cdf[0] == u0
@@ -127,7 +127,7 @@ class TestGuideTable:
     @example([0.0] * 10 + [1.0, 1e-300, 1e-300, 1e-300, 1.0], 4)
     def test_lookup_equals_binary_search(self, weights, seed):
         d = distribution(finest(len(weights)), weights, normalize=True)
-        u = np.concatenate([self.hard_variates(d.cdf), uniform_stream(seed, 200)])
+        u = np.concatenate([self.hard_variates(d.cdf), generator(seed).random(200)])
         want = np.searchsorted(d.cdf, u, side="right")
         assert np.array_equal(_inverse_cdf(d, u), want)
         assert np.array_equal(_inverse_cdf(d, u[:200].reshape(8, 25)), want[:200].reshape(8, 25))
@@ -402,8 +402,8 @@ class TestFrobeniusErrors:
     def test_cell_without_seeds_gives_an_empty_array(self, monkeypatch):
         a, b, part, d = TestSketchTrials.plan("unrelated", False)
         plan = Plan(a, b, part, d)
-        for pays in (True, False):  # both kernels
-            monkeypatch.setattr(sketching, "_error_form_pays", lambda cells: pays)
+        for cap in (sketching._ERROR_FORM_ENTRIES, 0):  # both kernels: H fits, then H past its cap
+            monkeypatch.setattr(sketching, "_ERROR_FORM_ENTRIES", cap)
             assert frobenius_errors([]) == []
             [empty] = frobenius_errors([(plan, 3, [])])
             assert empty.shape == (0,)
@@ -431,11 +431,11 @@ class TestFrobeniusErrors:
 
     @pytest.mark.parametrize("b_kind", ["a.T", "unrelated"])
     def test_direct_path_is_the_squared_error_of_each_estimate(self, monkeypatch, b_kind):
-        # past the cost rule, an error is sum(square(a @ b - estimate)) of sketch_trials' trial, to the bit
+        # past H's cap, an error is sum(square(a @ b - estimate)) of sketch_trials' trial, to the bit
         a, b, part, d = TestSketchTrials.plan(b_kind, True)
         cells = [(Plan(a, b, part, d), 7, [derive_seed(46, 0, t) for t in range(9)]),
                  (Plan(a, b, part, uniform(part)), 5000, [derive_seed(46, 1, t) for t in range(8)])]
-        assert not sketching._error_form_pays(cells)
+        monkeypatch.setattr(sketching, "_ERROR_FORM_ENTRIES", 0)  # no H fits
         monkeypatch.setattr(sketching, "error_form", None)  # the H path would call it
         errors = frobenius_errors(cells)
         results = sketch_trials(cells)
