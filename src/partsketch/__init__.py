@@ -7,15 +7,14 @@ aggregated sampling distributions, the exact expected error, exponential
 tail bounds, and a seeded, byte-reproducible experiment harness.
 """
 
-from .analysis import (BoundReport, DrawThreshold, PairingComparators,
-                       bernstein_tail_bound, binomial_cdf, bound_report,
-                       expected_frobenius_error_sq, min_draw_threshold,
-                       pairing_comparators, tail_bound_value,
-                       uniform_spectral_bound)
+from .analysis import (BoundReport, PairingComparators, bernstein_tail_bound,
+                       binomial_cdf, bound_report, expected_frobenius_error_sq,
+                       min_draw_threshold, pairing_comparators,
+                       tail_bound_value, uniform_spectral_bound)
 from .distributions import (Plan, SamplingDistribution,
                             aggregate_distribution, distribution_stats,
                             distribution_to_json, group_weights,
-                            optimal_distribution, optimal_plan)
+                            optimal_distribution, optimal_plan, pairing_plan)
 from .errors import (ConfigError, MatrixFileError, NumericError,
                      PartSketchError, ZeroProductError)
 from .experiments import (ExperimentConfig, paper_scale, run_fig1, run_fig2,

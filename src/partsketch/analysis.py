@@ -165,32 +165,24 @@ def binomial_cdf(s: int, n_trials: int, xi: float) -> float:
     return min(total, 1.0)
 
 
-@dataclass(frozen=True)
-class DrawThreshold:
-    """Per-group draw cap for uniform sampling; ``threshold`` is None when infeasible."""
-
-    threshold: int | None
-    feasible: bool
-
-
-def min_draw_threshold(c: int, k: int) -> DrawThreshold:
+def min_draw_threshold(c: int, k: int) -> int | None:
     """Smallest s in [2, c] with s >= 100 * (1 - binomial_cdf(s-2, c-1, 1/k)).
 
     The rule caps how often any single group is drawn in c uniform samples
     over k groups; ``uniform_spectral_bound`` turns the cap into a norm bound
     that holds with high probability.  Requires 100 <= k**(c-1) (checked in
-    log space), which guarantees s = c satisfies the rule; otherwise the
-    result is flagged infeasible instead of raising.
+    log space), which guarantees s = c satisfies the rule; otherwise it
+    returns None (infeasible) instead of raising.
     """
     if c < 2:
         raise ValueError(f"c must be >= 2, got {c}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if (c - 1) * math.log(k) < math.log(100.0):
-        return DrawThreshold(None, False)
+        return None
     for s in range(2, c + 1):
         if s >= 100.0 * (1.0 - binomial_cdf(s - 2, c - 1, 1.0 / k)):
-            return DrawThreshold(s, True)
+            return s
     raise NumericError("threshold search failed despite feasible assumption")
 
 

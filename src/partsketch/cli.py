@@ -91,12 +91,11 @@ def _cmd_analyze(args) -> int:
         payload["draw_threshold"] = {
             "c": args.c,
             "k": args.k,
-            "threshold": threshold.threshold,
-            "feasible": threshold.feasible,
+            "threshold": threshold,
+            "feasible": threshold is not None,
         }
-        if threshold.feasible:
-            payload["uniform_spectral_bound"] = uniform_spectral_bound(
-                plan.a, plan.b, args.c, args.k, threshold.threshold)
+        if threshold is not None:
+            payload["uniform_spectral_bound"] = uniform_spectral_bound(plan.a, plan.b, args.c, args.k, threshold)
     out = _out_dir(args)
     write_output(out / "analysis.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
@@ -115,14 +114,9 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = _experiment_config(args)
-    out = _out_dir(args)
-    if args.which == "fig1":
-        run_fig1(cfg, out)
-    elif args.which == "fig2":
-        run_fig2(cfg, out)
-    else:
-        run_table1(cfg, out)
+    """The experiment makes --out-dir itself, once it has read A and built its plans."""
+    run = {"fig1": run_fig1, "fig2": run_fig2, "table1": run_table1}[args.which]
+    run(_experiment_config(args), args.out_dir)
     return 0
 
 

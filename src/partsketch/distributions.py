@@ -3,7 +3,8 @@
 The weight of a group is the Frobenius norm of its block product; sampling
 proportionally to these weights minimizes the expected squared Frobenius
 error of the sketch.  Aggregated distributions sum finest-partition
-probabilities over each group's members.
+probabilities over each group's members; ``pairing_plan`` aggregates them over
+the pairs of a pairing strategy, the paper's pairwise method.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ZeroProductError
 from .matrices import _check_conformable, _frozen
-from .partitions import Partition
+from .partitions import PairingStrategy, Partition, pair_partition
 
 SUM_TOL = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
@@ -214,6 +215,14 @@ def aggregate_distribution(p_finest: SamplingDistribution, partition: Partition)
         raise ValueError("p_finest must be supported on the finest partition of the same ground set")
     w = np.bincount(partition.labels, weights=p_finest.weights, minlength=partition.k)
     return SamplingDistribution(partition, w)
+
+
+def pairing_plan(fin: Plan, strategy: PairingStrategy) -> Plan:
+    """The pairwise plan of ``fin``, a plan over the finest partition: its indices paired by the
+    strategy's ordering of their probabilities, each pair sampled with its members' summed
+    probability.  The pair weights are computed only when a consumer reads them."""
+    pairs = pair_partition(fin.distribution.weights, strategy)
+    return Plan(fin.a, fin.b, pairs, aggregate_distribution(fin.distribution, pairs))
 
 
 def distribution_stats(dist: SamplingDistribution) -> dict[str, float]:

@@ -14,7 +14,9 @@ Every output is a pure function of the config; reruns produce identical
 bytes.  Trial t of a (method, sample count) cell is keyed by
 ``derive_seed(seed, experiment, method, c, t)``, so trials are independent
 of execution order and of matrix generation, which uses its own substream.
-Both methods are ``Plan``s on one (A, Aᵀ), and a cell is ``(plan, c, seeds)``;
+Every experiment starts with one setup step, ``_methods``: it reads A, builds
+both methods' ``Plan``s on (A, Aᵀ), and only then makes the output directory,
+so a refused input leaves nothing behind.  A cell is ``(plan, c, seeds)``;
 each cell draws its trials in one batch, with the draws of one ``sketch`` per
 trial.  fig2 takes every estimate from one ``sketch_trials`` call, and fig1
 every squared Frobenius error from one ``frobenius_errors`` call, which
@@ -30,12 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import (Plan, _check_draw_count, aggregate_distribution,
-                            distribution_stats, optimal_plan)
+from .distributions import Plan, _check_draw_count, distribution_stats, optimal_plan, pairing_plan
 from .errors import ConfigError
 from .matrices import dense, frobenius_norm, multiply, read_matrix, spectral_norm, write_output
-from .partitions import (PAIRING_KINDS, PairingStrategy, finest,
-                         pair_partition)
+from .partitions import PAIRING_KINDS, PairingStrategy, finest
 from .rng import derive_seed, derive_seeds, generator
 # ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
 from .sketching import frobenius_errors, sketch, sketch_trials  # noqa: F401
@@ -118,15 +118,16 @@ def _check_pairable(cols: int) -> None:
         raise ConfigError(f"every experiment pairs A's columns, so A needs at least 2 columns, got {cols}")
 
 
-def _methods(cfg: ExperimentConfig, a: np.ndarray, b: np.ndarray) -> list[tuple[str, Plan]]:
-    """(label, plan) for the per-index baseline and the pairwise method; raises
-    ``ConfigError`` when A (a loaded matrix) has fewer than 2 columns to pair."""
+def _methods(cfg: ExperimentConfig, out_dir) -> list[tuple[str, Plan]]:
+    """(label, plan) on A and B = Aᵀ for the per-index baseline and the pairwise method, then
+    makes ``out_dir``: it raises before making it when A cannot be read or (a loaded matrix)
+    has fewer than 2 columns to pair."""
+    a = experiment_matrix(cfg)
     _check_pairable(a.shape[1])
-    fin = optimal_plan(a, b, finest(a.shape[1]))
-    strat = pairing_strategy(cfg.strategy, cfg.seed)
-    pairs = pair_partition(fin.distribution.weights, strat)
-    return [("finest", fin),
-            (f"pairwise-{strat.kind}", Plan(a, b, pairs, aggregate_distribution(fin.distribution, pairs)))]
+    fin = optimal_plan(a, a.T, finest(a.shape[1]))
+    pairs = pairing_plan(fin, pairing_strategy(cfg.strategy, cfg.seed))
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return [("finest", fin), (f"pairwise-{cfg.strategy}", pairs)]
 
 
 def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
@@ -139,10 +140,9 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
     summarised from their one (cells, trials) array; the means sum each cell as
     ``statistics.fmean`` does (``fsum / T``).
     """
-    a = experiment_matrix(cfg)
-    b = a.T
-    exact_f = frobenius_norm(multiply(a, b))
-    methods = _methods(cfg, a, b)
+    methods = _methods(cfg, out_dir)
+    fin = methods[0][1]
+    exact_f = frobenius_norm(multiply(fin.a, fin.b))
     cells = {(c, label): (plan, c, derive_seeds(cfg.seed, ("fig1", label, c), cfg.trials))
              for c in cfg.c_grid() for label, plan in methods}
     sq_errs = np.array(frobenius_errors(list(cells.values())))  # one row per cell
@@ -152,44 +152,34 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[dict]:
     rows_out = [{"c": c, "method": label, "mean_rel_frob_err": math.fsum(rel) / trials,
                  "mean_sq_frob_err": math.fsum(sq) / trials, "stderr": float(stderr), "trials": trials}
                 for (c, label), rel, sq, stderr in zip(cells, rel_errs, sq_errs, stderrs)]
-    lines = [FIG1_HEADER]
-    for r in rows_out:
-        lines.append(f"{r['c']},{r['method']},{r['mean_rel_frob_err']!r},"
-                     f"{r['mean_sq_frob_err']!r},{r['stderr']!r},{r['trials']}")
-    _write(out_dir, "fig1.csv", "\n".join(lines) + "\n")
+    write_output(Path(out_dir) / "fig1.csv", _csv(FIG1_HEADER, rows_out))
     return rows_out
 
 
 def run_fig2(cfg: ExperimentConfig, out_dir) -> list[dict]:
     """Raw per-run spectral relative errors; writes fig2.csv and returns its rows."""
-    a = experiment_matrix(cfg)
-    b = a.T
-    exact = multiply(a, b)
+    methods = _methods(cfg, out_dir)
+    fin = methods[0][1]
+    exact = multiply(fin.a, fin.b)
     exact_2 = spectral_norm(exact)
-    cells = [(label, plan, c) for label, plan in _methods(cfg, a, b) for c in cfg.fig2_c_values(a.shape[1])]
+    cells = [(label, plan, c) for label, plan in methods for c in cfg.fig2_c_values(fin.partition.n)]
     results = sketch_trials([(plan, c, derive_seeds(cfg.seed, ("fig2", label, c), cfg.runs))
                              for label, plan, c in cells])
     rows_out = [{"method": label, "c": c, "run": run,
                  "rel_2norm_err": spectral_norm(exact - next(results).estimate) / exact_2}
                 for label, _, c in cells for run in range(cfg.runs)]
-    lines = [FIG2_HEADER]
-    for r in rows_out:
-        lines.append(f"{r['method']},{r['c']},{r['run']},{r['rel_2norm_err']!r}")
-    _write(out_dir, "fig2.csv", "\n".join(lines) + "\n")
+    write_output(Path(out_dir) / "fig2.csv", _csv(FIG2_HEADER, rows_out))
     return rows_out
 
 
 def run_table1(cfg: ExperimentConfig, out_dir) -> dict:
     """max/mean/min of the per-index and pairwise probabilities; writes table1.json."""
-    a = experiment_matrix(cfg)
-    b = a.T
-    (_, fin), (_, pairs) = _methods(cfg, a, b)
+    (_, fin), (_, pairs) = _methods(cfg, out_dir)
     payload = {"finest": distribution_stats(fin.distribution), "pairwise": distribution_stats(pairs.distribution)}
-    _write(out_dir, "table1.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_output(Path(out_dir) / "table1.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return payload
 
 
-def _write(out_dir, name: str, text: str) -> None:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    write_output(path / name, text)
+def _csv(header: str, rows: list[dict]) -> str:
+    """CSV text: ``header``, then each row's values as ``str`` writes them (a float's shortest repr)."""
+    return "\n".join([header, *(",".join(map(str, r.values())) for r in rows)]) + "\n"

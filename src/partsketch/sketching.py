@@ -34,9 +34,9 @@ from itertools import accumulate
 import numpy as np
 
 from .distributions import (Plan, SamplingDistribution, _check_draw_count, _check_sample_count,
-                            aggregate_distribution, optimal_distribution)
+                            optimal_plan, pairing_plan)
 from .matrices import _check_conformable, _frozen
-from .partitions import PairingStrategy, Partition, finest, pair_partition
+from .partitions import PairingStrategy, Partition, finest
 from .rng import RowStream
 
 # Entries per block temporary in sketch_trials and frobenius_errors (256 KiB
@@ -307,14 +307,9 @@ def _form_rows(cells, n: int) -> Iterator[np.ndarray]:
 
 def pairwise_plan(a: np.ndarray, b: np.ndarray,
                   strategy: PairingStrategy) -> tuple[Partition, SamplingDistribution]:
-    """The pair partition and aggregated distribution a pairwise sketch samples from.
-
-    Builds the per-index optimal probabilities, orders and pairs them by the
-    strategy, and assigns each pair the sum of its members' probabilities.
-    """
-    p_finest = optimal_distribution(a, b, finest(a.shape[1]))
-    partition = pair_partition(p_finest.weights, strategy)
-    return partition, aggregate_distribution(p_finest, partition)
+    """``pairing_plan`` of the finest optimal plan of ``a @ b``, as its (partition, distribution)."""
+    plan = pairing_plan(optimal_plan(a, b, finest(a.shape[1])), strategy)
+    return plan.partition, plan.distribution
 
 
 def draw_log_json(cfg: SketchConfig, draws: np.ndarray, counts: np.ndarray) -> str:

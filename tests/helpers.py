@@ -8,10 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from partsketch import (Plan, SamplingDistribution, SketchConfig, coarsen, dense, derive_seed,
-                        frobenius_norm, multiply, sample_indices, sketch, sketching, spectral_norm)
-from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _methods,
-                                    experiment_matrix)
+from partsketch import (Plan, SamplingDistribution, SketchConfig, aggregate_distribution, coarsen, dense,
+                        derive_seed, finest, frobenius_norm, multiply, optimal_plan, pair_partition,
+                        sample_indices, sketch, sketching, spectral_norm)
+from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, experiment_matrix,
+                                    pairing_strategy)
 from partsketch.distributions import _check_sample_count
 from partsketch.matrices import _check_conformable, _frozen
 from partsketch.sketching import _is_transpose, _scaled_product
@@ -356,6 +357,17 @@ def loop_validate(n, groups):
     return None
 
 
+def experiment_methods(cfg, a):
+    """(label, plan) of the experiments' two methods on A and B = Aᵀ, built step by step: the
+    finest optimal plan, and its probabilities paired by the strategy, each pair sampled with
+    its members' summed probability."""
+    b = a.T
+    fin = optimal_plan(a, b, finest(a.shape[1]))
+    pairs = pair_partition(fin.distribution.weights, pairing_strategy(cfg.strategy, cfg.seed))
+    return [("finest", fin),
+            (f"pairwise-{cfg.strategy}", Plan(a, b, pairs, aggregate_distribution(fin.distribution, pairs)))]
+
+
 def loop_fig1_csv(cfg):
     """fig1.csv as run_fig1 writes it, from one derive_seed and one sketch per trial."""
     a = experiment_matrix(cfg)
@@ -364,7 +376,7 @@ def loop_fig1_csv(cfg):
     exact_f = frobenius_norm(exact)
     lines = [FIG1_HEADER]
     for c in cfg.c_grid():
-        for label, plan in _methods(cfg, a, b):
+        for label, plan in experiment_methods(cfg, a):
             sq_errs, rel_errs = [], []
             for t in range(cfg.trials):
                 seed = derive_seed(cfg.seed, "fig1", label, c, t)
@@ -394,7 +406,7 @@ def loop_fig2_csv(cfg):
     exact = multiply(a, b)
     exact_2 = spectral_norm(exact)
     lines = [FIG2_HEADER]
-    for label, plan in _methods(cfg, a, b):
+    for label, plan in experiment_methods(cfg, a):
         for c in cfg.fig2_c_values(a.shape[1]):
             for run in range(cfg.runs):
                 seed = derive_seed(cfg.seed, "fig2", label, c, run)

@@ -270,16 +270,13 @@ class TestBinomialCdf:
 
 class TestDrawThreshold:
     def test_published_case(self):
-        result = min_draw_threshold(500, 2000)
-        assert result.feasible and result.threshold == 3
+        assert min_draw_threshold(500, 2000) == 3
 
     def test_tiny_tail_case(self):
-        result = min_draw_threshold(2, 10**6)
-        assert result.feasible and result.threshold == 2
+        assert min_draw_threshold(2, 10**6) == 2
 
     def test_infeasible_single_group(self):
-        result = min_draw_threshold(5, 1)
-        assert not result.feasible and result.threshold is None
+        assert min_draw_threshold(5, 1) is None
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -289,9 +286,8 @@ class TestDrawThreshold:
 
     def test_threshold_satisfies_rule_and_is_minimal(self):
         for c, k in [(50, 40), (200, 1000), (100, 200)]:
-            result = min_draw_threshold(c, k)
-            s = result.threshold
-            assert 2 <= s <= c
+            s = min_draw_threshold(c, k)
+            assert type(s) is int and 2 <= s <= c
             assert s >= 100 * (1 - binomial_cdf(s - 2, c - 1, 1 / k))
             for worse in range(2, s):
                 assert worse < 100 * (1 - binomial_cdf(worse - 2, c - 1, 1 / k))

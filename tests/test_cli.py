@@ -155,13 +155,13 @@ class TestOutputsAgainstPrimitives:
         a, b, partition, dist = self.reference_plan(inputs, "bin", "enhanced")
         report = bound_report(Plan(a, b, partition, dist))
         threshold = min_draw_threshold(self.C, self.K)
-        assert threshold.feasible
+        assert threshold is not None
         expected = {
             "report": dataclasses.asdict(report),
             "tail_bound": {"c": self.C, "epsilon": self.EPSILON,
                            "value": bernstein_tail_bound(report, self.C, self.EPSILON)},
-            "draw_threshold": {"c": self.C, "k": self.K, "threshold": threshold.threshold, "feasible": True},
-            "uniform_spectral_bound": uniform_spectral_bound(a, b, self.C, self.K, threshold.threshold),
+            "draw_threshold": {"c": self.C, "k": self.K, "threshold": threshold, "feasible": True},
+            "uniform_spectral_bound": uniform_spectral_bound(a, b, self.C, self.K, threshold),
         }
         assert (out / "analysis.json").read_text() == self.json_text(expected)
 
@@ -176,6 +176,15 @@ class TestAnalyzeCommand:
         payload = json.loads((tmp_path / "out/analysis.json").read_text())
         assert payload["draw_threshold"] == {"c": 500, "k": 2000, "threshold": 3, "feasible": True}
         assert payload["uniform_spectral_bound"] > 0
+
+    def test_reports_an_infeasible_draw_threshold(self, tmp_path, matrices):
+        # 10 groups and c = 2 miss the rule's 100 <= k**(c-1): no threshold, and no bound from it
+        code = main(["analyze", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                     "--c", "2", "--k", "10", "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        payload = json.loads((tmp_path / "out/analysis.json").read_text())
+        assert payload["draw_threshold"] == {"c": 2, "k": 10, "threshold": None, "feasible": False}
+        assert "uniform_spectral_bound" not in payload
 
     def test_tail_bound_needs_c(self, tmp_path, matrices):
         code = main(["analyze", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
@@ -433,7 +442,30 @@ class TestExperimentCommand:
             assert main(["experiment", which, *source, "--out-dir", str(tmp_path / "out")]) == 1
             assert capsys.readouterr().err == (
                 "error: every experiment pairs A's columns, so A needs at least 2 columns, got 1\n")
-        assert not list((tmp_path / "out").glob("*"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("which", ["fig1", "fig2", "table1"])
+    def test_out_dir_is_made_only_once_the_inputs_are_accepted(self, tmp_path, monkeypatch, capsys, which):
+        # a one-column (exit 1) or a malformed (exit 2) --matrix-file leaves no --out-dir behind,
+        # and an --out-dir naming a regular file still exits 2 before any trial is drawn
+        write_csv(dense(np.ones((3, 1))), tmp_path / "one.csv")
+        (tmp_path / "bad.csv").write_bytes(b"1.0,2.0\n3.0\n")
+        for name, code, message in (("one.csv", 1, "error: every experiment pairs A's columns"),
+                                    ("bad.csv", 2, "i/o error: ")):
+            out = tmp_path / f"out-{name}"
+            assert main(["experiment", which, "--matrix-file", str(tmp_path / name), "--out-dir", str(out)]) == code
+            assert capsys.readouterr().err.startswith(message)
+            assert not out.exists()
+
+        def no_trial(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(sketching, "_blocks", no_trial)
+        (tmp_path / "taken").write_text("kept\n")
+        assert main(["experiment", which, *self.FLAGS, "--out-dir", str(tmp_path / "taken")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and str(tmp_path / "taken") in err and "Traceback" not in err
+        assert (tmp_path / "taken").read_text() == "kept\n"
 
     @pytest.mark.parametrize("flag", ["--rows", "--cols"])
     def test_matrix_file_rejects_explicit_size(self, tmp_path, capsys, flag):

@@ -9,7 +9,7 @@ from partsketch import (ENHANCED, Plan, SamplingDistribution, ZeroProductError,
                         aggregate_distribution, coarsen, dense,
                         distribution_stats, distribution_to_json,
                         finest, group_weights,
-                        optimal_distribution, optimal_plan, pairwise_plan)
+                        optimal_distribution, optimal_plan, pairing_plan, pairwise_plan)
 from partsketch import distributions
 from helpers import distribution, element_weight, random_coarsening, random_instance
 
@@ -213,11 +213,14 @@ class TestPlan:
 
     def test_pairwise_plan_computes_pair_weights_only_when_read(self, counted):
         a, b = random_instance(np.random.default_rng(5), n=8)
-        plan = Plan(a, b, *pairwise_plan(a, b, ENHANCED))
-        assert [p.k for p in counted] == [8]  # the finest weights the pairs are ordered by
-        weights = plan.weights
-        assert [p.k for p in counted] == [8, 4] and plan.weights is weights
-        assert np.array_equal(weights, group_weights(a, b, plan.partition))
+        fin = optimal_plan(a, b, finest(8))
+        plans = [pairing_plan(fin, ENHANCED), Plan(a, b, *pairwise_plan(a, b, ENHANCED))]
+        assert [p.k for p in counted] == [8, 8]  # the finest weights the pairs are ordered by
+        assert plans[0].a is a and plans[0].b is b and plans[0].partition == plans[1].partition
+        for read, plan in enumerate(plans, 1):
+            weights = plan.weights
+            assert [p.k for p in counted] == [8, 8] + [4] * read and plan.weights is weights
+            assert np.array_equal(weights, group_weights(a, b, plan.partition))
 
     def test_checks_itself(self):
         a, b = random_instance(np.random.default_rng(6), n=4)

@@ -13,10 +13,12 @@ from partsketch import experiments, sketching
 from partsketch.distributions import _MAX_DRAWS
 from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _methods,
                                     experiment_matrix, pairing_strategy)
+from partsketch.partitions import PAIRING_KINDS
+from partsketch.sketching import pairwise_plan
 from partsketch.matrices import frobenius_norm, multiply
 from partsketch.rng import derive_seed
-from helpers import (direct_errors_and_bounds, distribution, fig1_row, form_path_errors, loop_fig1_csv,
-                     loop_fig2_csv, stderr_error_bound)
+from helpers import (direct_errors_and_bounds, distribution, experiment_methods, fig1_row, form_path_errors,
+                     loop_fig1_csv, loop_fig2_csv, stderr_error_bound)
 
 TINY_FIG1 = ExperimentConfig(rows=8, cols=12, c_min=4, c_max=8, c_step=4,
                              trials=30, runs=10, seed=5)
@@ -77,6 +79,22 @@ class TestConfig:
         write_csv(a, tmp_path / "a.csv")
         loaded = experiment_matrix(ExperimentConfig(matrix_path=str(tmp_path / "a.csv")))
         assert np.array_equal(loaded, a)
+
+
+class TestMethods:
+    """``_methods``, every experiment's setup step: both plans on A and B = Aᵀ, then the out-dir."""
+
+    @pytest.mark.parametrize("kind", PAIRING_KINDS)
+    def test_pairwise_plan_is_the_one_pairing_recipe(self, tmp_path, kind):
+        # odd n, so the pairing leaves a singleton
+        cfg = ExperimentConfig(rows=6, cols=15, strategy=kind, seed=5)
+        (_, fin), (label, pairs) = _methods(cfg, tmp_path / "out")
+        a = experiment_matrix(cfg)
+        want = Plan(a, a.T, *pairwise_plan(a, a.T, pairing_strategy(kind, cfg.seed)))
+        assert label == f"pairwise-{kind}" and pairs.partition == want.partition
+        assert np.array_equal(pairs.distribution.weights, want.distribution.weights)
+        assert np.array_equal(fin.a, a) and pairs.a is fin.a and pairs.b is fin.b
+        assert (tmp_path / "out").is_dir()
 
 
 class TestFig1:
@@ -205,7 +223,7 @@ class TestBatchedTrials:
         want = loop_fig1_csv(cfg).splitlines()
         assert got[0] == want[0] and len(got) == len(want)
         a = experiment_matrix(cfg)
-        methods = {label: (plan.partition, plan.distribution) for label, plan in _methods(cfg, a, a.T)}
+        methods = {label: (plan.partition, plan.distribution) for label, plan in experiment_methods(cfg, a)}
         for line, ref in zip(got[1:], want[1:]):
             fields, ref_fields = line.split(","), ref.split(",")
             assert fields[:4] + fields[5:] == ref_fields[:4] + ref_fields[5:]
@@ -232,7 +250,7 @@ class TestBatchedTrials:
         a = experiment_matrix(cfg)
         exact_f = frobenius_norm(multiply(a, a.T))
         cells = [(c, label, plan.partition, plan.distribution)
-                 for c in cfg.c_grid() for label, plan in _methods(cfg, a, a.T)]
+                 for c in cfg.c_grid() for label, plan in experiment_methods(cfg, a)]
         [(cells_got, errors)] = calls
         assert len(cells_got) == len(errors) == len(cells) == len(rows_out)
         for (c, label, part, d), (plan_got, c_got, seeds), errs, row in zip(cells, cells_got, errors, rows_out):
@@ -316,7 +334,7 @@ class TestFig1ErrorForm:
         cfg = paper_scale(ExperimentConfig(seed=21))
         a = experiment_matrix(cfg)
         b = a.T
-        for label, plan in _methods(cfg, a, b):
+        for label, plan in experiment_methods(cfg, a):
             for c in (1000, 3000):
                 seeds = [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(3)]
                 [errs] = form_path_errors([(plan, c, seeds)])
