@@ -34,7 +34,7 @@ import numpy as np
 
 from .distributions import Plan, _check_draw_count, distribution_stats, optimal_plan, pairing_plan
 from .errors import ConfigError
-from .matrices import dense, frobenius_norm, multiply, read_matrix, spectral_norm, write_output
+from .matrices import _checked, frobenius_norm, multiply, read_matrix, spectral_norm, write_output
 from .partitions import PAIRING_KINDS, PairingStrategy, finest
 from .rng import derive_seed, derive_seeds, generator
 # ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
@@ -101,11 +101,16 @@ def paper_scale(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def experiment_matrix(cfg: ExperimentConfig) -> np.ndarray:
-    """Load A from ``matrix_path`` or draw rows x cols standard uniforms from a dedicated substream."""
+    """Load A from ``matrix_path`` or draw rows x cols standard uniforms from a dedicated substream.
+
+    A is returned read-only and column-major (one copy of the loaded or drawn values), so the
+    ``Aᵀ`` panel every trial gathers its rows from is a view of it, not a second copy.
+    """
     if cfg.matrix_path is not None:
-        return read_matrix(cfg.matrix_path)
-    gen = generator(derive_seed(cfg.seed, "matrix"))
-    return dense(gen.random((cfg.rows, cfg.cols)))
+        a = read_matrix(cfg.matrix_path)
+    else:
+        a = generator(derive_seed(cfg.seed, "matrix")).random((cfg.rows, cfg.cols))
+    return _checked(np.asfortranarray(a))
 
 
 def pairing_strategy(kind: str, seed: int) -> PairingStrategy:

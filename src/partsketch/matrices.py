@@ -1,9 +1,14 @@
 """Dense matrices: validated construction, exact products, norms, and file I/O.
 
 Matrices are plain 2-d float64 numpy arrays, frozen (read-only) after
-construction so they can be shared freely across threads.  All index
-arguments in this package are 0-based; serialized formats that carry
-indices use 1-based values (see :mod:`partsketch.partitions`).
+construction so they can be shared freely across threads.  ``dense`` copies
+its input into a C-ordered array; the file readers check and freeze the
+array they read in place, so a ``.bin`` matrix is a view of the file's bytes.
+An experiment's A is held column-major (see
+:func:`partsketch.experiments.experiment_matrix`), so the ``Aᵀ`` panel the
+sketch engine gathers rows from is a view of it.  All index arguments in
+this package are 0-based; serialized formats that carry indices use 1-based
+values (see :mod:`partsketch.partitions`).
 """
 
 from __future__ import annotations
@@ -19,22 +24,27 @@ from .errors import MatrixFileError
 
 
 def dense(values) -> np.ndarray:
-    """Build a validated, read-only matrix from nested sequences or an array.
-
-    Rejects non-2-d input, empty dimensions, and non-finite entries.
-    """
+    """Build a validated, read-only matrix from nested sequences or an array: a C-ordered
+    copy, checked by ``_checked``."""
     try:
         a = np.array(values, dtype=np.float64, order="C", copy=True)
     except ValueError as exc:
         raise ValueError(f"not a rectangular matrix: {exc}") from None
+    return _checked(a)
+
+
+def _checked(a: np.ndarray) -> np.ndarray:
+    """``a``, a float64 array no one else writes, frozen in place with no copy.
+
+    Rejects non-2-d input, empty dimensions, and non-finite entries.
+    """
     if a.ndim != 2:
         raise ValueError(f"matrix must be 2-d, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix dimensions must be positive, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    a.flags.writeable = False
-    return a
+    return _frozen(a)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -137,7 +147,7 @@ def read_csv(path) -> np.ndarray:
             pass
         else:
             if a.shape[0] == len(lines):  # loadtxt skips blank lines, which the scan rejects
-                return dense(a)
+                return _checked(a)
     return dense([[float(field) for field in line.split(",")] for line in lines])
 
 
@@ -148,6 +158,9 @@ def write_binary(a: np.ndarray, path) -> None:
 
 
 def read_binary(path) -> np.ndarray:
+    """The ``write_binary`` layout, checked and frozen as a view of the file's bytes: the
+    payload is never copied, and a header is checked against the file's size before
+    anything is allocated for it."""
     raw = Path(path).read_bytes()
     if len(raw) < 16:
         raise ValueError("truncated header")
@@ -156,7 +169,8 @@ def read_binary(path) -> np.ndarray:
         raise ValueError(f"invalid dimensions {rows}x{cols}")
     if len(raw) != 16 + rows * cols * 8:
         raise ValueError("payload size does not match header")
-    return dense(np.frombuffer(raw[16:], dtype="<f8").reshape(rows, cols))
+    payload = np.frombuffer(memoryview(raw)[16:], dtype="<f8").astype(np.float64, copy=False)
+    return _checked(payload.reshape(rows, cols))
 
 
 def read_matrix(path) -> np.ndarray:

@@ -10,7 +10,9 @@ bit.  A result keeps only the estimate and the per-group counts; the draws
 in order are ``sample_indices`` of the same stream, and ``sketch_from_draws``
 forms the same result from them.  ``sketch_trials`` runs a list of
 ``(plan, c, seeds)`` cells on one (A, B) from one ``Aᵀ`` panel, drawing them
-in blocks, with the results of one ``sketch`` per seed.
+in blocks, with the results of one ``sketch`` per seed; the panel is a view
+when A is column-major, as an experiment's A is, and every trial gathers its
+rows into one buffer per call.
 
 ``frobenius_errors`` takes the same cells and draws the same counts, and
 returns each trial's squared error ``|AB - A·diag(s)·B|_F²``.  While ``H``
@@ -135,16 +137,20 @@ def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
             and b.ctypes.data == a.ctypes.data)
 
 
-def _scaled_product(panel: np.ndarray, b: np.ndarray, idx: np.ndarray, scale: np.ndarray, gram: bool) -> np.ndarray:
+def _scaled_product(panel: np.ndarray, b: np.ndarray, idx: np.ndarray, scale: np.ndarray, gram: bool,
+                    rows: np.ndarray | None = None) -> np.ndarray:
     """``A[:, idx] · diag(scale) · b[idx, :]`` as one BLAS product over the gathered rows ``x = panel[idx]``.
 
     ``panel`` is ``Aᵀ``; when C-contiguous, each gathered row is one contiguous copy.
+    ``x`` is gathered into the first ``idx.size`` rows of ``rows`` (a C-contiguous
+    buffer shaped like ``panel``) when it is given, else into a fresh array.
     When ``gram`` (``b`` is ``A.T``) it is ``x.T @ x`` with ``x`` scaled by
     ``sqrt(scale)``, which NumPy hands to BLAS ``syrk``: half the flops of a
     GEMM, and an exactly symmetric estimate.  ``scale`` must then be
     positive.  Any other ``b`` takes one GEMM with ``x`` scaled by ``scale``.
     """
-    x = panel[idx]
+    # mode="raise" would buffer ``out``; every idx comes from flatnonzero, so is in range
+    x = panel[idx] if rows is None else np.take(panel, idx, axis=0, out=rows[:idx.size], mode="clip")
     x *= (np.sqrt(scale) if gram else scale)[:, None]
     return x.T @ (x if gram else b[idx])
 
@@ -169,8 +175,9 @@ def sketch_trials(cells) -> Iterator[SketchResult]:
     ``sketch`` of the plan's pieces and ``SketchConfig(c, seeds[t])``.  Unless every plan
     holds the first plan's ``a`` and ``b`` objects and every c passes ``_check_draw_count``,
     this call raises ``ValueError`` before any draw.  Trials are drawn a block at a time
-    (``_blocks``), and every estimate gathers its rows from one ``Aᵀ`` panel copied once
-    per call.
+    (``_blocks``), and every estimate gathers its rows from one C-contiguous ``Aᵀ`` panel
+    into one buffer per call.  The panel is a view of a column-major A, as
+    ``experiment_matrix`` returns it, and is copied once per call from any other A.
     """
     for plan, c, _ in cells:
         if plan.a is not cells[0][0].a or plan.b is not cells[0][0].b:
@@ -207,20 +214,22 @@ def _blocks(cells) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             yield counts, _scales(plan.distribution, c, counts)
 
 
-def _result(panel: np.ndarray, b: np.ndarray, counts: np.ndarray, scale: np.ndarray, gram: bool) -> SketchResult:
+def _result(panel: np.ndarray, b: np.ndarray, counts: np.ndarray, scale: np.ndarray, gram: bool,
+            rows: np.ndarray | None = None) -> SketchResult:
     idx = np.flatnonzero(scale)
-    return SketchResult(_frozen(_scaled_product(panel, b, idx, scale[idx], gram)), counts)
+    return SketchResult(_frozen(_scaled_product(panel, b, idx, scale[idx], gram, rows)), counts)
 
 
 def _sketch_cells(cells) -> Iterator[SketchResult]:
     if not cells:
         return
     a, b = cells[0][0].a, cells[0][0].b
-    panel = np.ascontiguousarray(a.T)
+    panel = np.ascontiguousarray(a.T)  # a view when a is column-major
+    rows = np.empty_like(panel)
     gram = _is_transpose(a, b)
     for counts, scales in _blocks(cells):
         for row_counts, scale in zip(counts, scales):
-            yield _result(panel, b, row_counts, scale, gram)
+            yield _result(panel, b, row_counts, scale, gram, rows)
 
 
 def sketch_from_draws(plan: Plan, draws: np.ndarray) -> SketchResult:

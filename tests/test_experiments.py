@@ -8,7 +8,7 @@ import pytest
 from partsketch import (ConfigError, ExperimentConfig, Plan, aggregate_distribution,
                         expected_frobenius_error_sq, finest,
                         optimal_distribution, pair_partition, paper_scale,
-                        run_fig1, run_fig2, run_table1, write_csv)
+                        run_fig1, run_fig2, run_table1, write_binary, write_csv)
 from partsketch import experiments, sketching
 from partsketch.distributions import _MAX_DRAWS
 from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _methods,
@@ -80,6 +80,19 @@ class TestConfig:
         loaded = experiment_matrix(ExperimentConfig(matrix_path=str(tmp_path / "a.csv")))
         assert np.array_equal(loaded, a)
 
+
+    @pytest.mark.parametrize("source", ["generated", "a.csv", "a.bin"])
+    def test_matrix_is_frozen_and_column_major(self, tmp_path, source):
+        # the engine's Aᵀ panel is then a view of A, not a second copy
+        cfg = ExperimentConfig(rows=3, cols=4, seed=1)
+        if source != "generated":
+            write_csv(experiment_matrix(cfg), tmp_path / "a.csv")
+            write_binary(experiment_matrix(cfg), tmp_path / "a.bin")
+            cfg = ExperimentConfig(matrix_path=str(tmp_path / source))
+        a = experiment_matrix(cfg)
+        assert a.flags.f_contiguous and not a.flags.c_contiguous and not a.flags.writeable
+        assert np.shares_memory(a, np.ascontiguousarray(a.T))
+        assert a.tobytes(order="C") == experiment_matrix(ExperimentConfig(rows=3, cols=4, seed=1)).tobytes(order="C")
 
 class TestMethods:
     """``_methods``, every experiment's setup step: both plans on A and B = Aᵀ, then the out-dir."""

@@ -2,6 +2,7 @@ import math
 import os
 import re
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,43 @@ class TestMatrixIO:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ValueError, match="payload"):
             read_binary(path)
+
+    def test_binary_read_holds_one_payload(self, tmp_path):
+        # the payload is read in place: no slice of the file's bytes and no copy of them
+        a = dense(np.random.default_rng(8).random((1024, 1024)) - 0.5)  # 8 MiB
+        path = tmp_path / "a.bin"
+        write_binary(a, path)
+        payload = a.nbytes
+        del a
+        tracemalloc.start()
+        try:
+            loaded = read_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * payload
+        assert loaded.shape == (1024, 1024) and not loaded.flags.writeable
+        assert np.array_equal(loaded, np.fromfile(path, dtype="<f8", offset=16).reshape(1024, 1024))
+
+    def test_binary_header_is_checked_before_any_allocation(self, tmp_path):
+        path = tmp_path / "a.bin"
+        path.write_bytes(np.array([10**9, 10**9], dtype="<i8").tobytes() + b"\0" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixFileError, match="payload size does not match header"):
+                read_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_csv_read_is_frozen_and_row_major(self, tmp_path):
+        # loadtxt's own array, frozen where it lies: row-major, as dense would copy it
+        path = tmp_path / "a.csv"
+        path.write_text("1,2\n3,4\n")
+        a = read_csv(path)
+        assert a.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert not a.flags.writeable and a.flags.c_contiguous
 
     def test_read_matrix_dispatch(self, tmp_path):
         a = dense([[1.0], [2.0]])

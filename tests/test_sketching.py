@@ -13,8 +13,9 @@ from partsketch import (ENHANCED, Plan, SketchConfig, coarsen, dense, error_form
 from partsketch import sketching
 from partsketch.distributions import _MAX_DRAWS
 from partsketch.rng import derive_seed, derive_seeds, generator
+from partsketch.matrices import _checked
 from partsketch.sketching import (_FORM_ROWS, _GUIDE_STEPS, _inverse_cdf, _is_transpose,
-                                  _trials_per_block)
+                                  _scaled_product, _trials_per_block)
 from helpers import (brute_force_expectation, column_gather_product, direct_errors_and_bounds,
                      distribution, element_contribution, element_weight, form_path_errors,
                      gemm_error_bound, gram_error_bound, kernel_error_bound, loop_sketch,
@@ -323,6 +324,61 @@ class TestPanelKernel:
             idx = np.flatnonzero(s)
             reference = column_gather_product(a, b, idx, s[idx])
             assert np.all(np.abs(res.estimate - reference) <= kernel_error_bound(a, b, idx, s[idx]))
+
+
+class TestMemoryLayout:
+    """A column-major A, whose ``Aᵀ`` panel is a view, and the one gather buffer per call."""
+
+    @staticmethod
+    def cells(a, b, part, d):
+        return [(Plan(a, b, part, d), c, [derive_seed(47, c, t) for t in range(trials)])
+                for c, trials in ((7, 5), (3000, 12), (1, 3))]
+
+    @staticmethod
+    def layouts():
+        """One A held row-major and column-major, a B unrelated to it, and a partition of 50."""
+        rng = np.random.default_rng(47)
+        a_c = dense(rng.random((6, 50)) - 0.5)
+        a_f = _checked(np.asfortranarray(a_c))
+        assert a_f.flags.f_contiguous and not a_f.flags.c_contiguous
+        return a_c, a_f, dense(rng.random((50, 4)) - 0.5), random_coarsening(rng, 50, max_groups=30)
+
+    @pytest.mark.parametrize("b_kind", ["a.T", "other"])
+    def test_estimates_do_not_depend_on_the_layout_of_a(self, b_kind):
+        a_c, a_f, other, part = self.layouts()
+        b = {"a.T": lambda a: a.T, "other": lambda a: other}[b_kind]
+        d = optimal_distribution(a_c, b(a_c), part)
+        for res_c, res_f in zip(sketch_trials(self.cells(a_c, b(a_c), part, d)),
+                                sketch_trials(self.cells(a_f, b(a_f), part, d)), strict=True):
+            assert res_c.estimate.tobytes() == res_f.estimate.tobytes()
+            assert res_c.counts.tobytes() == res_f.counts.tobytes()
+
+    @pytest.mark.parametrize("h_path", [True, False])
+    def test_errors_of_b_at_do_not_depend_on_the_layout_of_a(self, monkeypatch, h_path):
+        # B = Aᵀ, as in every experiment: AᵀA and AAᵀ are syrk for either layout.  (For an
+        # unrelated B, the exact a @ b past H's cap is a GEMM whose operand order follows
+        # A's layout, and its last bits may move.)
+        a_c, a_f, _, part = self.layouts()
+        d = optimal_distribution(a_c, a_c.T, part)
+        if not h_path:
+            monkeypatch.setattr(sketching, "_ERROR_FORM_ENTRIES", 0)
+        for err_c, err_f in zip(frobenius_errors(self.cells(a_c, a_c.T, part, d)),
+                                frobenius_errors(self.cells(a_f, a_f.T, part, d)), strict=True):
+            assert err_c.tobytes() == err_f.tobytes()
+
+    @pytest.mark.parametrize("gram", [True, False])
+    def test_gather_into_reused_rows_is_the_fresh_gather(self, gram):
+        rng = np.random.default_rng(48)
+        a = dense(rng.random((9, 300)) - 0.5)
+        b = a.T if gram else dense(rng.random((300, 5)) - 0.5)
+        panel = np.ascontiguousarray(a.T)
+        rows = np.full_like(panel, np.nan)  # stale rows must never be read
+        for size in (300, 170, 1, 240):  # the buffer whole, then shorter and longer prefixes
+            idx = np.sort(rng.choice(300, size, replace=False))
+            scale = rng.random(size) + 0.1
+            fresh = _scaled_product(panel, b, idx, scale, gram)
+            reused = _scaled_product(panel, b, idx, scale, gram, rows)
+            assert reused.tobytes() == fresh.tobytes()
 
 
 class TestFrobeniusErrors:
