@@ -138,19 +138,18 @@ def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _scaled_product(panel: np.ndarray, b: np.ndarray, idx: np.ndarray, scale: np.ndarray, gram: bool,
-                    rows: np.ndarray | None = None) -> np.ndarray:
-    """``A[:, idx] · diag(scale) · b[idx, :]`` as one BLAS product over the gathered rows ``x = panel[idx]``.
+                    x: np.ndarray) -> np.ndarray:
+    """``A[:, idx] · diag(scale) · b[idx, :]`` as one BLAS product over the rows ``panel[idx]``,
+    gathered into ``x``, a C-contiguous ``(idx.size, m)`` array whose contents are overwritten.
 
     ``panel`` is ``Aᵀ``; when C-contiguous, each gathered row is one contiguous copy.
-    ``x`` is gathered into the first ``idx.size`` rows of ``rows`` (a C-contiguous
-    buffer shaped like ``panel``) when it is given, else into a fresh array.
     When ``gram`` (``b`` is ``A.T``) it is ``x.T @ x`` with ``x`` scaled by
     ``sqrt(scale)``, which NumPy hands to BLAS ``syrk``: half the flops of a
     GEMM, and an exactly symmetric estimate.  ``scale`` must then be
     positive.  Any other ``b`` takes one GEMM with ``x`` scaled by ``scale``.
     """
-    # mode="raise" would buffer ``out``; every idx comes from flatnonzero, so is in range
-    x = panel[idx] if rows is None else np.take(panel, idx, axis=0, out=rows[:idx.size], mode="clip")
+    # mode="raise" would buffer ``x``; every idx comes from flatnonzero, so is in range
+    np.take(panel, idx, axis=0, out=x, mode="clip")
     x *= (np.sqrt(scale) if gram else scale)[:, None]
     return x.T @ (x if gram else b[idx])
 
@@ -215,9 +214,11 @@ def _blocks(cells) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def _result(panel: np.ndarray, b: np.ndarray, counts: np.ndarray, scale: np.ndarray, gram: bool,
-            rows: np.ndarray | None = None) -> SketchResult:
+            rows: np.ndarray) -> SketchResult:
+    """The estimate of one trial, its rows gathered into a prefix of ``rows``, which holds at
+    least as many rows as ``scale`` has nonzero entries."""
     idx = np.flatnonzero(scale)
-    return SketchResult(_frozen(_scaled_product(panel, b, idx, scale[idx], gram, rows)), counts)
+    return SketchResult(_frozen(_scaled_product(panel, b, idx, scale[idx], gram, rows[:idx.size])), counts)
 
 
 def _sketch_cells(cells) -> Iterator[SketchResult]:
@@ -225,7 +226,9 @@ def _sketch_cells(cells) -> Iterator[SketchResult]:
         return
     a, b = cells[0][0].a, cells[0][0].b
     panel = np.ascontiguousarray(a.T)  # a view when a is column-major
-    rows = np.empty_like(panel)
+    # c draws reach at most c groups, so a trial gathers at most c times the largest group's rows
+    most = max(min(plan.partition.n, c * int(np.diff(plan.partition.offsets).max())) for plan, c, _ in cells)
+    rows = np.empty((most, panel.shape[1]))
     gram = _is_transpose(a, b)
     for counts, scales in _blocks(cells):
         for row_counts, scale in zip(counts, scales):
@@ -248,7 +251,9 @@ def sketch_from_draws(plan: Plan, draws: np.ndarray) -> SketchResult:
     counts = np.bincount(draws, minlength=k)
     if np.any(counts[dist.weights == 0]):
         raise ValueError("draws hold a group of probability 0")
-    return _result(plan.a.T, plan.b, counts, _scales(dist, len(draws), counts), _is_transpose(plan.a, plan.b))
+    scale = _scales(dist, len(draws), counts)
+    rows = np.empty((np.count_nonzero(scale), plan.a.shape[0]))
+    return _result(plan.a.T, plan.b, counts, scale, _is_transpose(plan.a, plan.b), rows)
 
 
 def error_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:

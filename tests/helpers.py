@@ -95,7 +95,7 @@ def element_contribution(a, b, partition, dist, draws, group_index):
         return _frozen(np.zeros((a.shape[0], b.shape[1])))
     idx = np.flatnonzero(partition.labels == group_index)
     scale = np.full(idx.size, count / (c * dist.weights[group_index]))
-    return _frozen(_scaled_product(a.T, b, idx, scale, _is_transpose(a, b)))
+    return _frozen(_scaled_product(a.T, b, idx, scale, _is_transpose(a, b), np.empty((idx.size, a.shape[0]))))
 
 
 ENUMERATION_LIMIT = 1_000_000

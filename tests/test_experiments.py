@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from partsketch import (ConfigError, ExperimentConfig, Plan, aggregate_distribution,
+from partsketch import (ConfigError, ExperimentConfig, Plan, aggregate_distribution, dense,
                         expected_frobenius_error_sq, finest,
                         optimal_distribution, pair_partition, paper_scale,
                         run_fig1, run_fig2, run_table1, write_binary, write_csv)
@@ -108,6 +108,20 @@ class TestMethods:
         assert np.array_equal(pairs.distribution.weights, want.distribution.weights)
         assert np.array_equal(fin.a, a) and pairs.a is fin.a and pairs.b is fin.b
         assert (tmp_path / "out").is_dir()
+
+    @pytest.mark.parametrize("shape", [(1, 31), (8, 301), (100, 2000)])
+    def test_plans_are_those_of_a_row_major_a(self, tmp_path, shape):
+        # _methods builds both plans on experiment_matrix's column-major A; the step-by-step
+        # recipe on a row-major copy of it gives the same weights and probabilities, bit for
+        # bit, by the Gram identity and (one row, so pairs exceed m rho) from the blocks
+        cfg = ExperimentConfig(rows=shape[0], cols=shape[1], seed=11)
+        got = _methods(cfg, tmp_path / "out")
+        want = experiment_methods(cfg, dense(experiment_matrix(cfg)))
+        assert want[0][1].a.flags.c_contiguous and got[0][1].a.flags.f_contiguous
+        for (label, plan), (want_label, want_plan) in zip(got, want, strict=True):
+            assert label == want_label and plan.partition == want_plan.partition
+            assert plan.weights.tobytes() == want_plan.weights.tobytes()
+            assert plan.distribution.weights.tobytes() == want_plan.distribution.weights.tobytes()
 
 
 class TestFig1:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from partsketch import (ENHANCED, Plan, SketchConfig, coarsen, dense, error_form,
                         expected_frobenius_error_sq, finest, frobenius_errors,
-                        frobenius_norm, multiply, optimal_distribution, pairwise_plan,
+                        frobenius_norm, multiply, optimal_distribution, optimal_plan, pairwise_plan,
                         sample_indices, sketch, sketch_from_draws, sketch_trials,
                         spectral_norm)
 from partsketch import sketching
@@ -327,7 +327,8 @@ class TestPanelKernel:
 
 
 class TestMemoryLayout:
-    """A column-major A, whose ``Aᵀ`` panel is a view, and the one gather buffer per call."""
+    """A column-major A, whose ``Aᵀ`` panel is a view, gives what the same values held row-major
+    give, and the one gather buffer per call gives what a fresh gather gives."""
 
     @staticmethod
     def cells(a, b, part, d):
@@ -336,12 +337,32 @@ class TestMemoryLayout:
 
     @staticmethod
     def layouts():
-        """One A held row-major and column-major, a B unrelated to it, and a partition of 50."""
+        """One A held row-major and column-major, a B unrelated to it, and a partition of 50.
+
+        Columns 0 and 1 of A are equal and rows 0 and 1 of B nearly opposite, so the pair
+        {0, 1} of ``a @ b`` nearly cancels.
+        """
         rng = np.random.default_rng(47)
-        a_c = dense(rng.random((6, 50)) - 0.5)
+        values, other = rng.random((6, 50)) - 0.5, rng.random((50, 4)) - 0.5
+        values[:, 1] = values[:, 0]
+        other[1] = -(1 + 2.0**-30) * other[0]
+        a_c = dense(values)
         a_f = _checked(np.asfortranarray(a_c))
         assert a_f.flags.f_contiguous and not a_f.flags.c_contiguous
-        return a_c, a_f, dense(rng.random((50, 4)) - 0.5), random_coarsening(rng, 50, max_groups=30)
+        return a_c, a_f, dense(other), random_coarsening(rng, 50, max_groups=30)
+
+    @pytest.mark.parametrize("b_kind", ["a.T", "other"])
+    @pytest.mark.parametrize("size", [1, 2, 10])
+    def test_plans_do_not_depend_on_the_layout_of_a(self, b_kind, size):
+        # groups of `size` consecutive indices: the finest partition, pairs by the Gram identity
+        # (for the other B, the nearly cancelled pair {0, 1} from its block) and groups of 10,
+        # past sqrt(m rho), from their blocks
+        a_c, a_f, other, _ = self.layouts()
+        b = {"a.T": lambda a: a.T, "other": lambda a: other}[b_kind]
+        part = coarsen([range(lo, min(lo + size, 50)) for lo in range(0, 50, size)], 50)
+        plan_c, plan_f = optimal_plan(a_c, b(a_c), part), optimal_plan(a_f, b(a_f), part)
+        assert plan_c.weights.tobytes() == plan_f.weights.tobytes()
+        assert plan_c.distribution.weights.tobytes() == plan_f.distribution.weights.tobytes()
 
     @pytest.mark.parametrize("b_kind", ["a.T", "other"])
     def test_estimates_do_not_depend_on_the_layout_of_a(self, b_kind):
@@ -366,8 +387,9 @@ class TestMemoryLayout:
                                 frobenius_errors(self.cells(a_f, a_f.T, part, d)), strict=True):
             assert err_c.tobytes() == err_f.tobytes()
 
+
     @pytest.mark.parametrize("gram", [True, False])
-    def test_gather_into_reused_rows_is_the_fresh_gather(self, gram):
+    def test_gather_into_a_reused_buffer_is_the_fresh_gather(self, gram):
         rng = np.random.default_rng(48)
         a = dense(rng.random((9, 300)) - 0.5)
         b = a.T if gram else dense(rng.random((300, 5)) - 0.5)
@@ -376,9 +398,9 @@ class TestMemoryLayout:
         for size in (300, 170, 1, 240):  # the buffer whole, then shorter and longer prefixes
             idx = np.sort(rng.choice(300, size, replace=False))
             scale = rng.random(size) + 0.1
-            fresh = _scaled_product(panel, b, idx, scale, gram)
-            reused = _scaled_product(panel, b, idx, scale, gram, rows)
-            assert reused.tobytes() == fresh.tobytes()
+            x = panel[idx] * (np.sqrt(scale) if gram else scale)[:, None]
+            fresh = x.T @ (x if gram else b[idx])
+            assert _scaled_product(panel, b, idx, scale, gram, rows[:size]).tobytes() == fresh.tobytes()
 
 
 class TestFrobeniusErrors:
