@@ -59,15 +59,22 @@ class SamplingDistribution:
 
     @cached_property
     def guide(self) -> np.ndarray:
-        """Guide table of the inverse CDF (Chen & Asau 1974): ``guide[j]`` is the first group g
-        with ``floor(fl(cdf[g] · k)) >= j``, for j = 0..k.  Read-only, built once.
+        """Guide table of the inverse CDF (Chen & Asau 1974), two buckets per group: ``guide[j]``
+        is the first group g with ``floor(fl(cdf[g] · 2k)) >= j``, for j = 0..2k.  Read-only, built once.
 
-        Rounding is monotone, so a variate u starting at ``guide[floor(fl(u · k))]`` never
-        starts past its group, the first g with ``cdf[g] > u``."""
-        k = self.weights.size
-        guide = np.searchsorted(np.floor(self.cdf * k), np.arange(k + 1))
+        A variate u < 1 lies in bucket ``j = floor(fl(u · 2k)) < 2k`` (``fl(u · m) < m`` for every
+        integer m), and rounding is monotone, so its group, the first g with ``cdf[g] > u``, is in
+        ``[guide[j], guide[j + 1]]``: at most ``guide_steps`` steps from ``guide[j]``."""
+        buckets = 2 * self.weights.size
+        guide = np.searchsorted(np.floor(self.cdf * buckets), np.arange(buckets + 1))
         guide.flags.writeable = False
         return guide
+
+    @cached_property
+    def guide_steps(self) -> int:
+        """``max(diff(guide))``: the forward steps from ``guide`` that find every variate's group.
+        1 whenever every probability exceeds ``1/(2k)`` by more than rounding, as near uniform."""
+        return int(np.diff(self.guide).max())
 
 
 def _check_shapes(a: np.ndarray, b: np.ndarray, partition: Partition) -> None:
@@ -84,8 +91,12 @@ def _check_sample_count(c: int) -> None:
 
 
 # The largest c whose draw temporaries fit 2 GiB: ``sample_indices`` holds c float64
-# variates, their intp groups and a float64 and a bool temporary of a guide-table
-# step at once, 8 + 8 + 8 + 1 = 25 bytes a draw, counted as 32: 2**31 // 32 = 2**26.
+# variates, their intp groups and either their intp guide buckets or a float64 and a
+# bool temporary of a guide-table step at once, 8 + 8 + 8 + 1 = 25 bytes a draw, counted
+# as 32: 2**31 // 32 = 2**26.  A skewed distribution's check pass adds a copy and a
+# group of each variate left to binary search, 16 bytes; those lie in the buckets
+# holding more than ``sketching._GUIDE_STEPS`` = 2 CDF boundaries, at most k/3 of the
+# 2k buckets, so a sixth of the variates on average, ~3 bytes a draw.
 _MAX_DRAWS = 2 ** 31 // 32
 
 

@@ -46,8 +46,9 @@ from .rng import RowStream
 # small enough that a block of large trials adds little to peak memory.
 _BLOCK_ENTRIES = 2 ** 15
 
-# Forward steps of a guide-table lookup before a variate still short of its
-# group is left to binary search.
+# The most forward steps a guide-table lookup takes.  A distribution whose
+# guide_steps exceeds it (a skewed one) takes this many, then checks every
+# variate and leaves those still short of their group to binary search.
 _GUIDE_STEPS = 2
 
 # Trials per GEMM against H in frobenius_errors: one (rows, n) buffer of u, at
@@ -88,19 +89,21 @@ class SketchResult:
 def _inverse_cdf(dist: SamplingDistribution, u: np.ndarray) -> np.ndarray:
     """Group of every variate in ``u``, bit for bit ``searchsorted(dist.cdf, u, side="right")``.
 
-    A variate starts at ``dist.guide[floor(fl(u · k))]``, which is never past
-    its group, and steps forward while ``cdf[g] <= u``; that also skips
-    zero-probability groups.  After ``_GUIDE_STEPS`` steps the variates still
-    short of their group are found by binary search, so a skewed distribution
-    costs no more than a search.
+    A variate in bucket ``j = floor(fl(u · 2k))`` starts at ``dist.guide[j]``, which is never
+    past its group, and steps forward while ``cdf[g] <= u``; that also skips zero-probability
+    groups.  ``dist.guide_steps`` steps find every group, so when that is at most ``_GUIDE_STEPS``
+    the lookup takes them and nothing else.  A skewed distribution takes ``_GUIDE_STEPS`` steps,
+    and the variates still short of their group are found by binary search, so it costs no more
+    than a search.
     """
-    cdf = dist.cdf
-    groups = dist.guide[(u * cdf.size).astype(np.intp)]
-    for _ in range(_GUIDE_STEPS):
+    cdf, guide = dist.cdf, dist.guide
+    groups = guide[(u * (guide.size - 1)).astype(np.intp)]
+    for _ in range(min(dist.guide_steps, _GUIDE_STEPS)):
         groups += cdf[groups] <= u
-    short = cdf[groups] <= u
-    if short.any():
-        groups[short] = np.searchsorted(cdf, u[short], side="right")
+    if dist.guide_steps > _GUIDE_STEPS:
+        short = cdf[groups] <= u
+        if short.any():
+            groups[short] = np.searchsorted(cdf, u[short], side="right")
     return groups
 
 
@@ -282,7 +285,7 @@ def frobenius_errors(cells) -> list[np.ndarray]:
     is rounding and is clamped to 0.  The ``u`` form is kept on purpose: expanding it to
     ``|AB|² - 2sᵀd + sᵀHs`` cancels.  Past the cap an error is
     ``sum(square(a @ b - estimate))`` of ``sketch_trials``' estimate, whose memory does not
-    grow with n².
+    grow with n², with ``a @ b`` taken from the ``Aᵀ`` panel, so A's memory layout moves no bit.
     """
     results = sketch_trials(cells)  # the cell check; it draws only when read
     if not cells:
@@ -298,7 +301,8 @@ def frobenius_errors(cells) -> list[np.ndarray]:
             uh.sum(axis=1, out=errors[lo:lo + len(u)])
         np.maximum(errors, 0.0, out=errors)
     else:
-        exact = a @ b
+        panel = np.ascontiguousarray(a.T)  # the engine's operand: the same bits for either layout of a
+        exact = panel.T @ (panel if _is_transpose(a, b) else b)
         errors = np.array([np.sum(np.square(exact - res.estimate)) for res in results])
     return [errors[lo:hi] for lo, hi in zip([0, *ends], ends)]
 

@@ -12,6 +12,7 @@ from partsketch import (ENHANCED, Plan, SketchConfig, coarsen, dense, error_form
                         spectral_norm)
 from partsketch import sketching
 from partsketch.distributions import _MAX_DRAWS
+from partsketch.experiments import ExperimentConfig, _methods
 from partsketch.rng import derive_seed, derive_seeds, generator
 from partsketch.matrices import _checked
 from partsketch.sketching import (_FORM_ROWS, _GUIDE_STEPS, _inverse_cdf, _is_transpose,
@@ -108,7 +109,8 @@ class TestDrawCounts:
 
 
 class TestGuideTable:
-    """The guide-table lookup finds every variate's group exactly as a binary search of the CDF does."""
+    """The guide-table lookup finds every variate's group exactly as a binary search of the CDF
+    does, within ``guide_steps`` steps of the table's own bucket."""
 
     @staticmethod
     def hard_variates(cdf):
@@ -116,6 +118,11 @@ class TestGuideTable:
         inner = cdf[cdf < 1.0]
         return np.concatenate([inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
                                [0.0, 1.0 - 2.0**-53]])
+
+    @staticmethod
+    def buckets(d, u):
+        """Each variate's guide bucket, with the bucket count read off the table."""
+        return (u * (d.guide.size - 1)).astype(np.intp)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0), st.floats(1e-12, 1e-6)),
@@ -126,31 +133,56 @@ class TestGuideTable:
     @example([1.0] + [1e-12] * 20, 2)
     @example([1e-12] * 20 + [1.0], 3)
     @example([0.0] * 10 + [1.0, 1e-300, 1e-300, 1e-300, 1.0], 4)
+    @example([1.0, 1e-16, 1e-16, 1e-16], 5)
     def test_lookup_equals_binary_search(self, weights, seed):
         d = distribution(finest(len(weights)), weights, normalize=True)
         u = np.concatenate([self.hard_variates(d.cdf), generator(seed).random(200)])
         want = np.searchsorted(d.cdf, u, side="right")
         assert np.array_equal(_inverse_cdf(d, u), want)
         assert np.array_equal(_inverse_cdf(d, u[:200].reshape(8, 25)), want[:200].reshape(8, 25))
-        assert np.all(d.guide[(u * d.weights.size).astype(np.intp)] <= want)  # never past the answer
+        bucket = self.buckets(d, u)
+        assert bucket.max() < d.guide.size - 1  # fl(u * m) < m for u < 1, so guide[bucket + 1] exists
+        # the bound the lookup's fast path rests on: never past the answer, at most guide_steps short
+        steps = want - d.guide[bucket]
+        assert np.all(steps >= 0) and np.all(steps <= d.guide_steps)
+        assert np.all(want <= d.guide[bucket + 1])
 
     def test_skewed_weights_reach_the_search_fallback(self):
         # twenty groups share the first guide bucket, so a variate at the CDF's
         # tenth entry is more than _GUIDE_STEPS steps short of its group
         d = distribution(finest(21), [1e-12] * 20 + [1.0], normalize=True)
+        assert d.guide_steps == 20 > _GUIDE_STEPS
         u = d.cdf[[10, 15]]
         want = np.searchsorted(d.cdf, u, side="right")
-        assert np.all(want - d.guide[(u * 21).astype(np.intp)] > _GUIDE_STEPS)
+        assert np.all(want - d.guide[self.buckets(d, u)] > _GUIDE_STEPS)
         assert np.array_equal(_inverse_cdf(d, u), want)
 
     def test_guide_is_cached_read_only_and_defined_by_the_cdf(self):
         d = distribution(finest(5), [0.05, 0.0, 0.4, 0.25, 0.3])
-        assert d.guide is d.guide and d.guide.shape == (6,)
-        buckets = np.floor(d.cdf * 5)
+        buckets = d.guide.size - 1
+        assert d.guide is d.guide and d.guide.shape == (buckets + 1,)
+        floors = np.floor(d.cdf * buckets)
         for j, start in enumerate(d.guide):
-            assert start == min(g for g in range(5) if buckets[g] >= j)
+            assert start == min(g for g in range(5) if floors[g] >= j)
+        assert d.guide_steps == max(np.diff(d.guide)) and isinstance(d.guide_steps, int)
         with pytest.raises(ValueError):
             d.guide[0] = 1
+
+    def test_near_uniform_takes_one_step(self):
+        # every probability above half the uniform share 1/k puts at most one CDF boundary in
+        # each of the 2k buckets, so one step finds every group: the lookup needs no check
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            k = int(rng.integers(1, 3000))
+            w = 1.0 + rng.random(k) * rng.choice([1e-9, 0.5, 1.0])  # each above sum(w) / (2k)
+            d = distribution(finest(k), w, normalize=True)
+            assert d.weights.min() > 1 / (2 * k)
+            assert d.guide_steps == (1 if k > 1 else 0)  # one group needs no step
+
+    @pytest.mark.parametrize("seed", [0, 3, 5])
+    def test_desk_fig1_plans_take_one_step(self, tmp_path, seed):
+        for _, plan in _methods(ExperimentConfig(seed=seed), tmp_path):
+            assert plan.distribution.guide_steps == 1 <= _GUIDE_STEPS
 
 
 class TestSketchTrials:
@@ -374,19 +406,20 @@ class TestMemoryLayout:
             assert res_c.estimate.tobytes() == res_f.estimate.tobytes()
             assert res_c.counts.tobytes() == res_f.counts.tobytes()
 
-    @pytest.mark.parametrize("h_path", [True, False])
-    def test_errors_of_b_at_do_not_depend_on_the_layout_of_a(self, monkeypatch, h_path):
-        # B = Aᵀ, as in every experiment: AᵀA and AAᵀ are syrk for either layout.  (For an
-        # unrelated B, the exact a @ b past H's cap is a GEMM whose operand order follows
-        # A's layout, and its last bits may move.)
-        a_c, a_f, _, part = self.layouts()
-        d = optimal_distribution(a_c, a_c.T, part)
+    @pytest.mark.parametrize("h_path, b_kind", [pytest.param(True, "a.T", id="True"),
+                                                 pytest.param(False, "a.T", id="False"),
+                                                 pytest.param(False, "other", id="other")])
+    def test_errors_of_b_at_do_not_depend_on_the_layout_of_a(self, monkeypatch, h_path, b_kind):
+        # B = Aᵀ, as in every experiment, on the H path and past H's cap, and an unrelated B past
+        # the cap, where the exact a @ b is taken from the C-contiguous Aᵀ panel for either layout
+        a_c, a_f, other, part = self.layouts()
+        b = {"a.T": lambda a: a.T, "other": lambda a: other}[b_kind]
+        d = optimal_distribution(a_c, b(a_c), part)
         if not h_path:
             monkeypatch.setattr(sketching, "_ERROR_FORM_ENTRIES", 0)
-        for err_c, err_f in zip(frobenius_errors(self.cells(a_c, a_c.T, part, d)),
-                                frobenius_errors(self.cells(a_f, a_f.T, part, d)), strict=True):
+        for err_c, err_f in zip(frobenius_errors(self.cells(a_c, b(a_c), part, d)),
+                                frobenius_errors(self.cells(a_f, b(a_f), part, d)), strict=True):
             assert err_c.tobytes() == err_f.tobytes()
-
 
     @pytest.mark.parametrize("gram", [True, False])
     def test_gather_into_a_reused_buffer_is_the_fresh_gather(self, gram):
@@ -509,8 +542,11 @@ class TestFrobeniusErrors:
 
     @pytest.mark.parametrize("b_kind", ["a.T", "unrelated"])
     def test_direct_path_is_the_squared_error_of_each_estimate(self, monkeypatch, b_kind):
-        # past H's cap, an error is sum(square(a @ b - estimate)) of sketch_trials' trial, to the bit
+        # past H's cap, an error is sum(square(a @ b - estimate)) of sketch_trials' trial, to the bit,
+        # for a column-major A as an experiment holds it (TestMemoryLayout: a row-major A gives the same)
         a, b, part, d = TestSketchTrials.plan(b_kind, True)
+        a = _checked(np.asfortranarray(a))
+        b = a.T if b_kind == "a.T" else b
         cells = [(Plan(a, b, part, d), 7, [derive_seed(46, 0, t) for t in range(9)]),
                  (Plan(a, b, part, uniform(part)), 5000, [derive_seed(46, 1, t) for t in range(8)])]
         monkeypatch.setattr(sketching, "_ERROR_FORM_ENTRIES", 0)  # no H fits
