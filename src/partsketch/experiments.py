@@ -38,7 +38,7 @@ from .matrices import _checked, frobenius_norm, multiply, read_matrix, spectral_
 from .partitions import PAIRING_KINDS, PairingStrategy, finest
 from .rng import derive_seed, derive_seeds, generator
 # ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
-from .sketching import frobenius_errors, sketch, sketch_trials  # noqa: F401
+from .sketching import _BLOCK_ENTRIES, frobenius_errors, sketch, sketch_trials  # noqa: F401
 
 FIG1_HEADER = "c,method,mean_rel_frob_err,mean_sq_frob_err,stderr,trials"
 FIG2_HEADER = "method,c,run,rel_2norm_err"
@@ -103,14 +103,22 @@ def paper_scale(cfg: ExperimentConfig) -> ExperimentConfig:
 def experiment_matrix(cfg: ExperimentConfig) -> np.ndarray:
     """Load A from ``matrix_path`` or draw rows x cols standard uniforms from a dedicated substream.
 
-    A is returned read-only and column-major (one copy of the loaded or drawn values), so the
-    ``Aᵀ`` panel every trial gathers its rows from is a view of it, not a second copy.
+    A is returned read-only and column-major, so the ``Aᵀ`` panel every trial gathers its rows
+    from is a view of it, not a second copy.  A loaded A is copied once into that order; a drawn
+    A is ``generator(derive_seed(seed, "matrix")).random((rows, cols))`` bit for bit, written
+    ``_BLOCK_ENTRIES // cols`` rows (at least one) at a time from its stream straight into
+    column-major storage, so the call holds A plus one block, with no row-major copy.
     """
     if cfg.matrix_path is not None:
-        a = read_matrix(cfg.matrix_path)
-    else:
-        a = generator(derive_seed(cfg.seed, "matrix")).random((cfg.rows, cfg.cols))
-    return _checked(np.asfortranarray(a))
+        return _checked(np.asfortranarray(read_matrix(cfg.matrix_path)))
+    gen = generator(derive_seed(cfg.seed, "matrix"))
+    a = np.empty((cfg.rows, cfg.cols), order="F")
+    step = max(1, _BLOCK_ENTRIES // cfg.cols)
+    block = np.empty((min(step, cfg.rows), cfg.cols))
+    for lo in range(0, cfg.rows, step):
+        hi = min(lo + step, cfg.rows)
+        a[lo:hi] = gen.random(out=block[:hi - lo])
+    return _checked(a)
 
 
 def pairing_strategy(kind: str, seed: int) -> PairingStrategy:

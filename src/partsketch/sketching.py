@@ -2,8 +2,8 @@
 
 A sketch draws c group indices from a sampling distribution over a partition
 of the inner dimension and forms ``A · diag(s) · B`` with
-``s_j = count[g(j)] / (c · p[g(j)])`` as one BLAS product over the drawn
-indices.  Draws come from a counter-based stream, each variate's group found
+``s_j = count[g(j)] / (c · p[g(j)])`` by one BLAS product per block of the
+drawn indices.  Draws come from a counter-based stream, each variate's group found
 by the distribution's guide table with no sort, so a (matrices, partition,
 distribution, config) tuple and the BLAS thread count fix the result bit for
 bit.  A result keeps only the estimate and the per-group counts; the draws
@@ -11,8 +11,12 @@ in order are ``sample_indices`` of the same stream, and ``sketch_from_draws``
 forms the same result from them.  ``sketch_trials`` runs a list of
 ``(plan, c, seeds)`` cells on one (A, B) from one ``Aᵀ`` panel, drawing them
 in blocks, with the results of one ``sketch`` per seed; the panel is a view
-when A is column-major, as an experiment's A is, and every trial gathers its
-rows into one buffer per call.
+when A is column-major, as an experiment's A is.  Every estimate gathers,
+scales and multiplies its drawn rows in balanced blocks of at most
+``_block_rows`` rows through one buffer per call, and sums the block products
+in ascending index order, so the buffer does not grow with n and an
+estimate's bits are fixed by its own drawn rows and that block rule, not by
+other trials or A's memory layout.
 
 ``frobenius_errors`` takes the same cells and draws the same counts, and
 returns each trial's squared error ``|AB - A·diag(s)·B|_F²``.  While ``H``
@@ -43,8 +47,16 @@ from .rng import RowStream
 
 # Entries per block temporary in sketch_trials and frobenius_errors (256 KiB
 # of float64): enough to amortise the per-call costs over many small trials,
-# small enough that a block of large trials adds little to peak memory.
+# small enough that a block of large trials adds little to peak memory.  It
+# also sizes an estimate's gather blocks and experiment_matrix's write blocks.
 _BLOCK_ENTRIES = 2 ** 15
+
+# A gather block holds at least this many times max(m, rho) rows (m = A's rows,
+# rho = B's columns), so its product, 2·rows·m·rho flops, outweighs the m x rho
+# sum that adds it to the estimate.  At 4, a 1560-row estimate at m = 300 took
+# two blocks and ran ~5% slower than one product (1 BLAS thread, a Xeon with
+# 2 MiB of L2 a core); at 6 it is one block.
+_BLOCK_FACTOR = 6
 
 # The most forward steps a guide-table lookup takes.  A distribution whose
 # guide_steps exceeds it (a skewed one) takes this many, then checks every
@@ -140,21 +152,52 @@ def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
             and b.ctypes.data == a.ctypes.data)
 
 
+def _block_rows(panel: np.ndarray, b: np.ndarray) -> int:
+    """Most rows one gather block of an estimate from ``panel`` (``Aᵀ``, m columns) and ``b``
+    (ρ columns) holds: ``_BLOCK_ENTRIES`` entries, but never fewer than ``_BLOCK_FACTOR · max(m, ρ)``
+    rows (600 at the paper's 100×2000 A with B = Aᵀ)."""
+    m = panel.shape[1]
+    return max(_BLOCK_ENTRIES // m, _BLOCK_FACTOR * max(m, b.shape[1]))
+
+
+def _gather_buffer(panel: np.ndarray, b: np.ndarray, most: int) -> np.ndarray:
+    """One call's gather buffer for estimates of at most ``most`` rows each: ``min(most,
+    _block_rows(panel, b))`` rows of ``panel``'s width, so its size does not grow with n."""
+    return np.empty((min(most, _block_rows(panel, b)), panel.shape[1]))
+
+
 def _scaled_product(panel: np.ndarray, b: np.ndarray, idx: np.ndarray, scale: np.ndarray, gram: bool,
                     x: np.ndarray) -> np.ndarray:
-    """``A[:, idx] · diag(scale) · b[idx, :]`` as one BLAS product over the rows ``panel[idx]``,
-    gathered into ``x``, a C-contiguous ``(idx.size, m)`` array whose contents are overwritten.
+    """``A[:, idx] · diag(scale) · b[idx, :]`` over the rows ``panel[idx]``, gathered into ``x``, a
+    C-contiguous array of at least ``min(idx.size, _block_rows(panel, b))`` rows whose contents are
+    overwritten.
 
-    ``panel`` is ``Aᵀ``; when C-contiguous, each gathered row is one contiguous copy.
-    When ``gram`` (``b`` is ``A.T``) it is ``x.T @ x`` with ``x`` scaled by
-    ``sqrt(scale)``, which NumPy hands to BLAS ``syrk``: half the flops of a
-    GEMM, and an exactly symmetric estimate.  ``scale`` must then be
-    positive.  Any other ``b`` takes one GEMM with ``x`` scaled by ``scale``.
+    ``idx`` is split into the fewest balanced blocks of at most ``_block_rows`` rows (sizes differ
+    by at most one).  Each block is gathered into a prefix of ``x``, scaled and multiplied by one
+    BLAS product, and the block products are summed in ascending index order; an ``idx`` that fits
+    one block is one product, with no sum.  ``panel`` is ``Aᵀ``; when C-contiguous, each gathered
+    row is one contiguous copy.  When ``gram`` (``b`` is ``A.T``) a block's product is ``x.T @ x``
+    with ``x`` scaled by ``sqrt(scale)``, which NumPy hands to BLAS ``syrk``: half the flops of a
+    GEMM, and an exactly symmetric estimate.  ``scale`` must then be positive.  Any other ``b``
+    takes one GEMM per block with ``x`` scaled by ``scale`` and the block's rows of ``b``.
     """
-    # mode="raise" would buffer ``x``; every idx comes from flatnonzero, so is in range
-    np.take(panel, idx, axis=0, out=x, mode="clip")
-    x *= (np.sqrt(scale) if gram else scale)[:, None]
-    return x.T @ (x if gram else b[idx])
+    factor = np.sqrt(scale) if gram else scale
+
+    def product(lo: int, hi: int, out=None) -> np.ndarray:
+        rows = x[:hi - lo]
+        # mode="raise" would buffer ``rows``; every idx comes from flatnonzero, so is in range
+        np.take(panel, idx[lo:hi], axis=0, out=rows, mode="clip")
+        rows *= factor[lo:hi, None]
+        return np.matmul(rows.T, rows if gram else b[idx[lo:hi]], out=out)
+
+    blocks = -(-idx.size // _block_rows(panel, b))
+    ends = [idx.size * i // blocks for i in range(1, blocks + 1)]
+    estimate = product(0, ends[0])
+    if blocks > 1:
+        part = np.empty_like(estimate)  # every later block's product, added in place
+        for lo, hi in zip(ends, ends[1:]):
+            estimate += product(lo, hi, part)
+    return estimate
 
 
 def sketch(a: np.ndarray, b: np.ndarray, partition: Partition,
@@ -178,8 +221,10 @@ def sketch_trials(cells) -> Iterator[SketchResult]:
     holds the first plan's ``a`` and ``b`` objects and every c passes ``_check_draw_count``,
     this call raises ``ValueError`` before any draw.  Trials are drawn a block at a time
     (``_blocks``), and every estimate gathers its rows from one C-contiguous ``Aᵀ`` panel
-    into one buffer per call.  The panel is a view of a column-major A, as
-    ``experiment_matrix`` returns it, and is copied once per call from any other A.
+    through one buffer per call (``_gather_buffer``), in blocks of at most ``_block_rows``
+    rows (``_scaled_product``), so the buffer's size does not grow with n.  The panel is a
+    view of a column-major A, as ``experiment_matrix`` returns it, and is copied once per
+    call from any other A.
     """
     for plan, c, _ in cells:
         if plan.a is not cells[0][0].a or plan.b is not cells[0][0].b:
@@ -218,10 +263,10 @@ def _blocks(cells) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 def _result(panel: np.ndarray, b: np.ndarray, counts: np.ndarray, scale: np.ndarray, gram: bool,
             rows: np.ndarray) -> SketchResult:
-    """The estimate of one trial, its rows gathered into a prefix of ``rows``, which holds at
-    least as many rows as ``scale`` has nonzero entries."""
+    """The estimate of one trial, its rows gathered through ``rows``, a ``_gather_buffer`` for
+    at least as many rows as ``scale`` has nonzero entries."""
     idx = np.flatnonzero(scale)
-    return SketchResult(_frozen(_scaled_product(panel, b, idx, scale[idx], gram, rows[:idx.size])), counts)
+    return SketchResult(_frozen(_scaled_product(panel, b, idx, scale[idx], gram, rows)), counts)
 
 
 def _sketch_cells(cells) -> Iterator[SketchResult]:
@@ -231,7 +276,7 @@ def _sketch_cells(cells) -> Iterator[SketchResult]:
     panel = np.ascontiguousarray(a.T)  # a view when a is column-major
     # c draws reach at most c groups, so a trial gathers at most c times the largest group's rows
     most = max(min(plan.partition.n, c * int(np.diff(plan.partition.offsets).max())) for plan, c, _ in cells)
-    rows = np.empty((most, panel.shape[1]))
+    rows = _gather_buffer(panel, b, most)
     gram = _is_transpose(a, b)
     for counts, scales in _blocks(cells):
         for row_counts, scale in zip(counts, scales):
@@ -255,7 +300,7 @@ def sketch_from_draws(plan: Plan, draws: np.ndarray) -> SketchResult:
     if np.any(counts[dist.weights == 0]):
         raise ValueError("draws hold a group of probability 0")
     scale = _scales(dist, len(draws), counts)
-    rows = np.empty((np.count_nonzero(scale), plan.a.shape[0]))
+    rows = _gather_buffer(plan.a.T, plan.b, np.count_nonzero(scale))
     return _result(plan.a.T, plan.b, counts, scale, _is_transpose(plan.a, plan.b), rows)
 
 

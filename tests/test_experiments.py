@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _methods,
 from partsketch.partitions import PAIRING_KINDS
 from partsketch.sketching import pairwise_plan
 from partsketch.matrices import frobenius_norm, multiply
-from partsketch.rng import derive_seed
+from partsketch.rng import derive_seed, generator
 from helpers import (direct_errors_and_bounds, distribution, experiment_methods, fig1_row, form_path_errors,
                      loop_fig1_csv, loop_fig2_csv, stderr_error_bound)
 
@@ -93,6 +94,24 @@ class TestConfig:
         assert a.flags.f_contiguous and not a.flags.c_contiguous and not a.flags.writeable
         assert np.shares_memory(a, np.ascontiguousarray(a.T))
         assert a.tobytes(order="C") == experiment_matrix(ExperimentConfig(rows=3, cols=4, seed=1)).tobytes(order="C")
+
+    @pytest.mark.parametrize("rows, cols", [(3000, 20), (7, 10001), (100, 2000), (2, 40000)])
+    def test_drawn_matrix_is_the_row_major_draw(self, rows, cols):
+        # written 2**15 // cols rows at a time (1638, 3, 16 and 1), so every shape spans several blocks
+        cfg = ExperimentConfig(rows=rows, cols=cols, seed=4)
+        want = generator(derive_seed(4, "matrix")).random((rows, cols))
+        assert experiment_matrix(cfg).tobytes(order="C") == want.tobytes()
+
+    def test_drawn_matrix_holds_one_payload(self):
+        # no row-major draw beside the column-major A: one payload and one write block
+        cfg = ExperimentConfig(rows=100, cols=2000, seed=4)
+        tracemalloc.start()
+        try:
+            a = experiment_matrix(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * a.nbytes
 
 class TestMethods:
     """``_methods``, every experiment's setup step: both plans on A and B = Aᵀ, then the out-dir."""

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from partsketch.distributions import _MAX_DRAWS
 from partsketch.experiments import ExperimentConfig, _methods
 from partsketch.rng import derive_seed, derive_seeds, generator
 from partsketch.matrices import _checked
-from partsketch.sketching import (_FORM_ROWS, _GUIDE_STEPS, _inverse_cdf, _is_transpose,
+from partsketch.sketching import (_FORM_ROWS, _GUIDE_STEPS, _block_rows, _inverse_cdf, _is_transpose,
                                   _scaled_product, _trials_per_block)
 from helpers import (brute_force_expectation, column_gather_product, direct_errors_and_bounds,
                      distribution, element_contribution, element_weight, form_path_errors,
@@ -189,11 +190,12 @@ class TestSketchTrials:
     """A batch of trials equals one lone sketch per seed, bit for bit."""
 
     @staticmethod
-    def plan(b_kind, zero_groups):
+    def plan(b_kind, zero_groups, shape=(5, 40)):
         rng = np.random.default_rng(41)
-        a = dense(rng.random((5, 40)) - 0.5)
-        b = a.T if b_kind == "a.T" else dense(rng.random((40, 3)) - 0.5)
-        part = random_coarsening(rng, 40, max_groups=25) if zero_groups else finest(40)
+        m, n = shape
+        a = dense(rng.random((m, n)) - 0.5)
+        b = a.T if b_kind == "a.T" else dense(rng.random((n, 3)) - 0.5)
+        part = random_coarsening(rng, n, max_groups=25) if zero_groups else finest(n)
         d = optimal_distribution(a, b, part)
         if zero_groups:  # every third group is never drawn
             w = d.weights.copy()
@@ -202,12 +204,22 @@ class TestSketchTrials:
         return a, b, part, d
 
     @pytest.mark.parametrize("b_kind", ["a.T", "unrelated"])
-    @pytest.mark.parametrize("c, zero_groups", [(1, False), (9, True), (5000, False), (5000, True)])
+    @pytest.mark.parametrize("c, zero_groups, shape", [
+        pytest.param(1, False, (5, 40), id="1-False"), pytest.param(9, True, (5, 40), id="9-True"),
+        pytest.param(5000, False, (5, 40), id="5000-False"), pytest.param(5000, True, (5, 40), id="5000-True"),
+        # gather blocks: at m = 91 an estimate's rows are taken at most 546 at a time (6 * 91 rows,
+        # more than 2**15 // 91) on the syrk and the GEMM path, and c = 50 000 draws every index, so
+        # the distinct rows are exactly one block, one block + 1 (273 + 274) and three blocks
+        pytest.param(50_000, False, (91, 546), id="block"),
+        pytest.param(50_000, False, (91, 547), id="block+1"),
+        pytest.param(50_000, False, (91, 1200), id="3-blocks")])
     @pytest.mark.parametrize("extra", [None, 0, 1])
-    def test_each_trial_equals_a_lone_sketch(self, b_kind, c, zero_groups, extra):
+    def test_each_trial_equals_a_lone_sketch(self, b_kind, c, zero_groups, shape, extra):
         # extra: None runs one trial, 0 exactly one block, 1 one block plus one
         # trial; c = 5000 is far above k <= 40 and gives blocks of 6 trials
-        a, b, part, d = self.plan(b_kind, zero_groups)
+        a, b, part, d = self.plan(b_kind, zero_groups, shape)
+        if shape[0] == 91:
+            assert _block_rows(a.T, b) == 546
         per_block = _trials_per_block(c, part.n)
         seeds = [derive_seed(c, t) for t in range(1 if extra is None else per_block + extra)]
         results = list(sketch_trials([(Plan(a, b, part, d), c, seeds)]))
@@ -220,6 +232,10 @@ class TestSketchTrials:
             drawn = sample_indices(d, c, seed)
             assert np.array_equal(res.counts, np.bincount(drawn, minlength=part.k))
             assert not res.estimate.flags.writeable and not res.counts.flags.writeable
+            if shape[0] == 91:
+                assert np.count_nonzero(res.counts) == part.n
+                if b_kind == "a.T":  # a sum of syrk blocks is still exactly symmetric
+                    assert np.array_equal(res.estimate, res.estimate.T)
         if zero_groups:
             assert not any(res.counts[::3].any() for res in results)
 
@@ -343,6 +359,14 @@ class TestPanelKernel:
     @example(2, 1, 300, 500, "view", False)  # m = 1
     @example(3, 1, 300, 500, "copy", False)
     @example(4, 100, 2000, 3000, "view", False)  # the paper shape
+    # m = 91: blocks of at most 546 rows on either path, and c = 50 000 draws every index, so the
+    # distinct rows are exactly one block, one block + 1 and three blocks
+    @example(5, 91, 546, 50_000, "view", False)
+    @example(6, 91, 546, 50_000, "copy", False)
+    @example(7, 91, 547, 50_000, "view", False)
+    @example(8, 91, 547, 50_000, "copy", False)
+    @example(9, 91, 1200, 50_000, "view", False)
+    @example(10, 91, 1200, 50_000, "copy", False)
     def test_within_gemm_bound_of_the_column_gather_kernel(self, seed, m, n, c, b_kind, coarse):
         rng = np.random.default_rng(seed)
         a = dense(rng.random((m, n)) - 0.5)
@@ -360,7 +384,8 @@ class TestPanelKernel:
 
 class TestMemoryLayout:
     """A column-major A, whose ``Aᵀ`` panel is a view, gives what the same values held row-major
-    give, and the one gather buffer per call gives what a fresh gather gives."""
+    give, and the one gather buffer per call gives what a fresh gather gives and does not grow
+    with n."""
 
     @staticmethod
     def cells(a, b, part, d):
@@ -420,6 +445,32 @@ class TestMemoryLayout:
         for err_c, err_f in zip(frobenius_errors(self.cells(a_c, b(a_c), part, d)),
                                 frobenius_errors(self.cells(a_f, b(a_f), part, d)), strict=True):
             assert err_c.tobytes() == err_f.tobytes()
+
+    @pytest.mark.parametrize("call", ["sketch_trials", "sketch_from_draws"])
+    @pytest.mark.parametrize("b_kind", ["a.T", "other"])
+    def test_wide_a_gathers_through_a_block_sized_buffer(self, call, b_kind):
+        # a column-major 40 x 100 000 A at c = n: ~63 000 distinct rows, gathered 819 at a time
+        # (2**15 // 40), so beyond its inputs and outputs the call holds far less than A's payload
+        rng = np.random.default_rng(49)
+        values = rng.random((100_000, 40))
+        values -= 0.5
+        a = _checked(values.T)
+        b = a.T if b_kind == "a.T" else dense(rng.random((100_000, 3)) - 0.5)
+        part = finest(100_000)
+        plan = Plan(a, b, part, uniform(part))
+        seed = derive_seed(49, b_kind)
+        draws = sample_indices(plan.distribution, part.n, seed)
+        tracemalloc.start()
+        try:
+            if call == "sketch_trials":
+                [res] = sketch_trials([(plan, part.n, [seed])])
+            else:
+                res = sketch_from_draws(plan, draws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(res.counts) > 60_000
+        assert peak - res.estimate.nbytes - res.counts.nbytes < a.nbytes / 2
 
     @pytest.mark.parametrize("gram", [True, False])
     def test_gather_into_a_reused_buffer_is_the_fresh_gather(self, gram):
