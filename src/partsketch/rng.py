@@ -1,8 +1,8 @@
 """Substream keys and counter-based uniform streams.
 
-All randomness flows through Philox: the i-th variate of a keyed stream is a
-pure function of (key, i), so batching or reordering never changes the values
-drawn.  A substream's key is the BLAKE2b hash of its label path (``derive_seed``).
+All randomness flows through Philox, every stream keyed by ``philox_key`` of its seed: the
+i-th variate of a keyed stream is a pure function of (key, i), so batching or reordering never
+changes the values drawn.  A substream's key is the BLAKE2b hash of its label path (``derive_seed``).
 """
 
 from __future__ import annotations
@@ -12,7 +12,12 @@ import json
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+
+def philox_key(seed) -> int:
+    """``int(seed)`` if ``seed`` is a Python or NumPy integer, not a bool, in [0, 2**64); else ``ValueError``."""
+    if type(seed) is not bool and isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2 ** 64:
+        return int(seed)
+    raise ValueError(f"seed must be in [0, 2**64 - 1], got {seed}")
 
 
 def derive_seed(master_seed: int, *path) -> int:
@@ -53,16 +58,16 @@ class RowStream:
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def rows(self, seeds, count: int) -> np.ndarray:
-        """``(len(seeds), count)`` uniforms on [0, 1), one row per seed."""
+        """``(len(seeds), count)`` uniforms on [0, 1), row t keyed by ``philox_key(seeds[t])``."""
         out = np.empty((len(seeds), count))
         bits, state, key, random = self._bits, self._state, self._key, self._gen.random
         for row, seed in zip(out, seeds):
-            key[0] = int(seed) & _MASK64
+            key[0] = philox_key(seed)
             bits.state = state
             random(out=row)
         return out
 
 
 def generator(seed: int) -> np.random.Generator:
-    """A Philox generator keyed by ``seed`` for bulk draws (matrix entries, permutations)."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed & _MASK64)))
+    """A Philox generator keyed by ``philox_key(seed)`` for bulk draws (matrix entries, permutations)."""
+    return np.random.Generator(np.random.Philox(key=philox_key(seed)))

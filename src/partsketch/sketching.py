@@ -25,15 +25,14 @@ form ``uᵀHu`` with ``u = 1 - s`` and ``H = (AᵀA) ∘ (BBᵀ)`` (``error_form
 one GEMM against ``H`` per ``_FORM_ROWS`` trials across its cells; past the cap
 it is taken from the estimates of ``sketch_trials``.  On the ``H`` path a
 trial's last bits depend on which rows share its GEMM: the call's cell list
-fixes them.  Both calls draw by one block loop (``_blocks``), whose blocks
-read their variates from one ``RowStream`` per call, and
-``frobenius_errors`` checks its cells by ``sketch_trials``.
+fixes them.  Both calls check every cell and seed before any draw, then draw
+by one block loop (``_blocks``) from one ``RowStream`` per call.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -43,7 +42,7 @@ from .distributions import (Plan, SamplingDistribution, _check_draw_count, _chec
                             optimal_plan, pairing_plan)
 from .matrices import _check_conformable, _frozen
 from .partitions import PairingStrategy, Partition, finest
-from .rng import RowStream
+from .rng import RowStream, philox_key
 
 # Entries per block temporary in sketch_trials and frobenius_errors (256 KiB
 # of float64): enough to amortise the per-call costs over many small trials,
@@ -75,15 +74,14 @@ _ERROR_FORM_ENTRIES = 2 ** 22
 
 @dataclass(frozen=True)
 class SketchConfig:
-    """Sample count and master seed of one sketch; the seed is the draws' 64-bit Philox key."""
+    """Sample count and master seed of one sketch; the seed is the draws' key (``philox_key``)."""
 
     c: int
     seed: int
 
     def __post_init__(self):
         _check_sample_count(self.c)
-        if not 0 <= self.seed < 2 ** 64:  # the key is never taken modulo 2**64
-            raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
+        philox_key(self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,10 +120,10 @@ def _inverse_cdf(dist: SamplingDistribution, u: np.ndarray) -> np.ndarray:
 def sample_indices(dist: SamplingDistribution, c: int, seed: int) -> np.ndarray:
     """c categorical draws from ``dist`` by inverse CDF, each found from the guide table.
 
-    Draw i consumes the i-th variate of the Philox stream keyed by ``seed``,
+    Draw i consumes the i-th variate of the Philox stream keyed by ``philox_key(seed)``,
     so the draw list does not depend on evaluation order or batching.
     Zero-probability groups occupy empty CDF intervals and are never drawn.
-    Raises ``ValueError`` unless ``_check_draw_count`` passes, before anything is drawn.
+    Raises ``ValueError`` unless ``_check_draw_count`` and ``philox_key`` pass, before any draw.
     """
     _check_draw_count(c)
     return _inverse_cdf(dist, RowStream().rows([seed], c)[0]).astype(np.int64, copy=False)
@@ -148,8 +146,7 @@ def _draw_block(stream: RowStream, dist: SamplingDistribution, c: int, seeds) ->
 
 def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
     """True when ``b`` is ``a.T``: the same buffer read with reversed shape and strides."""
-    return (b.shape == a.shape[::-1] and b.strides == a.strides[::-1]
-            and b.ctypes.data == a.ctypes.data)
+    return b.shape == a.shape[::-1] and b.strides == a.strides[::-1] and b.ctypes.data == a.ctypes.data
 
 
 def _block_rows(panel: np.ndarray, b: np.ndarray) -> int:
@@ -160,10 +157,18 @@ def _block_rows(panel: np.ndarray, b: np.ndarray) -> int:
     return max(_BLOCK_ENTRIES // m, _BLOCK_FACTOR * max(m, b.shape[1]))
 
 
-def _gather_buffer(panel: np.ndarray, b: np.ndarray, most: int) -> np.ndarray:
-    """One call's gather buffer for estimates of at most ``most`` rows each: ``min(most,
-    _block_rows(panel, b))`` rows of ``panel``'s width, so its size does not grow with n."""
-    return np.empty((min(most, _block_rows(panel, b)), panel.shape[1]))
+def _estimator(a: np.ndarray, b: np.ndarray, panel: np.ndarray, most: int) -> Callable[..., SketchResult]:
+    """One call's estimator of ``a @ b``, mapping a trial's ``(counts, scale)`` to its ``SketchResult``:
+    it gathers ``panel`` (``Aᵀ``) rows through one buffer of ``min(most, _block_rows(panel, b))`` rows
+    (``most`` bounds a trial's nonzero scales), so the buffer does not grow with n."""
+    rows = np.empty((min(most, _block_rows(panel, b)), panel.shape[1]))
+    gram = _is_transpose(a, b)
+
+    def estimate(counts: np.ndarray, scale: np.ndarray) -> SketchResult:
+        idx = np.flatnonzero(scale)
+        return SketchResult(_scaled_product(panel, b, idx, scale[idx], gram, rows), counts)
+
+    return estimate
 
 
 def _scaled_product(panel: np.ndarray, b: np.ndarray, idx: np.ndarray, scale: np.ndarray, gram: bool,
@@ -218,18 +223,19 @@ def sketch_trials(cells) -> Iterator[SketchResult]:
 
     ``cells`` is a sequence of ``(plan, c, seeds)``; seed t of a cell gives bit for bit
     ``sketch`` of the plan's pieces and ``SketchConfig(c, seeds[t])``.  Unless every plan
-    holds the first plan's ``a`` and ``b`` objects and every c passes ``_check_draw_count``,
-    this call raises ``ValueError`` before any draw.  Trials are drawn a block at a time
-    (``_blocks``), and every estimate gathers its rows from one C-contiguous ``Aᵀ`` panel
-    through one buffer per call (``_gather_buffer``), in blocks of at most ``_block_rows``
-    rows (``_scaled_product``), so the buffer's size does not grow with n.  The panel is a
-    view of a column-major A, as ``experiment_matrix`` returns it, and is copied once per
-    call from any other A.
+    holds the first plan's ``a`` and ``b`` objects, every c passes ``_check_draw_count`` and
+    every seed passes ``philox_key``, this call raises ``ValueError`` before any draw.  Trials
+    are drawn a block at a time (``_blocks``), and every estimate gathers its rows from one
+    C-contiguous ``Aᵀ`` panel through one buffer per call (``_estimator``), in blocks of at
+    most ``_block_rows`` rows (``_scaled_product``).  The panel is a view of a column-major A,
+    as ``experiment_matrix`` returns it, and is copied once per call from any other A.
     """
-    for plan, c, _ in cells:
+    for plan, c, seeds in cells:
         if plan.a is not cells[0][0].a or plan.b is not cells[0][0].b:
             raise ValueError("every cell's plan must hold the first cell's matrices")
         _check_draw_count(c)
+        for seed in seeds:
+            philox_key(seed)
     return _sketch_cells(cells)
 
 
@@ -261,26 +267,15 @@ def _blocks(cells) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             yield counts, _scales(plan.distribution, c, counts)
 
 
-def _result(panel: np.ndarray, b: np.ndarray, counts: np.ndarray, scale: np.ndarray, gram: bool,
-            rows: np.ndarray) -> SketchResult:
-    """The estimate of one trial, its rows gathered through ``rows``, a ``_gather_buffer`` for
-    at least as many rows as ``scale`` has nonzero entries."""
-    idx = np.flatnonzero(scale)
-    return SketchResult(_frozen(_scaled_product(panel, b, idx, scale[idx], gram, rows)), counts)
-
-
 def _sketch_cells(cells) -> Iterator[SketchResult]:
     if not cells:
         return
     a, b = cells[0][0].a, cells[0][0].b
-    panel = np.ascontiguousarray(a.T)  # a view when a is column-major
     # c draws reach at most c groups, so a trial gathers at most c times the largest group's rows
     most = max(min(plan.partition.n, c * int(np.diff(plan.partition.offsets).max())) for plan, c, _ in cells)
-    rows = _gather_buffer(panel, b, most)
-    gram = _is_transpose(a, b)
+    estimate = _estimator(a, b, np.ascontiguousarray(a.T), most)  # the panel is a view when a is column-major
     for counts, scales in _blocks(cells):
-        for row_counts, scale in zip(counts, scales):
-            yield _result(panel, b, row_counts, scale, gram, rows)
+        yield from map(estimate, counts, scales)
 
 
 def sketch_from_draws(plan: Plan, draws: np.ndarray) -> SketchResult:
@@ -289,19 +284,18 @@ def sketch_from_draws(plan: Plan, draws: np.ndarray) -> SketchResult:
     Its counts are ``bincount(draws)``.  ``sketch`` passes ``sample_indices(dist, c, seed)``,
     whose counts are the ones ``sketch_trials`` draws for that seed (``_draw_block``'s
     contract), so a caller holding a draw log forms its sketch without drawing again.
-    Raises ``ValueError`` unless c >= 1 and every draw is a group of positive probability.
+    Raises ``ValueError`` unless c >= 1 and ``draws`` is 1-d, of groups of positive probability.
     """
-    _check_sample_count(len(draws))
     k, dist = plan.partition.k, plan.distribution
     draws = np.asarray(draws)
-    if draws.dtype.kind not in "iu" or draws.min() < 0 or draws.max() >= k:
+    _check_sample_count(draws.size)
+    if draws.ndim != 1 or draws.dtype.kind not in "iu" or draws.min() < 0 or draws.max() >= k:
         raise ValueError(f"draws must be group indices in [0, {k})")
     counts = np.bincount(draws, minlength=k)
     if np.any(counts[dist.weights == 0]):
         raise ValueError("draws hold a group of probability 0")
-    scale = _scales(dist, len(draws), counts)
-    rows = _gather_buffer(plan.a.T, plan.b, np.count_nonzero(scale))
-    return _result(plan.a.T, plan.b, counts, scale, _is_transpose(plan.a, plan.b), rows)
+    scale = _scales(dist, draws.size, counts)
+    return _estimator(plan.a, plan.b, plan.a.T, np.count_nonzero(scale))(counts, scale)
 
 
 def error_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:

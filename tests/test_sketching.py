@@ -728,6 +728,8 @@ class TestSketchFromDraws:
         (np.array([0, 4]), "group indices"),
         (np.array([0.0, 1.0]), "group indices"),
         (np.array([0, 1]), "probability 0"),
+        (np.array([[0, 2]]), "group indices"),
+        (np.array(0), "group indices"),
     ])
     def test_rejects_invalid_draws(self, draws, match):
         a, b = small_instance()
