@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Plan, SamplingDistribution, _check_sample_count, _check_shapes
+from .distributions import Plan, SamplingDistribution, _check_sample_count, _plan_on, group_weights
 from .errors import NumericError, ZeroProductError
 from .matrices import _check_conformable, frobenius_norm, multiply, spectral_norm
-from .partitions import Partition
+from .partitions import Partition, finest
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -45,15 +45,15 @@ def expected_frobenius_error_sq(a: np.ndarray, b: np.ndarray, partition: Partiti
                                 dist: SamplingDistribution, c: int) -> float:
     """Expected squared Frobenius error of a c-sample sketch under ``dist``.
 
-    Equals (sum over groups of weight^2 / probability - |ab|_F^2) / c, where a
-    group's weight is the Frobenius norm of its block product.  Groups with
-    zero weight and zero probability contribute nothing (they are recovered
-    exactly by never being sampled); zero probability on a nonzero-weight
-    group is an error.  A result within rounding of zero (relative to the
-    first term) is reported as zero.  At ``optimal_distribution`` it is ((sum of group
-    weights)^2 - |ab|_F^2) / c.  Raises ``ValueError`` unless the ``Plan`` builds and c >= 1.
+    Equals (sum over groups of weight^2 / probability - |ab|_F^2) / c, where a group's weight is
+    the Frobenius norm of its block product.  Groups with zero weight and zero probability
+    contribute nothing (they are recovered exactly by never being sampled); zero probability on a
+    nonzero-weight group is an error.  A result within rounding of zero (relative to the first
+    term) is reported as zero.  At ``optimal_distribution`` it is ((sum of group weights)^2 -
+    |ab|_F^2) / c.  Raises ``ValueError`` unless ``partition`` is ``dist.support`` (the 5-argument
+    form's own check), ``Plan(a, b, dist)`` builds and c >= 1.
     """
-    plan = Plan(a, b, partition, dist)
+    plan = _plan_on(a, b, partition, dist)
     _check_sample_count(c)
     w, ratio = _scaled_weights(plan.weights, dist.weights)
     total = float(np.sum(w * ratio))
@@ -220,20 +220,17 @@ class PairingComparators:
 def pairing_comparators(a: np.ndarray, b: np.ndarray, pairing: Partition) -> PairingComparators:
     """Evaluate the four comparator quantities for an explicit pairing.
 
-    Per-index weights are |a column|_2 * |b row|_2; group weights are the
-    sums of their members'.  ``pairing`` must partition the inner dimension
-    into groups of at most two indices.
+    Per-index weights are ``group_weights(a, b, finest(n))``, the |a column|_2 * |b row|_2 that
+    the distributions and ``bound_report`` use; group weights are the sums of their members'.
+    ``pairing`` must partition the inner dimension into groups of at most two indices.
     """
-    _check_shapes(a, b, pairing)
+    w = group_weights(a, b, finest(pairing.n))  # checks a @ b and that pairing covers its n indices
     if np.bincount(pairing.labels).max() > 2:
         raise ValueError("pairing groups must have at most two indices")
-    w = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=1)
     total = float(np.sum(w))
     if total == 0.0:
         raise ZeroProductError("every column/row weight is zero")
     pair_sums = np.bincount(pairing.labels, weights=w)  # two terms per pair: the same sum in either order
-    single_dev = 2.0 * (total - float(np.max(w)))
-    paired_dev = 2.0 * (total - float(np.max(pair_sums)))
-    single_var = 4.0 / total * float(np.sum(w * (total - w) ** 2))
-    paired_var = 4.0 / total * float(np.sum(pair_sums * (total - pair_sums) ** 2))
-    return PairingComparators(single_dev, paired_dev, single_var, paired_var)
+    dev = [2.0 * (total - float(np.max(v))) for v in (w, pair_sums)]
+    var = [4.0 / total * float(np.sum(v * (total - v) ** 2)) for v in (w, pair_sums)]
+    return PairingComparators(dev[0], dev[1], var[0], var[1])

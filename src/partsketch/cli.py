@@ -46,7 +46,7 @@ def _plan(args) -> Plan:
         return optimal_plan(a, b, partition_from_json(Path(args.partition_file).read_text(encoding="utf-8")))
     if args.strategy == "finest":
         return optimal_plan(a, b, finest(a.shape[1]))
-    return Plan(a, b, *pairwise_plan(a, b, pairing_strategy(args.strategy, args.seed)))
+    return Plan(a, b, pairwise_plan(a, b, pairing_strategy(args.strategy, args.seed))[1])
 
 
 def _out_dir(args) -> Path:

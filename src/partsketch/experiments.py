@@ -14,13 +14,8 @@ Every output is a pure function of the config; reruns produce identical
 bytes.  Trial t of a (method, sample count) cell is keyed by
 ``derive_seed(seed, experiment, method, c, t)``, so trials are independent
 of execution order and of matrix generation, which uses its own substream.
-Every experiment starts with one setup step, ``_methods``: it reads A, builds
-both methods' ``Plan``s on (A, Aᵀ), and only then makes the output directory,
-so a refused input leaves nothing behind.  A cell is ``(plan, c, seeds)``;
-each cell draws its trials in one batch, with the draws of one ``sketch`` per
-trial.  fig2 takes every estimate from one ``sketch_trials`` call, and fig1
-every squared Frobenius error from one ``frobenius_errors`` call, which
-chooses its own kernel.
+Every experiment starts with one setup step, ``_methods``, and draws each cell
+``(plan, c, seeds)`` in one batch, with the draws of one ``sketch`` per trial.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from .distributions import Plan, _check_draw_count, distribution_stats, optimal_
 from .errors import ConfigError
 from .matrices import _checked, frobenius_norm, multiply, read_matrix, spectral_norm, write_output
 from .partitions import PAIRING_KINDS, PairingStrategy, finest
-from .rng import derive_seed, derive_seeds, generator
+from .rng import _is_integer, derive_seed, derive_seeds, generator
 # ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
 from .sketching import _BLOCK_ENTRIES, frobenius_errors, sketch, sketch_trials  # noqa: F401
 
@@ -48,8 +43,8 @@ FIG2_HEADER = "method,c,run,rel_2norm_err"
 class ExperimentConfig:
     """Desk-scale defaults; ``paper_scale`` switches to the full-size setup.
 
-    Construction raises :class:`ConfigError` on an invalid setting, so every
-    config that exists can be run.
+    Construction raises :class:`ConfigError` on an invalid setting, so every config that exists
+    can be run.  ``seed``, every substream's master seed (``derive_seed``), is any integer, no bool.
     """
 
     rows: int = 50
@@ -65,6 +60,8 @@ class ExperimentConfig:
     fig2_c: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if not _is_integer(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.rows < 1:
             raise ConfigError(f"matrix dimensions must be positive, got {self.rows}x{self.cols}")
         _check_pairable(self.cols)
@@ -175,7 +172,7 @@ def run_fig2(cfg: ExperimentConfig, out_dir) -> list[dict]:
     fin = methods[0][1]
     exact = multiply(fin.a, fin.b)
     exact_2 = spectral_norm(exact)
-    cells = [(label, plan, c) for label, plan in methods for c in cfg.fig2_c_values(fin.partition.n)]
+    cells = [(label, plan, c) for label, plan in methods for c in cfg.fig2_c_values(fin.a.shape[1])]
     results = sketch_trials([(plan, c, derive_seeds(cfg.seed, ("fig2", label, c), cfg.runs))
                              for label, plan, c in cells])
     rows_out = [{"method": label, "c": c, "run": run,

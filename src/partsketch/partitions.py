@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .matrices import _frozen
-from .rng import generator
+from .rng import _is_integer, generator
 
 PAIRING_KINDS = ("enhanced", "random", "balanced", "simple")
 
@@ -80,7 +80,7 @@ class Partition:
 
 
 def _ground_set_size(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise ValueError(f"ground-set size must be a positive integer, got {n!r}")
     return int(n)
 
@@ -153,8 +153,7 @@ def coarsen(groups, n: int, base: int = 0) -> Partition:
     groups = [tuple(g) for g in groups]
     offsets = np.cumsum([0, *map(len, groups)])
     flat = list(itertools.chain.from_iterable(groups))
-    ints = flat if all(type(i) is int for i in flat) else list(itertools.takewhile(
-        lambda i: isinstance(i, (int, np.integer)) and not isinstance(i, bool), flat))
+    ints = flat if all(type(i) is int for i in flat) else list(itertools.takewhile(_is_integer, flat))
     try:
         members = np.array(ints, dtype=np.intp) - base
     except OverflowError:  # an index beyond intp, out of range whatever n is

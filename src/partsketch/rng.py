@@ -13,17 +13,23 @@ import json
 import numpy as np
 
 
+def _is_integer(x) -> bool:
+    """True for a Python or NumPy integer that is not a bool."""
+    return type(x) is not bool and isinstance(x, (int, np.integer))
+
+
 def philox_key(seed) -> int:
-    """``int(seed)`` if ``seed`` is a Python or NumPy integer, not a bool, in [0, 2**64); else ``ValueError``."""
-    if type(seed) is not bool and isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2 ** 64:
+    """``int(seed)`` if ``seed`` is an integer (``_is_integer``) in [0, 2**64); else ``ValueError``."""
+    if _is_integer(seed) and 0 <= int(seed) < 2 ** 64:
         return int(seed)
     raise ValueError(f"seed must be in [0, 2**64 - 1], got {seed}")
 
 
 def derive_seed(master_seed: int, *path) -> int:
     """64-bit key of the substream ``path`` under ``master_seed``: 8-byte BLAKE2b, read
-    little-endian, of the JSON list ``[master_seed, *path]``, with ints (NumPy ints and
-    bools too) written exactly and every other part as its ``str``."""
+    little-endian, of the JSON list ``[master_seed, *path]``.  The master seed is any integer,
+    negative or past 64 bits too, and each label an integer or a string; ints (NumPy ints too)
+    are written exactly.  A bool, a float or any other part raises ``ValueError`` before hashing."""
     return _key(json.dumps(_parts(master_seed, *path)))
 
 
@@ -33,8 +39,13 @@ def derive_seeds(master_seed: int, path, count: int) -> list[int]:
     return [_key(f"{prefix}, {t}]") for t in range(count)]
 
 
-def _parts(*parts) -> list:
-    return [int(p) if isinstance(p, (int, np.integer, np.bool_)) else str(p) for p in parts]
+def _parts(master_seed, *path) -> list:
+    if not _is_integer(master_seed):
+        raise ValueError(f"master seed must be an integer, got {master_seed!r}")
+    for p in path:
+        if not (_is_integer(p) or isinstance(p, str)):
+            raise ValueError(f"substream labels must be integers or strings, got {p!r}")
+    return [int(master_seed), *(p if isinstance(p, str) else int(p) for p in path)]
 
 
 def _key(text: str) -> int:

@@ -1,32 +1,17 @@
 """The randomized sketch engine.
 
-A sketch draws c group indices from a sampling distribution over a partition
-of the inner dimension and forms ``A · diag(s) · B`` with
+A sketch draws c group indices from a plan's distribution over a partition of
+the inner dimension and forms ``A · diag(s) · B`` with
 ``s_j = count[g(j)] / (c · p[g(j)])`` by one BLAS product per block of the
-drawn indices.  Draws come from a counter-based stream, each variate's group found
-by the distribution's guide table with no sort, so a (matrices, partition,
-distribution, config) tuple and the BLAS thread count fix the result bit for
-bit.  A result keeps only the estimate and the per-group counts; the draws
-in order are ``sample_indices`` of the same stream, and ``sketch_from_draws``
-forms the same result from them.  ``sketch_trials`` runs a list of
-``(plan, c, seeds)`` cells on one (A, B) from one ``Aᵀ`` panel, drawing them
-in blocks, with the results of one ``sketch`` per seed; the panel is a view
-when A is column-major, as an experiment's A is.  Every estimate gathers,
-scales and multiplies its drawn rows in balanced blocks of at most
-``_block_rows`` rows through one buffer per call, and sums the block products
-in ascending index order, so the buffer does not grow with n and an
-estimate's bits are fixed by its own drawn rows and that block rule, not by
-other trials or A's memory layout.
-
-``frobenius_errors`` takes the same cells and draws the same counts, and
-returns each trial's squared error ``|AB - A·diag(s)·B|_F²``.  While ``H``
-fits its memory cap (``_ERROR_FORM_ENTRIES``, n <= 2048) that is the quadratic
-form ``uᵀHu`` with ``u = 1 - s`` and ``H = (AᵀA) ∘ (BBᵀ)`` (``error_form``),
-one GEMM against ``H`` per ``_FORM_ROWS`` trials across its cells; past the cap
-it is taken from the estimates of ``sketch_trials``.  On the ``H`` path a
-trial's last bits depend on which rows share its GEMM: the call's cell list
-fixes them.  Both calls check every cell and seed before any draw, then draw
-by one block loop (``_blocks``) from one ``RowStream`` per call.
+drawn indices.  Draws come from a counter-based stream, each variate's group
+found by the distribution's guide table with no sort, so a plan, a config and
+the BLAS thread count fix the result bit for bit: neither other trials nor A's
+memory layout move it.  ``sketch_trials`` runs a list of ``(plan, c, seeds)``
+cells on one (A, B), with the results of one ``sketch`` per seed, and
+``frobenius_errors`` returns the squared errors of the same trials, from
+``uᵀHu`` while ``H`` fits its memory cap and from the estimates past it.  Both
+check every cell and seed before any draw, then draw by one block loop
+(``_blocks``) from one ``RowStream`` per call.
 """
 
 from __future__ import annotations
@@ -38,16 +23,16 @@ from itertools import accumulate
 
 import numpy as np
 
-from .distributions import (Plan, SamplingDistribution, _check_draw_count, _check_sample_count,
+from .distributions import (Plan, SamplingDistribution, _check_draw_count, _check_sample_count, _plan_on,
                             optimal_plan, pairing_plan)
 from .matrices import _check_conformable, _frozen
 from .partitions import PairingStrategy, Partition, finest
 from .rng import RowStream, philox_key
 
-# Entries per block temporary in sketch_trials and frobenius_errors (256 KiB
-# of float64): enough to amortise the per-call costs over many small trials,
-# small enough that a block of large trials adds little to peak memory.  It
-# also sizes an estimate's gather blocks and experiment_matrix's write blocks.
+# Entries per block temporary in sketch_trials and frobenius_errors (256 KiB of
+# float64); it also sizes an estimate's gather blocks and experiment_matrix's
+# write blocks.  Measured (CHANGES.md): desk fig1 and paper fig2 calls stay
+# within 2% of each other from 2**14 to 2**17, and 2**13 costs 4-6%.
 _BLOCK_ENTRIES = 2 ** 15
 
 # A gather block holds at least this many times max(m, rho) rows (m = A's rows,
@@ -60,15 +45,20 @@ _BLOCK_FACTOR = 6
 # The most forward steps a guide-table lookup takes.  A distribution whose
 # guide_steps exceeds it (a skewed one) takes this many, then checks every
 # variate and leaves those still short of their group to binary search.
+# Recorded (CHANGES.md): guide_steps reads 1 on every desk and paper experiment
+# plan and 2 or 3 on cli-desk's partition files; at 2, those reading 2 skip the check.
 _GUIDE_STEPS = 2
 
 # Trials per GEMM against H in frobenius_errors: one (rows, n) buffer of u, at
 # most 2 MiB while H is used (n <= 2048), shares the packing of H across them.
+# Measured (ROADMAP, "Where the time goes"): fig1 at 100x2000 takes 62.6, 64.8,
+# 73.7 and 77.3 ms at 256, 128, 64 and 32 rows; desk reads the same at all four.
 _FORM_ROWS = 128
 
 # frobenius_errors takes its errors from H exactly when H holds at most this
-# many float64 entries (32 MiB, n <= 2048), so the paper's 100x2000 shape fits;
-# a wider A takes the estimates, whose memory does not grow with n².
+# many float64 entries (32 MiB, n <= 2048); a wider A takes the estimates, whose
+# memory does not grow with n².  Measured (CHANGES.md): fig1 on H takes 0.53x the
+# estimates' time at desk and 0.84x at 100x2000, so the cap reaches the paper's n.
 _ERROR_FORM_ENTRIES = 2 ** 22
 
 
@@ -207,15 +197,14 @@ def _scaled_product(panel: np.ndarray, b: np.ndarray, idx: np.ndarray, scale: np
 
 def sketch(a: np.ndarray, b: np.ndarray, partition: Partition,
            dist: SamplingDistribution, cfg: SketchConfig) -> SketchResult:
-    """Estimate ``a @ b`` from c rescaled block products drawn under ``dist``.
+    """Estimate ``a @ b`` from c rescaled block products drawn under ``dist``: ``sketch_from_draws``
+    of ``sample_indices(dist, cfg.c, cfg.seed)`` under ``Plan(a, b, dist)``.
 
-    The estimate is ``a[:, J] · diag(s[J]) · b[J, :]`` over the drawn inner
-    indices J in ascending order, so the draw multiset, not the draw order,
-    determines it.  Every drawn group has positive probability by
-    construction of the sampler.  This is ``sketch_from_draws`` of the draws
-    ``sample_indices(dist, cfg.c, cfg.seed)`` under ``Plan(a, b, partition, dist)``.
+    The estimate is ``a[:, J] · diag(s[J]) · b[J, :]`` over the drawn inner indices J in ascending
+    order, so the draw multiset, not the draw order, determines it.  Raises ``ValueError`` unless
+    ``partition`` is ``dist.support`` and that plan builds.
     """
-    return sketch_from_draws(Plan(a, b, partition, dist), sample_indices(dist, cfg.c, cfg.seed))
+    return sketch_from_draws(_plan_on(a, b, partition, dist), sample_indices(dist, cfg.c, cfg.seed))
 
 
 def sketch_trials(cells) -> Iterator[SketchResult]:
@@ -261,7 +250,7 @@ def _blocks(cells) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     one ``RowStream`` that every block shares."""
     stream = RowStream()
     for plan, c, seeds in cells:
-        per_block = _trials_per_block(c, plan.partition.n)
+        per_block = _trials_per_block(c, plan.distribution.support.n)
         for lo in range(0, len(seeds), per_block):
             counts = _draw_block(stream, plan.distribution, c, seeds[lo:lo + per_block])
             yield counts, _scales(plan.distribution, c, counts)
@@ -272,7 +261,7 @@ def _sketch_cells(cells) -> Iterator[SketchResult]:
         return
     a, b = cells[0][0].a, cells[0][0].b
     # c draws reach at most c groups, so a trial gathers at most c times the largest group's rows
-    most = max(min(plan.partition.n, c * int(np.diff(plan.partition.offsets).max())) for plan, c, _ in cells)
+    most = max(min(a.shape[1], c * int(np.diff(plan.distribution.support.offsets).max())) for plan, c, _ in cells)
     estimate = _estimator(a, b, np.ascontiguousarray(a.T), most)  # the panel is a view when a is column-major
     for counts, scales in _blocks(cells):
         yield from map(estimate, counts, scales)
@@ -286,7 +275,7 @@ def sketch_from_draws(plan: Plan, draws: np.ndarray) -> SketchResult:
     contract), so a caller holding a draw log forms its sketch without drawing again.
     Raises ``ValueError`` unless c >= 1 and ``draws`` is 1-d, of groups of positive probability.
     """
-    k, dist = plan.partition.k, plan.distribution
+    k, dist = plan.distribution.support.k, plan.distribution
     draws = np.asarray(draws)
     _check_sample_count(draws.size)
     if draws.ndim != 1 or draws.dtype.kind not in "iu" or draws.min() < 0 or draws.max() >= k:
@@ -365,8 +354,8 @@ def _form_rows(cells, n: int) -> Iterator[np.ndarray]:
 def pairwise_plan(a: np.ndarray, b: np.ndarray,
                   strategy: PairingStrategy) -> tuple[Partition, SamplingDistribution]:
     """``pairing_plan`` of the finest optimal plan of ``a @ b``, as its (partition, distribution)."""
-    plan = pairing_plan(optimal_plan(a, b, finest(a.shape[1])), strategy)
-    return plan.partition, plan.distribution
+    dist = pairing_plan(optimal_plan(a, b, finest(a.shape[1])), strategy).distribution
+    return dist.support, dist
 
 
 def draw_log_json(cfg: SketchConfig, draws: np.ndarray, counts: np.ndarray) -> str:

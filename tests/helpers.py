@@ -13,7 +13,7 @@ from partsketch import (Plan, SamplingDistribution, SketchConfig, aggregate_dist
                         sample_indices, sketch, sketching, spectral_norm)
 from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, experiment_matrix,
                                     pairing_strategy)
-from partsketch.distributions import _check_sample_count
+from partsketch.distributions import _check_sample_count, _plan_on
 from partsketch.matrices import _check_conformable, _frozen
 from partsketch.sketching import _is_transpose, _scaled_product
 
@@ -84,9 +84,9 @@ def element_contribution(a, b, partition, dist, draws, group_index):
     The sketch's kernel restricted to the group's indices: equal to the estimate
     bit for bit when only this group is drawn; summed over groups, equal to it
     within the GEMM rounding bound (the summation order differs).  Raises
-    ``ValueError`` unless ``Plan(a, b, partition, dist)`` builds.
+    ``ValueError`` unless ``partition`` is ``dist.support`` and ``Plan(a, b, dist)`` builds.
     """
-    Plan(a, b, partition, dist)
+    _plan_on(a, b, partition, dist)
     if not 0 <= group_index < partition.k:
         raise ValueError(f"group index {group_index} out of range [0, {partition.k})")
     c = len(draws)
@@ -107,9 +107,9 @@ def brute_force_expectation(a, b, partition, dist, c):
     Enumerates all k^c draw sequences, weighting each by its probability.
     Independent of the sampling engine: blocks are sliced and summed here
     directly.  Guarded to k^c <= ``ENUMERATION_LIMIT``; raises ``ValueError``
-    unless ``Plan(a, b, partition, dist)`` builds and c >= 1.
+    unless ``partition`` is ``dist.support``, ``Plan(a, b, dist)`` builds and c >= 1.
     """
-    Plan(a, b, partition, dist)
+    _plan_on(a, b, partition, dist)
     _check_sample_count(c)
     k = partition.k
     if k ** c > ENUMERATION_LIMIT:
@@ -365,7 +365,7 @@ def experiment_methods(cfg, a):
     fin = optimal_plan(a, b, finest(a.shape[1]))
     pairs = pair_partition(fin.distribution.weights, pairing_strategy(cfg.strategy, cfg.seed))
     return [("finest", fin),
-            (f"pairwise-{cfg.strategy}", Plan(a, b, pairs, aggregate_distribution(fin.distribution, pairs)))]
+            (f"pairwise-{cfg.strategy}", Plan(a, b, aggregate_distribution(fin.distribution, pairs)))]
 
 
 def loop_fig1_csv(cfg):
@@ -380,7 +380,8 @@ def loop_fig1_csv(cfg):
             sq_errs, rel_errs = [], []
             for t in range(cfg.trials):
                 seed = derive_seed(cfg.seed, "fig1", label, c, t)
-                diff = exact - sketch(a, b, plan.partition, plan.distribution, SketchConfig(c, seed)).estimate
+                d = plan.distribution
+                diff = exact - sketch(a, b, d.support, d, SketchConfig(c, seed)).estimate
                 sq = float(np.sum(diff * diff))
                 sq_errs.append(sq)
                 rel_errs.append(math.sqrt(sq) / exact_f)
@@ -410,7 +411,7 @@ def loop_fig2_csv(cfg):
         for c in cfg.fig2_c_values(a.shape[1]):
             for run in range(cfg.runs):
                 seed = derive_seed(cfg.seed, "fig2", label, c, run)
-                err = spectral_norm(exact - sketch(a, b, plan.partition, plan.distribution,
+                err = spectral_norm(exact - sketch(a, b, plan.distribution.support, plan.distribution,
                                                    SketchConfig(c, seed)).estimate)
                 lines.append(f"{label},{c},{run},{err / exact_2!r}")
     return "\n".join(lines) + "\n"

@@ -67,7 +67,7 @@ def test_criterion_02_monte_carlo_consistency():
     c, trials = 5, 10**5
     total = 0.0
     # trial t is sketch(a, b, part, d, SketchConfig(c, derive_seed(2020, t))) bit for bit
-    for result in sketch_trials([(Plan(a, b, part, d), c, derive_seeds(2020, (), trials))]):
+    for result in sketch_trials([(Plan(a, b, d), c, derive_seeds(2020, (), trials))]):
         diff = exact - result.estimate
         total += float(np.sum(diff * diff))
     empirical = total / trials

@@ -186,7 +186,7 @@ class TestBernsteinBound:
         b = dense(rng.random((3, 2)) - 0.5)
         part = coarsen([[0, 1], [2]], 3)
         d = optimal_distribution(a, b, part)
-        report = bound_report(Plan(a, b, part, d))
+        report = bound_report(Plan(a, b, d))
         # independent ingredients: svd for the spectral norm, direct block norms
         weight_total = sum(float(np.linalg.norm(a[:, list(g)] @ b[list(g), :]))
                            for g in part.groups)
@@ -202,7 +202,7 @@ class TestBernsteinBound:
         a, b = random_instance(rng)
         part = finest(a.shape[1])
         d = optimal_distribution(a, b, part)
-        report = bound_report(Plan(a, b, part, d))
+        report = bound_report(Plan(a, b, d))
         assert bernstein_tail_bound(report, 20, 0.5) <= bernstein_tail_bound(report, 10, 0.5)
 
     def test_decays_to_zero_for_huge_epsilon(self):
@@ -210,7 +210,7 @@ class TestBernsteinBound:
         a, b = random_instance(rng)
         part = finest(a.shape[1])
         d = optimal_distribution(a, b, part)
-        report = bound_report(Plan(a, b, part, d))
+        report = bound_report(Plan(a, b, d))
         sigma_sq = (report.product_spectral_norm**2
                     + 2 * report.weight_sum * report.product_spectral_norm
                     + report.scaled_weight_sq_sum)
@@ -347,11 +347,28 @@ class TestPairingComparators:
             a, b = random_instance(rng, max_n=9, centered=False)
             n = a.shape[1]
             pairing = pair_partition(rng.random(n), PairingStrategy("random", int(rng.integers(1e6))))
-            w = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=1)
+            w = group_weights(a, b, finest(n))
             total = float(np.sum(w))
             sums = np.array([float(np.sum(w[list(g)])) for g in pairing.groups])
             comp = pairing_comparators(a, b, pairing)
             assert comp.paired_deviation_bound == 2.0 * (total - float(np.max(sums)))
+            assert comp.paired_variance_bound == 4.0 / total * float(np.sum(sums * (total - sums) ** 2))
+
+    def test_values_are_the_closed_forms_of_group_weights_bit_for_bit(self):
+        # signed 7x12 by 12x5 Gaussian pairs: the per-index weights are the package's one
+        # formula, group_weights over the finest partition, not a second norm product (which
+        # differs in the last bit on some of these seeds)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            a, b = dense(rng.standard_normal((7, 12))), dense(rng.standard_normal((12, 5)))
+            pairing = pair_partition(optimal_distribution(a, b, finest(12)).weights, ENHANCED)
+            w = group_weights(a, b, finest(12))
+            total = float(np.sum(w))
+            sums = np.bincount(pairing.labels, weights=w)
+            comp = pairing_comparators(a, b, pairing)
+            assert comp.single_deviation_bound == 2.0 * (total - float(np.max(w)))
+            assert comp.paired_deviation_bound == 2.0 * (total - float(np.max(sums)))
+            assert comp.single_variance_bound == 4.0 / total * float(np.sum(w * (total - w) ** 2))
             assert comp.paired_variance_bound == 4.0 / total * float(np.sum(sums * (total - sums) ** 2))
 
     def test_enhanced_minimizes_paired_deviation_exhaustively(self):
@@ -487,18 +504,19 @@ class TestShapeCheck:
 
 
 class TestPlanCheck:
-    """``Plan`` checks a (partition, distribution) pair against ``a @ b`` and each other when it is
-    built; the loose entry points and the enumeration oracles build one."""
+    """``Plan(a, b, dist)`` checks ``dist.support`` against ``a @ b`` when it is built.  The entry
+    points that take a partition beside its distribution, and the enumeration oracles, also refuse
+    a partition other than ``dist.support`` (``distributions._plan_on``), then build that plan."""
 
-    CONSUMERS = {
-        "Plan": Plan,
+    LOOSE = {
         "expected_frobenius_error_sq": lambda a, b, part, d: expected_frobenius_error_sq(a, b, part, d, 5),
         "sketch": lambda a, b, part, d: sketch(a, b, part, d, SketchConfig(2, 0)),
         "brute_force_expectation": lambda a, b, part, d: brute_force_expectation(a, b, part, d, 2),
         "element_contribution": lambda a, b, part, d: element_contribution(a, b, part, d, np.array([0, 1]), 0),
     }
+    CONSUMERS = {"Plan": lambda a, b, part, d: Plan(a, b, d), **LOOSE}
 
-    @pytest.mark.parametrize("name", CONSUMERS)
+    @pytest.mark.parametrize("name", LOOSE)
     @pytest.mark.parametrize("groups", [[[0, 1], [2, 3]], [[0], [1], [2], [3]]])
     def test_distribution_over_another_partition_is_rejected(self, name, groups):
         # d is over {0,2},{1,3}: the same group count on another split, then a finer partition

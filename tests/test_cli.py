@@ -143,7 +143,7 @@ class TestOutputsAgainstPrimitives:
         draws = sample_indices(dist, self.C, self.SEED)
         assert log == {"draws": (draws + 1).tolist(), "seed": self.SEED, "c": self.C,
                        "counts": np.bincount(draws, minlength=partition.k).tolist()}
-        report = dataclasses.asdict(bound_report(Plan(a, b, partition, dist)))  # weights computed afresh
+        report = dataclasses.asdict(bound_report(Plan(a, b, dist)))  # weights computed afresh
         assert (out / "bounds.json").read_text() == self.json_text(report)
         assert (out / "distribution.json").read_text() == distribution_to_json(dist) + "\n"
 
@@ -153,7 +153,7 @@ class TestOutputsAgainstPrimitives:
                      "--strategy", "enhanced", "--k", str(self.K), "--epsilon", repr(self.EPSILON),
                      "--out-dir", str(out)]) == 0
         a, b, partition, dist = self.reference_plan(inputs, "bin", "enhanced")
-        report = bound_report(Plan(a, b, partition, dist))
+        report = bound_report(Plan(a, b, dist))
         threshold = min_draw_threshold(self.C, self.K)
         assert threshold is not None
         expected = {
@@ -419,6 +419,14 @@ class TestExperimentCommand:
         assert (cfg.cols, cfg.runs, cfg.c_grid()) == (2000, 50000, [1000, 1500, 2000, 2500, 3000])
         desk = _experiment_config(build_parser().parse_args(["experiment", "fig1", "--out-dir", "x"]))
         assert desk == ExperimentConfig()
+
+    @pytest.mark.parametrize("seed", [-3, 2**64])
+    def test_master_seed_outside_64_bits_is_hashed(self, tmp_path, seed):
+        # an experiment's --seed only ever reaches derive_seed, never a Philox key directly
+        out = tmp_path / str(seed)
+        assert main(["experiment", "table1", "--rows", "4", "--cols", "10", "--seed", str(seed),
+                     "--out-dir", str(out)]) == 0
+        assert (out / "table1.json").read_text() != ""
 
     def test_paper_scale_table1_keeps_explicit_size(self, tmp_path):
         size = ["--rows", "5", "--cols", "9", "--seed", "4"]

@@ -214,15 +214,12 @@ class TestPlan:
     def test_pairwise_plan_computes_pair_weights_only_when_read(self, counted):
         a, b = random_instance(np.random.default_rng(5), n=8)
         fin = optimal_plan(a, b, finest(8))
-        plans = [pairing_plan(fin, ENHANCED), Plan(a, b, *pairwise_plan(a, b, ENHANCED))]
+        part, dist = pairwise_plan(a, b, ENHANCED)
+        plans = [pairing_plan(fin, ENHANCED), Plan(a, b, dist)]
         assert [p.k for p in counted] == [8, 8]  # the finest weights the pairs are ordered by
-        assert plans[0].a is a and plans[0].b is b and plans[0].partition == plans[1].partition
+        assert part is dist.support == plans[0].distribution.support
+        assert plans[0].a is a and plans[0].b is b
         for read, plan in enumerate(plans, 1):
             weights = plan.weights
             assert [p.k for p in counted] == [8, 8] + [4] * read and plan.weights is weights
-            assert np.array_equal(weights, group_weights(a, b, plan.partition))
-
-    def test_checks_itself(self):
-        a, b = random_instance(np.random.default_rng(6), n=4)
-        with pytest.raises(ValueError, match="not supported on the given partition"):
-            Plan(a, b, coarsen([[0, 1], [2, 3]], 4), optimal_distribution(a, b, finest(4)))
+            assert np.array_equal(weights, group_weights(a, b, plan.distribution.support))

@@ -59,6 +59,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize("seed", [True, np.bool_(True), 1.5, np.float64(2.0), "3", None],
+                             ids=["bool", "numpy-bool", "float", "numpy-float", "str", "None"])
+    def test_seed_that_is_not_an_integer_is_refused(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            ExperimentConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [-3, 2**64, np.int64(7)])
+    def test_any_integer_is_a_master_seed(self, seed):
+        assert ExperimentConfig(seed=seed).seed == seed
+
     @pytest.mark.parametrize("counts", [dict(c_max=10**11), dict(fig2_c=(10, _MAX_DRAWS + 1))])
     def test_draw_count_bound_is_checked_before_the_grid_is_built(self, monkeypatch, counts):
         def no_grid(self):
@@ -122,8 +132,8 @@ class TestMethods:
         cfg = ExperimentConfig(rows=6, cols=15, strategy=kind, seed=5)
         (_, fin), (label, pairs) = _methods(cfg, tmp_path / "out")
         a = experiment_matrix(cfg)
-        want = Plan(a, a.T, *pairwise_plan(a, a.T, pairing_strategy(kind, cfg.seed)))
-        assert label == f"pairwise-{kind}" and pairs.partition == want.partition
+        want = Plan(a, a.T, pairwise_plan(a, a.T, pairing_strategy(kind, cfg.seed))[1])
+        assert label == f"pairwise-{kind}" and pairs.distribution.support == want.distribution.support
         assert np.array_equal(pairs.distribution.weights, want.distribution.weights)
         assert np.array_equal(fin.a, a) and pairs.a is fin.a and pairs.b is fin.b
         assert (tmp_path / "out").is_dir()
@@ -138,7 +148,7 @@ class TestMethods:
         want = experiment_methods(cfg, dense(experiment_matrix(cfg)))
         assert want[0][1].a.flags.c_contiguous and got[0][1].a.flags.f_contiguous
         for (label, plan), (want_label, want_plan) in zip(got, want, strict=True):
-            assert label == want_label and plan.partition == want_plan.partition
+            assert label == want_label and plan.distribution.support == want_plan.distribution.support
             assert plan.weights.tobytes() == want_plan.weights.tobytes()
             assert plan.distribution.weights.tobytes() == want_plan.distribution.weights.tobytes()
 
@@ -269,7 +279,7 @@ class TestBatchedTrials:
         want = loop_fig1_csv(cfg).splitlines()
         assert got[0] == want[0] and len(got) == len(want)
         a = experiment_matrix(cfg)
-        methods = {label: (plan.partition, plan.distribution) for label, plan in experiment_methods(cfg, a)}
+        methods = {label: (plan.distribution.support, plan.distribution) for label, plan in experiment_methods(cfg, a)}
         for line, ref in zip(got[1:], want[1:]):
             fields, ref_fields = line.split(","), ref.split(",")
             assert fields[:4] + fields[5:] == ref_fields[:4] + ref_fields[5:]
@@ -295,12 +305,12 @@ class TestBatchedTrials:
         rows_out = run_fig1(cfg, tmp_path)
         a = experiment_matrix(cfg)
         exact_f = frobenius_norm(multiply(a, a.T))
-        cells = [(c, label, plan.partition, plan.distribution)
+        cells = [(c, label, plan.distribution.support, plan.distribution)
                  for c in cfg.c_grid() for label, plan in experiment_methods(cfg, a)]
         [(cells_got, errors)] = calls
         assert len(cells_got) == len(errors) == len(cells) == len(rows_out)
         for (c, label, part, d), (plan_got, c_got, seeds), errs, row in zip(cells, cells_got, errors, rows_out):
-            assert (c_got, plan_got.partition) == (c, part)
+            assert (c_got, plan_got.distribution.support) == (c, part)
             assert np.array_equal(plan_got.distribution.weights, d.weights)
             assert seeds == [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(cfg.trials)]
             direct, bounds = direct_errors_and_bounds(a, a.T, part, d, c, seeds)
@@ -348,7 +358,7 @@ class TestFig1ErrorForm:
         """Cells of ``(c, trials)`` on one m×n A and B = Aᵀ, or an n×cols B, of constant entries."""
         a = np.broadcast_to(0.0, (m, n))
         b = a.T if cols is None else np.broadcast_to(1.0, (n, cols))
-        plan = Plan(a, b, finest(n), distribution(finest(n), np.ones(n), normalize=True))
+        plan = Plan(a, b, distribution(finest(n), np.ones(n), normalize=True))
         return [(plan, c, range(trials)) for c, trials in cs_and_trials]
 
     def test_cost_rule(self, monkeypatch):
@@ -384,7 +394,7 @@ class TestFig1ErrorForm:
             for c in (1000, 3000):
                 seeds = [derive_seed(cfg.seed, "fig1", label, c, t) for t in range(3)]
                 [errs] = form_path_errors([(plan, c, seeds)])
-                direct, bounds = direct_errors_and_bounds(a, b, plan.partition, plan.distribution, c, seeds)
+                direct, bounds = direct_errors_and_bounds(a, b, plan.distribution.support, plan.distribution, c, seeds)
                 assert np.all(np.abs(errs - direct) <= bounds), (label, c)
 
 

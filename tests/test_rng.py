@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from partsketch import (Plan, PairingStrategy, SketchConfig, dense, derive_seed, derive_seeds, finest,
                         frobenius_errors, optimal_distribution, pair_partition, sample_indices, sketch_trials)
+from partsketch import rng
 from partsketch.rng import RowStream, generator, philox_key
 from helpers import distribution
 
@@ -38,19 +39,42 @@ class TestDeriveSeed:
 
 
 class TestDeriveSeeds:
-    # NumPy ints and bools, labels JSON must escape (quotes, backslashes, non-ASCII)
+    # NumPy ints, labels JSON must escape (quotes, backslashes, non-ASCII)
     parts = st.one_of(path_parts, st.integers(-2**63, 2**63 - 1).map(np.int64),
-                      st.booleans(), st.booleans().map(np.bool_), st.text(alphabet='"\\/aü€\n\x00', max_size=5))
+                      st.integers(0, 2**64 - 1).map(np.uint64), st.text(alphabet='"\\/aü€\n\x00', max_size=5))
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.one_of(master_seeds, st.integers(-2**63, 2**63 - 1).map(np.int64)),
            st.lists(parts, max_size=4), st.integers(0, 12))
-    @example(-1, ['say "hi"', "naïve €", np.int64(-5), np.bool_(True), True], 3)
+    @example(-1, ['say "hi"', "naïve €", np.int64(-5), np.uint64(2**64 - 1)], 3)
     @example(2**70, [], 2)
     @example(-2**70, ["fig1", "pairwise-enhanced", 250], 11)
     def test_key_t_is_derive_seed_of_the_path_and_t(self, master, path, count):
         keys = derive_seeds(master, tuple(path), count)
         assert keys == [derive_seed(master, *path, t) for t in range(count)]
+
+
+class TestSeedParts:
+    """A master seed is any integer and a label an integer or a string; a bool, a float or any
+    other part raises before anything is hashed, instead of aliasing an integer or its ``str``."""
+
+    @pytest.mark.parametrize("args", [(True, "x"), (np.bool_(True), "x"), (1.0, "x"), ("1", "x"), (1, 2.5),
+                                      (1, "x", np.float64(1.0)), (1, True), (1, np.bool_(False)), (1, None)],
+                             ids=["bool-master", "numpy-bool-master", "float-master", "str-master", "float-label",
+                                  "numpy-float-label", "bool-label", "numpy-bool-label", "None-label"])
+    def test_bools_floats_and_other_parts_raise_before_hashing(self, monkeypatch, args):
+        hashed = []
+        monkeypatch.setattr(rng, "_key", lambda text: hashed.append(text))
+        with pytest.raises(ValueError, match="must be an integer|must be integers or strings"):
+            derive_seed(*args)
+        with pytest.raises(ValueError, match="must be an integer|must be integers or strings"):
+            derive_seeds(args[0], args[1:], 2)
+        assert hashed == []
+
+    def test_any_integer_is_a_master_seed(self):
+        assert derive_seed(np.int64(7), "x") == derive_seed(7, "x")
+        keys = {derive_seed(seed, "x") for seed in (-3, 0, 2**64 - 1, 2**64, -2**70)}
+        assert len(keys) == 5
 
 
 class TestUniformRows:
@@ -96,7 +120,7 @@ class TestPhiloxKey:
     @staticmethod
     def plan():
         a = dense(np.random.default_rng(5).random((3, 6)) - 0.5)
-        return Plan(a, a.T, finest(6), optimal_distribution(a, a.T, finest(6)))
+        return Plan(a, a.T, optimal_distribution(a, a.T, finest(6)))
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7), np.uint8(3)])
     def test_integer_seeds_are_their_own_key(self, seed):

@@ -85,7 +85,7 @@ class TestDrawCounts:
         part = finest(k)
         d = distribution(part, weights, normalize=True)
         seeds = [seed, seed ^ 1, seed // 3]
-        results = sketch_trials([(Plan(dense(np.ones((1, k))), dense(np.ones((k, 1))), part, d), c, seeds)])
+        results = sketch_trials([(Plan(dense(np.ones((1, k))), dense(np.ones((k, 1))), d), c, seeds)])
         for s, res in zip(seeds, results, strict=True):
             assert np.array_equal(res.counts, np.bincount(sample_indices(d, c, s), minlength=k))
 
@@ -222,7 +222,7 @@ class TestSketchTrials:
             assert _block_rows(a.T, b) == 546
         per_block = _trials_per_block(c, part.n)
         seeds = [derive_seed(c, t) for t in range(1 if extra is None else per_block + extra)]
-        results = list(sketch_trials([(Plan(a, b, part, d), c, seeds)]))
+        results = list(sketch_trials([(Plan(a, b, d), c, seeds)]))
         assert len(results) == len(seeds)
         for seed, res in zip(seeds, results):
             lone = sketch(a, b, part, d, SketchConfig(c, seed))
@@ -250,7 +250,7 @@ class TestSketchTrials:
             return draw_block(stream, dist, c, seeds)
 
         monkeypatch.setattr(sketching, "_draw_block", recording)
-        plan = Plan(a, b, part, d)
+        plan = Plan(a, b, d)
         assert len(list(sketch_trials([(plan, 5000, list(range(13)))]))) == 13
         assert sizes == [6, 6, 1]  # 2**15 // 5000
         sizes.clear()
@@ -275,19 +275,19 @@ class TestSketchTrials:
     def test_plan_is_checked_on_the_call(self):
         # the plans check themselves when built; the call checks that they share one (A, B) and each c
         a, b, part, d = self.plan("unrelated", False)
-        plan = Plan(a, b, part, d)
-        with pytest.raises(ValueError, match="supported"):
-            Plan(a, b, coarsen([list(range(20)), list(range(20, 40))], 40), d)
+        plan = Plan(a, b, d)
+        with pytest.raises(ValueError, match="partition covers 20 indices"):
+            Plan(a, b, uniform(finest(20)))
         with pytest.raises(ValueError, match="mismatch"):
-            Plan(a, dense(np.ones((3, 2))), part, d)
+            Plan(a, dense(np.ones((3, 2))), d)
         with pytest.raises(ValueError, match="the first cell's matrices"):
-            sketch_trials([(plan, 3, [1]), (Plan(a, dense(b.copy()), part, d), 3, [1])])
+            sketch_trials([(plan, 3, [1]), (Plan(a, dense(b.copy()), d), 3, [1])])
         with pytest.raises(ValueError, match=">= 1"):
             sketch_trials([(plan, 0, [1])])
 
     def test_cell_without_seeds_yields_nothing(self):
         a, b, part, d = self.plan("unrelated", False)
-        plan = Plan(a, b, part, d)
+        plan = Plan(a, b, d)
         assert list(sketch_trials([])) == []
         assert list(sketch_trials([(plan, 3, [])])) == []
         results = list(sketch_trials([(plan, 3, [1, 2]), (plan, 9, []), (plan, 5, [4])]))
@@ -299,11 +299,11 @@ class TestSketchTrials:
         # partition: a plan over another inner dimension, so on other matrices; matrices: a plan
         # on an equal copy of (A, B); draws: c past the draw-count bound
         a, b, part, d = self.plan("unrelated", False)
-        cells = [(Plan(a, b, part, d), 3, [1, 2])] * 3
+        cells = [(Plan(a, b, d), 3, [1, 2])] * 3
         if bad == "partition":
-            cells[where] = (Plan(dense(a[:, :39]), dense(b[:39]), finest(39), uniform(finest(39))), 3, [1])
+            cells[where] = (Plan(dense(a[:, :39]), dense(b[:39]), uniform(finest(39))), 3, [1])
         elif bad == "matrices":
-            cells[where] = (Plan(dense(a.copy()), dense(b.copy()), part, d), 3, [1])
+            cells[where] = (Plan(dense(a.copy()), dense(b.copy()), d), 3, [1])
         else:
             cells[where] = (cells[where][0], 0 if bad == "c" else _MAX_DRAWS + 1, [1])
         draws = []
@@ -317,14 +317,15 @@ class TestSketchTrials:
         # three plans on one (A, B); the middle cell spans two draw blocks (6 + 2 trials)
         a, b, part, d = self.plan(b_kind, False)
         coarse = random_coarsening(np.random.default_rng(42), 40, max_groups=25)
-        cells = [(Plan(a, b, part, d), 7, [derive_seed(45, 0, t) for t in range(5)]),
-                 (Plan(a, b, coarse, optimal_distribution(a, b, coarse)), 5000,
+        cells = [(Plan(a, b, d), 7, [derive_seed(45, 0, t) for t in range(5)]),
+                 (Plan(a, b, optimal_distribution(a, b, coarse)), 5000,
                   [derive_seed(45, 1, t) for t in range(8)]),
-                 (Plan(a, b, part, uniform(part)), 1, [derive_seed(45, 2, t) for t in range(3)])]
+                 (Plan(a, b, uniform(part)), 1, [derive_seed(45, 2, t) for t in range(3)])]
         results = sketch_trials(cells)
         for plan, c, seeds in cells:
             for seed in seeds:
-                res, lone = next(results), sketch(a, b, plan.partition, plan.distribution, SketchConfig(c, seed))
+                d = plan.distribution
+                res, lone = next(results), sketch(a, b, d.support, d, SketchConfig(c, seed))
                 assert res.estimate.tobytes() == lone.estimate.tobytes()
                 assert res.counts.tobytes() == lone.counts.tobytes()
         assert next(results, None) is None
@@ -339,7 +340,7 @@ class TestSketchTrials:
             return draw_block(stream, dist, c, seeds)
 
         monkeypatch.setattr(sketching, "_draw_block", recording)
-        plan = Plan(a, b, part, d)
+        plan = Plan(a, b, d)
         results = sketch_trials([(plan, 3, [1, 2]), (plan, 5, [3]), (plan, 7, [4])])
         assert drawn == []
         next(results)
@@ -375,7 +376,7 @@ class TestPanelKernel:
         part = random_coarsening(rng, n, max_groups=n // 2 + 1) if coarse and n > 1 else finest(n)
         d = optimal_distribution(a, b, part)
         seeds = [derive_seed(seed, t) for t in range(3)]
-        for trial_seed, res in zip(seeds, sketch_trials([(Plan(a, b, part, d), c, seeds)]), strict=True):
+        for trial_seed, res in zip(seeds, sketch_trials([(Plan(a, b, d), c, seeds)]), strict=True):
             s = scale_vector(part, d, sample_indices(d, c, trial_seed))
             idx = np.flatnonzero(s)
             reference = column_gather_product(a, b, idx, s[idx])
@@ -389,7 +390,7 @@ class TestMemoryLayout:
 
     @staticmethod
     def cells(a, b, part, d):
-        return [(Plan(a, b, part, d), c, [derive_seed(47, c, t) for t in range(trials)])
+        return [(Plan(a, b, d), c, [derive_seed(47, c, t) for t in range(trials)])
                 for c, trials in ((7, 5), (3000, 12), (1, 3))]
 
     @staticmethod
@@ -457,7 +458,7 @@ class TestMemoryLayout:
         a = _checked(values.T)
         b = a.T if b_kind == "a.T" else dense(rng.random((100_000, 3)) - 0.5)
         part = finest(100_000)
-        plan = Plan(a, b, part, uniform(part))
+        plan = Plan(a, b, uniform(part))
         seed = derive_seed(49, b_kind)
         draws = sample_indices(plan.distribution, part.n, seed)
         tracemalloc.start()
@@ -526,7 +527,7 @@ class TestFrobeniusErrors:
         b = a.T if transposed else dense(rng.random((n, int(rng.integers(1, 7)))) - 0.5)
         part, d = self.plan(rng, a, b, kind)
         seeds = [derive_seed(seed, t) for t in range(7)]
-        [errs] = form_path_errors([(Plan(a, b, part, d), c, seeds)])
+        [errs] = form_path_errors([(Plan(a, b, d), c, seeds)])
         direct, bounds = direct_errors_and_bounds(a, b, part, d, c, seeds)
         assert errs.shape == (7,) and np.all(errs >= 0.0)
         assert np.all(np.abs(errs - direct) <= bounds)
@@ -542,7 +543,7 @@ class TestFrobeniusErrors:
         part = random_coarsening(rng, 30, max_groups=12)
         d = optimal_distribution(a, b, part) if optimal else uniform(part)
         c = 7
-        [errs] = form_path_errors([(Plan(a, b, part, d), c, [derive_seed(43, t) for t in range(4000)])])
+        [errs] = form_path_errors([(Plan(a, b, d), c, [derive_seed(43, t) for t in range(4000)])])
         stderr = errs.std(ddof=1) / np.sqrt(errs.size)
         assert abs(errs.mean() - expected_frobenius_error_sq(a, b, part, d, c)) <= 5 * stderr
 
@@ -553,17 +554,17 @@ class TestFrobeniusErrors:
         assert np.array_equal(h, (a.T @ a) * (b @ b.T))
         with pytest.raises(ValueError, match="mismatch"):
             error_form(a, dense(np.ones((3, 2))))
-        plan = Plan(a, b, part, d)
+        plan = Plan(a, b, d)
         with pytest.raises(ValueError, match="the first cell's matrices"):
-            frobenius_errors([(plan, 3, [1]), (Plan(a, dense(b.copy()), part, d), 3, [1])])
-        with pytest.raises(ValueError, match="supported"):
-            Plan(a, b, coarsen([list(range(20)), list(range(20, 40))], 40), d)
+            frobenius_errors([(plan, 3, [1]), (Plan(a, dense(b.copy()), d), 3, [1])])
+        with pytest.raises(ValueError, match="partition covers 20 indices"):
+            Plan(a, b, uniform(finest(20)))
         with pytest.raises(ValueError, match=">= 1"):
             frobenius_errors([(plan, 0, [1])])
 
     def test_cell_without_seeds_gives_an_empty_array(self, monkeypatch):
         a, b, part, d = TestSketchTrials.plan("unrelated", False)
-        plan = Plan(a, b, part, d)
+        plan = Plan(a, b, d)
         for cap in (sketching._ERROR_FORM_ENTRIES, 0):  # both kernels: H fits, then H past its cap
             monkeypatch.setattr(sketching, "_ERROR_FORM_ENTRIES", cap)
             assert frobenius_errors([]) == []
@@ -578,11 +579,11 @@ class TestFrobeniusErrors:
         # partition: a plan over another inner dimension, so on other matrices; matrices: a plan
         # on an equal copy of (A, B); draws: c past the draw-count bound
         a, b, part, d = TestSketchTrials.plan("unrelated", False)
-        cells = [(Plan(a, b, part, d), 3, [1, 2])] * 3
+        cells = [(Plan(a, b, d), 3, [1, 2])] * 3
         if bad == "partition":
-            cells[where] = (Plan(dense(a[:, :39]), dense(b[:39]), finest(39), uniform(finest(39))), 3, [1])
+            cells[where] = (Plan(dense(a[:, :39]), dense(b[:39]), uniform(finest(39))), 3, [1])
         elif bad == "matrices":
-            cells[where] = (Plan(dense(a.copy()), dense(b.copy()), part, d), 3, [1])
+            cells[where] = (Plan(dense(a.copy()), dense(b.copy()), d), 3, [1])
         else:
             cells[where] = (cells[where][0], 0 if bad == "c" else _MAX_DRAWS + 1, [1])
         draws = []
@@ -598,8 +599,8 @@ class TestFrobeniusErrors:
         a, b, part, d = TestSketchTrials.plan(b_kind, True)
         a = _checked(np.asfortranarray(a))
         b = a.T if b_kind == "a.T" else b
-        cells = [(Plan(a, b, part, d), 7, [derive_seed(46, 0, t) for t in range(9)]),
-                 (Plan(a, b, part, uniform(part)), 5000, [derive_seed(46, 1, t) for t in range(8)])]
+        cells = [(Plan(a, b, d), 7, [derive_seed(46, 0, t) for t in range(9)]),
+                 (Plan(a, b, uniform(part)), 5000, [derive_seed(46, 1, t) for t in range(8)])]
         monkeypatch.setattr(sketching, "_ERROR_FORM_ENTRIES", 0)  # no H fits
         monkeypatch.setattr(sketching, "error_form", None)  # the H path would call it
         errors = frobenius_errors(cells)
@@ -615,8 +616,8 @@ class TestFrobeniusErrors:
         a = dense(rng.random((5, 40)) - 0.5)
         b = dense(rng.random((40, 3)) - 0.5)
         part = random_coarsening(rng, 40, max_groups=25)
-        plans = [Plan(a, b, finest(40), optimal_distribution(a, b, finest(40))),
-                 Plan(a, b, part, optimal_distribution(a, b, part)), Plan(a, b, part, uniform(part))]
+        plans = [Plan(a, b, optimal_distribution(a, b, finest(40))),
+                 Plan(a, b, optimal_distribution(a, b, part)), Plan(a, b, uniform(part))]
         cells = [(plans[0], 7, [derive_seed(44, 0, t) for t in range(20)]),
                  (plans[1], 3, []),
                  (plans[1], 5000, [derive_seed(44, 2, t) for t in range(150)]),
@@ -626,7 +627,7 @@ class TestFrobeniusErrors:
         errors = form_path_errors(cells)
         assert [e.shape for e in errors] == [(20,), (0,), (150,), (7,)]
         for (plan, c, seeds), errs in zip(cells, errors):
-            direct, bounds = direct_errors_and_bounds(a, b, plan.partition, plan.distribution, c, seeds)
+            direct, bounds = direct_errors_and_bounds(a, b, plan.distribution.support, plan.distribution, c, seeds)
             assert np.all(np.abs(errs - direct) <= bounds)
 
 
@@ -668,7 +669,7 @@ class TestSketch:
         acc = np.zeros_like(exact)
         acc_sq = np.zeros_like(exact)
         # trial t is sketch(a, b, part, d, SketchConfig(2, derive_seed(77, t))) bit for bit
-        for result in sketch_trials([(Plan(a, b, part, d), 2, derive_seeds(77, (), trials))]):
+        for result in sketch_trials([(Plan(a, b, d), 2, derive_seeds(77, (), trials))]):
             est = result.estimate
             acc += est
             acc_sq += est * est
@@ -717,7 +718,7 @@ class TestSketchFromDraws:
             b = a.T
         part = random_coarsening(rng, a.shape[1])
         d = optimal_distribution(a, b, part)
-        plan = Plan(a, b, part, d)
+        plan = Plan(a, b, d)
         expected = next(sketch_trials([(plan, c, [seed])]))
         result = sketch_from_draws(plan, sample_indices(d, c, seed))
         assert result.estimate.tobytes() == expected.estimate.tobytes()
@@ -736,7 +737,7 @@ class TestSketchFromDraws:
         part = coarsen([[0, 1], [2], [3]], 4)
         d = distribution(part, [0.5, 0.0, 0.5])
         with pytest.raises(ValueError, match=match):
-            sketch_from_draws(Plan(a, b, part, d), draws)
+            sketch_from_draws(Plan(a, b, d), draws)
 
 
 class TestElementContribution:
