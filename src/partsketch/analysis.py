@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Plan, SamplingDistribution, _check_sample_count, _plan_on, group_weights
+from .distributions import Plan, SamplingDistribution, _plan_on, group_weights
 from .errors import NumericError, ZeroProductError
 from .matrices import _check_conformable, frobenius_norm, multiply, spectral_norm
 from .partitions import Partition, finest
+from .rng import _check_count
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -51,10 +52,10 @@ def expected_frobenius_error_sq(a: np.ndarray, b: np.ndarray, partition: Partiti
     nonzero-weight group is an error.  A result within rounding of zero (relative to the first
     term) is reported as zero.  At ``optimal_distribution`` it is ((sum of group weights)^2 -
     |ab|_F^2) / c.  Raises ``ValueError`` unless ``partition`` is ``dist.support`` (the 5-argument
-    form's own check), ``Plan(a, b, dist)`` builds and c >= 1.
+    form's own check), ``Plan(a, b, dist)`` builds and c is an integer >= 1 (``_check_count``).
     """
     plan = _plan_on(a, b, partition, dist)
-    _check_sample_count(c)
+    _check_count(c, "sample count")
     w, ratio = _scaled_weights(plan.weights, dist.weights)
     total = float(np.sum(w * ratio))
     return _excess_over_product(total, a, b, "expected squared error") / c
@@ -104,11 +105,12 @@ def tail_bound_value(variance_bound: float, deviation_bound: float, dims_sum: fl
     The exponent is evaluated as -c*eps / (2*variance_bound/eps + deviation_bound)
     so very large eps underflows cleanly to 0 instead of overflowing.  The
     value may exceed 1; a vacuous bound is still information, so it is
-    returned unclamped.
+    returned unclamped.  Raises ``ValueError`` unless epsilon is finite and
+    positive and c an integer >= 1 (``_check_count``).
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    _check_sample_count(c)
+    _check_count(c, "sample count")
     denom = 2.0 * variance_bound / epsilon + deviation_bound
     if denom == 0.0:
         return 0.0
@@ -141,11 +143,11 @@ def binomial_cdf(s: int, n_trials: int, xi: float) -> float:
     s < 0 gives 0 and s >= n_trials gives 1.  No normal approximation; each
     probability mass term is exponentiated from log-gamma factorials, which
     stays exact enough for the small-threshold decisions made on top of it.
+    Raises ``ValueError`` unless xi is a probability and n_trials an integer >= 1 (``_check_count``).
     """
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"xi must be a probability, got {xi}")
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be positive, got {n_trials}")
+    _check_count(n_trials, "n_trials")
     if s < 0:
         return 0.0
     if s >= n_trials:
@@ -172,12 +174,11 @@ def min_draw_threshold(c: int, k: int) -> int | None:
     over k groups; ``uniform_spectral_bound`` turns the cap into a norm bound
     that holds with high probability.  Requires 100 <= k**(c-1) (checked in
     log space), which guarantees s = c satisfies the rule; otherwise it
-    returns None (infeasible) instead of raising.
+    returns None (infeasible) instead of raising.  Raises ``ValueError``
+    unless c is an integer >= 2 and k one >= 1 (``_check_count``).
     """
-    if c < 2:
-        raise ValueError(f"c must be >= 2, got {c}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_count(c, "c", lo=2)
+    _check_count(k, "k")
     if (c - 1) * math.log(k) < math.log(100.0):
         return None
     for s in range(2, c + 1):
@@ -190,10 +191,10 @@ def uniform_spectral_bound(a: np.ndarray, b: np.ndarray, c: int, k: int, s_c: in
     """High-probability cap k*(s_c - 1)/c * |a|_2 * |b|_2 on the sketch's spectral norm.
 
     ``s_c`` comes from :func:`min_draw_threshold` for the same (c, k).  Raises
-    ``ValueError`` unless ``a @ b`` conforms and c >= 1.
+    ``ValueError`` unless ``a @ b`` conforms and c is an integer >= 1 (``_check_count``).
     """
     _check_conformable(a, b)
-    _check_sample_count(c)
+    _check_count(c, "sample count")
     return k * (s_c - 1) / c * spectral_norm(a) * spectral_norm(b)
 
 

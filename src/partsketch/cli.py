@@ -16,12 +16,13 @@ import numpy as np
 
 from .analysis import (bernstein_tail_bound, bound_report, min_draw_threshold,
                        uniform_spectral_bound)
-from .distributions import Plan, _check_sample_count, distribution_to_json, optimal_plan
+from .distributions import Plan, distribution_to_json, optimal_plan
 from .errors import ConfigError, MatrixFileError, NumericError
 from .experiments import (ExperimentConfig, pairing_strategy, paper_scale, run_fig1,
                           run_fig2, run_table1)
 from .matrices import read_matrix, write_csv, write_output
 from .partitions import PAIRING_KINDS, finest, partition_from_json
+from .rng import _check_count
 # ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
 from .sketching import (SketchConfig, draw_log_json, pairwise_plan, sample_indices, sketch,  # noqa: F401
                         sketch_from_draws)
@@ -75,7 +76,7 @@ def _cmd_analyze(args) -> int:
     report = bound_report(plan)
     payload = {"report": dataclasses.asdict(report)}
     if args.c is not None:
-        _check_sample_count(args.c)
+        _check_count(args.c, "sample count")
     if args.epsilon is not None:
         if args.c is None:
             raise ConfigError("--epsilon needs --c to evaluate the tail bound")
@@ -150,8 +151,8 @@ def build_parser() -> _Parser:
     ex = sub.add_parser("experiment", help="run the reproducible experiment harness")
     ex.add_argument("which", choices=("fig1", "fig2", "table1"))
     ex.add_argument("--seed", type=int, default=0)
-    for flag in ("--rows", "--cols", "--c-min", "--c-max", "--c-step", "--trials", "--runs"):
-        ex.add_argument(flag, type=int)
+    for name in _EXPERIMENT_FLAGS[:-1]:  # the counts; "strategy" takes its choices below
+        ex.add_argument(f"--{name.replace('_', '-')}", type=int)
     ex.add_argument("--strategy", choices=PAIRING_KINDS,
                     help=f"pairing strategy (default: {ExperimentConfig.strategy})")
     ex.add_argument("--matrix-file", help="load A instead of generating it")

@@ -87,29 +87,6 @@ def _check_shapes(a: np.ndarray, b: np.ndarray, partition: Partition) -> None:
         raise ValueError(f"partition covers {partition.n} indices but the inner dimension is {a.shape[1]}")
 
 
-def _check_sample_count(c: int) -> None:
-    """Raise ``ValueError`` unless the sample count ``c`` is at least 1."""
-    if c < 1:
-        raise ValueError(f"sample count must be >= 1, got {c}")
-
-
-# The largest c whose draw temporaries fit 2 GiB: ``sample_indices`` holds c float64
-# variates, their intp groups and either their intp guide buckets or a float64 and a
-# bool temporary of a guide-table step at once, 8 + 8 + 8 + 1 = 25 bytes a draw, counted
-# as 32: 2**31 // 32 = 2**26.  A skewed distribution's check pass adds a copy and a
-# group of each variate left to binary search, 16 bytes; those lie in the buckets
-# holding more than ``sketching._GUIDE_STEPS`` = 2 CDF boundaries, at most k/3 of the
-# 2k buckets, so a sixth of the variates on average, ~3 bytes a draw.
-_MAX_DRAWS = 2 ** 31 // 32
-
-
-def _check_draw_count(c: int) -> None:
-    """Raise ``ValueError`` unless ``1 <= c <= _MAX_DRAWS``: c draws can be sampled."""
-    _check_sample_count(c)
-    if c > _MAX_DRAWS:
-        raise ValueError(f"sample count must be <= {_MAX_DRAWS} (2 GiB of draw temporaries), got {c}")
-
-
 def _squared_norms(a: np.ndarray, b: np.ndarray, members: np.ndarray, starts: np.ndarray,
                    ids: np.ndarray, s: int, gram: bool) -> np.ndarray:
     """``|a[:, g] @ b[g, :]|_F^2`` of the size-s groups ``ids``, by the Gram identity or from the blocks.

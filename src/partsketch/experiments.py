@@ -27,13 +27,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import Plan, _check_draw_count, distribution_stats, optimal_plan, pairing_plan
+from .distributions import Plan, distribution_stats, optimal_plan, pairing_plan
 from .errors import ConfigError
 from .matrices import _checked, frobenius_norm, multiply, read_matrix, spectral_norm, write_output
 from .partitions import PAIRING_KINDS, PairingStrategy, finest
-from .rng import _is_integer, derive_seed, derive_seeds, generator
+from .rng import _check_count, _is_integer, derive_seed, derive_seeds, generator
 # ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
-from .sketching import _BLOCK_ENTRIES, frobenius_errors, sketch, sketch_trials  # noqa: F401
+from .sketching import _BLOCK_ENTRIES, _check_draw_count, frobenius_errors, sketch, sketch_trials  # noqa: F401
 
 FIG1_HEADER = "c,method,mean_rel_frob_err,mean_sq_frob_err,stderr,trials"
 FIG2_HEADER = "method,c,run,rel_2norm_err"
@@ -44,7 +44,9 @@ class ExperimentConfig:
     """Desk-scale defaults; ``paper_scale`` switches to the full-size setup.
 
     Construction raises :class:`ConfigError` on an invalid setting, so every config that exists
-    can be run.  ``seed``, every substream's master seed (``derive_seed``), is any integer, no bool.
+    can be run: every count is an integer (``_check_count``), ``cols`` at least 2, ``c_max`` and
+    ``fig2_c`` draw counts (``_check_draw_count``).  ``seed``, every substream's master seed
+    (``derive_seed``), is any integer, no bool.
     """
 
     rows: int = 50
@@ -62,24 +64,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if not _is_integer(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if self.rows < 1:
-            raise ConfigError(f"matrix dimensions must be positive, got {self.rows}x{self.cols}")
-        _check_pairable(self.cols)
-        if self.c_step < 1 or self.c_min > self.c_max:
-            raise ConfigError(f"empty sample-count grid: min={self.c_min} max={self.c_max} step={self.c_step}")
-        if self.fig2_c is not None and not self.fig2_c:
-            raise ConfigError("fig2_c needs at least one sample count")
-        if self.c_min < 1 or min(self.fig2_c_values(self.cols)) < 1:
-            raise ConfigError("sample counts must be >= 1")
         try:
+            for name in ("rows", "c_min", "c_step", "trials", "runs"):
+                _check_count(getattr(self, name), name)
+            _check_pairable(self.cols)
             for c in (self.c_max, *(self.fig2_c or ())):
                 _check_draw_count(c)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if self.c_min > self.c_max:
+            raise ConfigError(f"empty sample-count grid: min={self.c_min} max={self.c_max} step={self.c_step}")
+        if self.fig2_c is not None and not self.fig2_c:
+            raise ConfigError("fig2_c needs at least one sample count")
         if self.strategy not in PAIRING_KINDS:
             raise ConfigError(f"strategy must be one of {PAIRING_KINDS}, got {self.strategy!r}")
 
@@ -123,9 +119,11 @@ def pairing_strategy(kind: str, seed: int) -> PairingStrategy:
     return PairingStrategy(kind, derive_seed(seed, "pairing") if kind == "random" else None)
 
 
-def _check_pairable(cols: int) -> None:
-    if cols < 2:
+def _check_pairable(cols) -> None:
+    """``ConfigError`` for an integer ``cols`` below 2, ``ValueError`` for a non-integer (``_check_count``)."""
+    if _is_integer(cols) and cols < 2:
         raise ConfigError(f"every experiment pairs A's columns, so A needs at least 2 columns, got {cols}")
+    _check_count(cols, "cols", lo=2)
 
 
 def _methods(cfg: ExperimentConfig, out_dir) -> list[tuple[str, Plan]]:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .matrices import _frozen
-from .rng import _is_integer, generator
+from .rng import _check_count, _is_integer, generator, philox_key
 
 PAIRING_KINDS = ("enhanced", "random", "balanced", "simple")
 
@@ -28,9 +28,9 @@ PAIRING_KINDS = ("enhanced", "random", "balanced", "simple")
 class Partition:
     """Ordered groups of 0-based indices partitioning {0..n-1}, stored as ``(order, offsets)``.
 
-    Construction keeps read-only ``intp`` copies of the arrays and raises
-    ``ValueError`` naming the first violation of the scan (``_violation``), so
-    every ``Partition`` that exists is valid.  ``==`` and the hash compare ``n``
+    Construction keeps read-only ``intp`` copies of the arrays and raises ``ValueError`` for an n
+    other than an integer >= 1 (``_check_count``) or naming the first violation of the scan
+    (``_violation``), so every ``Partition`` that exists is valid.  ``==`` and the hash compare ``n``
     and both arrays; ``labels`` and ``groups`` are derived on first read.
     """
 
@@ -39,7 +39,7 @@ class Partition:
     offsets: np.ndarray
 
     def __post_init__(self):
-        n, order, offsets = _ground_set_size(self.n), np.asarray(self.order), np.asarray(self.offsets)
+        n, order, offsets = _check_count(self.n, "ground-set size"), np.asarray(self.order), np.asarray(self.offsets)
         if not all(x.ndim == 1 and x.dtype.kind in "iu" and np.can_cast(x.dtype, np.intp) for x in (order, offsets)):
             raise ValueError("order and offsets must be 1-d integer arrays")
         order, offsets = _frozen(order.astype(np.intp)), _frozen(offsets.astype(np.intp))
@@ -79,12 +79,6 @@ class Partition:
         return hash((self.n, self.order.tobytes(), self.offsets.tobytes()))
 
 
-def _ground_set_size(n) -> int:
-    if not _is_integer(n) or n < 1:
-        raise ValueError(f"ground-set size must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def _violation(n: int, members: np.ndarray, offsets: np.ndarray, held=None, base: int = 0) -> str | None:
     """The first violation a per-index scan of the groups meets, found with array operations, or None.
 
@@ -118,7 +112,8 @@ def _violation(n: int, members: np.ndarray, offsets: np.ndarray, held=None, base
 
 @dataclass(frozen=True)
 class PairingStrategy:
-    """One of "enhanced", "random", "balanced", "simple"; random carries its seed."""
+    """One of "enhanced", "random", "balanced", "simple"; random carries its seed, which construction
+    checks as the key of its permutation (``philox_key``)."""
 
     kind: str
     seed: int | None = None
@@ -130,6 +125,8 @@ class PairingStrategy:
             raise ValueError("random pairing requires a seed")
         if self.kind != "random" and self.seed is not None:
             raise ValueError(f"{self.kind} pairing takes no seed")
+        if self.seed is not None:
+            philox_key(self.seed)
 
 
 ENHANCED = PairingStrategy("enhanced")
@@ -138,7 +135,7 @@ SIMPLE = PairingStrategy("simple")
 
 
 def finest(n: int) -> Partition:
-    """The n singleton groups {0},{1},...,{n-1} in index order; ``Partition`` rejects n < 1."""
+    """The n singleton groups {0},{1},...,{n-1} in index order; ``Partition`` refuses any n but an integer >= 1."""
     return Partition(n, np.arange(n), np.arange(n + 1))
 
 
@@ -149,7 +146,7 @@ def coarsen(groups, n: int, base: int = 0) -> Partition:
     with indices as the groups hold them; a non-integer index (booleans
     included) ends the scan.  NumPy integers are accepted.
     """
-    n = _ground_set_size(n)
+    n = _check_count(n, "ground-set size")
     groups = [tuple(g) for g in groups]
     offsets = np.cumsum([0, *map(len, groups)])
     flat = list(itertools.chain.from_iterable(groups))

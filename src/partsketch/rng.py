@@ -18,6 +18,13 @@ def _is_integer(x) -> bool:
     return type(x) is not bool and isinstance(x, (int, np.integer))
 
 
+def _check_count(value, name: str, lo: int = 1) -> int:
+    """``int(value)`` if ``value`` is an integer (``_is_integer``) >= ``lo``; else ``ValueError``."""
+    if _is_integer(value) and value >= lo:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
 def philox_key(seed) -> int:
     """``int(seed)`` if ``seed`` is an integer (``_is_integer``) in [0, 2**64); else ``ValueError``."""
     if _is_integer(seed) and 0 <= int(seed) < 2 ** 64:
@@ -34,9 +41,10 @@ def derive_seed(master_seed: int, *path) -> int:
 
 
 def derive_seeds(master_seed: int, path, count: int) -> list[int]:
-    """``[derive_seed(master_seed, *path, t) for t in range(count)]``, from one JSON prefix."""
+    """``[derive_seed(master_seed, *path, t) for t in range(count)]``, from one JSON prefix.
+    Raises ``ValueError`` unless ``count`` is an integer >= 0 (``_check_count``)."""
     prefix = json.dumps(_parts(master_seed, *path))[:-1]
-    return [_key(f"{prefix}, {t}]") for t in range(count)]
+    return [_key(f"{prefix}, {t}]") for t in range(_check_count(count, "count", lo=0))]
 
 
 def _parts(master_seed, *path) -> list:

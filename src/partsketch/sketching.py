@@ -23,11 +23,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .distributions import (Plan, SamplingDistribution, _check_draw_count, _check_sample_count, _plan_on,
-                            optimal_plan, pairing_plan)
+from .distributions import Plan, SamplingDistribution, _plan_on, optimal_plan, pairing_plan
 from .matrices import _check_conformable, _frozen
 from .partitions import PairingStrategy, Partition, finest
-from .rng import RowStream, philox_key
+from .rng import RowStream, _check_count, philox_key
 
 # Entries per block temporary in sketch_trials and frobenius_errors (256 KiB of
 # float64); it also sizes an estimate's gather blocks and experiment_matrix's
@@ -49,6 +48,15 @@ _BLOCK_FACTOR = 6
 # plan and 2 or 3 on cli-desk's partition files; at 2, those reading 2 skip the check.
 _GUIDE_STEPS = 2
 
+# The largest c whose draw temporaries fit 2 GiB: ``sample_indices`` holds c float64
+# variates, their intp groups and either their intp guide buckets or a float64 and a
+# bool temporary of a guide-table step at once, 8 + 8 + 8 + 1 = 25 bytes a draw, counted
+# as 32: 2**31 // 32 = 2**26.  A skewed distribution's check pass adds a copy and a
+# group of each variate left to binary search, 16 bytes; those lie in the buckets
+# holding more than ``_GUIDE_STEPS`` = 2 CDF boundaries, at most k/3 of the
+# 2k buckets, so a sixth of the variates on average, ~3 bytes a draw.
+_MAX_DRAWS = 2 ** 31 // 32
+
 # Trials per GEMM against H in frobenius_errors: one (rows, n) buffer of u, at
 # most 2 MiB while H is used (n <= 2048), shares the packing of H across them.
 # Measured (ROADMAP, "Where the time goes"): fig1 at 100x2000 takes 62.6, 64.8,
@@ -64,13 +72,14 @@ _ERROR_FORM_ENTRIES = 2 ** 22
 
 @dataclass(frozen=True)
 class SketchConfig:
-    """Sample count and master seed of one sketch; the seed is the draws' key (``philox_key``)."""
+    """Sample count and master seed of one sketch; the seed is the draws' key (``philox_key``).
+    Construction raises ``ValueError`` unless c is an integer >= 1 (``_check_count``) and the seed a key."""
 
     c: int
     seed: int
 
     def __post_init__(self):
-        _check_sample_count(self.c)
+        _check_count(self.c, "sample count")
         philox_key(self.seed)
 
 
@@ -84,6 +93,12 @@ class SketchResult:
     def __post_init__(self):
         self.estimate.flags.writeable = False
         self.counts.flags.writeable = False
+
+
+def _check_draw_count(c) -> None:
+    """Raise ``ValueError`` unless c is an integer >= 1 (``_check_count``) and at most ``_MAX_DRAWS``."""
+    if _check_count(c, "sample count") > _MAX_DRAWS:
+        raise ValueError(f"sample count must be <= {_MAX_DRAWS} (2 GiB of draw temporaries), got {c}")
 
 
 def _inverse_cdf(dist: SamplingDistribution, u: np.ndarray) -> np.ndarray:
@@ -277,7 +292,7 @@ def sketch_from_draws(plan: Plan, draws: np.ndarray) -> SketchResult:
     """
     k, dist = plan.distribution.support.k, plan.distribution
     draws = np.asarray(draws)
-    _check_sample_count(draws.size)
+    _check_count(draws.size, "sample count")
     if draws.ndim != 1 or draws.dtype.kind not in "iu" or draws.min() < 0 or draws.max() >= k:
         raise ValueError(f"draws must be group indices in [0, {k})")
     counts = np.bincount(draws, minlength=k)

@@ -13,8 +13,9 @@ from partsketch import (Plan, SamplingDistribution, SketchConfig, aggregate_dist
                         sample_indices, sketch, sketching, spectral_norm)
 from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, experiment_matrix,
                                     pairing_strategy)
-from partsketch.distributions import _check_sample_count, _plan_on
+from partsketch.distributions import _plan_on
 from partsketch.matrices import _check_conformable, _frozen
+from partsketch.rng import _check_count
 from partsketch.sketching import _is_transpose, _scaled_product
 
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -107,10 +108,10 @@ def brute_force_expectation(a, b, partition, dist, c):
     Enumerates all k^c draw sequences, weighting each by its probability.
     Independent of the sampling engine: blocks are sliced and summed here
     directly.  Guarded to k^c <= ``ENUMERATION_LIMIT``; raises ``ValueError``
-    unless ``partition`` is ``dist.support``, ``Plan(a, b, dist)`` builds and c >= 1.
+    unless ``partition`` is ``dist.support``, ``Plan(a, b, dist)`` builds and c is an integer >= 1.
     """
     _plan_on(a, b, partition, dist)
-    _check_sample_count(c)
+    _check_count(c, "sample count")
     k = partition.k
     if k ** c > ENUMERATION_LIMIT:
         raise ValueError(f"k^c = {k}^{c} exceeds the enumeration guard of {ENUMERATION_LIMIT}")
@@ -337,7 +338,7 @@ def loop_validate(n, groups):
     no group covers.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        return f"ground-set size must be a positive integer, got {n!r}"
+        return f"ground-set size must be an integer >= 1, got {n!r}"
     if not 1 <= len(groups) <= n:
         return f"group count must be in [1, {n}], got {len(groups)}"
     seen = np.zeros(n, dtype=bool)

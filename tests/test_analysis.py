@@ -473,9 +473,9 @@ class TestBruteForce:
     def test_zero_samples_are_rejected(self):
         a, b = random_instance(np.random.default_rng(25), n=4)
         part = finest(4)
-        with pytest.raises(ValueError, match="sample count must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="sample count must be an integer >= 1, got 0"):
             brute_force_expectation(a, b, part, optimal_distribution(a, b, part), 0)
-        with pytest.raises(ValueError, match="sample count must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="sample count must be an integer >= 1, got 0"):
             uniform_spectral_bound(a, b, 0, 4, 2)
 
 

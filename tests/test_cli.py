@@ -283,7 +283,7 @@ class TestExitCodes:
                 code = main([command, "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
                              "--c", c, "--out-dir", str(tmp_path / "out")])
                 assert code == 1
-                assert capsys.readouterr().err == f"error: sample count must be >= 1, got {c}\n"
+                assert capsys.readouterr().err == f"error: sample count must be an integer >= 1, got {c}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed, code", [(2**64, 1), (-1, 1), (-2**64, 1), (2**64 - 1, 0), (0, 0)])

@@ -11,11 +11,10 @@ from partsketch import (ConfigError, ExperimentConfig, Plan, aggregate_distribut
                         optimal_distribution, pair_partition, paper_scale,
                         run_fig1, run_fig2, run_table1, write_binary, write_csv)
 from partsketch import experiments, sketching
-from partsketch.distributions import _MAX_DRAWS
 from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _methods,
                                     experiment_matrix, pairing_strategy)
 from partsketch.partitions import PAIRING_KINDS
-from partsketch.sketching import pairwise_plan
+from partsketch.sketching import _MAX_DRAWS, pairwise_plan
 from partsketch.matrices import frobenius_norm, multiply
 from partsketch.rng import derive_seed, generator
 from helpers import (direct_errors_and_bounds, distribution, experiment_methods, fig1_row, form_path_errors,

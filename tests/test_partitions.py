@@ -93,8 +93,8 @@ class TestPartitionChecksItself:
         (2, ((0, 1), ()), "group 1 is empty"),
         (2, ((0,), (2,)), "index 2 out of range [0, 2)"),
         (2, ((True,), (0,)), "group 0 holds a non-integer index True"),
-        (2.0, ((0,), (1,)), "ground-set size must be a positive integer, got 2.0"),
-        (0, ((0,),), "ground-set size must be a positive integer, got 0"),
+        (2.0, ((0,), (1,)), "ground-set size must be an integer >= 1, got 2.0"),
+        (0, ((0,),), "ground-set size must be an integer >= 1, got 0"),
     ])
     def test_invalid_groups_raise_the_scan_message(self, n, groups, message):
         assert validate(n, groups) == message
@@ -242,7 +242,7 @@ class TestPartitionJson:
         ("[[1], [1]]", "index 1 appears in more than one group"),
         ("[[2, 1], [], [3]]", "group 2 is empty"),
         ("[[1], [], []]", "group count must be in [1, 1], got 3"),
-        ("[]", "ground-set size must be a positive integer, got 0"),
+        ("[]", "ground-set size must be an integer >= 1, got 0"),
     ])
     def test_messages_count_from_one_as_the_file_does(self, text, message):
         with pytest.raises(ValueError) as info:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from partsketch import (Plan, PairingStrategy, SketchConfig, dense, derive_seed, derive_seeds, finest,
-                        frobenius_errors, optimal_distribution, pair_partition, sample_indices, sketch_trials)
+from partsketch import (ConfigError, ExperimentConfig, Plan, PairingStrategy, SketchConfig, binomial_cdf, dense,
+                        derive_seed, derive_seeds, expected_frobenius_error_sq, finest, frobenius_errors,
+                        min_draw_threshold, optimal_distribution, sample_indices, sketch_trials,
+                        tail_bound_value, uniform_spectral_bound)
 from partsketch import rng
-from partsketch.rng import RowStream, generator, philox_key
+from partsketch.rng import RowStream, _check_count, generator, philox_key
 from helpers import distribution
 
 path_parts = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=6),
@@ -139,7 +141,7 @@ class TestPhiloxKey:
                      lambda: SketchConfig(4, seed),
                      lambda: generator(seed),
                      lambda: RowStream().rows([0, seed], 4),
-                     lambda: pair_partition(np.full(6, 1 / 6), PairingStrategy("random", seed))):
+                     lambda: PairingStrategy("random", seed)):
             with refused(seed):
                 call()
 
@@ -164,3 +166,57 @@ class TestPhiloxKey:
         assert plain.estimate.tobytes() == numpy_.estimate.tobytes()
         assert np.array_equal(plain.counts, numpy_.counts)
         assert np.array_equal(plain.counts, np.bincount(sample_indices(plan.distribution, 40, top), minlength=6))
+
+
+def expected_error(c):
+    plan = TestPhiloxKey.plan()
+    return expected_frobenius_error_sq(plan.a, plan.b, plan.distribution.support, plan.distribution, c)
+
+
+def spectral_bound(c):
+    plan = TestPhiloxKey.plan()
+    return uniform_spectral_bound(plan.a, plan.b, c, 4, 2)
+
+
+# (entry point, lowest count it takes, call on one count, error for a refused count)
+COUNT_ENTRY_POINTS = [
+    ("SketchConfig", 1, lambda c: SketchConfig(c, 0), ValueError),
+    ("sample_indices", 1, lambda c: sample_indices(TestPhiloxKey.plan().distribution, c, 0), ValueError),
+    ("sketch_trials", 1, lambda c: list(sketch_trials([(TestPhiloxKey.plan(), c, [0])])), ValueError),
+    ("expected_frobenius_error_sq", 1, expected_error, ValueError),
+    ("tail_bound_value", 1, lambda c: tail_bound_value(1.0, 1.0, 5.0, c, 0.5), ValueError),
+    ("uniform_spectral_bound", 1, spectral_bound, ValueError),
+    ("binomial_cdf", 1, lambda n: binomial_cdf(1, n, 0.5), ValueError),
+    ("min_draw_threshold-c", 2, lambda c: min_draw_threshold(c, 3), ValueError),
+    ("min_draw_threshold-k", 1, lambda k: min_draw_threshold(10, k), ValueError),
+    ("derive_seeds", 0, lambda count: derive_seeds(0, ("x",), count), ValueError),
+    ("finest", 1, finest, ValueError),
+    # c_max is taken with c_min = 1, so that c_max = 1 leaves a grid to run
+    *((f"ExperimentConfig-{name}", 2 if name == "cols" else 1,
+       lambda v, name=name: ExperimentConfig(**{name: v}, **({"c_min": 1} if name == "c_max" else {})), ConfigError)
+      for name in ("rows", "cols", "c_min", "c_max", "c_step", "trials", "runs")),
+    ("ExperimentConfig-fig2_c", 1, lambda c: ExperimentConfig(fig2_c=(c,)), ConfigError),
+]
+
+
+class TestCountRule:
+    """Every integer count passes ``_check_count``: a Python or NumPy integer, not a bool, at
+    least the entry point's lowest count; anything else raises before any work."""
+
+    def test_the_rule(self):
+        assert type(_check_count(np.int64(3), "widgets")) is int and _check_count(np.uint8(0), "widgets", 0) == 0
+        with pytest.raises(ValueError, match=re.escape("widgets must be an integer >= 1, got 0")):
+            _check_count(0, "widgets")
+
+    @pytest.mark.parametrize("name, lo, call, error", COUNT_ENTRY_POINTS, ids=[e[0] for e in COUNT_ENTRY_POINTS])
+    @pytest.mark.parametrize("bad", ["bool", "numpy-bool", "float", "numpy-float", "below"])
+    def test_every_entry_point_refuses(self, name, lo, call, error, bad):
+        value = {"bool": True, "numpy-bool": np.bool_(True), "float": 2.5, "numpy-float": np.float64(2.0),
+                 "below": lo - 1}[bad]
+        with pytest.raises(error) as info:
+            call(value)
+        assert str(info.value).endswith(f", got {value!r}")
+
+    @pytest.mark.parametrize("name, lo, call, error", COUNT_ENTRY_POINTS, ids=[e[0] for e in COUNT_ENTRY_POINTS])
+    def test_every_entry_point_takes_a_numpy_integer(self, name, lo, call, error):
+        call(np.int64(lo))

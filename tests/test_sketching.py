@@ -12,12 +12,11 @@ from partsketch import (ENHANCED, Plan, SketchConfig, coarsen, dense, error_form
                         sample_indices, sketch, sketch_from_draws, sketch_trials,
                         spectral_norm)
 from partsketch import sketching
-from partsketch.distributions import _MAX_DRAWS
 from partsketch.experiments import ExperimentConfig, _methods
 from partsketch.rng import derive_seed, derive_seeds, generator
 from partsketch.matrices import _checked
-from partsketch.sketching import (_FORM_ROWS, _GUIDE_STEPS, _block_rows, _inverse_cdf, _is_transpose,
-                                  _scaled_product, _trials_per_block)
+from partsketch.sketching import (_FORM_ROWS, _GUIDE_STEPS, _MAX_DRAWS, _block_rows, _inverse_cdf,
+                                  _is_transpose, _scaled_product, _trials_per_block)
 from helpers import (brute_force_expectation, column_gather_product, direct_errors_and_bounds,
                      distribution, element_contribution, element_weight, form_path_errors,
                      gemm_error_bound, gram_error_bound, kernel_error_bound, loop_sketch,
