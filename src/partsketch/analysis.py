@@ -14,11 +14,9 @@ import numpy as np
 
 from .distributions import Plan, SamplingDistribution, _plan_on, group_weights
 from .errors import NumericError, ZeroProductError
-from .matrices import _check_conformable, frobenius_norm, multiply, spectral_norm
+from .matrices import _EPS, _check_conformable, frobenius_norm, multiply, spectral_norm
 from .partitions import Partition, finest
 from .rng import _check_count
-
-EPS = float(np.finfo(np.float64).eps)
 
 
 def _scaled_weights(weights: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -36,7 +34,7 @@ def _excess_over_product(total: float, a: np.ndarray, b: np.ndarray, context: st
     the tolerance doubles that for the weights' rounding.  Larger negatives raise.
     """
     difference = total - frobenius_norm(multiply(a, b)) ** 2
-    tol = 2.0 * a.shape[1] * EPS * total
+    tol = 2.0 * a.shape[1] * _EPS * total
     if difference < -tol:
         raise NumericError(f"{context} evaluated to {difference}, beyond cancellation tolerance {tol}")
     return 0.0 if difference <= tol else difference
@@ -190,11 +188,13 @@ def min_draw_threshold(c: int, k: int) -> int | None:
 def uniform_spectral_bound(a: np.ndarray, b: np.ndarray, c: int, k: int, s_c: int) -> float:
     """High-probability cap k*(s_c - 1)/c * |a|_2 * |b|_2 on the sketch's spectral norm.
 
-    ``s_c`` comes from :func:`min_draw_threshold` for the same (c, k).  Raises
-    ``ValueError`` unless ``a @ b`` conforms and c is an integer >= 1 (``_check_count``).
+    ``s_c`` comes from :func:`min_draw_threshold` for the same (c, k).  Raises ``ValueError``
+    unless ``a @ b`` conforms, c and k are integers >= 1 and s_c one in [2, c] (``_check_count``).
     """
     _check_conformable(a, b)
     _check_count(c, "sample count")
+    _check_count(k, "k")
+    _check_count(c, "sample count", lo=_check_count(s_c, "s_c", lo=2))  # s_c in [2, c]
     return k * (s_c - 1) / c * spectral_norm(a) * spectral_norm(b)
 
 

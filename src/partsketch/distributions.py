@@ -16,15 +16,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ZeroProductError
-from .matrices import _check_conformable, _frozen
+from .matrices import _BLOCK_ENTRIES, _EPS, _check_conformable, _frozen
 from .partitions import PairingStrategy, Partition, pair_partition
 
 SUM_TOL = 1e-12
-_EPS = float(np.finfo(np.float64).eps)
-# Indices per gathered batch of group weights: O((m + rho) * width) temporaries.  Measured
-# (CHANGES.md): a plan's finest and pair weights at 100x2000 take 2.03 ms at 256, 2.24 at 128
-# and 2.10 at 512; at desk 512 saves 0.05 ms of 0.50.
-_GATHER_WIDTH = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +94,9 @@ def _squared_norms(a: np.ndarray, b: np.ndarray, members: np.ndarray, starts: np
     keeps at least half its digits.
     """
     m, rho = a.shape[0], b.shape[1]
-    # temporaries per group: (m + rho) s gathered, s^2 Gram or m rho block entries
-    step = max(1, _GATHER_WIDTH // (s if gram else max(s, m * rho // (m + rho))))
+    # a batch gathers (m + rho) entries an index, within _BLOCK_ENTRIES: s indices a group, or
+    # as many as its m x rho block entries take when that block is the larger temporary
+    step = max(1, _BLOCK_ENTRIES // (m + rho) // (s if gram else max(s, m * rho // (m + rho))))
     terms = (m + rho + s * s) * _EPS / 2
     rounding = terms / (1 - terms)
     out = np.empty(ids.size)

@@ -29,11 +29,11 @@ import numpy as np
 
 from .distributions import Plan, distribution_stats, optimal_plan, pairing_plan
 from .errors import ConfigError
-from .matrices import _checked, frobenius_norm, multiply, read_matrix, spectral_norm, write_output
+from .matrices import _BLOCK_ENTRIES, _checked, frobenius_norm, multiply, read_matrix, spectral_norm, write_output
 from .partitions import PAIRING_KINDS, PairingStrategy, finest
 from .rng import _check_count, _is_integer, derive_seed, derive_seeds, generator
 # ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
-from .sketching import _BLOCK_ENTRIES, _check_draw_count, frobenius_errors, sketch, sketch_trials  # noqa: F401
+from .sketching import _check_draw_count, frobenius_errors, sketch, sketch_trials  # noqa: F401
 
 FIG1_HEADER = "c,method,mean_rel_frob_err,mean_sq_frob_err,stderr,trials"
 FIG2_HEADER = "method,c,run,rel_2norm_err"
@@ -44,9 +44,9 @@ class ExperimentConfig:
     """Desk-scale defaults; ``paper_scale`` switches to the full-size setup.
 
     Construction raises :class:`ConfigError` on an invalid setting, so every config that exists
-    can be run: every count is an integer (``_check_count``), ``cols`` at least 2, ``c_max`` and
-    ``fig2_c`` draw counts (``_check_draw_count``).  ``seed``, every substream's master seed
-    (``derive_seed``), is any integer, no bool.
+    can be run: every count is an integer (``_check_count``), ``cols`` at least 2, ``fig2_c`` None
+    or a tuple, and ``c_max`` and ``fig2_c``'s entries draw counts (``_check_draw_count``).
+    ``seed``, every substream's master seed (``derive_seed``), is any integer, no bool.
     """
 
     rows: int = 50
@@ -64,6 +64,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not _is_integer(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.fig2_c is not None and not isinstance(self.fig2_c, tuple):
+            raise ConfigError(f"fig2_c must be a tuple of sample counts or None, got {self.fig2_c!r}")
         try:
             for name in ("rows", "c_min", "c_step", "trials", "runs"):
                 _check_count(getattr(self, name), name)

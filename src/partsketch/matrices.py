@@ -22,6 +22,15 @@ import numpy as np
 
 from .errors import MatrixFileError
 
+# The package's one temporaries budget, in float64 entries (256 KiB): every block it sizes (a
+# sketch call's draw blocks, an estimate's gather blocks, a group-weight batch and an experiment
+# matrix's write blocks) holds about this many.  Measured (CHANGES.md): desk fig1 and paper fig2
+# calls stay within 2% of each other from 2**14 to 2**17, and 2**13 costs 4-6%; a finest plan
+# plus its enhanced pair weights takes 0.49 ms at desk and 2.15-2.24 ms at 100x2000, against
+# 0.49 and 2.39-2.48 ms in 256-index batches, and 14-30% more at 2**14 or 2**16.
+_BLOCK_ENTRIES = 2 ** 15
+_EPS = float(np.finfo(np.float64).eps)
+
 
 def dense(values) -> np.ndarray:
     """Build a validated, read-only matrix from nested sequences or an array: a C-ordered

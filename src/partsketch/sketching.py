@@ -24,15 +24,9 @@ from itertools import accumulate
 import numpy as np
 
 from .distributions import Plan, SamplingDistribution, _plan_on, optimal_plan, pairing_plan
-from .matrices import _check_conformable, _frozen
+from .matrices import _BLOCK_ENTRIES, _check_conformable, _frozen
 from .partitions import PairingStrategy, Partition, finest
 from .rng import RowStream, _check_count, philox_key
-
-# Entries per block temporary in sketch_trials and frobenius_errors (256 KiB of
-# float64); it also sizes an estimate's gather blocks and experiment_matrix's
-# write blocks.  Measured (CHANGES.md): desk fig1 and paper fig2 calls stay
-# within 2% of each other from 2**14 to 2**17, and 2**13 costs 4-6%.
-_BLOCK_ENTRIES = 2 ** 15
 
 # A gather block holds at least this many times max(m, rho) rows (m = A's rows,
 # rho = B's columns), so its product, 2·rows·m·rho flops, outweighs the m x rho
@@ -41,20 +35,13 @@ _BLOCK_ENTRIES = 2 ** 15
 # 2 MiB of L2 a core); at 6 it is one block.
 _BLOCK_FACTOR = 6
 
-# The most forward steps a guide-table lookup takes.  A distribution whose
-# guide_steps exceeds it (a skewed one) takes this many, then checks every
-# variate and leaves those still short of their group to binary search.
-# Recorded (CHANGES.md): guide_steps reads 1 on every desk and paper experiment
-# plan and 2 or 3 on cli-desk's partition files; at 2, those reading 2 skip the check.
-_GUIDE_STEPS = 2
-
 # The largest c whose draw temporaries fit 2 GiB: ``sample_indices`` holds c float64
 # variates, their intp groups and either their intp guide buckets or a float64 and a
-# bool temporary of a guide-table step at once, 8 + 8 + 8 + 1 = 25 bytes a draw, counted
-# as 32: 2**31 // 32 = 2**26.  A skewed distribution's check pass adds a copy and a
-# group of each variate left to binary search, 16 bytes; those lie in the buckets
-# holding more than ``_GUIDE_STEPS`` = 2 CDF boundaries, at most k/3 of the
-# 2k buckets, so a sixth of the variates on average, ~3 bytes a draw.
+# bool temporary of the guide-table step at once, 8 + 8 + 8 + 1 = 25 bytes a draw,
+# counted as 32: 2**31 // 32 = 2**26.  When guide_steps > 1 the check pass adds a copy
+# and a group of each variate left to binary search, 16 bytes; those lie in the buckets
+# holding at least 2 CDF boundaries, at most k/2 of the 2k buckets, so a quarter of the
+# variates in expectation, ~4 bytes a draw, and 25 + 4 <= 32.
 _MAX_DRAWS = 2 ** 31 // 32
 
 # Trials per GEMM against H in frobenius_errors: one (rows, n) buffer of u, at
@@ -105,17 +92,16 @@ def _inverse_cdf(dist: SamplingDistribution, u: np.ndarray) -> np.ndarray:
     """Group of every variate in ``u``, bit for bit ``searchsorted(dist.cdf, u, side="right")``.
 
     A variate in bucket ``j = floor(fl(u · 2k))`` starts at ``dist.guide[j]``, which is never
-    past its group, and steps forward while ``cdf[g] <= u``; that also skips zero-probability
-    groups.  ``dist.guide_steps`` steps find every group, so when that is at most ``_GUIDE_STEPS``
-    the lookup takes them and nothing else.  A skewed distribution takes ``_GUIDE_STEPS`` steps,
-    and the variates still short of their group are found by binary search, so it costs no more
-    than a search.
+    past its group and at most ``dist.guide_steps`` groups short of it, and takes one step
+    forward if ``cdf[g] <= u``; that also skips a zero-probability group.  One step finds every
+    group when ``guide_steps`` is at most 1, as on every near-uniform distribution, and the
+    lookup does nothing else.  Otherwise every variate is checked, and those still short of
+    their group are found by binary search, so the lookup costs no more than a search.
     """
     cdf, guide = dist.cdf, dist.guide
     groups = guide[(u * (guide.size - 1)).astype(np.intp)]
-    for _ in range(min(dist.guide_steps, _GUIDE_STEPS)):
-        groups += cdf[groups] <= u
-    if dist.guide_steps > _GUIDE_STEPS:
+    groups += cdf[groups] <= u
+    if dist.guide_steps > 1:
         short = cdf[groups] <= u
         if short.any():
             groups[short] = np.searchsorted(cdf, u[short], side="right")

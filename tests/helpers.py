@@ -47,6 +47,14 @@ def random_coarsening(rng, n, max_groups=None):
     return coarsen(groups, n)
 
 
+def shuffled_groups(rng, n, largest=16):
+    """Partition of {0..n-1} into shuffled groups of 1 to ``largest`` indices, as the benchmark's
+    partition files hold."""
+    order = rng.permutation(n)
+    groups = np.split(order, np.cumsum(rng.integers(1, largest + 1, n)))
+    return coarsen([g.tolist() for g in groups if g.size], n)
+
+
 def distribution(support, weights, *, normalize=False):
     """A distribution over ``support`` from a copy of ``weights``; with ``normalize`` they are first rescaled to sum to 1."""
     w = np.array(weights, dtype=np.float64, copy=True)

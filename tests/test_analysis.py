@@ -311,6 +311,15 @@ class TestUniformSpectralBound:
         assert uniform_spectral_bound(eye, eye, c=6, k=4, s_c=3) == pytest.approx(
             4 * 2 / 6, rel=1e-10)
 
+    def test_k_and_s_c_are_counts(self):
+        # a bool k is not read as 1, nor a float s_c as a threshold (TestCountRule refuses each alone)
+        a = dense(np.arange(1, 13).reshape(3, 4))
+        with pytest.raises(ValueError, match="k must be an integer >= 1, got True"):
+            uniform_spectral_bound(a, a.T, 5, True, 2.5)
+        with pytest.raises(ValueError, match="sample count must be an integer >= 6, got 5"):
+            uniform_spectral_bound(a, a.T, 5, 3, 6)  # s_c lies in [2, c]
+        assert uniform_spectral_bound(a, a.T, 5, 3, 5) > 0
+
 
 class TestPairingComparators:
     def test_equal_weight_closed_forms(self):

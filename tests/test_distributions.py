@@ -11,7 +11,7 @@ from partsketch import (ENHANCED, Plan, SamplingDistribution, ZeroProductError,
                         finest, group_weights,
                         optimal_distribution, optimal_plan, pairing_plan, pairwise_plan)
 from partsketch import distributions
-from helpers import distribution, element_weight, random_coarsening, random_instance
+from helpers import distribution, element_weight, random_coarsening, random_instance, shuffled_groups
 
 
 class TestElementWeight:
@@ -49,6 +49,21 @@ class TestGroupWeights:
             expected = element_weight(a, b, g)
             scale = float(np.sum(col[list(g)])) ** 2
             assert abs(w * w - expected * expected) <= 4 * (len(g) + 2) * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("b_kind", ["a.T", "3 columns"])
+    def test_batch_budget_moves_no_bit(self, monkeypatch, b_kind):
+        # a batch gathers _BLOCK_ENTRIES // (m + rho) indices: 2 or 4 at 2**8 (m + rho = 100 or 53),
+        # 327 or 618 at 2**15, and all groups of a size at 2**20; with 3 columns of B, groups of
+        # 13 or more indices take the block-product branch
+        rng = np.random.default_rng(5)
+        a = dense(rng.random((50, 500)) - 0.5)
+        b = a.T if b_kind == "a.T" else dense(rng.random((500, 3)) - 0.5)
+        parts = [finest(500), pairwise_plan(a, b, ENHANCED)[0], shuffled_groups(rng, 500)]
+        weights = []
+        for budget in (2 ** 8, 2 ** 15, 2 ** 20):
+            monkeypatch.setattr(distributions, "_BLOCK_ENTRIES", budget)
+            weights.append([group_weights(a, b, part).tobytes() for part in parts])
+        assert weights[0] == weights[1] == weights[2]
 
     def test_singletons_are_norm_products(self):
         a = dense([[3.0, 0.0, 1.0], [4.0, 2.0, 0.0]])

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -63,6 +64,16 @@ class TestConfig:
     def test_seed_that_is_not_an_integer_is_refused(self, seed):
         with pytest.raises(ConfigError, match="seed must be an integer"):
             ExperimentConfig(seed=seed)
+
+    @pytest.mark.parametrize("fig2_c, message", [
+        (5, "fig2_c must be a tuple"),
+        ([10, 20], "fig2_c must be a tuple"),  # a frozen config must hash
+        ((10, True), "sample count must be an integer >= 1, got True"),
+    ], ids=["int", "list", "bool-entry"])
+    def test_fig2_c_is_none_or_a_tuple_of_counts(self, fig2_c, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig(fig2_c=fig2_c)
+        assert hash(ExperimentConfig(fig2_c=(10, 20))) == hash(ExperimentConfig(fig2_c=(10, 20)))
 
     @pytest.mark.parametrize("seed", [-3, 2**64, np.int64(7)])
     def test_any_integer_is_a_master_seed(self, seed):

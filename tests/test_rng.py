@@ -173,9 +173,9 @@ def expected_error(c):
     return expected_frobenius_error_sq(plan.a, plan.b, plan.distribution.support, plan.distribution, c)
 
 
-def spectral_bound(c):
+def spectral_bound(c=3, k=4, s_c=2):
     plan = TestPhiloxKey.plan()
-    return uniform_spectral_bound(plan.a, plan.b, c, 4, 2)
+    return uniform_spectral_bound(plan.a, plan.b, c, k, s_c)
 
 
 # (entry point, lowest count it takes, call on one count, error for a refused count)
@@ -185,7 +185,10 @@ COUNT_ENTRY_POINTS = [
     ("sketch_trials", 1, lambda c: list(sketch_trials([(TestPhiloxKey.plan(), c, [0])])), ValueError),
     ("expected_frobenius_error_sq", 1, expected_error, ValueError),
     ("tail_bound_value", 1, lambda c: tail_bound_value(1.0, 1.0, 5.0, c, 0.5), ValueError),
-    ("uniform_spectral_bound", 1, spectral_bound, ValueError),
+    # s_c = 2 draws on one group need c >= 2 draws in all
+    ("uniform_spectral_bound", 2, spectral_bound, ValueError),
+    ("uniform_spectral_bound-k", 1, lambda k: spectral_bound(k=k), ValueError),
+    ("uniform_spectral_bound-s_c", 2, lambda s_c: spectral_bound(s_c=s_c), ValueError),
     ("binomial_cdf", 1, lambda n: binomial_cdf(1, n, 0.5), ValueError),
     ("min_draw_threshold-c", 2, lambda c: min_draw_threshold(c, 3), ValueError),
     ("min_draw_threshold-k", 1, lambda k: min_draw_threshold(10, k), ValueError),

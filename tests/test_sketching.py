@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from partsketch import sketching
 from partsketch.experiments import ExperimentConfig, _methods
 from partsketch.rng import derive_seed, derive_seeds, generator
 from partsketch.matrices import _checked
-from partsketch.sketching import (_FORM_ROWS, _GUIDE_STEPS, _MAX_DRAWS, _block_rows, _inverse_cdf,
+from partsketch.sketching import (_FORM_ROWS, _MAX_DRAWS, _block_rows, _inverse_cdf,
                                   _is_transpose, _scaled_product, _trials_per_block)
 from helpers import (brute_force_expectation, column_gather_product, direct_errors_and_bounds,
                      distribution, element_contribution, element_weight, form_path_errors,
                      gemm_error_bound, gram_error_bound, kernel_error_bound, loop_sketch,
-                     random_coarsening, random_instance, scale_vector)
+                     random_coarsening, random_instance, scale_vector, shuffled_groups)
 
 
 def uniform(part):
@@ -149,13 +150,43 @@ class TestGuideTable:
 
     def test_skewed_weights_reach_the_search_fallback(self):
         # twenty groups share the first guide bucket, so a variate at the CDF's
-        # tenth entry is more than _GUIDE_STEPS steps short of its group
+        # tenth entry is more than one step short of its group
         d = distribution(finest(21), [1e-12] * 20 + [1.0], normalize=True)
-        assert d.guide_steps == 20 > _GUIDE_STEPS
+        assert d.guide_steps == 20
         u = d.cdf[[10, 15]]
         want = np.searchsorted(d.cdf, u, side="right")
-        assert np.all(want - d.guide[self.buckets(d, u)] > _GUIDE_STEPS)
+        assert np.all(want - d.guide[self.buckets(d, u)] > 1)
         assert np.array_equal(_inverse_cdf(d, u), want)
+
+    @staticmethod
+    def partition_file_plan(seed=0):
+        """The optimal plan of a cli-desk-like request: a 50x500 uniform A, B = Aᵀ, and a
+        partition of shuffled groups of 1 to 16 indices."""
+        rng = np.random.default_rng(seed)
+        a = dense(rng.random((50, 500)))
+        return optimal_plan(a, a.T, shuffled_groups(rng, 500))
+
+    def test_two_steps_take_the_check(self):
+        # a partition file's plan reads guide_steps 2: the one step leaves some variates one
+        # group short, and the check finds them by binary search
+        d = self.partition_file_plan().distribution
+        assert d.guide_steps == 2
+        u = np.concatenate([self.hard_variates(d.cdf), generator(11).random(20000)])
+        want = np.searchsorted(d.cdf, u, side="right")
+        assert np.any(want - d.guide[self.buckets(d, u)] == 2)
+        assert np.array_equal(_inverse_cdf(d, u), want)
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_at_most_one_step_takes_no_check(self, steps):
+        # a table that claims guide_steps <= 1 is trusted: fed the skewed case's cdf and guide,
+        # the lookup returns the one-step groups, short of the search's where it needs more
+        d = distribution(finest(21), [1e-12] * 20 + [1.0], normalize=True)
+        claim = SimpleNamespace(cdf=d.cdf, guide=d.guide, guide_steps=steps)
+        u = np.concatenate([self.hard_variates(d.cdf), generator(12).random(200)])
+        start = d.guide[self.buckets(d, u)]
+        one_step = start + (d.cdf[start] <= u)
+        assert np.array_equal(_inverse_cdf(claim, u), one_step)
+        assert not np.array_equal(one_step, np.searchsorted(d.cdf, u, side="right"))
 
     def test_guide_is_cached_read_only_and_defined_by_the_cdf(self):
         d = distribution(finest(5), [0.05, 0.0, 0.4, 0.25, 0.3])
@@ -182,7 +213,7 @@ class TestGuideTable:
     @pytest.mark.parametrize("seed", [0, 3, 5])
     def test_desk_fig1_plans_take_one_step(self, tmp_path, seed):
         for _, plan in _methods(ExperimentConfig(seed=seed), tmp_path):
-            assert plan.distribution.guide_steps == 1 <= _GUIDE_STEPS
+            assert plan.distribution.guide_steps == 1
 
 
 class TestSketchTrials:
