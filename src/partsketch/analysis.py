@@ -16,7 +16,7 @@ from .distributions import Plan, SamplingDistribution, _plan_on, group_weights
 from .errors import NumericError, ZeroProductError
 from .matrices import _EPS, _check_conformable, frobenius_norm, multiply, spectral_norm
 from .partitions import Partition, finest
-from .rng import _check_count
+from .rng import _check_count, _is_integer
 
 
 def _scaled_weights(weights: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,11 +103,15 @@ def tail_bound_value(variance_bound: float, deviation_bound: float, dims_sum: fl
     The exponent is evaluated as -c*eps / (2*variance_bound/eps + deviation_bound)
     so very large eps underflows cleanly to 0 instead of overflowing.  The
     value may exceed 1; a vacuous bound is still information, so it is
-    returned unclamped.  Raises ``ValueError`` unless epsilon is finite and
-    positive and c an integer >= 1 (``_check_count``).
+    returned unclamped.  Raises ``ValueError`` unless both proxies are finite
+    and nonnegative, dims_sum and epsilon finite and positive, and c an integer
+    >= 1 (``_check_count``).
     """
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    if not (0 <= variance_bound < math.inf and 0 <= deviation_bound < math.inf):
+        raise ValueError(f"variance and deviation proxies must be finite and nonnegative, got {variance_bound}, {deviation_bound}")
+    for name, value in (("dims_sum", dims_sum), ("epsilon", epsilon)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     _check_count(c, "sample count")
     denom = 2.0 * variance_bound / epsilon + deviation_bound
     if denom == 0.0:
@@ -141,8 +145,10 @@ def binomial_cdf(s: int, n_trials: int, xi: float) -> float:
     s < 0 gives 0 and s >= n_trials gives 1.  No normal approximation; each
     probability mass term is exponentiated from log-gamma factorials, which
     stays exact enough for the small-threshold decisions made on top of it.
-    Raises ``ValueError`` unless xi is a probability and n_trials an integer >= 1 (``_check_count``).
+    Raises ``ValueError`` unless s is an integer (``_is_integer``), xi a probability and n_trials one >= 1 (``_check_count``).
     """
+    if not _is_integer(s):
+        raise ValueError(f"s must be an integer, got {s!r}")
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"xi must be a probability, got {xi}")
     _check_count(n_trials, "n_trials")

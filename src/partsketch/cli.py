@@ -37,11 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _plan(args) -> Plan:
-    """The plan of --a and --b over the partition of --partition-file, of finest, or of a pairing strategy.
-
-    The first two keep the group weights their distribution is built from; a
-    pairing plan computes its pair weights only when a consumer reads them.
-    """
+    """The plan of --a and --b over the partition of --partition-file, of finest, or of a pairing strategy."""
     a, b = read_matrix(args.a), read_matrix(args.b)
     if args.partition_file is not None:
         return optimal_plan(a, b, partition_from_json(Path(args.partition_file).read_text(encoding="utf-8")))

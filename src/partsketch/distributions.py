@@ -10,7 +10,7 @@ the pairs of a pairing strategy, the paper's pairwise method.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -19,8 +19,6 @@ from .errors import ZeroProductError
 from .matrices import _BLOCK_ENTRIES, _EPS, _check_conformable, _frozen
 from .partitions import PairingStrategy, Partition, pair_partition
 
-SUM_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class SamplingDistribution:
@@ -28,24 +26,29 @@ class SamplingDistribution:
 
     Groups may carry probability 0 (they are never sampled); any group whose
     block product is nonzero must keep strictly positive probability for the
-    sketch to stay unbiased.  Construction raises ``ValueError`` unless
-    ``weights`` has one finite, nonnegative entry per group and sums to 1
-    within ``SUM_TOL``, then makes ``weights`` read-only.
+    sketch to stay unbiased.  Construction keeps a read-only float64 copy of integer or float
+    ``weights``, leaving the caller's array as it was, and raises ``ValueError`` for any other
+    dtype and unless there is one finite, nonnegative entry per group summing to 1 within
+    ``n · eps`` (n = ``support.n``): twice the rounding of n probabilities, each within eps/2
+    of its share, summed into groups and then in total.
     """
 
     support: Partition
     weights: np.ndarray
 
     def __post_init__(self):
-        w = self.weights
+        w = np.asarray(self.weights)
+        if w.dtype.kind not in "iuf":
+            raise ValueError(f"weights must be integers or floats, got dtype {w.dtype}")
+        w = _frozen(w.astype(np.float64))
         if w.shape != (self.support.k,):
             raise ValueError(f"expected {self.support.k} weights, got shape {w.shape}")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValueError("weights must be finite and nonnegative")
-        total = float(np.sum(w))
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"weights sum to {total}, expected 1 within {SUM_TOL}")
-        w.flags.writeable = False
+        total, tol = float(np.sum(w)), self.support.n * _EPS
+        if abs(total - 1.0) > tol:
+            raise ValueError(f"weights sum to {total!r}, expected 1 within n·eps = {tol:.3g}")
+        object.__setattr__(self, "weights", w)
 
     @cached_property
     def cdf(self) -> np.ndarray:
@@ -155,26 +158,26 @@ def optimal_distribution(a: np.ndarray, b: np.ndarray, partition: Partition) -> 
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """One sketch setup: matrices and a distribution whose support partitions their inner dimension.
+    """One sketch setup: read-only matrices and a distribution whose support partitions their inner dimension.
 
     The partition is ``distribution.support``, so a plan holds exactly one.  Construction, the one
-    plan check, raises ``ValueError`` unless ``a @ b`` conforms and the support covers its inner
-    dimension.  ``weights`` are the support's ``group_weights``: the ``known_weights`` the
-    distribution was built from, or else computed on first read, only if a consumer asks.
+    plan check, raises ``ValueError`` unless ``a`` and ``b`` are read-only (as ``dense``,
+    ``read_matrix`` and their ``.T`` are), ``a @ b`` conforms and the support covers its inner
+    dimension.  ``weights`` are the support's ``group_weights``, computed once: by ``optimal_plan``,
+    which builds the distribution from them, or else on first read, only if a consumer asks.
     """
 
     a: np.ndarray
     b: np.ndarray
     distribution: SamplingDistribution
-    known_weights: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.a.flags.writeable or self.b.flags.writeable:
+            raise ValueError("a plan's matrices must be read-only, as dense and read_matrix return them")
         _check_shapes(self.a, self.b, self.distribution.support)
 
     @cached_property
     def weights(self) -> np.ndarray:
-        if self.known_weights is not None:
-            return self.known_weights
         return _frozen(group_weights(self.a, self.b, self.distribution.support))
 
 
@@ -186,12 +189,14 @@ def _plan_on(a: np.ndarray, b: np.ndarray, partition: Partition, dist: SamplingD
 
 
 def optimal_plan(a: np.ndarray, b: np.ndarray, partition: Partition) -> Plan:
-    """The plan of ``optimal_distribution`` over ``partition``, keeping the group weights it is built from."""
+    """The plan of ``optimal_distribution`` over ``partition``, caching the group weights it is built from."""
     w = _frozen(group_weights(a, b, partition))
     total = float(np.sum(w))
     if total == 0.0:
         raise ZeroProductError("every block weight is zero: the product is the zero matrix")
-    return Plan(a, b, SamplingDistribution(partition, w / total), w)
+    plan = Plan(a, b, SamplingDistribution(partition, w / total))
+    plan.__dict__["weights"] = w  # the cached_property's slot: read back, never recomputed
+    return plan
 
 
 def aggregate_distribution(p_finest: SamplingDistribution, partition: Partition) -> SamplingDistribution:
@@ -224,8 +229,5 @@ def distribution_stats(dist: SamplingDistribution) -> dict[str, float]:
 
 def distribution_to_json(dist: SamplingDistribution) -> str:
     """JSON object {"partition": 1-based groups, "weights": [...]}."""
-    payload = {
-        "partition": [[i + 1 for i in g] for g in dist.support.groups],
-        "weights": [float(v) for v in dist.weights],
-    }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps({"partition": [[i + 1 for i in g] for g in dist.support.groups],
+                       "weights": dist.weights.tolist()}, sort_keys=True)

@@ -365,10 +365,5 @@ def draw_log_json(cfg: SketchConfig, draws: np.ndarray, counts: np.ndarray) -> s
     ``draws``, in draw order, are ``sample_indices(dist, cfg.c, cfg.seed)`` and
     ``counts`` their per-group counts, as ``sketch_from_draws`` took them.
     """
-    payload = {
-        "draws": (draws + 1).tolist(),
-        "counts": counts.tolist(),
-        "seed": int(cfg.seed),
-        "c": int(cfg.c),
-    }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps({"draws": (draws + 1).tolist(), "counts": counts.tolist(), "seed": int(cfg.seed),
+                       "c": int(cfg.c)}, sort_keys=True)

@@ -56,14 +56,13 @@ def shuffled_groups(rng, n, largest=16):
 
 
 def distribution(support, weights, *, normalize=False):
-    """A distribution over ``support`` from a copy of ``weights``; with ``normalize`` they are first rescaled to sum to 1."""
-    w = np.array(weights, dtype=np.float64, copy=True)
+    """A distribution over ``support`` from ``weights``; with ``normalize`` they are first rescaled to sum to 1."""
     if normalize:
-        total = float(np.sum(w))
+        total = float(np.sum(weights))
         if total <= 0:
             raise ValueError(f"cannot normalize weights summing to {total}")
-        w /= total
-    return SamplingDistribution(support, w)
+        weights = np.divide(weights, total)
+    return SamplingDistribution(support, weights)
 
 
 def block_product(a, b, group):

@@ -228,6 +228,19 @@ class TestBernsteinBound:
         with pytest.raises(ValueError, match="finite"):
             tail_bound_value(1.0, 1.0, 4, 1, float(epsilon))
 
+    @pytest.mark.parametrize("proxies", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+                                         (-1.0, 0.0), (1.0, -0.5)])
+    def test_rejects_impossible_proxies(self, proxies):
+        # a NaN variance would give nan and a negative one 8.96 where no bound exists
+        with pytest.raises(ValueError, match="proxies must be finite and nonnegative"):
+            tail_bound_value(*proxies, 2, 3, 1.0)
+
+    @pytest.mark.parametrize("dims_sum", [-5, 0, math.inf, math.nan])
+    def test_rejects_impossible_dims_sum(self, dims_sum):
+        # a negative dimension sum would give a negative probability bound (-1.84 at -5)
+        with pytest.raises(ValueError, match="dims_sum must be finite and positive"):
+            tail_bound_value(1.0, 1.0, dims_sum, 3, 1.0)
+
 
 class TestBinomialCdf:
     def test_full_range_is_one(self):
@@ -546,3 +559,13 @@ class TestPlanCheck:
             self.CONSUMERS[name](a, b, finest(3), distribution(finest(3), [0.5, 0.25, 0.25]))
         with pytest.raises(ValueError, match="dimension mismatch"):
             self.CONSUMERS[name](a, dense(np.ones((3, 2))), finest(4), d)
+
+    @pytest.mark.parametrize("name", CONSUMERS)
+    def test_writable_matrix_is_rejected(self, name):
+        rng = np.random.default_rng(3)
+        a = dense(rng.random((3, 4)))
+        b = dense(rng.random((4, 2)))
+        d = optimal_distribution(a, b, finest(4))
+        for left, right in [(a.copy(), b), (a, b.copy())]:
+            with pytest.raises(ValueError, match="read-only"):
+                self.CONSUMERS[name](left, right, finest(4), d)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from partsketch import (ENHANCED, Plan, SamplingDistribution, ZeroProductError,
                         aggregate_distribution, coarsen, dense,
                         distribution_stats, distribution_to_json,
-                        finest, group_weights,
-                        optimal_distribution, optimal_plan, pairing_plan, pairwise_plan)
+                        finest, group_weights, optimal_distribution, optimal_plan, pairing_plan,
+                        pairwise_plan, read_matrix, sample_indices, write_csv)
 from partsketch import distributions
 from helpers import distribution, element_weight, random_coarsening, random_instance, shuffled_groups
 
@@ -190,6 +191,41 @@ class TestDistributionConstruction:
         with pytest.raises(ValueError):
             d.weights[0] = 1.0
 
+    def test_keeps_its_own_copy(self):
+        # a view made before construction, set after the CDF is cached, would otherwise change
+        # the probabilities that scale the draws but not the CDF that samples them
+        w = np.array([0.7, 0.1, 0.1, 0.1])
+        view = w[:]
+        d = SamplingDistribution(finest(4), w)
+        cdf = d.cdf.copy()
+        view[:] = 0.25
+        assert w.flags.writeable and d.weights is not w
+        assert d.weights.tolist() == [0.7, 0.1, 0.1, 0.1] and np.array_equal(d.cdf, cdf)
+
+    @pytest.mark.parametrize("weights", [[0, 1, 0], np.array([0, 1, 0]), np.array([0, 1, 0], dtype=np.uint8),
+                                         np.array([0, 1, 0], dtype=np.float32)])
+    def test_takes_integers_and_lists(self, weights):
+        d = SamplingDistribution(finest(3), weights)
+        assert d.weights.dtype == np.float64 and d.weights.tolist() == [0.0, 1.0, 0.0]
+        assert d.cdf.tolist() == [0.0, 1.0, 1.0] and sample_indices(d, 4, 0).tolist() == [1] * 4
+
+    @pytest.mark.parametrize("weights", [[False, True], np.array([True, False]), np.array([0.5 + 0j, 0.5]),
+                                         ["0.5", "0.5"], [None, 1.0]])
+    def test_refuses_bool_complex_and_non_numeric(self, weights):
+        with pytest.raises(ValueError, match="integers or floats"):
+            SamplingDistribution(finest(2), weights)
+
+    def test_sum_tolerance_is_n_eps(self):
+        # n = 500 probabilities are within n·eps = 1.1e-13 of summing to 1 after rounding
+        n, eps = 500, np.finfo(np.float64).eps
+        near, far = np.full(n, 1 / n), np.full(n, 1 / n)
+        near[0] += 4 * eps
+        far[0] += 5e-13
+        assert abs(np.sum(near) - 1.0) < n * eps < abs(np.sum(far) - 1.0)
+        SamplingDistribution(finest(n), near)
+        with pytest.raises(ValueError, match="sum"):
+            SamplingDistribution(finest(n), far)
+
 
 class TestExports:
     def test_stats(self):
@@ -221,10 +257,45 @@ class TestPlan:
         a, b = random_instance(np.random.default_rng(4), n=7)
         part = coarsen([[0, 3], [1], [2, 4, 5], [6]], 7)
         plan = optimal_plan(a, b, part)
-        assert plan.weights is plan.known_weights and len(counted) == 1
-        assert np.array_equal(plan.weights, group_weights(a, b, part))
+        first, second = plan.weights, plan.weights
+        assert first is second and len(counted) == 1
+        assert first.tobytes() == group_weights(a, b, part).tobytes() and not first.flags.writeable
         assert np.array_equal(plan.distribution.weights, optimal_distribution(a, b, part).weights)
-        assert not plan.weights.flags.writeable
+        assert [f.name for f in dataclasses.fields(Plan)] == ["a", "b", "distribution"]
+        with pytest.raises(TypeError):
+            Plan(a, b, plan.distribution, known_weights=np.ones(4))
+
+    BUILDERS = {"Plan": lambda a, b, part: Plan(a, b, distribution(part, np.ones(part.k), normalize=True)),
+                "optimal_plan": optimal_plan, "optimal_distribution": optimal_distribution}
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    @pytest.mark.parametrize("writable", [["a"], ["b"], ["a", "b"]])
+    def test_writable_matrices_are_refused(self, name, writable):
+        rng = np.random.default_rng(6)
+        mats = {"a": dense(rng.random((3, 5))), "b": dense(rng.random((5, 2)))}
+        for key in writable:
+            mats[key] = mats[key].copy()
+        with pytest.raises(ValueError, match="read-only"):
+            self.BUILDERS[name](mats["a"], mats["b"], finest(5))
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_frozen_matrices_are_accepted(self, name, tmp_path):
+        write_csv(np.random.default_rng(6).random((3, 5)), tmp_path / "a.csv")
+        a = read_matrix(tmp_path / "a.csv")
+        for left, right in [(a, a.T), (dense(a), dense(a.T)), (a.T.T, dense(a).T)]:
+            self.BUILDERS[name](left, right, finest(5))
+
+    def test_a_matrix_changed_after_its_plan_is_refused_when_built(self):
+        # the zero column gets probability 0; filled after the plan was built, it would never be
+        # sampled and every estimate would miss its block
+        a = np.random.default_rng(7).random((4, 6))
+        a[:, 2] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            optimal_plan(a, a.T, finest(6))
+        frozen = dense(a)
+        optimal_plan(frozen, frozen.T, finest(6))
+        with pytest.raises(ValueError):
+            frozen[:, 2] = 1.0
 
     def test_pairwise_plan_computes_pair_weights_only_when_read(self, counted):
         a, b = random_instance(np.random.default_rng(5), n=8)

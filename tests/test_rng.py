@@ -223,3 +223,10 @@ class TestCountRule:
     @pytest.mark.parametrize("name, lo, call, error", COUNT_ENTRY_POINTS, ids=[e[0] for e in COUNT_ENTRY_POINTS])
     def test_every_entry_point_takes_a_numpy_integer(self, name, lo, call, error):
         call(np.int64(lo))
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), 2.5, np.float64(2.0)])
+    def test_binomial_cdf_bound_is_an_integer(self, bad):
+        # not a count: any sign is a bound, a negative one giving 0
+        with pytest.raises(ValueError, match=re.escape(f"s must be an integer, got {bad!r}")):
+            binomial_cdf(bad, 5, 0.5)
+        assert binomial_cdf(np.int64(-3), 5, 0.5) == 0.0 and binomial_cdf(np.int64(5), 5, 0.5) == 1.0
