@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import (bernstein_tail_bound, bound_report, min_draw_threshold,
                        uniform_spectral_bound)
-from .distributions import Plan, distribution_to_json, optimal_plan
+from .distributions import Plan, distribution_to_json, optimal_plan, pairing_plan
 from .errors import ConfigError, MatrixFileError, NumericError
 from .experiments import (ExperimentConfig, pairing_strategy, paper_scale, run_fig1,
                           run_fig2, run_table1)
@@ -24,8 +24,7 @@ from .matrices import read_matrix, write_csv, write_output
 from .partitions import PAIRING_KINDS, finest, partition_from_json
 from .rng import _check_count
 # ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
-from .sketching import (SketchConfig, draw_log_json, pairwise_plan, sample_indices, sketch,  # noqa: F401
-                        sketch_from_draws)
+from .sketching import SketchConfig, draw_log_json, sample_indices, sketch, sketch_from_draws  # noqa: F401
 
 STRATEGY_CHOICES = ("finest", *PAIRING_KINDS)
 
@@ -37,13 +36,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _plan(args) -> Plan:
-    """The plan of --a and --b over the partition of --partition-file, of finest, or of a pairing strategy."""
+    """The plan of --a and --b over --partition-file's partition or finest, or a strategy's ``pairing_plan`` of finest's."""
     a, b = read_matrix(args.a), read_matrix(args.b)
     if args.partition_file is not None:
         return optimal_plan(a, b, partition_from_json(Path(args.partition_file).read_text(encoding="utf-8")))
-    if args.strategy == "finest":
-        return optimal_plan(a, b, finest(a.shape[1]))
-    return Plan(a, b, pairwise_plan(a, b, pairing_strategy(args.strategy, args.seed))[1])
+    fin = optimal_plan(a, b, finest(a.shape[1]))
+    return fin if args.strategy == "finest" else pairing_plan(fin, pairing_strategy(args.strategy, args.seed))
 
 
 def _out_dir(args) -> Path:

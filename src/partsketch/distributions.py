@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ZeroProductError
-from .matrices import _BLOCK_ENTRIES, _EPS, _check_conformable, _frozen
+from .matrices import _BLOCK_ENTRIES, _EPS, _check_conformable, _frozen, _is_frozen
 from .partitions import PairingStrategy, Partition, pair_partition
 
 
@@ -55,8 +55,7 @@ class SamplingDistribution:
         """Cumulative probabilities ending at exactly 1; group g owns ``[cdf[g-1], cdf[g])``. Read-only, built once."""
         cdf = np.cumsum(self.weights)
         cdf /= cdf[-1]
-        cdf.flags.writeable = False
-        return cdf
+        return _frozen(cdf)
 
     @cached_property
     def guide(self) -> np.ndarray:
@@ -67,9 +66,7 @@ class SamplingDistribution:
         integer m), and rounding is monotone, so its group, the first g with ``cdf[g] > u``, is in
         ``[guide[j], guide[j + 1]]``: at most ``guide_steps`` steps from ``guide[j]``."""
         buckets = 2 * self.weights.size
-        guide = np.searchsorted(np.floor(self.cdf * buckets), np.arange(buckets + 1))
-        guide.flags.writeable = False
-        return guide
+        return _frozen(np.searchsorted(np.floor(self.cdf * buckets), np.arange(buckets + 1)))
 
     @cached_property
     def guide_steps(self) -> int:
@@ -161,10 +158,10 @@ class Plan:
     """One sketch setup: read-only matrices and a distribution whose support partitions their inner dimension.
 
     The partition is ``distribution.support``, so a plan holds exactly one.  Construction, the one
-    plan check, raises ``ValueError`` unless ``a`` and ``b`` are read-only (as ``dense``,
-    ``read_matrix`` and their ``.T`` are), ``a @ b`` conforms and the support covers its inner
-    dimension.  ``weights`` are the support's ``group_weights``, computed once: by ``optimal_plan``,
-    which builds the distribution from them, or else on first read, only if a consumer asks.
+    plan check, raises ``ValueError`` unless ``a`` and ``b`` are read-only down their ``.base``
+    chains (``_is_frozen``; ``dense``, ``read_matrix`` and their ``.T`` are), ``a @ b`` conforms and
+    the support covers its inner dimension.  ``weights`` are the support's ``group_weights``, computed
+    once: by ``optimal_plan``, which builds the distribution from them, or else on first read.
     """
 
     a: np.ndarray
@@ -172,8 +169,8 @@ class Plan:
     distribution: SamplingDistribution
 
     def __post_init__(self):
-        if self.a.flags.writeable or self.b.flags.writeable:
-            raise ValueError("a plan's matrices must be read-only, as dense and read_matrix return them")
+        if not (_is_frozen(self.a) and _is_frozen(self.b)):
+            raise ValueError("a plan's matrices must be read-only down their .base chains, as dense and read_matrix return them")
         _check_shapes(self.a, self.b, self.distribution.support)
 
     @cached_property

@@ -61,6 +61,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_frozen(a: np.ndarray) -> bool:
+    """True when every array down ``a``'s ``.base`` chain is read-only and an owner that ends it exports a read-only buffer."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        a = a.base
+    try:  # an array left here is writable, and an owner with no buffer cannot show it is read-only
+        return a is None or not isinstance(a, np.ndarray) and memoryview(a).readonly
+    except TypeError:
+        return False
+
+
 def _check_conformable(a: np.ndarray, b: np.ndarray) -> None:
     """Raise ``ValueError`` unless ``a @ b`` conforms: ``a``'s columns are ``b``'s rows."""
     if a.shape[1] != b.shape[0]:

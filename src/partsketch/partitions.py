@@ -11,6 +11,7 @@ JSON serialization uses 1-based indices; everything in memory is 0-based.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 from dataclasses import dataclass
@@ -29,8 +30,9 @@ class Partition:
     """Ordered groups of 0-based indices partitioning {0..n-1}, stored as ``(order, offsets)``.
 
     Construction keeps read-only ``intp`` copies of the arrays and raises ``ValueError`` for an n
-    other than an integer >= 1 (``_check_count``) or naming the first violation of the scan
-    (``_violation``), so every ``Partition`` that exists is valid.  ``==`` and the hash compare ``n``
+    other than an integer >= 1 (``_check_count``) or arrays that spell no groups; one array test then
+    accepts the groups, and only its refusal runs the per-index scan (``_violation``) that names the
+    first violation.  So every ``Partition`` that exists is valid.  ``==`` and the hash compare ``n``
     and both arrays; ``labels`` and ``groups`` are derived on first read.
     """
 
@@ -39,18 +41,22 @@ class Partition:
     offsets: np.ndarray
 
     def __post_init__(self):
-        n, order, offsets = _check_count(self.n, "ground-set size"), np.asarray(self.order), np.asarray(self.offsets)
+        self._admit(self.n, self.order, self.offsets)
+
+    def _admit(self, n, order, offsets, held=None, base: int = 0) -> Partition:
+        """Check and set the fields; a refusal scans ``held`` (by default ``groups``) counting from ``base``."""
+        n, order, offsets = _check_count(n, "ground-set size"), np.asarray(order), np.asarray(offsets)
         if not all(x.ndim == 1 and x.dtype.kind in "iu" and np.can_cast(x.dtype, np.intp) for x in (order, offsets)):
             raise ValueError("order and offsets must be 1-d integer arrays")
         order, offsets = _frozen(order.astype(np.intp)), _frozen(offsets.astype(np.intp))
         if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != order.size or np.any(np.diff(offsets) < 0):
             raise ValueError("offsets must rise from 0 to the length of order")
-        violation = _violation(n, order, offsets)
-        if violation is not None:
-            raise ValueError(violation)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "offsets", offsets)
+        self.__dict__.update(n=n, order=order, offsets=offsets)
+        # n members in [0, n), each once, in nonempty groups (so 1 to n of them)
+        if not (order.size == n and np.diff(offsets).all() and 0 <= order.min() and order.max() < n
+                and np.all(np.bincount(order, minlength=n) == 1)):
+            raise ValueError(_violation(n, self.groups if held is None else held, base))
+        return self
 
     @property
     def k(self) -> int:
@@ -79,35 +85,29 @@ class Partition:
         return hash((self.n, self.order.tobytes(), self.offsets.tobytes()))
 
 
-def _violation(n: int, members: np.ndarray, offsets: np.ndarray, held=None, base: int = 0) -> str | None:
-    """The first violation a per-index scan of the groups meets, found with array operations, or None.
+def _violation(n: int, groups, base: int = 0) -> str | None:
+    """The first violation a per-index scan of ``groups`` meets, or None if they partition the n indices from ``base``.
 
-    The scan visits each group, then its members, in order: an empty group, a
-    member out of range or already seen; then the lowest index no group
-    covers.  ``members`` stops short of ``offsets[-1]`` where the scan met a
-    non-integer, and coverage is then not checked.  Messages show a member as
-    ``held`` holds it, and count groups and indices from ``base``.
+    The scan visits the groups in order and each group's indices in order: an empty group, then per
+    index a non-integer (``_is_integer``), an index out of range or one already seen; after the scan,
+    the lowest index no group covers.  Messages show an index as its group holds it, counted from ``base``.
     """
-    held = members if held is None else held
-    if not 1 <= offsets.size - 1 <= n:
-        return f"group count must be in [1, {n}], got {offsets.size - 1}"
-    outside = np.flatnonzero((members < 0) | (members >= n))
-    stop = int(outside[0]) if outside.size else members.size
-    counts = np.bincount(members[:stop], minlength=n)
-    first = stop  # the first member seen before it: the earliest later copy of a value
-    if counts.max() > 1:
-        by_value = np.argsort(members[:stop], kind="stable")
-        first = int(by_value[1:][members[by_value[1:]] == members[by_value[:-1]]].min())
-    empty = np.flatnonzero(offsets[1:] == offsets[:-1])
-    if empty.size and offsets[empty[0]] <= first:
-        return f"group {empty[0] + base} is empty"
-    if first < stop:
-        return f"index {held[first]} appears in more than one group"
-    if stop < members.size:
-        return f"index {held[stop]} out of range " + (f"[0, {n})" if base == 0 else f"[{base}, {n + base - 1}]")
-    if members.size == offsets[-1] and counts.min() == 0:
-        return f"index {int(np.argmin(counts)) + base} is not covered by any group"
-    return None
+    if not 1 <= len(groups) <= n:
+        return f"group count must be in [1, {n}], got {len(groups)}"
+    seen = set()
+    for g, group in enumerate(groups, base):
+        if len(group) == 0:
+            return f"group {g} is empty"
+        for i in group:
+            if not _is_integer(i):
+                return f"group {g} holds a non-integer index {i!r}"
+            if not base <= i < n + base:
+                return f"index {i} out of range " + (f"[0, {n})" if base == 0 else f"[{base}, {n + base - 1}]")
+            if i - base in seen:
+                return f"index {i} appears in more than one group"
+            seen.add(i - base)
+    if len(seen) < n:
+        return f"index {next(i for i in range(n) if i not in seen) + base} is not covered by any group"
 
 
 @dataclass(frozen=True)
@@ -142,27 +142,22 @@ def finest(n: int) -> Partition:
 def coarsen(groups, n: int, base: int = 0) -> Partition:
     """Partition of {0..n-1} from groups (any iterables) of indices counted from ``base``.
 
-    Raises ``ValueError`` naming the scan's first violation (``_violation``),
-    with indices as the groups hold them; a non-integer index (booleans
-    included) ends the scan.  NumPy integers are accepted.
+    Integers, Python or NumPy, are converted to one array for ``Partition``'s array test; a bool, a
+    non-integer or an index past ``intp`` goes straight to the scan.  A refusal raises ``ValueError``
+    naming the first violation of the scan (``_violation``) of the groups as given, counted from ``base``.
     """
     n = _check_count(n, "ground-set size")
     groups = [tuple(g) for g in groups]
-    offsets = np.cumsum([0, *map(len, groups)])
     flat = list(itertools.chain.from_iterable(groups))
-    ints = flat if all(type(i) is int for i in flat) else list(itertools.takewhile(_is_integer, flat))
-    try:
-        members = np.array(ints, dtype=np.intp) - base
-    except OverflowError:  # an index beyond intp, out of range whatever n is
-        members = np.array([i - base if base <= i < n + base else -1 for i in ints], dtype=np.intp)
-    if len(ints) < len(flat):
-        group = int(np.searchsorted(offsets, len(ints), side="right")) - 1 + base
-        raise ValueError(_violation(n, members, offsets, flat, base)
-                         or f"group {group} holds a non-integer index {flat[len(ints)]!r}")
-    try:
-        return Partition(n, members, offsets)
-    except ValueError:
-        raise ValueError(_violation(n, members, offsets, flat, base)) from None
+    if {int}.issuperset(map(type, flat)) or all(map(_is_integer, flat)):  # the first test is the quick one
+        with contextlib.suppress(OverflowError):  # an index or base past intp is left to the scan
+            # built without __init__: the array test runs once, and a refusal scans the groups as given
+            offsets = np.cumsum([0, *map(len, groups)])
+            return Partition.__new__(Partition)._admit(n, np.array(flat, dtype=np.intp) - base, offsets, groups, base)
+    violation = _violation(n, groups, base)
+    if violation is None:  # indices past intp that a base past intp brings into range
+        return coarsen([[i - base for i in g] for g in groups], n)
+    raise ValueError(violation)
 
 
 def _pair_order(weights: np.ndarray, strategy: PairingStrategy) -> np.ndarray:

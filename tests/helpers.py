@@ -336,32 +336,34 @@ def stderr_error_bound(x):
     return (gamma(4) * math.sqrt(big_s + ds) + root_gap + gamma(4) * math.sqrt(big_s)) / norm
 
 
-def loop_validate(n, groups):
-    """Reference partition check: None if ``groups`` partition {0..n-1}, else the first violation a per-index scan meets.
+def loop_validate(n, groups, base=0):
+    """Reference partition check: None if ``groups`` partition the n indices counted from ``base``,
+    else the first violation a per-index scan meets.
 
     The scan visits the groups in order and each group's indices in order:
     an empty group, then per index a non-integer (booleans included), an
     index out of range or one already seen; after the scan, the lowest index
-    no group covers.
+    no group covers.  Messages count groups and indices from ``base``.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         return f"ground-set size must be an integer >= 1, got {n!r}"
     if not 1 <= len(groups) <= n:
         return f"group count must be in [1, {n}], got {len(groups)}"
+    span = f"[0, {n})" if base == 0 else f"[{base}, {n + base - 1}]"
     seen = np.zeros(n, dtype=bool)
     for gi, group in enumerate(groups):
         if len(group) == 0:
-            return f"group {gi} is empty"
+            return f"group {gi + base} is empty"
         for idx in group:
             if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
-                return f"group {gi} holds a non-integer index {idx!r}"
-            if not 0 <= idx < n:
-                return f"index {idx} out of range [0, {n})"
-            if seen[idx]:
+                return f"group {gi + base} holds a non-integer index {idx!r}"
+            if not base <= idx < n + base:
+                return f"index {idx} out of range {span}"
+            if seen[idx - base]:
                 return f"index {idx} appears in more than one group"
-            seen[idx] = True
+            seen[idx - base] = True
     if not seen.all():
-        return f"index {int(np.argmin(seen))} is not covered by any group"
+        return f"index {int(np.argmin(seen)) + base} is not covered by any group"
     return None
 
 

@@ -10,8 +10,9 @@ from partsketch import (ENHANCED, Plan, SamplingDistribution, ZeroProductError,
                         aggregate_distribution, coarsen, dense,
                         distribution_stats, distribution_to_json,
                         finest, group_weights, optimal_distribution, optimal_plan, pairing_plan,
-                        pairwise_plan, read_matrix, sample_indices, write_csv)
+                        pairwise_plan, read_matrix, sample_indices, write_binary, write_csv)
 from partsketch import distributions
+from partsketch.experiments import ExperimentConfig, experiment_matrix
 from helpers import distribution, element_weight, random_coarsening, random_instance, shuffled_groups
 
 
@@ -280,10 +281,31 @@ class TestPlan:
 
     @pytest.mark.parametrize("name", BUILDERS)
     def test_frozen_matrices_are_accepted(self, name, tmp_path):
-        write_csv(np.random.default_rng(6).random((3, 5)), tmp_path / "a.csv")
+        # every matrix the package makes, with its .T: a .bin matrix's chain ends in a read-only
+        # memoryview of the file's bytes, and an experiment's A is column-major
+        values = np.random.default_rng(6).random((3, 5))
+        write_csv(values, tmp_path / "a.csv")
+        write_binary(values, tmp_path / "a.bin")
         a = read_matrix(tmp_path / "a.csv")
-        for left, right in [(a, a.T), (dense(a), dense(a.T)), (a.T.T, dense(a).T)]:
+        for left, right in [(a, a.T), (dense(a), dense(a.T)), (a.T.T, dense(a).T),
+                            (np.broadcast_to(a, (2, 3, 5))[0], a.T)]:  # a view of a view of a frozen base
             self.BUILDERS[name](left, right, finest(5))
+        for m in (read_matrix(tmp_path / "a.bin"), experiment_matrix(ExperimentConfig(rows=3, cols=5)),
+                  experiment_matrix(ExperimentConfig(matrix_path=str(tmp_path / "a.csv"))),
+                  experiment_matrix(ExperimentConfig(matrix_path=str(tmp_path / "a.bin")))):
+            self.BUILDERS[name](m, m.T, finest(5))
+            self.BUILDERS[name](m.T, m, finest(3))
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_read_only_views_of_writable_memory_are_refused(self, name):
+        # frozen views whose memory can still be written: through a writable base array, or through
+        # the bytearray under np.frombuffer; filling the zero column later would bias every estimate
+        x = np.random.default_rng(0).random((4, 6))
+        x[:, 2] = 0.0
+        for a in (x.view(), np.frombuffer(bytearray(x.tobytes())).reshape(4, 6)):
+            a.flags.writeable = False
+            with pytest.raises(ValueError, match="read-only"):
+                self.BUILDERS[name](a, a.T, finest(6))
 
     def test_a_matrix_changed_after_its_plan_is_refused_when_built(self):
         # the zero column gets probability 0; filled after the plan was built, it would never be

@@ -365,9 +365,10 @@ class TestFig1ErrorForm:
 
     @staticmethod
     def cells(m, n, cs_and_trials, cols=None):
-        """Cells of ``(c, trials)`` on one m×n A and B = Aᵀ, or an n×cols B, of constant entries."""
-        a = np.broadcast_to(0.0, (m, n))
-        b = a.T if cols is None else np.broadcast_to(1.0, (n, cols))
+        """Cells of ``(c, trials)`` on one m×n A and B = Aᵀ, or an n×cols B, of constant entries
+        (read-only views of a frozen 1×1 matrix, as a plan takes them)."""
+        a = np.broadcast_to(dense([[0.0]]), (m, n))
+        b = a.T if cols is None else np.broadcast_to(dense([[1.0]]), (n, cols))
         plan = Plan(a, b, distribution(finest(n), np.ones(n), normalize=True))
         return [(plan, c, range(trials)) for c, trials in cs_and_trials]
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from partsketch import (BALANCED, ENHANCED, SIMPLE, PairingStrategy,
                         Partition, coarsen, finest, pair_partition,
                         partition_from_json, partition_to_json)
-from helpers import loop_validate as validate
+from partsketch import partitions
+from helpers import loop_validate as validate, shuffled_groups
 
 
 class TestFinest:
@@ -86,6 +87,50 @@ class TestValidate:
             assert str(info.value) == violation
 
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.one_of(st.integers(0, n + 1), st.integers(0, n + 1), st.sampled_from(
+            [0.5, 1.0, "1", None, True, False, 2**64, -2**70, np.int64(1), np.uint64(1), np.uint64(0)])),
+            max_size=4),
+        min_size=1, max_size=n))))
+    def test_matches_the_per_index_scan_counted_from_one(self, case):
+        n, groups = case
+        groups = tuple(tuple(g) for g in groups)
+        violation = validate(n, groups, 1)
+        if violation is None:
+            assert coarsen(groups, n, base=1).groups == tuple(tuple(i - 1 for i in g) for g in groups)
+        else:
+            with pytest.raises(ValueError) as info:
+                coarsen(groups, n, base=1)
+            assert str(info.value) == violation
+
+
+class TestAcceptTest:
+    """Valid groups pass one array test; the per-index scan runs only to name a refusal."""
+
+    def test_valid_partitions_never_scan(self, monkeypatch):
+        text = partition_to_json(shuffled_groups(np.random.default_rng(3), 500))
+        monkeypatch.setattr(partitions, "_violation", lambda *args: pytest.fail("scanned a valid partition"))
+        assert finest(2000).k == 2000
+        p = np.random.default_rng(4).random(9)
+        for strategy in (ENHANCED, BALANCED, SIMPLE, PairingStrategy("random", 4)):
+            assert pair_partition(p / p.sum(), strategy).k == 5
+        assert coarsen([[2, 0], [np.int64(1)]], 3).groups == ((2, 0), (1,))
+        assert partition_to_json(partition_from_json(text)) == text
+
+    def test_one_array_test_per_construction_and_one_scan_per_refusal(self, monkeypatch):
+        bincounts, scans, bincount, scan = [], [], np.bincount, partitions._violation
+        monkeypatch.setattr(np, "bincount", lambda *args, **kw: bincounts.append(1) or bincount(*args, **kw))
+        monkeypatch.setattr(partitions, "_violation", lambda *args: scans.append(args) or scan(*args))
+        partition_from_json("[[2, 1], [3]]")
+        coarsen([[1], [0]], 2)
+        finest(4)
+        assert len(bincounts) == 3 and not scans
+        with pytest.raises(ValueError, match="^index 4 appears in more than one group$"):
+            partition_from_json("[[1, 4], [2, 3, 4], [5, 6]]")
+        assert scans == [(7, [(1, 4), (2, 3, 4), (5, 6)], 1)]
+
+
 class TestPartitionChecksItself:
     @pytest.mark.parametrize("n, groups, message", [
         (3, ((0,), (1,)), "index 2 is not covered by any group"),
@@ -110,6 +155,12 @@ class TestPartitionChecksItself:
         with pytest.raises(ValueError) as info:
             coarsen(groups, 2)
         assert str(info.value) == message
+
+    def test_a_base_past_intp_brings_indices_past_intp_into_range(self):
+        big = 2**70
+        assert coarsen([[big + 1], [big]], 2, base=big).groups == ((1,), (0,))
+        with pytest.raises(ValueError, match=f"^index {big} appears in more than one group$"):
+            coarsen([[big, big]], 2, base=big)
 
     def test_coarsen_of_numpy_integers_serializes(self):
         assert partition_to_json(coarsen([[np.int64(1)], [np.int64(0)]], 2)) == "[[2], [1]]"

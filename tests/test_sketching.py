@@ -485,7 +485,7 @@ class TestMemoryLayout:
         rng = np.random.default_rng(49)
         values = rng.random((100_000, 40))
         values -= 0.5
-        a = _checked(values.T)
+        a = _checked(values).T  # frozen at its owner: a plan refuses a read-only view of a writable array
         b = a.T if b_kind == "a.T" else dense(rng.random((100_000, 3)) - 0.5)
         part = finest(100_000)
         plan = Plan(a, b, uniform(part))
