@@ -56,7 +56,7 @@ def expected_frobenius_error_sq(a: np.ndarray, b: np.ndarray, partition: Partiti
     _check_count(c, "sample count")
     w, ratio = _scaled_weights(plan.weights, dist.weights)
     total = float(np.sum(w * ratio))
-    return _excess_over_product(total, a, b, "expected squared error") / c
+    return _excess_over_product(total, plan.a, plan.b, "expected squared error") / c
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import (bernstein_tail_bound, bound_report, min_draw_threshold,
                        uniform_spectral_bound)
-from .distributions import Plan, distribution_to_json, optimal_plan, pairing_plan
+from .distributions import Plan, _optimal_plan, distribution_to_json, pairing_plan
 from .errors import ConfigError, MatrixFileError, NumericError
 from .experiments import (ExperimentConfig, pairing_strategy, paper_scale, run_fig1,
                           run_fig2, run_table1)
@@ -37,10 +37,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _plan(args) -> Plan:
     """The plan of --a and --b over --partition-file's partition or finest, or a strategy's ``pairing_plan`` of finest's."""
-    a, b = read_matrix(args.a), read_matrix(args.b)
+    a, b = read_matrix(args.a), read_matrix(args.b)  # no one else holds them: the plan adopts them with no copy
     if args.partition_file is not None:
-        return optimal_plan(a, b, partition_from_json(Path(args.partition_file).read_text(encoding="utf-8")))
-    fin = optimal_plan(a, b, finest(a.shape[1]))
+        return _optimal_plan(a, b, partition_from_json(Path(args.partition_file).read_text(encoding="utf-8")))
+    fin = _optimal_plan(a, b, finest(a.shape[1]))
     return fin if args.strategy == "finest" else pairing_plan(fin, pairing_strategy(args.strategy, args.seed))
 
 

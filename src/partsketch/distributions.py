@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ZeroProductError
-from .matrices import _BLOCK_ENTRIES, _EPS, _check_conformable, _frozen, _is_frozen
+from .matrices import _BLOCK_ENTRIES, _EPS, _check_conformable, _frozen, _matrix, _plan_copies
 from .partitions import PairingStrategy, Partition, pair_partition
 
 
@@ -150,18 +150,19 @@ def optimal_distribution(a: np.ndarray, b: np.ndarray, partition: Partition) -> 
     and no distribution is defined), and ``ValueError`` as :func:`group_weights`
     does on matrices and a partition that do not conform.
     """
-    return optimal_plan(a, b, partition).distribution
+    return _optimal_plan(_matrix(a), _matrix(b), partition).distribution
 
 
 @dataclass(frozen=True, eq=False)
 class Plan:
     """One sketch setup: read-only matrices and a distribution whose support partitions their inner dimension.
 
-    The partition is ``distribution.support``, so a plan holds exactly one.  Construction, the one
-    plan check, raises ``ValueError`` unless ``a`` and ``b`` are read-only down their ``.base``
-    chains (``_is_frozen``; ``dense``, ``read_matrix`` and their ``.T`` are), ``a @ b`` conforms and
-    the support covers its inner dimension.  ``weights`` are the support's ``group_weights``, computed
-    once: by ``optimal_plan``, which builds the distribution from them, or else on first read.
+    The partition is ``distribution.support``, so a plan holds exactly one.  ``Plan(a, b, dist)``
+    holds ``_plan_copies`` of ``a`` and ``b``, which no write to the caller's arrays reaches, and
+    raises ``ValueError`` unless they are matrices (``_matrix``), ``a @ b`` conforms and the support
+    covers its inner dimension.  ``with_distribution`` builds a plan on the same copies with no
+    copy.  ``weights`` are the support's ``group_weights``, computed once: by ``optimal_plan``,
+    which builds the distribution from them, or else on first read.
     """
 
     a: np.ndarray
@@ -169,29 +170,45 @@ class Plan:
     distribution: SamplingDistribution
 
     def __post_init__(self):
-        if not (_is_frozen(self.a) and _is_frozen(self.b)):
-            raise ValueError("a plan's matrices must be read-only down their .base chains, as dense and read_matrix return them")
-        _check_shapes(self.a, self.b, self.distribution.support)
+        self._adopt(*_plan_copies(self.a, self.b), self.distribution)
+
+    def _adopt(self, a: np.ndarray, b: np.ndarray, dist: SamplingDistribution) -> Plan:
+        """Set the fields to ``a``, ``b`` and ``dist``, with no copy, once ``_check_shapes`` passes.  Every plan but a
+        public ``Plan(a, b, dist)`` is built by ``Plan.__new__(Plan)._adopt``, on float64 matrices no one writes while
+        it lives: a plan's own, ``read_matrix``'s, ``experiment_matrix``'s, or a call's ``_matrix`` of its inputs."""
+        _check_shapes(a, b, dist.support)
+        self.__dict__.update(a=a, b=b, distribution=dist)
+        return self
+
+    def with_distribution(self, dist: SamplingDistribution) -> Plan:
+        """This plan's matrices, the same objects, under ``dist``; ``ValueError`` unless its support covers their inner dimension."""
+        return Plan.__new__(Plan)._adopt(self.a, self.b, dist)
 
     @cached_property
     def weights(self) -> np.ndarray:
         return _frozen(group_weights(self.a, self.b, self.distribution.support))
 
 
-def _plan_on(a: np.ndarray, b: np.ndarray, partition: Partition, dist: SamplingDistribution) -> Plan:
-    """``Plan(a, b, dist)``, first refusing a ``partition`` other than ``dist.support`` (``ValueError``)."""
+def _plan_on(a, b, partition: Partition, dist: SamplingDistribution) -> Plan:
+    """A call's own plan of ``dist`` on a caller's ``a`` and ``b`` (``_matrix``, no copy of a float64
+    matrix), first refusing a ``partition`` other than ``dist.support`` (``ValueError``)."""
     if dist.support != partition:
         raise ValueError("distribution is not supported on the given partition")
-    return Plan(a, b, dist)
+    return Plan.__new__(Plan)._adopt(_matrix(a), _matrix(b), dist)
 
 
-def optimal_plan(a: np.ndarray, b: np.ndarray, partition: Partition) -> Plan:
-    """The plan of ``optimal_distribution`` over ``partition``, caching the group weights it is built from."""
+def optimal_plan(a, b, partition: Partition) -> Plan:
+    """The plan of ``optimal_distribution`` over ``partition`` on ``_plan_copies``, caching its group weights."""
+    return _optimal_plan(*_plan_copies(a, b), partition)
+
+
+def _optimal_plan(a: np.ndarray, b: np.ndarray, partition: Partition) -> Plan:
+    """``optimal_plan`` on ``a`` and ``b`` themselves, with no copy (``Plan._adopt``)."""
     w = _frozen(group_weights(a, b, partition))
     total = float(np.sum(w))
     if total == 0.0:
         raise ZeroProductError("every block weight is zero: the product is the zero matrix")
-    plan = Plan(a, b, SamplingDistribution(partition, w / total))
+    plan = Plan.__new__(Plan)._adopt(a, b, SamplingDistribution(partition, w / total))
     plan.__dict__["weights"] = w  # the cached_property's slot: read back, never recomputed
     return plan
 
@@ -215,7 +232,7 @@ def pairing_plan(fin: Plan, strategy: PairingStrategy) -> Plan:
     strategy's ordering of their probabilities, each pair sampled with its members' summed
     probability.  The pair weights are computed only when a consumer reads them."""
     pairs = pair_partition(fin.distribution.weights, strategy)
-    return Plan(fin.a, fin.b, aggregate_distribution(fin.distribution, pairs))
+    return fin.with_distribution(aggregate_distribution(fin.distribution, pairs))
 
 
 def distribution_stats(dist: SamplingDistribution) -> dict[str, float]:

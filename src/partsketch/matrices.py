@@ -1,14 +1,13 @@
 """Dense matrices: validated construction, exact products, norms, and file I/O.
 
-Matrices are plain 2-d float64 numpy arrays, frozen (read-only) after
-construction so they can be shared freely across threads.  ``dense`` copies
-its input into a C-ordered array; the file readers check and freeze the
-array they read in place, so a ``.bin`` matrix is a view of the file's bytes.
-An experiment's A is held column-major (see
-:func:`partsketch.experiments.experiment_matrix`), so the ``Aᵀ`` panel the
-sketch engine gathers rows from is a view of it.  All index arguments in
-this package are 0-based; serialized formats that carry indices use 1-based
-values (see :mod:`partsketch.partitions`).
+Matrices are plain 2-d float64 numpy arrays of finite entries (``_matrix``, the one rule for
+every matrix a caller passes in), frozen (read-only) where the package keeps them, so they can
+be shared freely across threads.  ``dense`` copies its input into a C-ordered array; the file
+readers check and freeze the array they read in place, so a ``.bin`` matrix is a view of the
+file's bytes.  A plan that outlives its call owns copies (``_plan_copies``) with A column-major,
+as an experiment's A is made, so the ``Aᵀ`` panel the sketch engine gathers rows from is a view
+of A.  All index arguments in this package are 0-based; serialized formats that carry indices
+use 1-based values (see :mod:`partsketch.partitions`).
 """
 
 from __future__ import annotations
@@ -34,26 +33,24 @@ _EPS = float(np.finfo(np.float64).eps)
 
 def dense(values) -> np.ndarray:
     """Build a validated, read-only matrix from nested sequences or an array: a C-ordered
-    copy, checked by ``_checked``."""
+    copy, checked by ``_matrix``."""
+    return _frozen(np.array(_matrix(values), order="C"))
+
+
+def _matrix(values) -> np.ndarray:
+    """``values`` as a float64 array (no copy of a float64 one, nothing frozen): the one rule every matrix a caller
+    passes in meets.  Rejects a ragged sequence, non-2-d input, empty dimensions, and non-finite entries."""
     try:
-        a = np.array(values, dtype=np.float64, order="C", copy=True)
+        a = np.asarray(values, dtype=np.float64)
     except ValueError as exc:
         raise ValueError(f"not a rectangular matrix: {exc}") from None
-    return _checked(a)
-
-
-def _checked(a: np.ndarray) -> np.ndarray:
-    """``a``, a float64 array no one else writes, frozen in place with no copy.
-
-    Rejects non-2-d input, empty dimensions, and non-finite entries.
-    """
     if a.ndim != 2:
         raise ValueError(f"matrix must be 2-d, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix dimensions must be positive, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return _frozen(a)
+    return a
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -61,14 +58,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _is_frozen(a: np.ndarray) -> bool:
-    """True when every array down ``a``'s ``.base`` chain is read-only and an owner that ends it exports a read-only buffer."""
-    while isinstance(a, np.ndarray) and not a.flags.writeable:
-        a = a.base
-    try:  # an array left here is writable, and an owner with no buffer cannot show it is read-only
-        return a is None or not isinstance(a, np.ndarray) and memoryview(a).readonly
-    except TypeError:
-        return False
+def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when ``b`` is ``a.T``: the same buffer read with reversed shape and strides."""
+    return b.shape == a.shape[::-1] and b.strides == a.strides[::-1] and b.ctypes.data == a.ctypes.data
+
+
+def _plan_copies(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen float64 copies of a caller's ``a`` and ``b`` (``_matrix``) for a plan to own, which no write to
+    the caller's arrays reaches: ``a``'s column-major, so its ``.T``, the engine's ``Aᵀ`` panel, is C-contiguous,
+    and ``b``'s that copy's ``.T`` when ``b`` is ``a.T`` (``_is_transpose``), so ``syrk`` still applies, else row-major."""
+    a, b = _matrix(a), _matrix(b)
+    own = _frozen(np.array(a, order="F"))
+    return own, own.T if _is_transpose(a, b) else _frozen(np.array(b, order="C"))
 
 
 def _check_conformable(a: np.ndarray, b: np.ndarray) -> None:
@@ -166,7 +167,7 @@ def read_csv(path) -> np.ndarray:
             pass
         else:
             if a.shape[0] == len(lines):  # loadtxt skips blank lines, which the scan rejects
-                return _checked(a)
+                return _frozen(_matrix(a))
     return dense([[float(field) for field in line.split(",")] for line in lines])
 
 
@@ -188,8 +189,8 @@ def read_binary(path) -> np.ndarray:
         raise ValueError(f"invalid dimensions {rows}x{cols}")
     if len(raw) != 16 + rows * cols * 8:
         raise ValueError("payload size does not match header")
-    payload = np.frombuffer(memoryview(raw)[16:], dtype="<f8").astype(np.float64, copy=False)
-    return _checked(payload.reshape(rows, cols))
+    payload = np.frombuffer(memoryview(raw)[16:], dtype="<f8")
+    return _frozen(_matrix(payload.reshape(rows, cols)))
 
 
 def read_matrix(path) -> np.ndarray:

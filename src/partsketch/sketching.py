@@ -23,8 +23,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .distributions import Plan, SamplingDistribution, _plan_on, optimal_plan, pairing_plan
-from .matrices import _BLOCK_ENTRIES, _check_conformable, _frozen
+from .distributions import Plan, SamplingDistribution, _optimal_plan, _plan_on, pairing_plan
+from .matrices import _BLOCK_ENTRIES, _check_conformable, _frozen, _is_transpose, _matrix
 from .partitions import PairingStrategy, Partition, finest
 from .rng import RowStream, _check_count, philox_key
 
@@ -135,11 +135,6 @@ def _draw_block(stream: RowStream, dist: SamplingDistribution, c: int, seeds) ->
     return np.bincount(groups.ravel(), minlength=trials * k).reshape(trials, k)
 
 
-def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when ``b`` is ``a.T``: the same buffer read with reversed shape and strides."""
-    return b.shape == a.shape[::-1] and b.strides == a.strides[::-1] and b.ctypes.data == a.ctypes.data
-
-
 def _block_rows(panel: np.ndarray, b: np.ndarray) -> int:
     """Most rows one gather block of an estimate from ``panel`` (``Aᵀ``, m columns) and ``b``
     (ρ columns) holds: ``_BLOCK_ENTRIES`` entries, but never fewer than ``_BLOCK_FACTOR · max(m, ρ)``
@@ -148,16 +143,16 @@ def _block_rows(panel: np.ndarray, b: np.ndarray) -> int:
     return max(_BLOCK_ENTRIES // m, _BLOCK_FACTOR * max(m, b.shape[1]))
 
 
-def _estimator(a: np.ndarray, b: np.ndarray, panel: np.ndarray, most: int) -> Callable[..., SketchResult]:
+def _estimator(a: np.ndarray, b: np.ndarray, most: int) -> Callable[..., SketchResult]:
     """One call's estimator of ``a @ b``, mapping a trial's ``(counts, scale)`` to its ``SketchResult``:
-    it gathers ``panel`` (``Aᵀ``) rows through one buffer of ``min(most, _block_rows(panel, b))`` rows
+    it gathers rows of the panel ``a.T`` through one buffer of ``min(most, _block_rows(a.T, b))`` rows
     (``most`` bounds a trial's nonzero scales), so the buffer does not grow with n."""
-    rows = np.empty((min(most, _block_rows(panel, b)), panel.shape[1]))
+    rows = np.empty((min(most, _block_rows(a.T, b)), a.shape[0]))
     gram = _is_transpose(a, b)
 
     def estimate(counts: np.ndarray, scale: np.ndarray) -> SketchResult:
         idx = np.flatnonzero(scale)
-        return SketchResult(_scaled_product(panel, b, idx, scale[idx], gram, rows), counts)
+        return SketchResult(_scaled_product(a.T, b, idx, scale[idx], gram, rows), counts)
 
     return estimate
 
@@ -214,15 +209,15 @@ def sketch_trials(cells) -> Iterator[SketchResult]:
     ``cells`` is a sequence of ``(plan, c, seeds)``; seed t of a cell gives bit for bit
     ``sketch`` of the plan's pieces and ``SketchConfig(c, seeds[t])``.  Unless every plan
     holds the first plan's ``a`` and ``b`` objects, every c passes ``_check_draw_count`` and
-    every seed passes ``philox_key``, this call raises ``ValueError`` before any draw.  Trials
-    are drawn a block at a time (``_blocks``), and every estimate gathers its rows from one
-    C-contiguous ``Aᵀ`` panel through one buffer per call (``_estimator``), in blocks of at
-    most ``_block_rows`` rows (``_scaled_product``).  The panel is a view of a column-major A,
-    as ``experiment_matrix`` returns it, and is copied once per call from any other A.
+    every seed passes ``philox_key``, this call raises ``ValueError`` before any draw; the first
+    plan's ``with_distribution`` builds the others.  Trials are drawn a block at a time
+    (``_blocks``), and every estimate gathers its rows from the ``Aᵀ`` panel ``a.T`` through one
+    buffer per call (``_estimator``), in blocks of at most ``_block_rows`` rows
+    (``_scaled_product``).  The panel is C-contiguous: every plan a caller can build holds a column-major A.
     """
     for plan, c, seeds in cells:
         if plan.a is not cells[0][0].a or plan.b is not cells[0][0].b:
-            raise ValueError("every cell's plan must hold the first cell's matrices")
+            raise ValueError("every cell's plan must hold the first cell's matrices: build the others with its with_distribution")
         _check_draw_count(c)
         for seed in seeds:
             philox_key(seed)
@@ -263,7 +258,7 @@ def _sketch_cells(cells) -> Iterator[SketchResult]:
     a, b = cells[0][0].a, cells[0][0].b
     # c draws reach at most c groups, so a trial gathers at most c times the largest group's rows
     most = max(min(a.shape[1], c * int(np.diff(plan.distribution.support.offsets).max())) for plan, c, _ in cells)
-    estimate = _estimator(a, b, np.ascontiguousarray(a.T), most)  # the panel is a view when a is column-major
+    estimate = _estimator(a, b, most)
     for counts, scales in _blocks(cells):
         yield from map(estimate, counts, scales)
 
@@ -285,7 +280,7 @@ def sketch_from_draws(plan: Plan, draws: np.ndarray) -> SketchResult:
     if np.any(counts[dist.weights == 0]):
         raise ValueError("draws hold a group of probability 0")
     scale = _scales(dist, draws.size, counts)
-    return _estimator(plan.a, plan.b, plan.a.T, np.count_nonzero(scale))(counts, scale)
+    return _estimator(plan.a, plan.b, np.count_nonzero(scale))(counts, scale)
 
 
 def error_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -314,7 +309,8 @@ def frobenius_errors(cells) -> list[np.ndarray]:
     is rounding and is clamped to 0.  The ``u`` form is kept on purpose: expanding it to
     ``|AB|² - 2sᵀd + sᵀHs`` cancels.  Past the cap an error is
     ``sum(square(a @ b - estimate))`` of ``sketch_trials``' estimate, whose memory does not
-    grow with n², with ``a @ b`` taken from the ``Aᵀ`` panel, so A's memory layout moves no bit.
+    grow with n², with ``a @ b`` of the plan's A, which is column-major, so the layout a caller
+    held A in moves no bit.
     """
     results = sketch_trials(cells)  # the cell check; it draws only when read
     if not cells:
@@ -330,8 +326,7 @@ def frobenius_errors(cells) -> list[np.ndarray]:
             uh.sum(axis=1, out=errors[lo:lo + len(u)])
         np.maximum(errors, 0.0, out=errors)
     else:
-        panel = np.ascontiguousarray(a.T)  # the engine's operand: the same bits for either layout of a
-        exact = panel.T @ (panel if _is_transpose(a, b) else b)
+        exact = a @ b
         errors = np.array([np.sum(np.square(exact - res.estimate)) for res in results])
     return [errors[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
@@ -355,7 +350,8 @@ def _form_rows(cells, n: int) -> Iterator[np.ndarray]:
 def pairwise_plan(a: np.ndarray, b: np.ndarray,
                   strategy: PairingStrategy) -> tuple[Partition, SamplingDistribution]:
     """``pairing_plan`` of the finest optimal plan of ``a @ b``, as its (partition, distribution)."""
-    dist = pairing_plan(optimal_plan(a, b, finest(a.shape[1])), strategy).distribution
+    a, b = _matrix(a), _matrix(b)
+    dist = pairing_plan(_optimal_plan(a, b, finest(a.shape[1])), strategy).distribution
     return dist.support, dist
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from partsketch import (Plan, SamplingDistribution, SketchConfig, aggregate_distribution, coarsen, dense,
+from partsketch import (SamplingDistribution, SketchConfig, aggregate_distribution, coarsen, dense,
                         derive_seed, finest, frobenius_norm, multiply, optimal_plan, pair_partition,
                         sample_indices, sketch, sketching, spectral_norm)
 from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, experiment_matrix,
@@ -370,12 +370,11 @@ def loop_validate(n, groups, base=0):
 def experiment_methods(cfg, a):
     """(label, plan) of the experiments' two methods on A and B = Aᵀ, built step by step: the
     finest optimal plan, and its probabilities paired by the strategy, each pair sampled with
-    its members' summed probability."""
-    b = a.T
-    fin = optimal_plan(a, b, finest(a.shape[1]))
+    its members' summed probability, on the finest plan's matrices."""
+    fin = optimal_plan(a, a.T, finest(a.shape[1]))
     pairs = pair_partition(fin.distribution.weights, pairing_strategy(cfg.strategy, cfg.seed))
     return [("finest", fin),
-            (f"pairwise-{cfg.strategy}", Plan(a, b, aggregate_distribution(fin.distribution, pairs)))]
+            (f"pairwise-{cfg.strategy}", fin.with_distribution(aggregate_distribution(fin.distribution, pairs)))]
 
 
 def loop_fig1_csv(cfg):

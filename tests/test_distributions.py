@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partsketch import (ENHANCED, Plan, SamplingDistribution, ZeroProductError,
-                        aggregate_distribution, coarsen, dense,
-                        distribution_stats, distribution_to_json,
+from partsketch import (ENHANCED, Plan, SamplingDistribution, SketchConfig, ZeroProductError,
+                        aggregate_distribution, bound_report, coarsen, dense, derive_seeds,
+                        distribution_stats, distribution_to_json, expected_frobenius_error_sq,
                         finest, group_weights, optimal_distribution, optimal_plan, pairing_plan,
-                        pairwise_plan, read_matrix, sample_indices, write_binary, write_csv)
+                        pairwise_plan, read_matrix, sample_indices, sketch, sketch_trials,
+                        write_binary, write_csv)
 from partsketch import distributions
 from partsketch.experiments import ExperimentConfig, experiment_matrix
 from helpers import distribution, element_weight, random_coarsening, random_instance, shuffled_groups
@@ -269,15 +270,30 @@ class TestPlan:
     BUILDERS = {"Plan": lambda a, b, part: Plan(a, b, distribution(part, np.ones(part.k), normalize=True)),
                 "optimal_plan": optimal_plan, "optimal_distribution": optimal_distribution}
 
+    @staticmethod
+    def facts(built) -> list[bytes]:
+        """The bytes a builder's result holds: a plan's matrices, group weights and probabilities,
+        or a distribution's probabilities."""
+        if isinstance(built, Plan):
+            return [m.tobytes() for m in (built.a, built.b, built.weights, built.distribution.weights)]
+        return [built.weights.tobytes()]
+
     @pytest.mark.parametrize("name", BUILDERS)
     @pytest.mark.parametrize("writable", [["a"], ["b"], ["a", "b"]])
     def test_writable_matrices_are_refused(self, name, writable):
+        # a plan refuses to hold a matrix its caller can write: it holds its own read-only copy,
+        # built as from the frozen matrix, and writes to the caller's array after the build (a
+        # plan's lazy weights are read only after them) move nothing in it
         rng = np.random.default_rng(6)
-        mats = {"a": dense(rng.random((3, 5))), "b": dense(rng.random((5, 2)))}
+        frozen = {"a": dense(rng.random((3, 5))), "b": dense(rng.random((5, 2)))}
+        mats = {key: m.copy() if key in writable else m for key, m in frozen.items()}
+        built = self.BUILDERS[name](mats["a"], mats["b"], finest(5))
         for key in writable:
-            mats[key] = mats[key].copy()
-        with pytest.raises(ValueError, match="read-only"):
-            self.BUILDERS[name](mats["a"], mats["b"], finest(5))
+            mats[key][:] = 1.0
+            assert mats[key].flags.writeable
+        assert self.facts(built) == self.facts(self.BUILDERS[name](frozen["a"], frozen["b"], finest(5)))
+        if name != "optimal_distribution":
+            assert built.a is not mats["a"] and not built.a.flags.writeable and not built.b.flags.writeable
 
     @pytest.mark.parametrize("name", BUILDERS)
     def test_frozen_matrices_are_accepted(self, name, tmp_path):
@@ -299,21 +315,28 @@ class TestPlan:
     @pytest.mark.parametrize("name", BUILDERS)
     def test_read_only_views_of_writable_memory_are_refused(self, name):
         # frozen views whose memory can still be written: through a writable base array, or through
-        # the bytearray under np.frombuffer; filling the zero column later would bias every estimate
+        # the bytearray under np.frombuffer; the plan refuses to hold that memory, so filling the
+        # zero column afterwards, which would bias every estimate, moves nothing in it
         x = np.random.default_rng(0).random((4, 6))
         x[:, 2] = 0.0
-        for a in (x.view(), np.frombuffer(bytearray(x.tobytes())).reshape(4, 6)):
+        want = self.facts(self.BUILDERS[name](dense(x), dense(x).T, finest(6)))
+        buffer = bytearray(x.tobytes())
+        for a, writer in ((x.view(), x), (np.frombuffer(buffer).reshape(4, 6), np.frombuffer(buffer).reshape(4, 6))):
             a.flags.writeable = False
-            with pytest.raises(ValueError, match="read-only"):
-                self.BUILDERS[name](a, a.T, finest(6))
+            built = self.BUILDERS[name](a, a.T, finest(6))
+            writer[:, 2] = 1.0
+            assert not a.flags.writeable and a[0, 2] == 1.0
+            assert self.facts(built) == want
 
     def test_a_matrix_changed_after_its_plan_is_refused_when_built(self):
-        # the zero column gets probability 0; filled after the plan was built, it would never be
-        # sampled and every estimate would miss its block
+        # the zero column gets probability 0; the plan holds its copy, so filling the caller's
+        # column after the build, which would leave it never sampled and every estimate missing
+        # its block, does not reach the plan; a frozen matrix still refuses the write itself
         a = np.random.default_rng(7).random((4, 6))
         a[:, 2] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            optimal_plan(a, a.T, finest(6))
+        plan = optimal_plan(a, a.T, finest(6))
+        a[:, 2] = 1.0
+        assert not plan.a[:, 2].any() and plan.distribution.weights[2] == 0.0 and plan.weights[2] == 0.0
         frozen = dense(a)
         optimal_plan(frozen, frozen.T, finest(6))
         with pytest.raises(ValueError):
@@ -326,8 +349,114 @@ class TestPlan:
         plans = [pairing_plan(fin, ENHANCED), Plan(a, b, dist)]
         assert [p.k for p in counted] == [8, 8]  # the finest weights the pairs are ordered by
         assert part is dist.support == plans[0].distribution.support
-        assert plans[0].a is a and plans[0].b is b
+        assert plans[0].a is fin.a and plans[0].b is fin.b and fin.a is not a  # the finest plan's copies
         for read, plan in enumerate(plans, 1):
             weights = plan.weights
             assert [p.k for p in counted] == [8, 8] + [4] * read and plan.weights is weights
             assert np.array_equal(weights, group_weights(a, b, plan.distribution.support))
+
+
+class TestCallerMatrices:
+    """Every entry point that takes a caller's matrices applies one matrix rule to them, leaves
+    them as they were, and a plan that outlives its call holds copies no later write reaches."""
+
+    ENTRY = {
+        "Plan": lambda a, b, d: dataclasses.astuple(bound_report(Plan(a, b, d))),
+        "optimal_plan": lambda a, b, d: optimal_plan(a, b, finest(4)).distribution.weights.tobytes(),
+        "optimal_distribution": lambda a, b, d: optimal_distribution(a, b, finest(4)).weights.tobytes(),
+        "pairwise_plan": lambda a, b, d: pairwise_plan(a, b, ENHANCED)[1].weights.tobytes(),
+        "sketch": lambda a, b, d: sketch(a, b, finest(4), d, SketchConfig(5, 0)).estimate.tobytes(),
+        "expected_frobenius_error_sq": lambda a, b, d: expected_frobenius_error_sq(a, b, finest(4), d, 5),
+    }
+
+    @staticmethod
+    def instance():
+        """Integer-valued float64 x (3×4) and y (4×2), so an int64 copy holds the same values, and
+        the optimal distribution of ``x @ y``."""
+        rng = np.random.default_rng(9)
+        x, y = rng.integers(1, 10, (3, 4)).astype(np.float64), rng.integers(1, 10, (4, 2)).astype(np.float64)
+        return x, y, optimal_distribution(x, y, finest(4))
+
+    @staticmethod
+    def frozen(*arrays):
+        for m in arrays:
+            m.flags.writeable = False
+        return arrays
+
+    @pytest.mark.parametrize("entry", ENTRY)
+    @pytest.mark.parametrize("kind", ["nan", "inf", "int64", "nested list", "1-d"])
+    def test_one_matrix_rule_at_every_entry_point(self, entry, kind):
+        # converted to float64 as dense converts, then 2-d, positive dimensions and finite
+        # entries, else ValueError: a frozen NaN or inf matrix is refused, not a NaN result
+        x, y, d = self.instance()
+        na, inf = x.copy(), y.copy()
+        na[1, 2], inf[0, 1] = np.nan, np.inf
+        a, b = {"nan": self.frozen(na, y.copy()), "inf": self.frozen(x.copy(), inf),
+                "int64": self.frozen(x.astype(np.int64), y.astype(np.int64)),
+                "nested list": (x.tolist(), y.tolist()), "1-d": (x[0], y)}[kind]
+        refused = {"nan": "matrix entries must be finite", "inf": "matrix entries must be finite", "1-d": "matrix must be 2-d"}
+        if kind in refused:
+            with pytest.raises(ValueError, match=refused[kind]):
+                self.ENTRY[entry](a, b, d)
+        else:
+            assert self.ENTRY[entry](a, b, d) == self.ENTRY[entry](x, y, d)
+
+    @pytest.mark.parametrize("entry", ENTRY)
+    @pytest.mark.parametrize("pair", ["unrelated", "a.T"])
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_the_callers_arrays_are_left_as_they_were(self, entry, pair, writeable):
+        # none freezes a caller's array in place, nor writes to it
+        x, y, d = self.instance()
+        a = x.copy()
+        b = a.T if pair == "a.T" else y.copy()
+        a.flags.writeable = b.flags.writeable = writeable
+        self.ENTRY[entry](a, b, d)
+        assert a.flags.writeable == b.flags.writeable == writeable
+        assert a.tobytes() == x.tobytes() and b.tobytes() == (x.T if pair == "a.T" else y).tobytes()
+
+    WRITES = ["stale writable view", "read-only view of a writable base", "owner made writable again",
+              "writable array"]
+
+    @staticmethod
+    def written_after_the_build(kind):
+        """A caller's 4×6 matrix whose column 2 is zero, and a write, made after its plan is built,
+        through memory the caller can still write: it fills column 2, which has probability 0,
+        and changes column 0, which is sampled."""
+        x = np.random.default_rng(7).random((4, 6))
+        x[:, 2] = 0.0
+        a, target = x, x
+        if kind == "stale writable view":  # taken before its owner was frozen
+            target = x[:]
+        elif kind == "read-only view of a writable base":
+            a = x.view()
+        if kind != "writable array":
+            a.flags.writeable = False
+
+        def write():
+            if kind == "owner made writable again":
+                x.flags.writeable = True
+            target[:, 2] = 1.0
+            target[:, 0] += 1.0
+
+        return a, write
+
+    @pytest.mark.parametrize("builder", ["optimal_plan", "Plan"])
+    @pytest.mark.parametrize("kind", WRITES)
+    def test_a_write_after_the_build_leaves_the_plan_as_built(self, kind, builder):
+        # optimal_plan caches its weights when built; Plan's are read first after the write
+        a, write = self.written_after_the_build(kind)
+        held = dense(a)  # the caller's matrix as it was when the plan was built
+        plan = (optimal_plan(a, a.T, finest(6)) if builder == "optimal_plan"
+                else Plan(a, a.T, optimal_distribution(a, a.T, finest(6))))
+        seeds = derive_seeds(31, (), 4000)
+        [first] = sketch_trials([(plan, 50, seeds[:1])])
+        built = [plan.a.tobytes(), first.estimate.tobytes()]
+        write()
+        assert a[0, 2] == 1.0
+        estimates = np.array([res.estimate for res in sketch_trials([(plan, 50, seeds)])])
+        assert [plan.a.tobytes(), estimates[0].tobytes()] == built
+        assert plan.weights.tobytes() == optimal_plan(held, held.T, finest(6)).weights.tobytes()
+        assert not plan.a[:, 2].any() and plan.distribution.weights[2] == 0.0
+        exact = held @ held.T
+        stderr = estimates.std(axis=0, ddof=1) / math.sqrt(len(estimates))
+        assert np.all(np.abs(estimates.mean(axis=0) - exact) <= 5 * stderr)

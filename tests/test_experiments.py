@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from partsketch import (ConfigError, ExperimentConfig, Plan, aggregate_distribution, dense,
-                        expected_frobenius_error_sq, finest,
+                        expected_frobenius_error_sq, finest, group_weights,
                         optimal_distribution, pair_partition, paper_scale,
                         run_fig1, run_fig2, run_table1, write_binary, write_csv)
 from partsketch import experiments, sketching
@@ -150,17 +150,22 @@ class TestMethods:
 
     @pytest.mark.parametrize("shape", [(1, 31), (8, 301), (100, 2000)])
     def test_plans_are_those_of_a_row_major_a(self, tmp_path, shape):
-        # _methods builds both plans on experiment_matrix's column-major A; the step-by-step
-        # recipe on a row-major copy of it gives the same weights and probabilities, bit for
-        # bit, by the Gram identity and (one row, so pairs exceed m rho) from the blocks
+        # _methods builds both plans on experiment_matrix's column-major A, with no copy; the
+        # step-by-step recipe gives the same plans, and the no-copy paths on a row-major copy of A
+        # the same weights and probabilities, bit for bit, by the Gram identity and (one row, so
+        # pairs exceed m rho) from the blocks
         cfg = ExperimentConfig(rows=shape[0], cols=shape[1], seed=11)
         got = _methods(cfg, tmp_path / "out")
-        want = experiment_methods(cfg, dense(experiment_matrix(cfg)))
-        assert want[0][1].a.flags.c_contiguous and got[0][1].a.flags.f_contiguous
-        for (label, plan), (want_label, want_plan) in zip(got, want, strict=True):
-            assert label == want_label and plan.distribution.support == want_plan.distribution.support
-            assert plan.weights.tobytes() == want_plan.weights.tobytes()
-            assert plan.distribution.weights.tobytes() == want_plan.distribution.weights.tobytes()
+        want = experiment_methods(cfg, experiment_matrix(cfg))
+        row_major = dense(experiment_matrix(cfg))
+        _, pairs = pairwise_plan(row_major, row_major.T, pairing_strategy(cfg.strategy, cfg.seed))
+        loose = [optimal_distribution(row_major, row_major.T, finest(shape[1])), pairs]
+        assert row_major.flags.c_contiguous and got[0][1].a.flags.f_contiguous
+        for (label, plan), (want_label, want_plan), dist in zip(got, want, loose, strict=True):
+            assert label == want_label and plan.distribution.support == want_plan.distribution.support == dist.support
+            weights = group_weights(row_major, row_major.T, dist.support)
+            assert plan.weights.tobytes() == want_plan.weights.tobytes() == weights.tobytes()
+            assert plan.distribution.weights.tobytes() == want_plan.distribution.weights.tobytes() == dist.weights.tobytes()
 
 
 class TestFig1:

@@ -8,14 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partsketch import (ENHANCED, Plan, SketchConfig, coarsen, dense, error_form,
-                        expected_frobenius_error_sq, finest, frobenius_errors,
-                        frobenius_norm, multiply, optimal_distribution, optimal_plan, pairwise_plan,
+                        expected_frobenius_error_sq, finest, frobenius_errors, frobenius_norm,
+                        group_weights, multiply, optimal_distribution, optimal_plan, pairwise_plan,
                         sample_indices, sketch, sketch_from_draws, sketch_trials,
                         spectral_norm)
 from partsketch import sketching
 from partsketch.experiments import ExperimentConfig, _methods
 from partsketch.rng import derive_seed, derive_seeds, generator
-from partsketch.matrices import _checked
 from partsketch.sketching import (_FORM_ROWS, _MAX_DRAWS, _block_rows, _inverse_cdf,
                                   _is_transpose, _scaled_product, _trials_per_block)
 from helpers import (brute_force_expectation, column_gather_product, direct_errors_and_bounds,
@@ -312,6 +311,10 @@ class TestSketchTrials:
             Plan(a, dense(np.ones((3, 2))), d)
         with pytest.raises(ValueError, match="the first cell's matrices"):
             sketch_trials([(plan, 3, [1]), (Plan(a, dense(b.copy()), d), 3, [1])])
+        # a second Plan(a, b, d) holds copies of its own; with_distribution shares the first plan's
+        with pytest.raises(ValueError, match="build the others with its with_distribution"):
+            sketch_trials([(plan, 3, [1]), (Plan(a, b, d), 3, [1])])
+        assert len(list(sketch_trials([(plan, 3, [1]), (plan.with_distribution(d), 3, [1])]))) == 2
         with pytest.raises(ValueError, match=">= 1"):
             sketch_trials([(plan, 0, [1])])
 
@@ -344,13 +347,15 @@ class TestSketchTrials:
 
     @pytest.mark.parametrize("b_kind", ["a.T", "unrelated"])
     def test_several_cells_equal_a_lone_sketch_per_seed(self, b_kind):
-        # three plans on one (A, B); the middle cell spans two draw blocks (6 + 2 trials)
+        # three plans on one (A, B), the plan's copies, which with_distribution shares; the middle
+        # cell spans two draw blocks (6 + 2 trials)
         a, b, part, d = self.plan(b_kind, False)
         coarse = random_coarsening(np.random.default_rng(42), 40, max_groups=25)
-        cells = [(Plan(a, b, d), 7, [derive_seed(45, 0, t) for t in range(5)]),
-                 (Plan(a, b, optimal_distribution(a, b, coarse)), 5000,
+        base = Plan(a, b, d)
+        cells = [(base, 7, [derive_seed(45, 0, t) for t in range(5)]),
+                 (base.with_distribution(optimal_distribution(a, b, coarse)), 5000,
                   [derive_seed(45, 1, t) for t in range(8)]),
-                 (Plan(a, b, uniform(part)), 1, [derive_seed(45, 2, t) for t in range(3)])]
+                 (base.with_distribution(uniform(part)), 1, [derive_seed(45, 2, t) for t in range(3)])]
         results = sketch_trials(cells)
         for plan, c, seeds in cells:
             for seed in seeds:
@@ -415,13 +420,17 @@ class TestPanelKernel:
 
 class TestMemoryLayout:
     """A column-major A, whose ``Aᵀ`` panel is a view, gives what the same values held row-major
-    give, and the one gather buffer per call gives what a fresh gather gives and does not grow
-    with n."""
+    give, both through a plan's column-major copy and on the paths that take the caller's A with
+    no copy (``optimal_distribution``, ``group_weights``, ``sketch``), and the one gather buffer
+    per call gives what a fresh gather gives and does not grow with n."""
 
     @staticmethod
     def cells(a, b, part, d):
-        return [(Plan(a, b, d), c, [derive_seed(47, c, t) for t in range(trials)])
-                for c, trials in ((7, 5), (3000, 12), (1, 3))]
+        """Cells of one plan's matrices: ``Plan(a, b, d)`` and its ``with_distribution`` of ``d``."""
+        base = Plan(a, b, d)
+        plans = [base, base.with_distribution(d), base]
+        return [(plan, c, [derive_seed(47, c, t) for t in range(trials)])
+                for plan, (c, trials) in zip(plans, ((7, 5), (3000, 12), (1, 3)))]
 
     @staticmethod
     def layouts():
@@ -435,7 +444,7 @@ class TestMemoryLayout:
         values[:, 1] = values[:, 0]
         other[1] = -(1 + 2.0**-30) * other[0]
         a_c = dense(values)
-        a_f = _checked(np.asfortranarray(a_c))
+        a_f = np.asfortranarray(a_c)
         assert a_f.flags.f_contiguous and not a_f.flags.c_contiguous
         return a_c, a_f, dense(other), random_coarsening(rng, 50, max_groups=30)
 
@@ -451,23 +460,32 @@ class TestMemoryLayout:
         plan_c, plan_f = optimal_plan(a_c, b(a_c), part), optimal_plan(a_f, b(a_f), part)
         assert plan_c.weights.tobytes() == plan_f.weights.tobytes()
         assert plan_c.distribution.weights.tobytes() == plan_f.distribution.weights.tobytes()
+        # the no-copy paths, on the caller's A as it is held
+        assert group_weights(a_c, b(a_c), part).tobytes() == plan_c.weights.tobytes()
+        assert group_weights(a_f, b(a_f), part).tobytes() == plan_c.weights.tobytes()
+        for a in (a_c, a_f):
+            assert optimal_distribution(a, b(a), part).weights.tobytes() == plan_c.distribution.weights.tobytes()
 
     @pytest.mark.parametrize("b_kind", ["a.T", "other"])
     def test_estimates_do_not_depend_on_the_layout_of_a(self, b_kind):
         a_c, a_f, other, part = self.layouts()
         b = {"a.T": lambda a: a.T, "other": lambda a: other}[b_kind]
         d = optimal_distribution(a_c, b(a_c), part)
-        for res_c, res_f in zip(sketch_trials(self.cells(a_c, b(a_c), part, d)),
-                                sketch_trials(self.cells(a_f, b(a_f), part, d)), strict=True):
+        cells = self.cells(a_c, b(a_c), part, d)
+        seeds = [(c, seed) for _, c, cell_seeds in cells for seed in cell_seeds]
+        for res_c, res_f, (c, seed) in zip(sketch_trials(cells), sketch_trials(self.cells(a_f, b(a_f), part, d)),
+                                           seeds, strict=True):
             assert res_c.estimate.tobytes() == res_f.estimate.tobytes()
             assert res_c.counts.tobytes() == res_f.counts.tobytes()
+            for a in (a_c, a_f):  # sketch's own plan holds the caller's A as it is held, with no copy
+                assert sketch(a, b(a), part, d, SketchConfig(c, seed)).estimate.tobytes() == res_c.estimate.tobytes()
 
     @pytest.mark.parametrize("h_path, b_kind", [pytest.param(True, "a.T", id="True"),
                                                  pytest.param(False, "a.T", id="False"),
                                                  pytest.param(False, "other", id="other")])
     def test_errors_of_b_at_do_not_depend_on_the_layout_of_a(self, monkeypatch, h_path, b_kind):
         # B = Aᵀ, as in every experiment, on the H path and past H's cap, and an unrelated B past
-        # the cap, where the exact a @ b is taken from the C-contiguous Aᵀ panel for either layout
+        # the cap, where the exact a @ b is taken from the plan's column-major copy for either layout
         a_c, a_f, other, part = self.layouts()
         b = {"a.T": lambda a: a.T, "other": lambda a: other}[b_kind]
         d = optimal_distribution(a_c, b(a_c), part)
@@ -485,7 +503,7 @@ class TestMemoryLayout:
         rng = np.random.default_rng(49)
         values = rng.random((100_000, 40))
         values -= 0.5
-        a = _checked(values).T  # frozen at its owner: a plan refuses a read-only view of a writable array
+        a = values.T  # column-major, as the plan's copy of it is
         b = a.T if b_kind == "a.T" else dense(rng.random((100_000, 3)) - 0.5)
         part = finest(100_000)
         plan = Plan(a, b, uniform(part))
@@ -625,12 +643,14 @@ class TestFrobeniusErrors:
     @pytest.mark.parametrize("b_kind", ["a.T", "unrelated"])
     def test_direct_path_is_the_squared_error_of_each_estimate(self, monkeypatch, b_kind):
         # past H's cap, an error is sum(square(a @ b - estimate)) of sketch_trials' trial, to the bit,
-        # for a column-major A as an experiment holds it (TestMemoryLayout: a row-major A gives the same)
+        # with a @ b of the plan's column-major copy of A, as an experiment holds it (TestMemoryLayout:
+        # a row-major A gives the same)
         a, b, part, d = TestSketchTrials.plan(b_kind, True)
-        a = _checked(np.asfortranarray(a))
-        b = a.T if b_kind == "a.T" else b
-        cells = [(Plan(a, b, d), 7, [derive_seed(46, 0, t) for t in range(9)]),
-                 (Plan(a, b, uniform(part)), 5000, [derive_seed(46, 1, t) for t in range(8)])]
+        base = Plan(a, b, d)
+        a, b = base.a, base.b
+        assert a.flags.f_contiguous and _is_transpose(a, b) == (b_kind == "a.T")
+        cells = [(base, 7, [derive_seed(46, 0, t) for t in range(9)]),
+                 (base.with_distribution(uniform(part)), 5000, [derive_seed(46, 1, t) for t in range(8)])]
         monkeypatch.setattr(sketching, "_ERROR_FORM_ENTRIES", 0)  # no H fits
         monkeypatch.setattr(sketching, "error_form", None)  # the H path would call it
         errors = frobenius_errors(cells)
@@ -646,8 +666,8 @@ class TestFrobeniusErrors:
         a = dense(rng.random((5, 40)) - 0.5)
         b = dense(rng.random((40, 3)) - 0.5)
         part = random_coarsening(rng, 40, max_groups=25)
-        plans = [Plan(a, b, optimal_distribution(a, b, finest(40))),
-                 Plan(a, b, optimal_distribution(a, b, part)), Plan(a, b, uniform(part))]
+        base = Plan(a, b, optimal_distribution(a, b, finest(40)))
+        plans = [base, base.with_distribution(optimal_distribution(a, b, part)), base.with_distribution(uniform(part))]
         cells = [(plans[0], 7, [derive_seed(44, 0, t) for t in range(20)]),
                  (plans[1], 3, []),
                  (plans[1], 5000, [derive_seed(44, 2, t) for t in range(150)]),
