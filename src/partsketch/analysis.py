@@ -14,7 +14,7 @@ import numpy as np
 
 from .distributions import Plan, SamplingDistribution, _plan_on, group_weights
 from .errors import NumericError, ZeroProductError
-from .matrices import _EPS, _check_conformable, frobenius_norm, multiply, spectral_norm
+from .matrices import _EPS, _pair, frobenius_norm, spectral_norm
 from .partitions import Partition, finest
 from .rng import _check_count, _is_integer
 
@@ -33,7 +33,7 @@ def _excess_over_product(total: float, a: np.ndarray, b: np.ndarray, context: st
     |ab|_F^2 is accurate to 2*gamma_n (about n*eps) of its size, at most ``total``;
     the tolerance doubles that for the weights' rounding.  Larger negatives raise.
     """
-    difference = total - frobenius_norm(multiply(a, b)) ** 2
+    difference = total - frobenius_norm(a @ b) ** 2
     tol = 2.0 * a.shape[1] * _EPS * total
     if difference < -tol:
         raise NumericError(f"{context} evaluated to {difference}, beyond cancellation tolerance {tol}")
@@ -84,7 +84,7 @@ class BoundReport:
 def bound_report(plan: Plan) -> BoundReport:
     """Collect the scalar summaries the tail bound needs from ``plan`` and its group weights; pure bookkeeping."""
     w, ratio = _scaled_weights(plan.weights, plan.distribution.weights)
-    ab = multiply(plan.a, plan.b)
+    ab = plan.a @ plan.b
     return BoundReport(
         weight_sum=float(np.sum(plan.weights)),
         max_scaled_weight=float(np.max(ratio, initial=0.0)),
@@ -191,13 +191,13 @@ def min_draw_threshold(c: int, k: int) -> int | None:
     raise NumericError("threshold search failed despite feasible assumption")
 
 
-def uniform_spectral_bound(a: np.ndarray, b: np.ndarray, c: int, k: int, s_c: int) -> float:
+def uniform_spectral_bound(a, b, c: int, k: int, s_c: int) -> float:
     """High-probability cap k*(s_c - 1)/c * |a|_2 * |b|_2 on the sketch's spectral norm.
 
     ``s_c`` comes from :func:`min_draw_threshold` for the same (c, k).  Raises ``ValueError``
-    unless ``a @ b`` conforms, c and k are integers >= 1 and s_c one in [2, c] (``_check_count``).
+    unless the pair passes ``_pair``, c and k are integers >= 1 and s_c one in [2, c] (``_check_count``).
     """
-    _check_conformable(a, b)
+    a, b = _pair(a, b)
     _check_count(c, "sample count")
     _check_count(k, "k")
     _check_count(c, "sample count", lo=_check_count(s_c, "s_c", lo=2))  # s_c in [2, c]

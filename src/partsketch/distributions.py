@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ZeroProductError
-from .matrices import _BLOCK_ENTRIES, _EPS, _check_conformable, _frozen, _matrix, _plan_copies
+from .matrices import _BLOCK_ENTRIES, _EPS, _frozen, _pair, _plan_copies
 from .partitions import PairingStrategy, Partition, pair_partition
 
 
@@ -75,13 +75,6 @@ class SamplingDistribution:
         return int(np.diff(self.guide).max())
 
 
-def _check_shapes(a: np.ndarray, b: np.ndarray, partition: Partition) -> None:
-    """Raise ``ValueError`` unless ``a @ b`` conforms and ``partition`` covers its inner dimension."""
-    _check_conformable(a, b)
-    if partition.n != a.shape[1]:
-        raise ValueError(f"partition covers {partition.n} indices but the inner dimension is {a.shape[1]}")
-
-
 def _squared_norms(a: np.ndarray, b: np.ndarray, members: np.ndarray, starts: np.ndarray,
                    ids: np.ndarray, s: int, gram: bool) -> np.ndarray:
     """``|a[:, g] @ b[g, :]|_F^2`` of the size-s groups ``ids``, by the Gram identity or from the blocks.
@@ -119,16 +112,18 @@ def _squared_norms(a: np.ndarray, b: np.ndarray, members: np.ndarray, starts: np
     return out
 
 
-def group_weights(a: np.ndarray, b: np.ndarray, partition: Partition) -> np.ndarray:
+def group_weights(a, b, partition: Partition) -> np.ndarray:
     """Frobenius norm of every group's block product ``a[:, g] @ b[g, :]``, batched by group size.
 
     Groups of size s use ``|A_g B_g|_F^2 = <A_g^T A_g, B_g B_g^T>`` (s x s
     temporaries; ``|a_j| |b_j|`` for singletons) unless ``s^2 > m * rho``,
     where the m x rho block is smaller, so no temporary grows with n^2.
-    Groups whose Gram sum nearly cancels are taken from their blocks.
-    Raises ``ValueError`` unless ``a @ b`` conforms and ``partition`` covers its n inner indices.
+    Groups whose Gram sum nearly cancels are taken from their blocks.  Raises ``ValueError``
+    unless the pair passes ``_pair`` and ``partition`` covers its n inner indices.
     """
-    _check_shapes(a, b, partition)
+    a, b = _pair(a, b)
+    if partition.n != a.shape[1]:
+        raise ValueError(f"partition covers {partition.n} indices but the inner dimension is {a.shape[1]}")
     m, rho = a.shape[0], b.shape[1]
     sizes = np.bincount(partition.labels, minlength=partition.k)
     members = np.argsort(partition.labels, kind="stable")  # grouped by label, ascending within
@@ -140,7 +135,7 @@ def group_weights(a: np.ndarray, b: np.ndarray, partition: Partition) -> np.ndar
     return np.sqrt(np.maximum(w_sq, 0.0))
 
 
-def optimal_distribution(a: np.ndarray, b: np.ndarray, partition: Partition) -> SamplingDistribution:
+def optimal_distribution(a, b, partition: Partition) -> SamplingDistribution:
     """Group probabilities proportional to the block-product Frobenius norms.
 
     Groups whose block product is exactly zero get probability 0: they
@@ -150,7 +145,7 @@ def optimal_distribution(a: np.ndarray, b: np.ndarray, partition: Partition) -> 
     and no distribution is defined), and ``ValueError`` as :func:`group_weights`
     does on matrices and a partition that do not conform.
     """
-    return _optimal_plan(_matrix(a), _matrix(b), partition).distribution
+    return _optimal_plan(*_pair(a, b), partition).distribution
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +154,7 @@ class Plan:
 
     The partition is ``distribution.support``, so a plan holds exactly one.  ``Plan(a, b, dist)``
     holds ``_plan_copies`` of ``a`` and ``b``, which no write to the caller's arrays reaches, and
-    raises ``ValueError`` unless they are matrices (``_matrix``), ``a @ b`` conforms and the support
+    raises ``ValueError`` unless they pass ``_pair`` (matrices whose product conforms) and the support
     covers its inner dimension.  ``with_distribution`` builds a plan on the same copies with no
     copy.  ``weights`` are the support's ``group_weights``, computed once: by ``optimal_plan``,
     which builds the distribution from them, or else on first read.
@@ -173,10 +168,11 @@ class Plan:
         self._adopt(*_plan_copies(self.a, self.b), self.distribution)
 
     def _adopt(self, a: np.ndarray, b: np.ndarray, dist: SamplingDistribution) -> Plan:
-        """Set the fields to ``a``, ``b`` and ``dist``, with no copy, once ``_check_shapes`` passes.  Every plan but a
-        public ``Plan(a, b, dist)`` is built by ``Plan.__new__(Plan)._adopt``, on float64 matrices no one writes while
-        it lives: a plan's own, ``read_matrix``'s, ``experiment_matrix``'s, or a call's ``_matrix`` of its inputs."""
-        _check_shapes(a, b, dist.support)
+        """Set the fields to ``a``, ``b`` and ``dist``, with no copy, once the support covers ``a``'s columns.  Every
+        plan but a public ``Plan(a, b, dist)`` is built by ``Plan.__new__(Plan)._adopt``, on float64 matrices no one
+        writes while it lives: a plan's own, ``read_matrix``'s, ``experiment_matrix``'s, or a call's ``_pair``."""
+        if dist.support.n != a.shape[1]:
+            raise ValueError(f"partition covers {dist.support.n} indices but the inner dimension is {a.shape[1]}")
         self.__dict__.update(a=a, b=b, distribution=dist)
         return self
 
@@ -190,11 +186,11 @@ class Plan:
 
 
 def _plan_on(a, b, partition: Partition, dist: SamplingDistribution) -> Plan:
-    """A call's own plan of ``dist`` on a caller's ``a`` and ``b`` (``_matrix``, no copy of a float64
+    """A call's own plan of ``dist`` on a caller's ``a`` and ``b`` (``_pair``, no copy of a float64
     matrix), first refusing a ``partition`` other than ``dist.support`` (``ValueError``)."""
     if dist.support != partition:
         raise ValueError("distribution is not supported on the given partition")
-    return Plan.__new__(Plan)._adopt(_matrix(a), _matrix(b), dist)
+    return Plan.__new__(Plan)._adopt(*_pair(a, b), dist)
 
 
 def optimal_plan(a, b, partition: Partition) -> Plan:

@@ -4,10 +4,10 @@ Matrices are plain 2-d float64 numpy arrays of finite entries (``_matrix``, the 
 every matrix a caller passes in), frozen (read-only) where the package keeps them, so they can
 be shared freely across threads.  ``dense`` copies its input into a C-ordered array; the file
 readers check and freeze the array they read in place, so a ``.bin`` matrix is a view of the
-file's bytes.  A plan that outlives its call owns copies (``_plan_copies``) with A column-major,
-as an experiment's A is made, so the ``Aᵀ`` panel the sketch engine gathers rows from is a view
-of A.  All index arguments in this package are 0-based; serialized formats that carry indices
-use 1-based values (see :mod:`partsketch.partitions`).
+file's bytes.  A caller's pair enters by one intake (``_pair``).  A plan that outlives its call
+owns copies (``_plan_copies``) with A column-major, as an experiment's A is made, so the ``Aᵀ``
+panel the sketch engine gathers rows from is a view of A.  All index arguments in this package are
+0-based; serialized formats that carry indices use 1-based values (see :mod:`partsketch.partitions`).
 """
 
 from __future__ import annotations
@@ -58,29 +58,35 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when ``b`` is ``a.T``: the same buffer read with reversed shape and strides."""
-    return b.shape == a.shape[::-1] and b.strides == a.strides[::-1] and b.ctypes.data == a.ctypes.data
+def _is_transpose(a, b) -> bool:
+    """True when ``b`` is ``a.T``: arrays of one dtype, the same buffer read with reversed shape and strides."""
+    return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype and b.shape == a.shape[::-1]
+            and b.strides == a.strides[::-1] and b.ctypes.data == a.ctypes.data)
+
+
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The one intake of a caller's pair: ``_matrix(a)``, and as ``b`` that array's ``.T`` when the caller's ``b`` is
+    ``a.T`` (``_is_transpose``), so a pair of any dtype stays one and ``syrk`` applies, else ``_matrix(b)``.
+    Raises ``ValueError("dimension mismatch: …")`` unless ``a``'s columns are ``b``'s rows."""
+    pa = _matrix(a)
+    pb = pa.T if _is_transpose(a, b) else _matrix(b)
+    if pa.shape[1] != pb.shape[0]:
+        raise ValueError(f"dimension mismatch: {pa.shape} x {pb.shape}")
+    return pa, pb
 
 
 def _plan_copies(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen float64 copies of a caller's ``a`` and ``b`` (``_matrix``) for a plan to own, which no write to
-    the caller's arrays reaches: ``a``'s column-major, so its ``.T``, the engine's ``Aᵀ`` panel, is C-contiguous,
-    and ``b``'s that copy's ``.T`` when ``b`` is ``a.T`` (``_is_transpose``), so ``syrk`` still applies, else row-major."""
-    a, b = _matrix(a), _matrix(b)
+    """Frozen float64 copies of a caller's pair (``_pair``) for a plan to own, which no write to the caller's
+    arrays reaches: ``a``'s column-major, so its ``.T``, the engine's ``Aᵀ`` panel, is C-contiguous, and ``b``'s
+    that copy's ``.T`` when ``_pair`` kept ``b`` as ``a.T``, so ``syrk`` still applies, else row-major."""
+    a, b = _pair(a, b)
     own = _frozen(np.array(a, order="F"))
     return own, own.T if _is_transpose(a, b) else _frozen(np.array(b, order="C"))
 
 
-def _check_conformable(a: np.ndarray, b: np.ndarray) -> None:
-    """Raise ``ValueError`` unless ``a @ b`` conforms: ``a``'s columns are ``b``'s rows."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product ``a @ b``; raises on inner-dimension mismatch."""
-    _check_conformable(a, b)
+def multiply(a, b) -> np.ndarray:
+    """Exact product ``a @ b``, read-only float64; ``ValueError`` unless the pair passes ``_pair``."""
+    a, b = _pair(a, b)
     return _frozen(a @ b)
 
 

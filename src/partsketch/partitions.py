@@ -142,22 +142,20 @@ def finest(n: int) -> Partition:
 def coarsen(groups, n: int, base: int = 0) -> Partition:
     """Partition of {0..n-1} from groups (any iterables) of indices counted from ``base``.
 
-    Integers, Python or NumPy, are converted to one array for ``Partition``'s array test; a bool, a
-    non-integer or an index past ``intp`` goes straight to the scan.  A refusal raises ``ValueError``
-    naming the first violation of the scan (``_violation``) of the groups as given, counted from ``base``.
+    Integers, Python or NumPy, less ``base`` as Python ints, form one array for ``Partition``'s array test; a
+    bool, a non-integer or an index that ``base`` leaves past ``intp`` goes straight to the scan.  A refusal raises
+    ``ValueError`` naming the first violation of the scan (``_violation``) of the groups as given, from ``base``.
     """
     n = _check_count(n, "ground-set size")
     groups = [tuple(g) for g in groups]
     flat = list(itertools.chain.from_iterable(groups))
     if {int}.issuperset(map(type, flat)) or all(map(_is_integer, flat)):  # the first test is the quick one
-        with contextlib.suppress(OverflowError):  # an index or base past intp is left to the scan
+        with contextlib.suppress(OverflowError):  # an index base leaves past intp: out of range, as the scan says
             # built without __init__: the array test runs once, and a refusal scans the groups as given
             offsets = np.cumsum([0, *map(len, groups)])
-            return Partition.__new__(Partition)._admit(n, np.array(flat, dtype=np.intp) - base, offsets, groups, base)
-    violation = _violation(n, groups, base)
-    if violation is None:  # indices past intp that a base past intp brings into range
-        return coarsen([[i - base for i in g] for g in groups], n)
-    raise ValueError(violation)
+            order = np.array([int(i) - base for i in flat], dtype=np.intp)
+            return Partition.__new__(Partition)._admit(n, order, offsets, groups, base)
+    raise ValueError(_violation(n, groups, base))
 
 
 def _pair_order(weights: np.ndarray, strategy: PairingStrategy) -> np.ndarray:

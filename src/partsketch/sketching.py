@@ -24,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 
 from .distributions import Plan, SamplingDistribution, _optimal_plan, _plan_on, pairing_plan
-from .matrices import _BLOCK_ENTRIES, _check_conformable, _frozen, _is_transpose, _matrix
+from .matrices import _BLOCK_ENTRIES, _frozen, _is_transpose, _pair
 from .partitions import PairingStrategy, Partition, finest
 from .rng import RowStream, _check_count, philox_key
 
@@ -283,14 +283,15 @@ def sketch_from_draws(plan: Plan, draws: np.ndarray) -> SketchResult:
     return _estimator(plan.a, plan.b, np.count_nonzero(scale))(counts, scale)
 
 
-def error_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``H = (AᵀA) ∘ (BBᵀ)``, read-only: ``|A·diag(u)·B|_F² = uᵀHu`` for every ``u``.
+def error_form(a, b) -> np.ndarray:
+    """``H = (AᵀA) ∘ (BBᵀ)``, read-only float64: ``|A·diag(u)·B|_F² = uᵀHu`` for every ``u``.
 
     ``H`` is n×n and depends only on ``(a, b)``, so one ``H`` serves every
     plan and sample count on them.  It is built in its own buffer, squared
-    in place when ``b`` is ``a.T`` (``AᵀA`` is then one ``syrk``).
+    in place when ``b`` is ``a.T`` of any dtype (``_pair`` keeps that pair one,
+    and ``AᵀA`` is then one ``syrk``).  Raises ``ValueError`` unless the pair passes ``_pair``.
     """
-    _check_conformable(a, b)
+    a, b = _pair(a, b)
     h = a.T @ a
     h *= h if _is_transpose(a, b) else b @ b.T
     return _frozen(h)
@@ -347,10 +348,9 @@ def _form_rows(cells, n: int) -> Iterator[np.ndarray]:
         yield u[:fill]
 
 
-def pairwise_plan(a: np.ndarray, b: np.ndarray,
-                  strategy: PairingStrategy) -> tuple[Partition, SamplingDistribution]:
-    """``pairing_plan`` of the finest optimal plan of ``a @ b``, as its (partition, distribution)."""
-    a, b = _matrix(a), _matrix(b)
+def pairwise_plan(a, b, strategy: PairingStrategy) -> tuple[Partition, SamplingDistribution]:
+    """``pairing_plan`` of the finest optimal plan of ``a @ b`` (``_pair``), as its (partition, distribution)."""
+    a, b = _pair(a, b)
     dist = pairing_plan(_optimal_plan(a, b, finest(a.shape[1])), strategy).distribution
     return dist.support, dist
 

@@ -14,7 +14,7 @@ from partsketch import (SamplingDistribution, SketchConfig, aggregate_distributi
 from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, experiment_matrix,
                                     pairing_strategy)
 from partsketch.distributions import _plan_on
-from partsketch.matrices import _check_conformable, _frozen
+from partsketch.matrices import _frozen, _pair
 from partsketch.rng import _check_count
 from partsketch.sketching import _is_transpose, _scaled_product
 
@@ -72,7 +72,7 @@ def block_product(a, b, group):
     ``multiply(a, b)``.  Indices are 0-based and must be in range; the group
     must be nonempty.
     """
-    _check_conformable(a, b)
+    a, b = _pair(a, b)
     idx = np.asarray(group, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("group must be a nonempty 1-d index list")

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partsketch import (ENHANCED, Plan, SamplingDistribution, SketchConfig, ZeroProductError,
+from partsketch import (ENHANCED, SIMPLE, Plan, SamplingDistribution, SketchConfig, ZeroProductError,
                         aggregate_distribution, bound_report, coarsen, dense, derive_seeds,
-                        distribution_stats, distribution_to_json, expected_frobenius_error_sq,
-                        finest, group_weights, optimal_distribution, optimal_plan, pairing_plan,
-                        pairwise_plan, read_matrix, sample_indices, sketch, sketch_trials,
-                        write_binary, write_csv)
+                        distribution_stats, distribution_to_json, error_form,
+                        expected_frobenius_error_sq, finest, group_weights, multiply,
+                        optimal_distribution, optimal_plan, pair_partition, pairing_comparators,
+                        pairing_plan, pairwise_plan, read_matrix, sample_indices, sketch, sketch_trials,
+                        uniform_spectral_bound, write_binary, write_csv)
 from partsketch import distributions
 from partsketch.experiments import ExperimentConfig, experiment_matrix
 from helpers import distribution, element_weight, random_coarsening, random_instance, shuffled_groups
@@ -357,8 +358,9 @@ class TestPlan:
 
 
 class TestCallerMatrices:
-    """Every entry point that takes a caller's matrices applies one matrix rule to them, leaves
-    them as they were, and a plan that outlives its call holds copies no later write reaches."""
+    """Every entry point that takes a caller's matrix pair applies one intake to it (``_pair``: the
+    matrix rule, a transpose pair kept one, conformance), leaves the caller's arrays as they were,
+    and a plan that outlives its call holds copies no later write reaches."""
 
     ENTRY = {
         "Plan": lambda a, b, d: dataclasses.astuple(bound_report(Plan(a, b, d))),
@@ -367,6 +369,12 @@ class TestCallerMatrices:
         "pairwise_plan": lambda a, b, d: pairwise_plan(a, b, ENHANCED)[1].weights.tobytes(),
         "sketch": lambda a, b, d: sketch(a, b, finest(4), d, SketchConfig(5, 0)).estimate.tobytes(),
         "expected_frobenius_error_sq": lambda a, b, d: expected_frobenius_error_sq(a, b, finest(4), d, 5),
+        "multiply": lambda a, b, d: multiply(a, b).tobytes(),
+        "error_form": lambda a, b, d: error_form(a, b).tobytes(),
+        "group_weights": lambda a, b, d: group_weights(a, b, finest(4)).tobytes(),
+        "pairing_comparators": lambda a, b, d: dataclasses.astuple(
+            pairing_comparators(a, b, pair_partition(np.full(4, 0.25), SIMPLE))),
+        "uniform_spectral_bound": lambda a, b, d: uniform_spectral_bound(a, b, 5, 4, 2),
     }
 
     @staticmethod
@@ -384,17 +392,19 @@ class TestCallerMatrices:
         return arrays
 
     @pytest.mark.parametrize("entry", ENTRY)
-    @pytest.mark.parametrize("kind", ["nan", "inf", "int64", "nested list", "1-d"])
+    @pytest.mark.parametrize("kind", ["nan", "inf", "int64", "nested list", "1-d", "non-conforming"])
     def test_one_matrix_rule_at_every_entry_point(self, entry, kind):
         # converted to float64 as dense converts, then 2-d, positive dimensions and finite
-        # entries, else ValueError: a frozen NaN or inf matrix is refused, not a NaN result
+        # entries, and a @ b conforming, else ValueError: a frozen NaN or inf matrix is refused,
+        # not a NaN result, and a nested list is read, not an AttributeError
         x, y, d = self.instance()
         na, inf = x.copy(), y.copy()
         na[1, 2], inf[0, 1] = np.nan, np.inf
         a, b = {"nan": self.frozen(na, y.copy()), "inf": self.frozen(x.copy(), inf),
                 "int64": self.frozen(x.astype(np.int64), y.astype(np.int64)),
-                "nested list": (x.tolist(), y.tolist()), "1-d": (x[0], y)}[kind]
-        refused = {"nan": "matrix entries must be finite", "inf": "matrix entries must be finite", "1-d": "matrix must be 2-d"}
+                "nested list": (x.tolist(), y.tolist()), "1-d": (x[0], y), "non-conforming": (x, y[:3])}[kind]
+        refused = {"nan": "matrix entries must be finite", "inf": "matrix entries must be finite",
+                   "1-d": "matrix must be 2-d", "non-conforming": r"dimension mismatch: \(3, 4\) x \(3, 2\)"}
         if kind in refused:
             with pytest.raises(ValueError, match=refused[kind]):
                 self.ENTRY[entry](a, b, d)
@@ -413,6 +423,44 @@ class TestCallerMatrices:
         self.ENTRY[entry](a, b, d)
         assert a.flags.writeable == b.flags.writeable == writeable
         assert a.tobytes() == x.tobytes() and b.tobytes() == (x.T if pair == "a.T" else y).tobytes()
+
+    PLANS = {
+        "Plan": lambda x: Plan(x, x.T, optimal_distribution(x, x.T, finest(40))),
+        "optimal_plan": lambda x: optimal_plan(x, x.T, finest(40)),
+        "optimal_distribution + sketch": lambda x: optimal_distribution(x, x.T, finest(40)),
+        "pairwise_plan": lambda x: Plan(x, x.T, pairwise_plan(x, x.T, ENHANCED)[1]),
+    }
+
+    @pytest.mark.parametrize("entry", PLANS)
+    def test_an_int64_transpose_pair_stays_one(self, entry, monkeypatch):
+        # int64, B = x.T: _pair converts x once and takes b as that array's .T, so every plan built,
+        # the call-local ones too, holds b as a view of its a, and the engine's Gram path (syrk)
+        # gives an exactly symmetric estimate, the bytes of the float64 copy's
+        x = np.random.default_rng(11).integers(-9, 10, (6, 40))
+        xf = x.astype(np.float64)
+        adopted, adopt = [], Plan._adopt
+        monkeypatch.setattr(Plan, "_adopt", lambda self, a, b, dist: adopted.append((a, b)) or adopt(self, a, b, dist))
+        seeds = derive_seeds(5, (), 3)
+
+        def estimates(m):
+            built = self.PLANS[entry](m)
+            if isinstance(built, Plan):
+                return [res.estimate for res in sketch_trials([(built, 30, seeds)])]
+            return [sketch(m, m.T, finest(40), built, SketchConfig(30, seed)).estimate for seed in seeds]
+
+        got = estimates(x)
+        assert adopted and all(np.shares_memory(a, b) for a, b in adopted)
+        assert all(np.array_equal(e, e.T) for e in got)
+        assert [e.tobytes() for e in got] == [e.tobytes() for e in estimates(xf)]
+
+    def test_an_int64_pair_gives_float64_products(self):
+        # x @ x.T in int64 wraps around (3e9 squared is past 2**63); the intake converts first
+        x = np.array([[3_000_000_000, 1], [2, 5]])
+        xf = x.astype(np.float64)
+        h = error_form(x, x.T)
+        assert h.dtype == np.float64 and h[0, 0] == 8.1e37 and h.tobytes() == error_form(xf, xf.T).tobytes()
+        product = multiply(x, x.T)
+        assert product.dtype == np.float64 and product.tobytes() == multiply(xf, xf.T).tobytes()
 
     WRITES = ["stale writable view", "read-only view of a writable base", "owner made writable again",
               "writable array"]

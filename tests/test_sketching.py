@@ -885,14 +885,16 @@ class TestGramKernel:
             assert np.array_equal(est, est.T)
 
     def test_path_follows_the_buffer(self):
-        # only a.T itself takes the Gram kernel: not an equal copy, and not the
-        # transpose of another matrix with a's shape and strides
+        # only a.T itself takes the Gram kernel: not an equal copy, not the transpose of
+        # another matrix with a's shape and strides, not a's bytes read as another dtype,
+        # and not a nested list
         a, d = self.instance()
         part = finest(700)
         copy = dense(a.T.copy())
         other = dense(np.random.default_rng(32).random(a.shape) - 0.5)
         assert _is_transpose(a, a.T)
         assert not _is_transpose(a, copy) and not _is_transpose(a, other.T)
+        assert not _is_transpose(a, a.view(np.int64).T) and not _is_transpose(a.T.tolist(), a)
         square = dense(np.eye(3))
         assert not _is_transpose(square, square) and _is_transpose(square.T, square)
         cfg = SketchConfig(900, 4)
