@@ -13,8 +13,8 @@ from .analysis import (BoundReport, PairingComparators, bernstein_tail_bound,
                        tail_bound_value, uniform_spectral_bound)
 from .distributions import (Plan, SamplingDistribution,
                             aggregate_distribution, distribution_stats,
-                            distribution_to_json, group_weights,
-                            optimal_distribution, optimal_plan, pairing_plan)
+                            distribution_to_json, optimal_distribution,
+                            optimal_plan, pairing_plan)
 from .errors import (ConfigError, MatrixFileError, NumericError,
                      PartSketchError, ZeroProductError)
 from .experiments import (ExperimentConfig, paper_scale, run_fig1, run_fig2,
@@ -26,8 +26,7 @@ from .partitions import (BALANCED, ENHANCED, SIMPLE, PairingStrategy,
                          partition_from_json, partition_to_json)
 from .rng import derive_seed, derive_seeds
 from .sketching import (SketchConfig, SketchResult, draw_log_json,
-                        error_form, frobenius_errors, pairwise_plan,
-                        sample_indices, sketch, sketch_from_draws,
-                        sketch_trials)
+                        frobenius_errors, pairwise_plan, sample_indices,
+                        sketch, sketch_from_draws, sketch_trials)
 
 __version__ = "0.1.0"

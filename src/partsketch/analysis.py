@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Plan, SamplingDistribution, _plan_on, group_weights
+from .distributions import Plan, SamplingDistribution, _plan_on, _weights
 from .errors import NumericError, ZeroProductError
 from .matrices import _EPS, _pair, frobenius_norm, spectral_norm
 from .partitions import Partition, finest
@@ -227,11 +227,11 @@ class PairingComparators:
 def pairing_comparators(a: np.ndarray, b: np.ndarray, pairing: Partition) -> PairingComparators:
     """Evaluate the four comparator quantities for an explicit pairing.
 
-    Per-index weights are ``group_weights(a, b, finest(n))``, the |a column|_2 * |b row|_2 that
-    the distributions and ``bound_report`` use; group weights are the sums of their members'.
-    ``pairing`` must partition the inner dimension into groups of at most two indices.
+    Per-index weights are a finest plan's (``_weights`` over ``finest(n)`` of the ``_pair``), the
+    |a column|_2 * |b row|_2 that the distributions and ``bound_report`` use; group weights are the
+    sums of their members'.  ``pairing`` must partition the inner dimension into groups of at most two indices.
     """
-    w = group_weights(a, b, finest(pairing.n))  # checks a @ b and that pairing covers its n indices
+    w = _weights(*_pair(a, b), finest(pairing.n))  # checks a @ b and that pairing covers its n indices
     if np.bincount(pairing.labels).max() > 2:
         raise ValueError("pairing groups must have at most two indices")
     total = float(np.sum(w))

@@ -20,7 +20,7 @@ from .distributions import Plan, _optimal_plan, distribution_to_json, pairing_pl
 from .errors import ConfigError, MatrixFileError, NumericError
 from .experiments import (ExperimentConfig, pairing_strategy, paper_scale, run_fig1,
                           run_fig2, run_table1)
-from .matrices import read_matrix, write_csv, write_output
+from .matrices import _conforming, read_matrix, write_csv, write_output
 from .partitions import PAIRING_KINDS, finest, partition_from_json
 from .rng import _check_count
 # ``sketch`` stays bound in this module: perfbench's tracer wraps it at every module that names it.
@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _plan(args) -> Plan:
     """The plan of --a and --b over --partition-file's partition or finest, or a strategy's ``pairing_plan`` of finest's."""
-    a, b = read_matrix(args.a), read_matrix(args.b)  # no one else holds them: the plan adopts them with no copy
+    a, b = _conforming(read_matrix(args.a), read_matrix(args.b))  # checked once, and only the plan holds them: no copy
     if args.partition_file is not None:
         return _optimal_plan(a, b, partition_from_json(Path(args.partition_file).read_text(encoding="utf-8")))
     fin = _optimal_plan(a, b, finest(a.shape[1]))

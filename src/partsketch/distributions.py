@@ -112,16 +112,15 @@ def _squared_norms(a: np.ndarray, b: np.ndarray, members: np.ndarray, starts: np
     return out
 
 
-def group_weights(a, b, partition: Partition) -> np.ndarray:
+def _weights(a: np.ndarray, b: np.ndarray, partition: Partition) -> np.ndarray:
     """Frobenius norm of every group's block product ``a[:, g] @ b[g, :]``, batched by group size.
 
     Groups of size s use ``|A_g B_g|_F^2 = <A_g^T A_g, B_g B_g^T>`` (s x s
     temporaries; ``|a_j| |b_j|`` for singletons) unless ``s^2 > m * rho``,
     where the m x rho block is smaller, so no temporary grows with n^2.
-    Groups whose Gram sum nearly cancels are taken from their blocks.  Raises ``ValueError``
-    unless the pair passes ``_pair`` and ``partition`` covers its n inner indices.
+    Groups whose Gram sum nearly cancels are taken from their blocks.  The pair is checked float64
+    (``_pair``'s or a plan's), not scanned again; ``ValueError`` unless ``partition`` covers its n indices.
     """
-    a, b = _pair(a, b)
     if partition.n != a.shape[1]:
         raise ValueError(f"partition covers {partition.n} indices but the inner dimension is {a.shape[1]}")
     m, rho = a.shape[0], b.shape[1]
@@ -142,8 +141,8 @@ def optimal_distribution(a, b, partition: Partition) -> SamplingDistribution:
     contribute nothing to the product, so never sampling them keeps the
     estimator unbiased and the error formula finite.  Raises
     :class:`ZeroProductError` when every weight vanishes (the product is zero
-    and no distribution is defined), and ``ValueError`` as :func:`group_weights`
-    does on matrices and a partition that do not conform.
+    and no distribution is defined), and ``ValueError`` unless the pair passes ``_pair``
+    and ``partition`` covers its inner dimension.
     """
     return _optimal_plan(*_pair(a, b), partition).distribution
 
@@ -156,8 +155,8 @@ class Plan:
     holds ``_plan_copies`` of ``a`` and ``b``, which no write to the caller's arrays reaches, and
     raises ``ValueError`` unless they pass ``_pair`` (matrices whose product conforms) and the support
     covers its inner dimension.  ``with_distribution`` builds a plan on the same copies with no
-    copy.  ``weights`` are the support's ``group_weights``, computed once: by ``optimal_plan``,
-    which builds the distribution from them, or else on first read.
+    copy.  ``weights`` are the Frobenius norms of the support's block products (``_weights``), computed
+    once: by ``optimal_plan``, which builds the distribution from them, or else on first read.
     """
 
     a: np.ndarray
@@ -182,7 +181,7 @@ class Plan:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return _frozen(group_weights(self.a, self.b, self.distribution.support))
+        return _frozen(_weights(self.a, self.b, self.distribution.support))
 
 
 def _plan_on(a, b, partition: Partition, dist: SamplingDistribution) -> Plan:
@@ -200,7 +199,7 @@ def optimal_plan(a, b, partition: Partition) -> Plan:
 
 def _optimal_plan(a: np.ndarray, b: np.ndarray, partition: Partition) -> Plan:
     """``optimal_plan`` on ``a`` and ``b`` themselves, with no copy (``Plan._adopt``)."""
-    w = _frozen(group_weights(a, b, partition))
+    w = _frozen(_weights(a, b, partition))
     total = float(np.sum(w))
     if total == 0.0:
         raise ZeroProductError("every block weight is zero: the product is the zero matrix")

@@ -66,13 +66,17 @@ def _is_transpose(a, b) -> bool:
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     """The one intake of a caller's pair: ``_matrix(a)``, and as ``b`` that array's ``.T`` when the caller's ``b`` is
-    ``a.T`` (``_is_transpose``), so a pair of any dtype stays one and ``syrk`` applies, else ``_matrix(b)``.
-    Raises ``ValueError("dimension mismatch: …")`` unless ``a``'s columns are ``b``'s rows."""
+    ``a.T`` (``_is_transpose``), so a pair of any dtype stays one and ``syrk`` applies, else ``_matrix(b)``;
+    then ``_conforming``."""
     pa = _matrix(a)
-    pb = pa.T if _is_transpose(a, b) else _matrix(b)
-    if pa.shape[1] != pb.shape[0]:
-        raise ValueError(f"dimension mismatch: {pa.shape} x {pb.shape}")
-    return pa, pb
+    return _conforming(pa, pa.T if _is_transpose(a, b) else _matrix(b))
+
+
+def _conforming(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, b)``, unless ``a``'s columns are not ``b``'s rows: ``ValueError("dimension mismatch: …")``."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+    return a, b
 
 
 def _plan_copies(a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 
 from .distributions import Plan, SamplingDistribution, _optimal_plan, _plan_on, pairing_plan
-from .matrices import _BLOCK_ENTRIES, _frozen, _is_transpose, _pair
+from .matrices import _BLOCK_ENTRIES, _is_transpose, _pair
 from .partitions import PairingStrategy, Partition, finest
 from .rng import RowStream, _check_count, philox_key
 
@@ -283,30 +283,17 @@ def sketch_from_draws(plan: Plan, draws: np.ndarray) -> SketchResult:
     return _estimator(plan.a, plan.b, np.count_nonzero(scale))(counts, scale)
 
 
-def error_form(a, b) -> np.ndarray:
-    """``H = (AᵀA) ∘ (BBᵀ)``, read-only float64: ``|A·diag(u)·B|_F² = uᵀHu`` for every ``u``.
-
-    ``H`` is n×n and depends only on ``(a, b)``, so one ``H`` serves every
-    plan and sample count on them.  It is built in its own buffer, squared
-    in place when ``b`` is ``a.T`` of any dtype (``_pair`` keeps that pair one,
-    and ``AᵀA`` is then one ``syrk``).  Raises ``ValueError`` unless the pair passes ``_pair``.
-    """
-    a, b = _pair(a, b)
-    h = a.T @ a
-    h *= h if _is_transpose(a, b) else b @ b.T
-    return _frozen(h)
-
-
 def frobenius_errors(cells) -> list[np.ndarray]:
     """Squared Frobenius errors ``|AB - sketch(...).estimate|_F²`` of every trial of ``cells``.
 
     ``cells`` are ``sketch_trials``' cells, checked by that call before any draw; the
     result holds one array per cell, of one error per seed, from the counts ``sketch_trials``
-    draws.  When the n×n ``H = error_form(a, b)`` fits ``_ERROR_FORM_ENTRIES``, it is built
-    once and a trial's error is ``uᵀHu`` with ``u = 1 - s``, with no estimate formed: the
-    ``u`` rows of all cells are taken ``_FORM_ROWS`` at a time in order, each group in one
-    GEMM against ``H``, so an error's last bits are fixed by the whole cell list, not by its
-    cell alone.  ``H`` is positive semidefinite (Schur product theorem), so a negative value
+    draws.  When the n×n ``H = (AᵀA) ∘ (BBᵀ)`` of the plans' matrices fits ``_ERROR_FORM_ENTRIES``,
+    ``|A·diag(u)·B|_F² = uᵀHu`` for every ``u``, so ``H`` is built once, squared in place when B is
+    Aᵀ (``AᵀA`` is then one ``syrk``), and a trial's error is ``uᵀHu`` with ``u = 1 - s``, with
+    no estimate formed: the ``u`` rows of all cells are taken ``_FORM_ROWS`` at a time in order,
+    each group in one GEMM against ``H``, so an error's last bits are fixed by the whole cell list,
+    not by its cell alone.  ``H`` is positive semidefinite (Schur product theorem), so a negative value
     is rounding and is clamped to 0.  The ``u`` form is kept on purpose: expanding it to
     ``|AB|² - 2sᵀd + sᵀHs`` cancels.  Past the cap an error is
     ``sum(square(a @ b - estimate))`` of ``sketch_trials``' estimate, whose memory does not
@@ -319,7 +306,8 @@ def frobenius_errors(cells) -> list[np.ndarray]:
     a, b = cells[0][0].a, cells[0][0].b
     ends = list(accumulate(len(seeds) for *_, seeds in cells))
     if a.shape[1] ** 2 <= _ERROR_FORM_ENTRIES:
-        h = error_form(a, b)
+        h = a.T @ a
+        h *= h if _is_transpose(a, b) else b @ b.T
         errors = np.empty(ends[-1])
         for lo, u in zip(range(0, errors.size, _FORM_ROWS), _form_rows(cells, a.shape[1])):
             uh = u @ h

@@ -82,7 +82,7 @@ def block_product(a, b, group):
 
 
 def element_weight(a, b, group):
-    """Frobenius norm of the group's block product: the per-group oracle for ``group_weights``."""
+    """Frobenius norm of the group's block product: the per-group oracle for ``Plan.weights``."""
     return frobenius_norm(block_product(a, b, group))
 
 

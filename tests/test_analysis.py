@@ -8,9 +8,9 @@ from scipy import stats as scipy_stats
 
 from partsketch import (BALANCED, ENHANCED, SIMPLE, PairingStrategy, Plan, SketchConfig, SketchResult,
                         ZeroProductError, aggregate_distribution, bernstein_tail_bound,
-                        binomial_cdf, bound_report, coarsen, dense, error_form,
-                        expected_frobenius_error_sq, finest, group_weights,
-                        min_draw_threshold, multiply, optimal_distribution,
+                        binomial_cdf, bound_report, coarsen, dense,
+                        expected_frobenius_error_sq, finest, frobenius_errors, min_draw_threshold,
+                        multiply, optimal_distribution, optimal_plan,
                         pair_partition, pairing_comparators, pairwise_plan, sketch,
                         spectral_norm, tail_bound_value, uniform_spectral_bound)
 from helpers import (all_pairings, block_product, brute_force_expectation, distribution,
@@ -152,7 +152,7 @@ class TestOptimalExpectedError:
             d = optimal_distribution(a, b, part)
             direct = expected_frobenius_error_sq(a, b, part, d, 3)
             # ((sum of group weights)^2 - |AB|_F^2) / c, the closed form at the optimum
-            closed = (float(np.sum(group_weights(a, b, part))) ** 2 - float(np.sum(multiply(a, b) ** 2))) / 3
+            closed = (float(np.sum(optimal_plan(a, b, part).weights)) ** 2 - float(np.sum(multiply(a, b) ** 2))) / 3
             assert direct == pytest.approx(closed, rel=1e-11, abs=1e-12)
 
     def test_finest_has_largest_error(self):
@@ -369,7 +369,7 @@ class TestPairingComparators:
             a, b = random_instance(rng, max_n=9, centered=False)
             n = a.shape[1]
             pairing = pair_partition(rng.random(n), PairingStrategy("random", int(rng.integers(1e6))))
-            w = group_weights(a, b, finest(n))
+            w = optimal_plan(a, b, finest(n)).weights
             total = float(np.sum(w))
             sums = np.array([float(np.sum(w[list(g)])) for g in pairing.groups])
             comp = pairing_comparators(a, b, pairing)
@@ -378,13 +378,13 @@ class TestPairingComparators:
 
     def test_values_are_the_closed_forms_of_group_weights_bit_for_bit(self):
         # signed 7x12 by 12x5 Gaussian pairs: the per-index weights are the package's one
-        # formula, group_weights over the finest partition, not a second norm product (which
+        # formula, a finest plan's weights, not a second norm product (which
         # differs in the last bit on some of these seeds)
         for seed in range(10):
             rng = np.random.default_rng(seed)
             a, b = dense(rng.standard_normal((7, 12))), dense(rng.standard_normal((12, 5)))
             pairing = pair_partition(optimal_distribution(a, b, finest(12)).weights, ENHANCED)
-            w = group_weights(a, b, finest(12))
+            w = optimal_plan(a, b, finest(12)).weights
             total = float(np.sum(w))
             sums = np.bincount(pairing.labels, weights=w)
             comp = pairing_comparators(a, b, pairing)
@@ -506,14 +506,15 @@ class TestShapeCheck:
     rejects a ``b`` whose rows are not ``a``'s columns."""
 
     BUILDERS = {
-        "group_weights": lambda a, b: group_weights(a, b, finest(4)),
+        "group_weights": lambda a, b: optimal_plan(a, b, finest(4)).weights,
         "optimal_distribution": lambda a, b: optimal_distribution(a, b, finest(4)),
         "pairwise_plan": lambda a, b: pairwise_plan(a, b, ENHANCED),
         "pairing_comparators": lambda a, b: pairing_comparators(a, b, pair_partition(np.full(4, 0.25), SIMPLE)),
         "uniform_spectral_bound": lambda a, b: uniform_spectral_bound(a, b, 3, 4, 2),
         "multiply": multiply,
         "block_product": lambda a, b: block_product(a, b, [0, 1]),
-        "error_form": error_form,
+        "error_form": lambda a, b: frobenius_errors(
+            [(Plan(a, b, distribution(finest(4), np.ones(4), normalize=True)), 3, [0])]),
     }
 
     @pytest.mark.parametrize("name", BUILDERS)

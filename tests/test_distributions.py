@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from partsketch import (ENHANCED, SIMPLE, Plan, SamplingDistribution, SketchConfig, ZeroProductError,
                         aggregate_distribution, bound_report, coarsen, dense, derive_seeds,
-                        distribution_stats, distribution_to_json, error_form,
-                        expected_frobenius_error_sq, finest, group_weights, multiply,
-                        optimal_distribution, optimal_plan, pair_partition, pairing_comparators,
-                        pairing_plan, pairwise_plan, read_matrix, sample_indices, sketch, sketch_trials,
+                        distribution_stats, distribution_to_json, expected_frobenius_error_sq,
+                        finest, frobenius_errors, multiply, optimal_distribution, optimal_plan,
+                        pair_partition, pairing_comparators, pairing_plan, pairwise_plan, read_matrix, sample_indices, sketch, sketch_trials,
                         uniform_spectral_bound, write_binary, write_csv)
-from partsketch import distributions
-from partsketch.experiments import ExperimentConfig, experiment_matrix
+from partsketch import distributions, matrices
+from partsketch.cli import main
+from partsketch.distributions import _weights
+from partsketch.experiments import ExperimentConfig, experiment_matrix, run_fig1
 from helpers import distribution, element_weight, random_coarsening, random_instance, shuffled_groups
 
 
@@ -47,7 +48,7 @@ class TestGroupWeights:
         a, b = random_instance(rng, max_rows=6, max_n=40, max_cols=6, centered=centered)
         n = a.shape[1]
         part = random_coarsening(rng, n) if rng.random() < 0.7 else finest(n)
-        got = group_weights(a, b, part)
+        got = _weights(a, b, part)
         col = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=1)
         for g, w in zip(part.groups, got):
             expected = element_weight(a, b, g)
@@ -66,13 +67,13 @@ class TestGroupWeights:
         weights = []
         for budget in (2 ** 8, 2 ** 15, 2 ** 20):
             monkeypatch.setattr(distributions, "_BLOCK_ENTRIES", budget)
-            weights.append([group_weights(a, b, part).tobytes() for part in parts])
+            weights.append([_weights(a, b, part).tobytes() for part in parts])
         assert weights[0] == weights[1] == weights[2]
 
     def test_singletons_are_norm_products(self):
         a = dense([[3.0, 0.0, 1.0], [4.0, 2.0, 0.0]])
         b = dense([[1.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
-        assert group_weights(a, b, finest(3)).tolist() == [5.0, 0.0, 8.0**0.5]
+        assert optimal_plan(a, b, finest(3)).weights.tolist() == [5.0, 0.0, 8.0**0.5]
 
     def test_nearly_cancelling_group(self):
         # a_1 = -a_0 + 1e-9 noise with b_1 = b_0: the block is d b_0^T with
@@ -85,7 +86,7 @@ class TestGroupWeights:
             b0 = rng.standard_normal(int(rng.integers(1, 8)))
             b = dense(np.vstack([b0, b0]))
             expected = np.linalg.norm(a[:, 0] + a[:, 1]) * np.linalg.norm(b0)
-            got = group_weights(a, b, coarsen([[0, 1]], 2))[0]
+            got = optimal_plan(a, b, coarsen([[0, 1]], 2)).weights[0]
             assert abs(got - expected) <= 1e-6 * expected
 
 
@@ -251,9 +252,9 @@ class TestPlan:
 
         def counting(a, b, partition):
             calls.append(partition)
-            return group_weights(a, b, partition)
+            return _weights(a, b, partition)
 
-        monkeypatch.setattr(distributions, "group_weights", counting)
+        monkeypatch.setattr(distributions, "_weights", counting)
         return calls
 
     def test_optimal_plan_keeps_the_weights_it_is_built_from(self, counted):
@@ -262,7 +263,7 @@ class TestPlan:
         plan = optimal_plan(a, b, part)
         first, second = plan.weights, plan.weights
         assert first is second and len(counted) == 1
-        assert first.tobytes() == group_weights(a, b, part).tobytes() and not first.flags.writeable
+        assert first.tobytes() == _weights(a, b, part).tobytes() and not first.flags.writeable
         assert np.array_equal(plan.distribution.weights, optimal_distribution(a, b, part).weights)
         assert [f.name for f in dataclasses.fields(Plan)] == ["a", "b", "distribution"]
         with pytest.raises(TypeError):
@@ -354,7 +355,7 @@ class TestPlan:
         for read, plan in enumerate(plans, 1):
             weights = plan.weights
             assert [p.k for p in counted] == [8, 8] + [4] * read and plan.weights is weights
-            assert np.array_equal(weights, group_weights(a, b, plan.distribution.support))
+            assert np.array_equal(weights, _weights(a, b, plan.distribution.support))
 
 
 class TestCallerMatrices:
@@ -370,8 +371,9 @@ class TestCallerMatrices:
         "sketch": lambda a, b, d: sketch(a, b, finest(4), d, SketchConfig(5, 0)).estimate.tobytes(),
         "expected_frobenius_error_sq": lambda a, b, d: expected_frobenius_error_sq(a, b, finest(4), d, 5),
         "multiply": lambda a, b, d: multiply(a, b).tobytes(),
-        "error_form": lambda a, b, d: error_form(a, b).tobytes(),
-        "group_weights": lambda a, b, d: group_weights(a, b, finest(4)).tobytes(),
+        # the group weights and the error form H are plan facts now, reached through a plan's intake
+        "group_weights": lambda a, b, d: optimal_plan(a, b, finest(4)).weights.tobytes(),
+        "error_form": lambda a, b, d: frobenius_errors([(optimal_plan(a, b, finest(4)), 5, [0, 1])])[0].tobytes(),
         "pairing_comparators": lambda a, b, d: dataclasses.astuple(
             pairing_comparators(a, b, pair_partition(np.full(4, 0.25), SIMPLE))),
         "uniform_spectral_bound": lambda a, b, d: uniform_spectral_bound(a, b, 5, 4, 2),
@@ -457,8 +459,8 @@ class TestCallerMatrices:
         # x @ x.T in int64 wraps around (3e9 squared is past 2**63); the intake converts first
         x = np.array([[3_000_000_000, 1], [2, 5]])
         xf = x.astype(np.float64)
-        h = error_form(x, x.T)
-        assert h.dtype == np.float64 and h[0, 0] == 8.1e37 and h.tobytes() == error_form(xf, xf.T).tobytes()
+        errors = [frobenius_errors([(optimal_plan(m, m.T, finest(2)), 3, [0, 1, 2])])[0] for m in (x, xf)]
+        assert errors[0].dtype == np.float64 and errors[0].tobytes() == errors[1].tobytes()
         product = multiply(x, x.T)
         assert product.dtype == np.float64 and product.tobytes() == multiply(xf, xf.T).tobytes()
 
@@ -508,3 +510,39 @@ class TestCallerMatrices:
         exact = held @ held.T
         stderr = estimates.std(axis=0, ddof=1) / math.sqrt(len(estimates))
         assert np.all(np.abs(estimates.mean(axis=0) - exact) <= 5 * stderr)
+
+
+class TestMatrixScans:
+    """A matrix meets the matrix rule (``matrices._matrix``) once, where it enters: in ``read_matrix``
+    or a public door's ``_pair``.  Code that holds a plan's, ``read_matrix``'s or ``experiment_matrix``'s
+    matrices does not scan them again."""
+
+    @staticmethod
+    def cli(command, *flags):
+        def run(tmp_path):
+            rng = np.random.default_rng(3)
+            write_binary(rng.random((5, 12)), tmp_path / "a.bin")
+            write_binary(rng.random((12, 4)), tmp_path / "b.bin")
+            assert main([command, "--a", str(tmp_path / "a.bin"), "--b", str(tmp_path / "b.bin"),
+                         "--out-dir", str(tmp_path / "out"), *flags]) == 0
+        return run
+
+    X, Y = np.random.default_rng(4).random((5, 12)), np.random.default_rng(5).random((12, 3))
+    CALLS = {
+        "sketch finest": (cli("sketch", "--c", "7"), 2),
+        "sketch --strategy enhanced": (cli("sketch", "--c", "7", "--strategy", "enhanced"), 2),
+        # two are uniform_spectral_bound's own intake: the bound reads no distribution, so it keeps its pair
+        "analyze --strategy enhanced --k": (cli("analyze", "--c", "5", "--k", "4", "--strategy", "enhanced"), 4),
+        "optimal_plan(x, x.T)": (lambda tmp_path: optimal_plan(TestMatrixScans.X, TestMatrixScans.X.T, finest(12)), 1),
+        "optimal_plan(x, y)": (lambda tmp_path: optimal_plan(TestMatrixScans.X, TestMatrixScans.Y, finest(12)), 2),
+        "run_fig1": (lambda tmp_path: run_fig1(ExperimentConfig(rows=4, cols=10, c_min=5, c_max=10, c_step=5,
+                                                                trials=2), tmp_path), 0),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_each_matrix_is_scanned_once(self, tmp_path, monkeypatch, call):
+        run, want = self.CALLS[call]
+        scans, rule = [], matrices._matrix
+        monkeypatch.setattr(matrices, "_matrix", lambda values: scans.append(values) or rule(values))
+        run(tmp_path)
+        assert len(scans) == want

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from partsketch import (ConfigError, ExperimentConfig, Plan, aggregate_distribution, dense,
-                        expected_frobenius_error_sq, finest, group_weights,
-                        optimal_distribution, pair_partition, paper_scale,
-                        run_fig1, run_fig2, run_table1, write_binary, write_csv)
+                        expected_frobenius_error_sq, finest, optimal_distribution,
+                        pair_partition, paper_scale, run_fig1, run_fig2, run_table1,
+                        write_binary, write_csv)
 from partsketch import experiments, sketching
+from partsketch.distributions import _weights
 from partsketch.experiments import (FIG1_HEADER, FIG2_HEADER, _methods,
                                     experiment_matrix, pairing_strategy)
 from partsketch.partitions import PAIRING_KINDS
@@ -163,7 +164,7 @@ class TestMethods:
         assert row_major.flags.c_contiguous and got[0][1].a.flags.f_contiguous
         for (label, plan), (want_label, want_plan), dist in zip(got, want, loose, strict=True):
             assert label == want_label and plan.distribution.support == want_plan.distribution.support == dist.support
-            weights = group_weights(row_major, row_major.T, dist.support)
+            weights = _weights(row_major, row_major.T, dist.support)
             assert plan.weights.tobytes() == want_plan.weights.tobytes() == weights.tobytes()
             assert plan.distribution.weights.tobytes() == want_plan.distribution.weights.tobytes() == dist.weights.tobytes()
 
@@ -351,13 +352,13 @@ class _Kernel(Exception):
 
 def kernel(monkeypatch, cells):
     """The kernel ``frobenius_errors(cells)`` takes, ``"H"`` or ``"estimates"``, stopped at its
-    first step: building ``H``, or drawing the first block of estimates."""
+    first draw: the first block of ``u`` rows for ``H``, or the first block of estimates."""
     def stop(name):
         def raising(*args):
             raise _Kernel(name)
         return raising
 
-    monkeypatch.setattr(sketching, "error_form", stop("H"))
+    monkeypatch.setattr(sketching, "_form_rows", stop("H"))
     monkeypatch.setattr(sketching, "_blocks", stop("estimates"))
     with pytest.raises(_Kernel) as info:
         sketching.frobenius_errors(cells)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from partsketch import (ENHANCED, Plan, SketchConfig, coarsen, dense, error_form,
-                        expected_frobenius_error_sq, finest, frobenius_errors, frobenius_norm,
-                        group_weights, multiply, optimal_distribution, optimal_plan, pairwise_plan,
-                        sample_indices, sketch, sketch_from_draws, sketch_trials,
-                        spectral_norm)
+from partsketch import (ENHANCED, Plan, SketchConfig, coarsen, dense, expected_frobenius_error_sq,
+                        finest, frobenius_errors, frobenius_norm, multiply, optimal_distribution,
+                        optimal_plan, pairwise_plan, sample_indices, sketch, sketch_from_draws,
+                        sketch_trials, spectral_norm)
 from partsketch import sketching
+from partsketch.distributions import _weights
 from partsketch.experiments import ExperimentConfig, _methods
 from partsketch.rng import derive_seed, derive_seeds, generator
 from partsketch.sketching import (_FORM_ROWS, _MAX_DRAWS, _block_rows, _inverse_cdf,
@@ -421,7 +421,7 @@ class TestPanelKernel:
 class TestMemoryLayout:
     """A column-major A, whose ``Aᵀ`` panel is a view, gives what the same values held row-major
     give, both through a plan's column-major copy and on the paths that take the caller's A with
-    no copy (``optimal_distribution``, ``group_weights``, ``sketch``), and the one gather buffer
+    no copy (``optimal_distribution``, its ``_weights``, ``sketch``), and the one gather buffer
     per call gives what a fresh gather gives and does not grow with n."""
 
     @staticmethod
@@ -461,8 +461,8 @@ class TestMemoryLayout:
         assert plan_c.weights.tobytes() == plan_f.weights.tobytes()
         assert plan_c.distribution.weights.tobytes() == plan_f.distribution.weights.tobytes()
         # the no-copy paths, on the caller's A as it is held
-        assert group_weights(a_c, b(a_c), part).tobytes() == plan_c.weights.tobytes()
-        assert group_weights(a_f, b(a_f), part).tobytes() == plan_c.weights.tobytes()
+        assert _weights(a_c, b(a_c), part).tobytes() == plan_c.weights.tobytes()
+        assert _weights(a_f, b(a_f), part).tobytes() == plan_c.weights.tobytes()
         for a in (a_c, a_f):
             assert optimal_distribution(a, b(a), part).weights.tobytes() == plan_c.distribution.weights.tobytes()
 
@@ -595,14 +595,19 @@ class TestFrobeniusErrors:
         stderr = errs.std(ddof=1) / np.sqrt(errs.size)
         assert abs(errs.mean() - expected_frobenius_error_sq(a, b, part, d, c)) <= 5 * stderr
 
-    def test_error_form_and_plan_checks(self):
+    def test_error_form_and_plan_checks(self, monkeypatch):
+        # the H kernel's errors are uᵀHu, H = (AᵀA) ∘ (BBᵀ), of the u = 1 - s rows it draws
         a, b, part, d = TestSketchTrials.plan("unrelated", False)
-        h = error_form(a, b)
-        assert h.shape == (40, 40) and not h.flags.writeable
-        assert np.array_equal(h, (a.T @ a) * (b @ b.T))
-        with pytest.raises(ValueError, match="mismatch"):
-            error_form(a, dense(np.ones((3, 2))))
         plan = Plan(a, b, d)
+        rows, form_rows = [], sketching._form_rows
+        monkeypatch.setattr(sketching, "_form_rows",
+                            lambda cells, n: (rows.append(u.copy()) or u for u in form_rows(cells, n)))
+        [errors] = frobenius_errors([(plan, 7, list(range(5)))])
+        u = np.vstack(rows)
+        h = (a.T @ a) * (b @ b.T)
+        assert u.shape == (5, 40) and errors == pytest.approx(np.einsum("ti,ij,tj->t", u, h, u), rel=1e-10)
+        with pytest.raises(ValueError, match="mismatch"):
+            Plan(a, dense(np.ones((3, 2))), d)
         with pytest.raises(ValueError, match="the first cell's matrices"):
             frobenius_errors([(plan, 3, [1]), (Plan(a, dense(b.copy()), d), 3, [1])])
         with pytest.raises(ValueError, match="partition covers 20 indices"):
@@ -652,7 +657,7 @@ class TestFrobeniusErrors:
         cells = [(base, 7, [derive_seed(46, 0, t) for t in range(9)]),
                  (base.with_distribution(uniform(part)), 5000, [derive_seed(46, 1, t) for t in range(8)])]
         monkeypatch.setattr(sketching, "_ERROR_FORM_ENTRIES", 0)  # no H fits
-        monkeypatch.setattr(sketching, "error_form", None)  # the H path would call it
+        monkeypatch.setattr(sketching, "_form_rows", None)  # the H path would call it
         errors = frobenius_errors(cells)
         results = sketch_trials(cells)
         for (_, _, seeds), errs in zip(cells, errors):
