@@ -14,7 +14,7 @@ import numpy as np
 
 from .distributions import Plan, SamplingDistribution, _plan_on, _weights
 from .errors import NumericError, ZeroProductError
-from .matrices import _EPS, _pair, frobenius_norm, spectral_norm
+from .matrices import _EPS, _is_transpose, _pair, frobenius_norm, spectral_norm
 from .partitions import Partition, finest
 from .rng import _check_count, _is_integer
 
@@ -194,14 +194,16 @@ def min_draw_threshold(c: int, k: int) -> int | None:
 def uniform_spectral_bound(a, b, c: int, k: int, s_c: int) -> float:
     """High-probability cap k*(s_c - 1)/c * |a|_2 * |b|_2 on the sketch's spectral norm.
 
-    ``s_c`` comes from :func:`min_draw_threshold` for the same (c, k).  Raises ``ValueError``
-    unless the pair passes ``_pair``, c and k are integers >= 1 and s_c one in [2, c] (``_check_count``).
+    ``s_c`` comes from :func:`min_draw_threshold` for the same (c, k); when ``_pair`` makes ``b``
+    ``a.T``, ``|b|_2`` is ``|a|_2``, computed once.  Raises ``ValueError`` unless the pair passes
+    ``_pair``, c and k are integers >= 1 and s_c one in [2, c] (``_check_count``).
     """
     a, b = _pair(a, b)
     _check_count(c, "sample count")
     _check_count(k, "k")
     _check_count(c, "sample count", lo=_check_count(s_c, "s_c", lo=2))  # s_c in [2, c]
-    return k * (s_c - 1) / c * spectral_norm(a) * spectral_norm(b)
+    norm_a = spectral_norm(a)
+    return k * (s_c - 1) / c * norm_a * (norm_a if _is_transpose(a, b) else spectral_norm(b))
 
 
 # ---------------------------------------------------------------------------

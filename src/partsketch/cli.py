@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _plan(args) -> Plan:
     """The plan of --a and --b over --partition-file's partition or finest, or a strategy's ``pairing_plan`` of finest's."""
-    a, b = _conforming(read_matrix(args.a), read_matrix(args.b))  # checked once, and only the plan holds them: no copy
+    a, b = _conforming(read_matrix(args.a), read_matrix(args.b))  # checked once, a B holding Aᵀ made A.T; no copy
     if args.partition_file is not None:
         return _optimal_plan(a, b, partition_from_json(Path(args.partition_file).read_text(encoding="utf-8")))
     fin = _optimal_plan(a, b, finest(a.shape[1]))

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ZeroProductError
-from .matrices import _BLOCK_ENTRIES, _EPS, _frozen, _pair, _plan_copies
+from .matrices import _BLOCK_ENTRIES, _EPS, _frozen, _is_transpose, _pair, _plan_copies
 from .partitions import PairingStrategy, Partition, pair_partition
 
 
@@ -87,6 +87,7 @@ def _squared_norms(a: np.ndarray, b: np.ndarray, members: np.ndarray, starts: np
     keeps at least half its digits.
     """
     m, rho = a.shape[0], b.shape[1]
+    same = gram and _is_transpose(a, b)  # B_g B_gᵀ is A_gᵀ A_g: one factor, and no gather of b
     # a batch gathers (m + rho) entries an index, within _BLOCK_ENTRIES: s indices a group, or
     # as many as its m x rho block entries take when that block is the larger temporary
     step = max(1, _BLOCK_ENTRIES // (m + rho) // (s if gram else max(s, m * rho // (m + rho))))
@@ -97,12 +98,16 @@ def _squared_norms(a: np.ndarray, b: np.ndarray, members: np.ndarray, starts: np
         batch = ids[lo:lo + step]
         cols = members[starts[batch, None] + np.arange(s)]
         ga = a[:, cols].transpose(1, 0, 2)  # (groups, m, s)
-        gb = b[cols]  # (groups, s, rho)
         if not gram:
-            block = ga @ gb
+            block = ga @ b[cols]  # b[cols]: (groups, s, rho)
             out[lo:lo + step] = np.einsum("kij,kij->k", block, block)
             continue
-        left, right = ga.transpose(0, 2, 1) @ ga, gb @ gb.transpose(0, 2, 1)
+        left = ga.transpose(0, 2, 1) @ ga
+        if same:
+            right = left
+        else:
+            gb = b[cols]  # (groups, s, rho)
+            right = gb @ gb.transpose(0, 2, 1)
         w_sq = np.einsum("kij,kij->k", left, right)
         norm_sum = np.sqrt(np.einsum("kii,kii->ki", left, right)).sum(axis=1)  # sum |a_j| |b_j|
         cancelled = rounding * norm_sum * norm_sum > np.sqrt(_EPS) * w_sq

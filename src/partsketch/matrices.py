@@ -4,10 +4,11 @@ Matrices are plain 2-d float64 numpy arrays of finite entries (``_matrix``, the 
 every matrix a caller passes in), frozen (read-only) where the package keeps them, so they can
 be shared freely across threads.  ``dense`` copies its input into a C-ordered array; the file
 readers check and freeze the array they read in place, so a ``.bin`` matrix is a view of the
-file's bytes.  A caller's pair enters by one intake (``_pair``).  A plan that outlives its call
-owns copies (``_plan_copies``) with A column-major, as an experiment's A is made, so the ``Aᵀ``
-panel the sketch engine gathers rows from is a view of A.  All index arguments in this package are
-0-based; serialized formats that carry indices use 1-based values (see :mod:`partsketch.partitions`).
+file's bytes.  A caller's pair enters by one intake (``_pair``), and a ``B`` holding ``Aᵀ``'s bits
+becomes ``A.T`` (``_conforming``).  A plan that outlives its call owns copies (``_plan_copies``)
+with A column-major, as an experiment's A is made, so the ``Aᵀ`` panel the sketch engine gathers
+rows from is a view of A.  All index arguments in this package are 0-based; serialized formats
+that carry indices use 1-based values (see :mod:`partsketch.partitions`).
 """
 
 from __future__ import annotations
@@ -73,10 +74,17 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _conforming(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(a, b)``, unless ``a``'s columns are not ``b``'s rows: ``ValueError("dimension mismatch: …")``."""
+    """``(a, b)`` of two float64 matrices, or ``(a, a.T)`` when ``b`` holds ``a.T``'s entries bit for bit, so an
+    equal copy of ``Aᵀ`` is ``Aᵀ`` (``syrk``, one array to keep); a ``-0.0`` against a ``0.0`` keeps its own ``b``.
+    ``ValueError("dimension mismatch: …")`` unless ``a``'s columns are ``b``'s rows."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a, b
+    return (a, a.T) if not _is_transpose(a, b) and _bitwise_equal(a.T, b) else (a, b)
+
+
+def _bitwise_equal(x: np.ndarray, y: np.ndarray) -> bool:
+    """True when the float64 arrays ``x`` and ``y`` have one shape and the same bits in every entry."""
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def _plan_copies(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -137,10 +145,28 @@ def write_output(path, data) -> None:
             fh.truncate()
 
 
+def _two_d(a) -> np.ndarray:
+    """``a`` as a float64 array, or ``ValueError`` unless it is 2-d: a writer's check, before it opens its file."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"matrix must be 2-d, got shape {a.shape}")
+    return a
+
+
 def write_csv(a: np.ndarray, path) -> None:
-    """One matrix row per line, comma-separated ``repr`` decimals (lossless round trip)."""
-    rows = np.asarray(a, dtype=np.float64).tolist()
-    write_output(path, "\n".join(",".join(map(repr, row)) for row in rows) + "\n")
+    """One matrix row per line, comma-separated ``repr`` decimals (lossless round trip); ``ValueError`` unless 2-d.
+
+    A square matrix equal to its transpose bit for bit (an AAᵀ estimate) takes one ``repr`` per
+    upper-triangle entry, shared with its mirror, for the same bytes at about half the cost."""
+    a = _two_d(a)
+    if _bitwise_equal(a, a.T):
+        upper = np.triu_indices(a.shape[0])
+        fields = np.empty(a.shape, dtype=object)
+        fields[upper] = fields[upper[::-1]] = list(map(repr, a[upper].tolist()))
+        lines = map(",".join, fields.tolist())
+    else:
+        lines = (",".join(map(repr, row)) for row in a.tolist())
+    write_output(path, "\n".join(lines) + "\n")
 
 
 # What a CSV may hold: tab, "\n" and printable ASCII other than ``_``.  ``read_text``
@@ -182,7 +208,8 @@ def read_csv(path) -> np.ndarray:
 
 
 def write_binary(a: np.ndarray, path) -> None:
-    """Binary layout: int64-LE rows, int64-LE cols, then rows*cols float64-LE row-major."""
+    """Binary layout: int64-LE rows, int64-LE cols, then rows*cols float64-LE row-major; ``ValueError`` unless 2-d."""
+    a = _two_d(a)
     header = np.asarray(a.shape, dtype="<i8").tobytes()
     write_output(path, header + np.ascontiguousarray(a, dtype="<f8").tobytes())
 

@@ -13,6 +13,7 @@ from partsketch import (BALANCED, ENHANCED, SIMPLE, PairingStrategy, Plan, Sketc
                         multiply, optimal_distribution, optimal_plan,
                         pair_partition, pairing_comparators, pairwise_plan, sketch,
                         spectral_norm, tail_bound_value, uniform_spectral_bound)
+from partsketch import analysis
 from helpers import (all_pairings, block_product, brute_force_expectation, distribution,
                      element_contribution, random_coarsening, random_instance)
 
@@ -323,6 +324,17 @@ class TestUniformSpectralBound:
         eye = dense(np.eye(4))
         assert uniform_spectral_bound(eye, eye, c=6, k=4, s_c=3) == pytest.approx(
             4 * 2 / 6, rel=1e-10)
+
+    def test_a_transpose_pair_takes_one_norm(self, monkeypatch):
+        # |Aᵀ|_2 is |A|_2: a transpose pair, or a copy holding Aᵀ's bits, takes one spectral_norm,
+        # with the bits of the two the bound took before
+        a = dense(np.random.default_rng(17).random((6, 40)))
+        expected = 250 * (3 - 1) / 750 * spectral_norm(a) * spectral_norm(a.T)
+        calls = []
+        monkeypatch.setattr(analysis, "spectral_norm", lambda m: calls.append(m.shape) or spectral_norm(m))
+        for b in (a.T, a.T.copy()):
+            assert uniform_spectral_bound(a, b, 750, 250, 3) == expected
+        assert calls == [(6, 40), (6, 40)]
 
     def test_k_and_s_c_are_counts(self):
         # a bool k is not read as 1, nor a float s_c as a threshold (TestCountRule refuses each alone)

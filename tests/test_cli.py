@@ -10,8 +10,8 @@ import pytest
 
 from partsketch import (ENHANCED, ExperimentConfig, Plan, SketchConfig, bernstein_tail_bound,
                         bound_report, dense, distribution_to_json, finest, min_draw_threshold,
-                        multiply, optimal_distribution, pairwise_plan, partition_from_json,
-                        read_csv, read_matrix, sample_indices, sketch, sketching,
+                        multiply, optimal_distribution, optimal_plan, pairwise_plan, partition_from_json,
+                        read_csv, read_matrix, sample_indices, sketch, sketch_from_draws, sketching,
                         uniform_spectral_bound, write_binary, write_csv)
 from partsketch.cli import _experiment_config, build_parser, main
 
@@ -146,6 +146,27 @@ class TestOutputsAgainstPrimitives:
         report = dataclasses.asdict(bound_report(Plan(a, b, dist)))  # weights computed afresh
         assert (out / "bounds.json").read_text() == self.json_text(report)
         assert (out / "distribution.json").read_text() == distribution_to_json(dist) + "\n"
+
+    def test_a_transpose_pair_writes_a_symmetric_estimate(self, inputs):
+        # B holding Aᵀ bit for bit is Aᵀ: CSV and .bin requests write the same exactly symmetric
+        # estimate, the library's sketch of (a, a.T) from the logged draws; a B one ulp off in
+        # one entry keeps its own array and writes its own plan's general product
+        a = read_matrix(inputs / "a.bin")
+        near = a.T.copy()
+        near[3, 1] = np.nextafter(near[3, 1], 2.0)
+        write_binary(near, inputs / "near.bin")
+        for a_file, b_file in (("a.csv", "b.csv"), ("a.bin", "b.bin"), ("a.bin", "near.bin")):
+            out = inputs / f"out-{b_file}"
+            assert main(["sketch", "--a", str(inputs / a_file), "--b", str(inputs / b_file), "--c", str(self.C),
+                         "--seed", str(self.SEED), "--out-dir", str(out)]) == 0
+            draws = np.array(json.loads((out / "draws.json").read_text())["draws"]) - 1
+            plan = optimal_plan(a, read_matrix(inputs / b_file), finest(24))
+            assert np.shares_memory(plan.a, plan.b) == (b_file != "near.bin")
+            write_csv(sketch_from_draws(plan, draws).estimate, inputs / "ref.csv")
+            assert (out / "estimate.csv").read_bytes() == (inputs / "ref.csv").read_bytes()
+        assert (inputs / "out-b.csv/estimate.csv").read_bytes() == (inputs / "out-b.bin/estimate.csv").read_bytes()
+        symmetric = read_csv(inputs / "out-b.bin/estimate.csv")
+        assert symmetric.tobytes() == np.ascontiguousarray(symmetric.T).tobytes()
 
     def test_analyze_file(self, inputs):
         out = inputs / "out"

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from partsketch import (MatrixFileError, dense, frobenius_norm, multiply,
                         read_binary, read_csv, read_matrix, spectral_norm,
                         write_binary, write_csv)
-from partsketch.matrices import write_output
+from partsketch.matrices import _bitwise_equal, write_output
 from helpers import block_product, random_coarsening
 
 EPS = np.finfo(np.float64).eps
@@ -290,6 +290,35 @@ class TestMatrixIO:
             expected = "\n".join(",".join(repr(float(v)) for v in row) for row in m) + "\n"
             write_csv(m, tmp_path / "m.csv")
             assert (tmp_path / "m.csv").read_text() == expected
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(hnp.arrays(np.float64, st.integers(1, 7).map(lambda n: (n, n)), elements=st.one_of(
+        st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                         -1e308, 1 / 3]), doubles)))
+    def test_csv_writer_bytes_of_a_symmetric_matrix(self, tmp_path, x):
+        # a matrix equal to its transpose bit for bit writes one repr per upper-triangle entry and
+        # its mirror: the bytes of the row-by-row join
+        m = np.where(np.triu(np.ones(x.shape, dtype=bool)), x, x.T)
+        assert _bitwise_equal(m, m.T)
+        write_csv(m, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_text() == "\n".join(",".join(map(repr, row)) for row in m.tolist()) + "\n"
+        if m.shape[0] > 1:  # a 0.0 mirrored by a -0.0 is not symmetric bit for bit: the plain path
+            m[0, 1], m[1, 0] = 0.0, -0.0
+            assert not _bitwise_equal(m, m.T)
+            write_csv(m, tmp_path / "m.csv")
+            lines = (tmp_path / "m.csv").read_text().split("\n")
+            assert lines[0].split(",")[1] == "0.0" and lines[1].split(",")[0] == "-0.0"
+            assert "\n".join(lines) == "\n".join(",".join(map(repr, row)) for row in m.tolist()) + "\n"
+
+    @pytest.mark.parametrize("writer", [write_csv, write_binary])
+    @pytest.mark.parametrize("shape", [(3,), (), (2, 2, 2)])
+    def test_writers_refuse_a_non_matrix_before_opening_the_file(self, tmp_path, writer, shape):
+        # a 1-d shape would get an 8-byte header that read_binary refuses, and a csv row a float
+        path = tmp_path / "m.out"
+        with pytest.raises(ValueError, match="matrix must be 2-d"):
+            writer(np.arange(float(np.prod(shape))).reshape(shape), path)
+        assert not path.exists()
 
     def test_output_is_rewritten_in_place(self, tmp_path):
         # a longer file is cut to the new bytes; the inode, a hard link and the mode are kept

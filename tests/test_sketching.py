@@ -14,6 +14,7 @@ from partsketch import (ENHANCED, Plan, SketchConfig, coarsen, dense, expected_f
 from partsketch import sketching
 from partsketch.distributions import _weights
 from partsketch.experiments import ExperimentConfig, _methods
+from partsketch.matrices import _pair
 from partsketch.rng import derive_seed, derive_seeds, generator
 from partsketch.sketching import (_FORM_ROWS, _MAX_DRAWS, _block_rows, _inverse_cdf,
                                   _is_transpose, _scaled_product, _trials_per_block)
@@ -389,11 +390,13 @@ class TestPanelKernel:
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 120), st.integers(1, 2500), st.integers(1, 3000),
-           st.sampled_from(["view", "copy", "other"]), st.booleans())
+           st.sampled_from(["view", "copy", "near", "other"]), st.booleans())
     @example(0, 7, 30, 1, "view", False)  # K = 1, syrk
-    @example(1, 7, 30, 1, "copy", True)  # K = 1, GEMM
+    @example(1, 7, 30, 1, "copy", True)  # K = 1, syrk on a copy of Aᵀ
+    @example(1, 7, 30, 1, "near", True)  # K = 1, GEMM on a B of Aᵀ's shape
     @example(2, 1, 300, 500, "view", False)  # m = 1
     @example(3, 1, 300, 500, "copy", False)
+    @example(3, 1, 300, 500, "near", False)
     @example(4, 100, 2000, 3000, "view", False)  # the paper shape
     # m = 91: blocks of at most 546 rows on either path, and c = 50 000 draws every index, so the
     # distinct rows are exactly one block, one block + 1 and three blocks
@@ -401,21 +404,34 @@ class TestPanelKernel:
     @example(6, 91, 546, 50_000, "copy", False)
     @example(7, 91, 547, 50_000, "view", False)
     @example(8, 91, 547, 50_000, "copy", False)
+    @example(8, 91, 547, 50_000, "near", False)
     @example(9, 91, 1200, 50_000, "view", False)
     @example(10, 91, 1200, 50_000, "copy", False)
     def test_within_gemm_bound_of_the_column_gather_kernel(self, seed, m, n, c, b_kind, coarse):
+        # a copy holding Aᵀ's bits is Aᵀ: the Gram kernel, with the bits of the view itself; a B
+        # of Aᵀ's shape one ulp off in one entry ("near") keeps its own array and GEMM
         rng = np.random.default_rng(seed)
         a = dense(rng.random((m, n)) - 0.5)
-        b = {"view": a.T, "copy": dense(a.T.copy()),
+        b = {"view": a.T, "copy": dense(a.T.copy()), "near": a.T.copy(),
              "other": dense(rng.random((n, int(rng.integers(1, 6)))) - 0.5)}[b_kind]
+        if b_kind == "near":
+            b[n // 2, m // 2] = np.nextafter(b[n // 2, m // 2], 1.0)
+            b = dense(b)
+        kernel_b = a.T if b_kind == "copy" else b  # the B the plan holds
         part = random_coarsening(rng, n, max_groups=n // 2 + 1) if coarse and n > 1 else finest(n)
         d = optimal_distribution(a, b, part)
+        plan = Plan(a, b, d)
+        assert _is_transpose(plan.a, plan.b) == (b_kind in ("view", "copy"))
         seeds = [derive_seed(seed, t) for t in range(3)]
-        for trial_seed, res in zip(seeds, sketch_trials([(Plan(a, b, d), c, seeds)]), strict=True):
+        results = list(sketch_trials([(plan, c, seeds)]))
+        for trial_seed, res in zip(seeds, results, strict=True):
             s = scale_vector(part, d, sample_indices(d, c, trial_seed))
             idx = np.flatnonzero(s)
-            reference = column_gather_product(a, b, idx, s[idx])
-            assert np.all(np.abs(res.estimate - reference) <= kernel_error_bound(a, b, idx, s[idx]))
+            reference = column_gather_product(a, kernel_b, idx, s[idx])
+            assert np.all(np.abs(res.estimate - reference) <= kernel_error_bound(a, kernel_b, idx, s[idx]))
+        if b_kind == "copy":
+            view = sketch_trials([(Plan(a, a.T, d), c, seeds)])
+            assert [r.estimate.tobytes() for r in view] == [r.estimate.tobytes() for r in results]
 
 
 class TestMemoryLayout:
@@ -890,9 +906,10 @@ class TestGramKernel:
             assert np.array_equal(est, est.T)
 
     def test_path_follows_the_buffer(self):
-        # only a.T itself takes the Gram kernel: not an equal copy, not the transpose of
-        # another matrix with a's shape and strides, not a's bytes read as another dtype,
-        # and not a nested list
+        # _is_transpose is a buffer test: a.T itself, not an equal copy, not the transpose of
+        # another matrix with a's shape and strides, not a's bytes read as another dtype, and
+        # not a nested list.  The intake then makes a copy holding Aᵀ's bits a.T, so it takes
+        # the Gram kernel with the view's bits; the transpose of another matrix takes GEMM.
         a, d = self.instance()
         part = finest(700)
         copy = dense(a.T.copy())
@@ -902,16 +919,54 @@ class TestGramKernel:
         assert not _is_transpose(a, a.view(np.int64).T) and not _is_transpose(a.T.tolist(), a)
         square = dense(np.eye(3))
         assert not _is_transpose(square, square) and _is_transpose(square.T, square)
+        pa, pb = _pair(a, copy)
+        assert pa is a and _is_transpose(pa, pb) and not _is_transpose(*_pair(a, other.T))
         cfg = SketchConfig(900, 4)
         gram = sketch(a, a.T, part, d, cfg)
-        gemm = sketch(a, copy, part, d, cfg)
-        assert np.all(np.abs(gram.estimate - gemm.estimate)
-                      <= gram_error_bound(a, scale_vector(part, d, sample_indices(d, 900, 4))))
+        assert sketch(a, copy, part, d, cfg).estimate.tobytes() == gram.estimate.tobytes()
         d_other = optimal_distribution(a, other.T, part)
         res = sketch(a, other.T, part, d_other, cfg)
         assert np.all(np.abs(res.estimate - loop_sketch(a, other.T, part, d_other, cfg))
                       <= gemm_error_bound(a, scale_vector(part, d_other, sample_indices(d_other, 900, 4)),
                                           other.T))
+
+    def test_a_copy_of_the_transpose_is_one_array(self):
+        # optimal_plan(x, x.T.copy()) holds one copy, and its trials are (x, x.T)'s bit for bit
+        x, _ = self.instance()
+        part = random_coarsening(np.random.default_rng(33), 700, max_groups=300)
+        plan, view = optimal_plan(x, x.T.copy(), part), optimal_plan(x, x.T, part)
+        assert np.shares_memory(plan.a, plan.b) and _is_transpose(plan.a, plan.b)
+        assert plan.weights.tobytes() == view.weights.tobytes()
+        seeds = [derive_seed(33, t) for t in range(4)]
+        first, second = ([r.estimate.tobytes() for r in sketch_trials([(p, 90, seeds)])] for p in (plan, view))
+        assert first == second
+
+    def test_a_signed_zero_keeps_its_own_b(self, monkeypatch):
+        # B equal to Aᵀ but for one -0.0 in place of a 0.0 is not Aᵀ bit for bit: it keeps its
+        # own array and takes GEMM, within the Gram kernel's bound of the Aᵀ estimate
+        a, _ = self.instance()
+        z = a.copy()
+        z[3, 5] = 0.0
+        z = dense(z)
+        signed = z.T.copy()
+        signed[5, 3] = -0.0
+        part = finest(700)
+        plan = optimal_plan(z, signed, part)
+        assert not np.shares_memory(plan.a, plan.b) and not _is_transpose(plan.a, plan.b)
+        assert np.signbit(plan.b[5, 3])
+        cfg = SketchConfig(900, 4)
+        gram = sketch(z, z.T, part, plan.distribution, cfg)
+        calls = []  # the gram flag of every _scaled_product call
+
+        def spy(*args):
+            calls.append(args[4])
+            return _scaled_product(*args)
+
+        monkeypatch.setattr(sketching, "_scaled_product", spy)
+        gemm = sketch(z, signed, part, plan.distribution, cfg)
+        assert calls == [False]
+        s = scale_vector(part, plan.distribution, sample_indices(plan.distribution, 900, 4))
+        assert np.all(np.abs(gram.estimate - gemm.estimate) <= gram_error_bound(z, s))
 
 
 class TestSketchPairwise:
